@@ -34,14 +34,14 @@ from .emden import (
     IntegrationFailure,
     InvalidEnergy,
     analyze,
-    collapse_time_quadrature,
     energy,
 )
-from .selfsim import SolutionCase, profile, support
-from .serialize import fmt_float, to_json, write_csv, write_text
+from .selfsim import SolutionCase
+from .serialize import fmt_float, fmt_floats, to_json, write_csv, write_text
 from .verify import (
     DEFAULT_SUPPORT_MARGIN,
     SpaceTimeGrid,
+    _fields_on_grid,
     blowup_rate,
     mass,
     mass_conservation,
@@ -190,14 +190,21 @@ def _parse_corrupt(flag: str | None) -> float:
         raise ConfigError(f"--seed-corrupt factor is not a number: {flag!r}") from exc
 
 
-def _grid_values(case: SolutionCase, traj, block: dict[str, str]):
+def _t_max(traj) -> float:
+    """Largest physical t with 3t <= s_max (s_max / 3 can round one ulp high)."""
+    t = traj.s_max / 3.0
+    while 3.0 * t > traj.s_max:
+        t = math.nextafter(t, 0.0)
+    return t
+
+
+def _grid_values(case: SolutionCase, traj, report, block: dict[str, str]):
     """(t0, t1, nt, x0, x1, nx) from config keys, defaults derived from the orbit."""
     params = case.emden
     if params.xi < 0:
-        s_collapse = collapse_time_quadrature(params)
-        t1_default = 0.25 * s_collapse / 3.0
+        t1_default = 0.25 * report.s_collapse_quadrature / 3.0
     else:
-        t1_default = min(0.5, traj.s_max / 3.0)
+        t1_default = min(0.5, _t_max(traj))
     t0 = _get_float(block, "t0", 0.0)
     t1 = _get_float(block, "t1", t1_default)
     nt = _get_int(block, "nt", 81)
@@ -213,8 +220,8 @@ def _grid_values(case: SolutionCase, traj, block: dict[str, str]):
     return t0, t1, nt, x0, x1, nx
 
 
-def _default_grid(case: SolutionCase, traj, block: dict[str, str]) -> SpaceTimeGrid:
-    t0, t1, nt, x0, x1, nx = _grid_values(case, traj, block)
+def _default_grid(case: SolutionCase, traj, report, block: dict[str, str]) -> SpaceTimeGrid:
+    t0, t1, nt, x0, x1, nx = _grid_values(case, traj, report, block)
     return SpaceTimeGrid(t0=t0, t1=t1, nt=nt, x0=x0, x1=x1, nx=nx)
 
 
@@ -271,14 +278,13 @@ def cmd_emden(args) -> int:
 
     traj, report = analyze(params, s_end=s_end, tol=tol)
 
-    rows = []
-    for st in traj.states:
-        rows.append([
-            fmt_float(st.s),
-            fmt_float(st.a),
-            fmt_float(st.a_dot),
-            fmt_float(energy(params, st)),
-        ])
+    states = traj.states
+    rows = zip(
+        fmt_floats([st.s for st in states]),
+        fmt_floats([st.a for st in states]),
+        fmt_floats([st.a_dot for st in states]),
+        fmt_floats([energy(params, st) for st in states]),
+    )
     out = Path(args.out)
     write_csv(out / "emden.csv", ["s", "a", "a_dot", "energy"], rows)
 
@@ -301,22 +307,20 @@ def cmd_construct(args) -> int:
     params = case.emden
     tol = args.tol if args.tol is not None else _get_float(block, "tol", DEFAULT_TOL)
 
-    t1_raw = block.get("t1")
-    if params.xi < 0 and t1_raw is not None:
-        s_collapse = collapse_time_quadrature(params)
-        if 3.0 * float(t1_raw) >= s_collapse:
-            raise ConfigError(
-                f"grid end 3*t1 = {3.0 * float(t1_raw)} crosses the collapse "
-                f"time s = {s_collapse}"
-            )
-
     t_end = _get_float(block, "t_end", 0.0)
     t1 = _get_float(block, "t1", 0.0)
     s_end = 3.0 * max(t_end, t1) if max(t_end, t1) > 0 else None
-    traj, _ = analyze(params, s_end=s_end, tol=tol)
+    traj, report = analyze(params, s_end=s_end, tol=tol)
+    if params.xi < 0 and "t1" in block:
+        s_collapse = report.s_collapse_quadrature
+        if 3.0 * t1 >= s_collapse:
+            raise ConfigError(
+                f"grid end 3*t1 = {3.0 * t1} crosses the collapse "
+                f"time s = {s_collapse}"
+            )
     # Plain sampling has no stencil, so any lattice with >= 2 points per
     # axis is fine (unlike the residual grids, which need >= 5).
-    t0, t1, nt, x0, x1, nx = _grid_values(case, traj, block)
+    t0, t1, nt, x0, x1, nx = _grid_values(case, traj, report, block)
     if nt < 2 or nx < 2:
         raise ConfigError(f"need nt >= 2 and nx >= 2, got nt={nt}, nx={nx}")
     if not (t1 > t0) or not (x1 > x0):
@@ -328,27 +332,27 @@ def cmd_construct(args) -> int:
             f"grid needs s up to {3.0 * t1} but the orbit ends at {traj.s_max}"
         )
 
+    ts, xs = np.linspace(t0, t1, nt), np.linspace(x0, x1, nx)
+    rho, u, eta = _fields_on_grid(case, traj, ts, xs)
     eta_b = case.eta_boundary
-    rows = []
-    for t in np.linspace(t0, t1, nt):
-        st = traj.eval(3.0 * t)
-        cb = float(np.cbrt(st.a))
-        c_u = st.a_dot / st.a
-        for x in np.linspace(x0, x1, nx):
-            eta = x / cb
-            rho = profile(case, eta) / cb
-            in_sup = True if eta_b is None else bool(eta * eta < eta_b * eta_b)
-            rows.append([
-                fmt_float(t),
-                fmt_float(float(x)),
-                fmt_float(rho),
-                fmt_float(c_u * x),
-                fmt_float(eta),
-                "true" if in_sup else "false",
-            ])
+    if eta_b is None:
+        in_sup = ["true"] * eta.size
+    else:
+        inside = (eta * eta < eta_b * eta_b).ravel().tolist()
+        in_sup = ["true" if b else "false" for b in inside]
+    # Built a column at a time in t-major order: t and x cells are formatted
+    # once per distinct value, the fields once per cell.
+    rows = zip(
+        [t for t in fmt_floats(ts) for _ in range(nx)],
+        fmt_floats(xs) * nt,
+        fmt_floats(rho),
+        fmt_floats(u),
+        fmt_floats(eta),
+        in_sup,
+    )
     out = Path(args.out)
     write_csv(out / "construct.csv", ["t", "x", "rho", "u", "eta", "in_support"], rows)
-    print(f"wrote {out / 'construct.csv'} ({len(rows)} rows, case {case.case_id})")
+    print(f"wrote {out / 'construct.csv'} ({nt * nx} rows, case {case.case_id})")
     return EXIT_OK
 
 
@@ -380,7 +384,7 @@ def cmd_verify(args) -> int:
         t1_cfg = _get_float(block, "t1", 0.5)
         s_end = 3.0 * max(decay_t_max, t_end, t1_cfg * 1.05)
         traj, report = analyze(params, s_end=s_end, tol=tol)
-    grid = _default_grid(case, traj, block)
+    grid = _default_grid(case, traj, report, block)
 
     reports: dict = {"blowup": _blowup_dict(report)}
     checks: list[bool] = []
@@ -475,7 +479,7 @@ def cmd_verify(args) -> int:
             "pass": ok,
         }
     elif not is_collapse:
-        t_hi = min(decay_t_max, traj.s_max / 3.0)
+        t_hi = min(decay_t_max, _t_max(traj))
         t_samples = list(np.geomspace(max(t_hi / 100.0, 1e-3), t_hi, 12))
         values = origin_decay(case, traj, t_samples)
         decreasing = all(b < a for a, b in zip(values, values[1:]))

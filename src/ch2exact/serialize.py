@@ -1,17 +1,21 @@
 """Deterministic text serialization for reports and tables.
 
 Floats are rendered with 17 significant digits (round-trip exact for IEEE
-doubles), CSV uses LF endings and UTF-8, and JSON is emitted by a small
+doubles); both zeros are written as "0" and non-finite values are rejected.
+CSV uses LF endings and UTF-8, and JSON is emitted by a small
 writer so the float format is identical everywhere.  Reruns on identical
 inputs are byte-identical.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from pathlib import Path
 
-__all__ = ["fmt_float", "to_json", "write_csv", "write_text"]
+import numpy as np
+
+__all__ = ["fmt_float", "fmt_floats", "to_json", "write_csv", "write_text"]
 
 
 def fmt_float(x: float) -> str:
@@ -20,6 +24,17 @@ def fmt_float(x: float) -> str:
     if x == 0.0:
         return "0"
     return f"{x:.17g}"
+
+
+def fmt_floats(values) -> list[str]:
+    """``[fmt_float(v) for v in values]`` for a whole array, flattened in C order."""
+    arr = np.asarray(values, dtype=float).ravel()
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        fmt_float(float(arr[bad[0]]))  # raises fmt_float's ValueError
+    # Adding +0.0 turns -0.0 into 0.0 and leaves every other value unchanged,
+    # so "%.17g" writes both zeros as "0".
+    return ["%.17g" % v for v in (arr + 0.0).tolist()]
 
 
 def _json_value(obj) -> str:
@@ -68,16 +83,24 @@ def to_json(obj) -> str:
     return _json_pretty(obj) + "\n"
 
 
-def write_text(path: Path, text: str) -> None:
+# Rows per write: a large table is never held as one string.
+_CSV_BLOCK_ROWS = 8192
+
+
+def _open_for_write(path: Path):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def write_text(path: Path, text: str) -> None:
+    with _open_for_write(path) as fh:
         fh.write(text)
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    """Write pre-formatted string cells with LF endings."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
-    write_text(path, "\n".join(lines) + "\n")
+    """Write pre-formatted string cells with LF endings, a block of rows at a time."""
+    lines = map(",".join, itertools.chain([header], rows))
+    with _open_for_write(path) as fh:
+        while block := list(itertools.islice(lines, _CSV_BLOCK_ROWS)):
+            fh.write("\n".join(block) + "\n")

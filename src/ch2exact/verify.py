@@ -171,17 +171,20 @@ def momentum_residual_field(
 def _fields_on_grid(
     case: SolutionCase,
     traj: Trajectory,
-    grid: SpaceTimeGrid,
+    ts: np.ndarray,
+    xs: np.ndarray,
     u_scale: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (rho, u) sampled on the lattice; u_scale is a fault-injection hook."""
-    a, a_dot = traj.eval_many(3.0 * grid.ts())
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact (rho, u, eta) on the (len(ts), len(xs)) lattice of physical times ts.
+
+    Any lattice size is accepted; u_scale is a fault-injection hook.
+    """
+    a, a_dot = traj.eval_many(3.0 * ts)
     cb = np.cbrt(a)
-    xs = grid.xs()
     eta = xs[None, :] / cb[:, None]
     rho = profile(case, eta) / cb[:, None]
     u = u_scale * (a_dot / a)[:, None] * xs[None, :]
-    return rho, u
+    return rho, u, eta
 
 
 def _check_grid(
@@ -229,7 +232,7 @@ def _residual_levels(case, traj, grid, levels, margin, u_scale, which, alpha_d):
     l2s: list[float] = []
     g = grid
     for _ in range(levels):
-        rho, u = _fields_on_grid(case, traj, g, u_scale)
+        rho, u, _ = _fields_on_grid(case, traj, g.ts(), g.xs(), u_scale)
         if which == "mass":
             r = mass_residual_field(rho, u, g.dt, g.dx)
         else:

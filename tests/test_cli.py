@@ -1,12 +1,16 @@
 """End-to-end CLI behavior: configs, outputs, determinism, exit codes."""
 
+import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
 
 import ch2exact.cli as cli
-from ch2exact import IntegrationFailure
+from ch2exact import EmdenParams, IntegrationFailure, analyze, sample
 from ch2exact.cli import ConfigError, main, parse_config_blocks
+from ch2exact.verify import _fields_on_grid
 
 
 def write_config(tmp_path, text, name="case.cfg"):
@@ -327,3 +331,120 @@ def test_sweep_deterministic(tmp_path):
     for d in (d1, d2):
         assert main(["sweep", "--config", cfg, "--out", str(d)]) == 0
     assert (d1 / "sweep.csv").read_bytes() == (d2 / "sweep.csv").read_bytes()
+
+
+# ----------------------------------------------------------------------
+# golden files: outputs must stay byte-identical across refactors
+# ----------------------------------------------------------------------
+
+# The four conftest families: (sigma, xi, a0), alpha = 1, a1 = 0.
+GOLDEN_FAMILIES = {
+    "1a": (-1, -1, 1),
+    "1b": (-1, 1, -1),
+    "2a": (1, 1, 1),
+    "2b": (1, -3, -1),
+}
+
+# (command, family, extra flags) -> (exit code, sha256 of the output file).
+# Recorded on x86-64 with numpy 2.4 and scipy 1.17: the last digits of the
+# integrated orbit may differ under another libm or integrator release.
+GOLDEN = {
+    ("construct", "1a", ()):
+        (0, "fb20bdfa26d324aa0cfaba3aa98d2f55b75bd41f2a7b3d38d8c1742d46ce881e"),
+    ("construct", "1b", ()):
+        (0, "44d868310cd98e5f4ad1b61453a691ca7ca02029c3cc22a276ee4a1fb0c92334"),
+    ("construct", "2a", ()):
+        (0, "c2c429745c3fb152ab453b36fa67f6a932031d7ae3481a2ef9757cffbaf6ba94"),
+    ("construct", "2b", ()):
+        (0, "4c391708395b53fc84e7b602ba8195989eb9b1495603236f76b9191d280f8885"),
+    ("construct", "1a", ("--grid", "401,401")):
+        (0, "e18dc24b64d90dd54a270d44c3e06ba17d6a11e26c4d05287cf3d4bee7f98465"),
+    ("construct", "1b", ("--grid", "401,401")):
+        (0, "6cc5640b51b0b98add6f8a19bb62ae21b9d677aea2043391f8e0c207a757344a"),
+    ("construct", "2a", ("--grid", "401,401")):
+        (0, "6fffffd807ba27e4821e8b4c3002087d88bd7d0ce7b2b335e738944cfab141ab"),
+    ("construct", "2b", ("--grid", "401,401")):
+        (0, "19821a16d24ac3bc14464ee71381285046258b17981f1ae793db5d41434489a2"),
+    ("emden", "1a", ()):
+        (0, "e68f378d87f98b757bc410e90bf40bdd2e915561e116cfca007d83312fd768bf"),
+    ("emden", "1b", ()):
+        (0, "7b96eea862d919b12880d1cc09a523201065a4e6207dd09c831600e28a332d8e"),
+    ("emden", "2a", ()):
+        (0, "45424d0f859b085061b5314b6fe98bf675ed3f0ed0386eeedfa27a0f2b91da33"),
+    ("emden", "2b", ()):
+        (0, "f8ac7995c47c86042d176347000a9837efaab04a854518ebc2b5d492f3beb9da"),
+    ("verify", "1a", ()):
+        (0, "7d702e9ff3da131fb4557c2645ce152720524124c52f808977a90bdaa8691074"),
+    ("verify", "1b", ()):
+        (0, "5ef38e4dd8d46fc4333b70971a9068d4b5aea612d9032ed5bc5a33542b50817e"),
+    ("verify", "2a", ()):
+        (0, "66c1d7095e4b0ed1035b3d4a9726b4e74ebbfdfd3c1a6d7cad4fb971a421e077"),
+    ("verify", "2b", ()):
+        (0, "18bdbdabe11f40a0f4eb4fc209aa8911548c1a0df5e0539775bd7b2b39e6b32e"),
+    ("verify", "2a", ("--seed-corrupt", "u=1.01")):
+        (3, "c51755dcf409c74f3f4a7881c61213d8925b7712d16d47b9e2787b91e98a5fb1"),
+}
+
+_GOLDEN_OUTPUT = {"construct": "construct.csv", "emden": "emden.csv", "verify": "verify.json"}
+
+
+@pytest.mark.parametrize(
+    "command,family,extra", list(GOLDEN),
+    ids=[" ".join((c, f) + e) for c, f, e in GOLDEN],
+)
+def test_golden_output_hashes(tmp_path, command, family, extra):
+    sigma, xi, a0 = GOLDEN_FAMILIES[family]
+    text = f"xi = {xi}\na0 = {a0}\na1 = 0\n"
+    if command != "emden":
+        text = f"sigma = {sigma}\nalpha = 1\n" + text
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    rc = main([command, "--config", cfg, "--out", str(out), *extra])
+    data = (out / _GOLDEN_OUTPUT[command]).read_bytes()
+    assert (rc, hashlib.sha256(data).hexdigest()) == GOLDEN[(command, family, extra)]
+
+
+def test_fields_on_grid_takes_time_and_space_arrays(case_2a):
+    # construct samples 2x2 lattices, below SpaceTimeGrid's 5-point minimum,
+    # so the sampler takes the t and x arrays directly.
+    case, traj, _ = case_2a
+    ts, xs = np.array([0.0, 0.3]), np.array([-0.4, 0.7])
+    rho, u, eta = _fields_on_grid(case, traj, ts, xs)
+    assert rho.shape == u.shape == eta.shape == (2, 2)
+    for i, t in enumerate(ts):
+        for j, x in enumerate(xs):
+            point = sample(case, traj, float(t), float(x))
+            assert rho[i, j] == point.rho
+            assert u[i, j] == point.u
+
+
+# An inward-slope xi > 0 orbit whose integration stops near a = 0 at s_max:
+# s_max / 3, the default grid end, times 3 rounds one ulp above s_max.
+CFG_ULP = (
+    "sigma = 1\nxi = 1.6080305655209362\nalpha = 0.7861880071428833\n"
+    "a0 = 0.19120769802229437\na1 = -1.12511702408761\n"
+)
+
+
+def test_t_max_stays_inside_the_orbit():
+    traj, _ = analyze(EmdenParams(xi=1.6080305655209362, a0=0.19120769802229437,
+                                  a1=-1.12511702408761))
+    assert 3.0 * (traj.s_max / 3.0) > traj.s_max  # the rounding this guards
+    t = cli._t_max(traj)
+    assert 3.0 * t <= traj.s_max
+    assert 3.0 * math.nextafter(t, math.inf) > traj.s_max
+
+
+def test_default_horizon_one_ulp_orbit(tmp_path, capsys):
+    cfg = write_config(tmp_path, CFG_ULP)
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    rc = main(["verify", "--config", cfg, "--out", str(tmp_path / "v")])
+    assert rc in (0, 3), capsys.readouterr().err
+    assert (tmp_path / "v" / "verify.json").is_file()
+
+
+def test_explicit_t1_beyond_orbit_still_rejected(tmp_path, capsys):
+    # The orbit ends at s = 0.1877..., so 3 * t1 = 0.21 lies past it.
+    cfg = write_config(tmp_path, CFG_ULP + "t1 = 0.07\n")
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "outside [0, 0.18770219167908422]" in capsys.readouterr().err

@@ -99,7 +99,7 @@ def test_mass_kernel_zero_for_zero_density_case():
     case = SolutionCase(sigma=1, alpha=0.0, emden=EmdenParams(xi=1.0, a0=1.0, a1=0.0))
     traj = integrate(case.emden, s_end=3.0)
     grid = SpaceTimeGrid(0.0, 0.5, 9, -0.5, 0.5, 9)
-    rho, u = _fields_on_grid(case, traj, grid)
+    rho, u, _ = _fields_on_grid(case, traj, grid.ts(), grid.xs())
     assert np.all(rho == 0.0)
     r = mass_residual_field(rho, u, grid.dt, grid.dx)
     assert np.all(r == 0.0)
