@@ -22,6 +22,11 @@ which the substitution G = sqrt(-xi/2) b^{1/3} turns into a multiple of
 int G^2 / sqrt(theta - G^2) dG.  The half-orbit value of that integral
 is theta * pi / 4 exactly, which doubles as a self-test of the singular
 quadrature.
+
+The ODE is integrated with an in-tree port of SciPy's DOP853 (``_dop853``)
+and the quadrature uses a fixed 21-point Gauss-Kronrod rule
+(``_quadrature``); both reproduce SciPy 1.17's ``solve_ivp`` and ``quad``
+bit for bit on these problems, and neither imports SciPy.
 """
 
 from __future__ import annotations
@@ -32,7 +37,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+
+from . import _dop853
+from ._quadrature import gauss_kronrod21
 
 __all__ = [
     "DEFAULT_TOL",
@@ -88,11 +95,6 @@ class Classification(enum.Enum):
     GLOBAL = "Global"
 
 
-def _cbrt(x):
-    """Sign-preserving real cube root (works on scalars and arrays)."""
-    return np.cbrt(x)
-
-
 @dataclass(frozen=True)
 class EmdenParams:
     """Coupling constant and initial data for the scale-factor equation."""
@@ -136,14 +138,14 @@ class EmdenState:
 
 def _energy(xi: float, a: float, a_dot: float) -> float:
     # |a|^{2/3} via the squared cube root keeps the expression exactly even in a.
-    return 0.5 * a_dot * a_dot - 0.5 * xi * float(_cbrt(a)) ** 2
+    return 0.5 * a_dot * a_dot - 0.5 * xi * float(np.cbrt(a)) ** 2
 
 
 def rhs(params: EmdenParams, state: EmdenState) -> float:
     """Acceleration xi / (3 a^{1/3}); singular (and rejected) at a = 0."""
     if state.a == 0.0:
         raise CollapseSingularity("acceleration undefined at a = 0")
-    return params.xi / (3.0 * float(_cbrt(state.a)))
+    return params.xi / (3.0 * float(np.cbrt(state.a)))
 
 
 def energy(params: EmdenParams, state: EmdenState) -> float:
@@ -159,6 +161,10 @@ class Trajectory:
     ``eval`` snaps to stored nodes when the query matches one exactly, so
     node values round-trip; between nodes it uses the integrator's own
     dense-output interpolant.
+
+    ``nfev``, ``n_accepted`` and ``n_rejected`` count the integrator's
+    right-hand-side evaluations, accepted steps and rejected steps.  They
+    are diagnostics only and never enter an output file.
     """
 
     params: EmdenParams
@@ -167,6 +173,9 @@ class Trajectory:
     collapsed: bool
     _dense: object = field(repr=False)
     _nodes: tuple[float, ...] = field(repr=False)
+    nfev: int
+    n_accepted: int
+    n_rejected: int
 
     def eval(self, s: float) -> EmdenState:
         """State at time s, 0 <= s <= s_max."""
@@ -233,37 +242,25 @@ def integrate(
     stop_level = REL_STOP * abs(a0)
 
     def f(s, y):
-        return (y[1], xi / (3.0 * _cbrt(y[0])))
+        return np.array((y[1], xi / (3.0 * np.cbrt(y[0]))))
 
     # Signed event: sgn*a decreases through the stop level exactly when |a|
     # does, and the signed form is monotone through the crossing.
     def hit_zero(s, y):
         return sgn * y[0] - stop_level
 
-    hit_zero.terminal = True
-    hit_zero.direction = -1.0
-    events = [hit_zero]
-
+    events = [(hit_zero, -1.0)]
     if stop_abs_a is not None:
         def hit_growth(s, y):
             return sgn * y[0] - stop_abs_a
 
-        hit_growth.terminal = True
-        hit_growth.direction = 1.0
-        events.append(hit_growth)
+        events.append((hit_growth, 1.0))
 
     scale = max(abs(a0), abs(a1), 1.0)
-    res = solve_ivp(
-        f,
-        (0.0, float(s_end)),
-        [a0, a1],
-        method="DOP853",
-        rtol=tol,
-        atol=tol * 1e-4 * scale,
-        dense_output=True,
-        events=events,
+    res = _dop853.solve(
+        f, 0.0, s_end, [a0, a1], rtol=tol, atol=tol * 1e-4 * scale, events=events
     )
-    if res.status == -1 or not res.success:
+    if res.status == -1:
         last = None
         if res.t.size:
             last = EmdenState(float(res.t[-1]), float(res.y[0, -1]), float(res.y[1, -1]))
@@ -281,6 +278,9 @@ def integrate(
         collapsed=collapsed,
         _dense=res.sol,
         _nodes=tuple(float(s) for s in res.t),
+        nfev=res.nfev,
+        n_accepted=res.n_accepted,
+        n_rejected=res.n_rejected,
     )
 
 
@@ -294,8 +294,9 @@ def orbit_time_integral(theta: float, g_lo: float, g_hi: float) -> float:
 
     The substitution G = sqrt(theta) sin(phi) removes the inverse-square-root
     endpoint singularity (the integrand becomes theta sin^2 phi), after which
-    adaptive quadrature is accurate to near machine precision.  Over the full
-    half-orbit [0, sqrt(theta)] the exact value is theta * pi / 4.
+    a single 21-point Gauss-Kronrod rule is accurate to near machine
+    precision.  Over the full half-orbit [0, sqrt(theta)] the exact value is
+    theta * pi / 4.
     """
     if not (math.isfinite(theta) and theta > 0.0):
         raise InvalidEnergy(f"orbit energy must be positive, got theta = {theta}")
@@ -304,9 +305,7 @@ def orbit_time_integral(theta: float, g_lo: float, g_hi: float) -> float:
         raise ValueError(f"need 0 <= g_lo <= g_hi <= sqrt(theta), got [{g_lo}, {g_hi}]")
     phi_lo = math.asin(min(1.0, max(0.0, g_lo / root)))
     phi_hi = math.asin(min(1.0, max(0.0, g_hi / root)))
-    val, _ = quad(lambda p: theta * math.sin(p) ** 2, phi_lo, phi_hi,
-                  epsabs=1e-15, epsrel=1e-13)
-    return val
+    return gauss_kronrod21(lambda p: theta * math.sin(p) ** 2, phi_lo, phi_hi)
 
 
 def collapse_time_quadrature(params: EmdenParams) -> float:
@@ -329,7 +328,7 @@ def collapse_time_quadrature(params: EmdenParams) -> float:
         )
     c = 6.0 / (-xi) ** 1.5
     root = math.sqrt(theta)
-    g0 = min(math.sqrt(-xi / 2.0) * float(_cbrt(b0)), root)
+    g0 = min(math.sqrt(-xi / 2.0) * float(np.cbrt(b0)), root)
     if b1 <= 0.0:
         # Moving toward zero from the start.
         return c * orbit_time_integral(theta, 0.0, g0)

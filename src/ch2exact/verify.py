@@ -8,8 +8,8 @@ the PDE residuals
     momentum:  D_t m + 2 (D_x u) m + u D_x m + sigma rho D_x rho,
                m = u - alpha_d^2 D_xx u,
 
-adaptive quadrature for masses, and direct sampling for blowup rates and
-origin decay.  The discrete Helmholtz form of m is kept explicit even
+a 21-point Gauss-Kronrod rule for masses, and direct sampling for blowup
+rates and origin decay.  The discrete Helmholtz form of m is kept explicit even
 though u is linear in x (so u_xx vanishes analytically): a wrong velocity
 ansatz would then show up in the residual instead of being simplified
 away, and the residual must be independent of the dispersion scale
@@ -28,8 +28,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
+from ._quadrature import gauss_kronrod21
 from .emden import (
     BlowupReport,
     Classification,
@@ -297,8 +297,9 @@ def mass(case: SolutionCase, traj: Trajectory, t: float) -> float:
 
     Compact families integrate over the support with the substitution
     x = x_b sin(phi), which absorbs the square-root vanishing of rho at the
-    boundary into a smooth integrand.  Families on the full line have
-    rho ~ |x| ^ 1 growth and divergent mass; math.inf is returned.
+    boundary into a smooth integrand proportional to cos^2(phi), integrated
+    to roundoff by one 21-point Gauss-Kronrod rule.  Families on the full
+    line have rho ~ |x| ^ 1 growth and divergent mass; math.inf is returned.
     """
     if not case.compact:
         return math.inf
@@ -313,9 +314,7 @@ def mass(case: SolutionCase, traj: Trajectory, t: float) -> float:
         x = xb * math.sin(phi)
         return density(case, traj, t, x) * xb * math.cos(phi)
 
-    val, _ = quad(integrand, -math.pi / 2.0, math.pi / 2.0,
-                  epsabs=1e-13, epsrel=1e-12)
-    return val
+    return gauss_kronrod21(integrand, -math.pi / 2.0, math.pi / 2.0)
 
 
 def mass_conservation(

@@ -346,8 +346,9 @@ GOLDEN_FAMILIES = {
 }
 
 # (command, family, extra flags) -> (exit code, sha256 of the output file).
-# Recorded on x86-64 with numpy 2.4 and scipy 1.17: the last digits of the
-# integrated orbit may differ under another libm or integrator release.
+# Recorded on x86-64 with numpy 2.4: the last digits of the integrated orbit
+# depend on numpy, on the BLAS its dot products call and on the libm behind
+# cbrt, sin and pow, and may differ under other builds of these.
 GOLDEN = {
     ("construct", "1a", ()):
         (0, "fb20bdfa26d324aa0cfaba3aa98d2f55b75bd41f2a7b3d38d8c1742d46ce881e"),
