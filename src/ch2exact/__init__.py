@@ -48,6 +48,7 @@ from .verify import (
     GridError,
     ResidualReport,
     SpaceTimeGrid,
+    Tolerances,
     blowup_rate,
     mass,
     mass_conservation,
@@ -56,6 +57,7 @@ from .verify import (
     origin_decay,
     residual_mass_eq,
     residual_momentum_eq,
+    run_battery,
 )
 
 __version__ = "0.1.0"

@@ -106,7 +106,8 @@ class EmdenParams:
     def __post_init__(self):
         for name in ("xi", "a0", "a1"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            real = isinstance(v, (int, float)) and not isinstance(v, bool)
+            if not (real and math.isfinite(v)):
                 raise ValueError(f"{name} must be a finite real, got {v!r}")
         if self.xi == 0:
             raise ValueError("coupling constant fails xi != 0")

@@ -71,9 +71,10 @@ class SolutionCase:
     emden: EmdenParams
 
     def __post_init__(self):
-        if self.sigma not in (-1, 1):
+        if isinstance(self.sigma, bool) or self.sigma not in (-1, 1):
             raise ValueError(f"sigma must be +1 or -1, got {self.sigma}")
-        if not (isinstance(self.alpha, (int, float)) and math.isfinite(self.alpha)):
+        real = isinstance(self.alpha, (int, float)) and not isinstance(self.alpha, bool)
+        if not (real and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be a finite real, got {self.alpha!r}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")

@@ -20,12 +20,15 @@ support for compactly supported densities (the profile slope is unbounded
 at the boundary, and the linear-velocity momentum balance holds only
 where the profile equation is active), and well before the collapse time
 for collapsing families.
+
+run_battery runs every check on one family with the thresholds of
+Tolerances, the one place their defaults are defined.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -42,24 +45,61 @@ from .selfsim import SolutionCase, profile, density
 __all__ = [
     "DEFAULT_SUPPORT_MARGIN",
     "COLLAPSE_TIME_MARGIN",
+    "ENERGY_DRIFT_TOL",
     "ConservationReport",
     "GridError",
     "ResidualReport",
     "SpaceTimeGrid",
+    "Tolerances",
+    "analytic_mass",
     "blowup_rate",
     "mass",
     "mass_conservation",
+    "mass_error",
     "mass_residual_field",
+    "min_support_radius",
     "momentum_residual_field",
     "origin_decay",
     "residual_mass_eq",
     "residual_momentum_eq",
+    "run_battery",
 ]
 
 # Residual grids may use at most this fraction of the support radius.
 DEFAULT_SUPPORT_MARGIN = 0.8
 # ... and at most this fraction of the collapse time (in s).
 COLLAPSE_TIME_MARGIN = 0.9
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """Thresholds of the verification battery, one field per ``verify`` config key.
+
+    This is the only place their defaults are defined; the CLI parses the
+    keys from these fields, in this order.
+    """
+
+    levels: int = 2                 # grid refinements for the order estimate
+    margin: float = DEFAULT_SUPPORT_MARGIN
+    order_band: float = 0.2         # accepted |order - 2|
+    dispersion_tol: float = 1e-10   # max residual spread across alpha_d values
+    mass_rtol: float = 1e-6         # mass vs analytic_mass
+    drift_tol: float = 1e-8         # relative mass drift across times
+    rate_rtol: float = 0.01         # blowup-rate tail vs alpha / (2 theta)^{1/6}
+    decay_rtol: float = 0.05        # origin-decay tail vs alpha / (sqrt(3) k^{1/3})
+    decay_t_max: float = 300.0      # last sampled decay time
+    alpha_d: tuple[float, ...] = (0.0, 1.0, 10.0)  # dispersion scales
+
+    @property
+    def residual_levels(self) -> int:
+        """Levels the residual checks run: an order estimate needs two."""
+        return max(self.levels, 2)
+
+
+# The sweep's first-integral check, |energy - theta| <= ENERGY_DRIFT_TOL
+# (1 + |theta|) at every node.  The battery does not run it, so it is not a
+# Tolerances field (each field is a verify config key).
+ENERGY_DRIFT_TOL = 1e-8
 
 
 class GridError(ValueError):
@@ -187,6 +227,20 @@ def _fields_on_grid(
     return rho, u, eta
 
 
+def _t_max(traj: Trajectory) -> float:
+    """Largest physical t with 3t <= s_max (s_max / 3 can round one ulp high)."""
+    t = traj.s_max / 3.0
+    while 3.0 * t > traj.s_max:
+        t = math.nextafter(t, 0.0)
+    return t
+
+
+def min_support_radius(case: SolutionCase, traj: Trajectory, ts) -> float:
+    """Smallest support half-width a(3t)^{1/3} eta_b over the physical times ts."""
+    a, _ = traj.eval_many(3.0 * np.asarray(ts))
+    return float(np.min(np.cbrt(a))) * case.eta_boundary
+
+
 def _check_grid(
     case: SolutionCase,
     traj: Trajectory,
@@ -208,9 +262,7 @@ def _check_grid(
                 f"s = {s_collapse} (margin {COLLAPSE_TIME_MARGIN})"
             )
     if case.compact:
-        a, _ = traj.eval_many(3.0 * grid.ts())
-        xb = np.cbrt(a) * case.eta_boundary
-        xb_min = float(np.min(xb))
+        xb_min = min_support_radius(case, traj, grid.ts())
         x_extent = max(abs(grid.x0), abs(grid.x1))
         if x_extent > margin * xb_min:
             raise GridError(
@@ -317,6 +369,27 @@ def mass(case: SolutionCase, traj: Trajectory, t: float) -> float:
     return gauss_kronrod21(integrand, -math.pi / 2.0, math.pi / 2.0)
 
 
+def analytic_mass(case: SolutionCase) -> float:
+    """Exact mass alpha^2 pi / (2 sqrt|xi|) of a compact family; math.inf otherwise."""
+    if not case.compact:
+        return math.inf
+    return case.alpha ** 2 * math.pi / (2.0 * math.sqrt(abs(case.emden.xi)))
+
+
+def mass_error(case: SolutionCase, m: float, rtol: float) -> tuple[float, float, bool]:
+    """(analytic, error, passed) for a computed mass m of a compact family.
+
+    The error is relative to analytic_mass, or absolute (against 1e-12) for
+    the zero profile alpha = 0.
+    """
+    analytic = analytic_mass(case)
+    if analytic > 0:
+        err = abs(m - analytic) / analytic
+        return analytic, err, err <= rtol
+    err = abs(m)
+    return analytic, err, err <= 1e-12
+
+
 def mass_conservation(
     case: SolutionCase,
     traj: Trajectory,
@@ -335,7 +408,7 @@ def mass_conservation(
             divergent=True,
         )
     masses = [mass(case, traj, t) for t in times]
-    analytic = case.alpha ** 2 * math.pi / (2.0 * math.sqrt(abs(case.emden.xi)))
+    analytic = analytic_mass(case)
     m0 = masses[0]
     spread = max(abs(m - m0) for m in masses)
     if m0 != 0.0:
@@ -388,3 +461,119 @@ def origin_decay(case: SolutionCase, traj: Trajectory, t_list) -> list[float]:
     if classify(case.emden) is Classification.COLLAPSE:
         raise ValueError("origin decay is defined only for global orbits")
     return [density(case, traj, float(t), 0.0) for t in t_list]
+
+
+# ----------------------------------------------------------------------
+# the battery
+# ----------------------------------------------------------------------
+
+def _order_ok(rep: ResidualReport, band: float) -> bool:
+    # Residuals at the roundoff floor count as exact; order is meaningless there.
+    if rep.residuals and max(rep.residuals) < 1e-12:
+        return True
+    if rep.estimated_order is None:
+        return False
+    return abs(rep.estimated_order - 2.0) <= band
+
+
+def _residual_record(rep: ResidualReport, band: float) -> dict:
+    rec = asdict(rep)
+    return {"eq": rec.pop("eq_label"), **rec, "pass": _order_ok(rep, band)}
+
+
+def run_battery(
+    case: SolutionCase,
+    traj: Trajectory,
+    report: BlowupReport,
+    grid: SpaceTimeGrid,
+    tols: Tolerances = Tolerances(),
+    u_scale: float = 1.0,
+) -> dict:
+    """Run every check on one family; returns {check name: record}.
+
+    The records come in report order: residual_mass, residual_momentum,
+    dispersion_independence, mass, mass_conservation, then blowup_rate
+    (collapse orbits with alpha > 0) or origin_decay (global orbits).  Each
+    record carries its own "pass", except the skipped mass records of
+    full-line families.  u_scale scales the velocity (fault injection).
+    """
+    levels, margin = tols.residual_levels, tols.margin
+    reports: dict = {}
+    rep = residual_mass_eq(case, traj, grid, levels=levels, margin=margin, u_scale=u_scale)
+    reports["residual_mass"] = _residual_record(rep, tols.order_band)
+    rep = residual_momentum_eq(case, traj, grid, alpha_d=tols.alpha_d[0], levels=levels,
+                               margin=margin, u_scale=u_scale)
+    reports["residual_momentum"] = _residual_record(rep, tols.order_band)
+
+    # The dispersion comparison runs on a coarse copy of the grid: the
+    # alpha_d runs must share one grid, and coarse spacings keep the
+    # roundoff amplification of D_xx u (analytically zero) far below the
+    # comparison tolerance.
+    grid_disp = SpaceTimeGrid(grid.t0, grid.t1, min(17, grid.nt),
+                              grid.x0, grid.x1, min(17, grid.nx))
+    disp_max = [
+        residual_momentum_eq(case, traj, grid_disp, alpha_d=ad, levels=1,
+                             margin=margin, u_scale=u_scale).interior_max_residual
+        for ad in tols.alpha_d
+    ]
+    disp_diff = max(abs(v - disp_max[0]) for v in disp_max)
+    reports["dispersion_independence"] = {
+        "alpha_d_values": list(tols.alpha_d), "grid": {"nt": grid_disp.nt, "nx": grid_disp.nx},
+        "interior_max_residuals": disp_max, "max_abs_difference": disp_diff,
+        "tolerance": tols.dispersion_tol, "pass": disp_diff <= tols.dispersion_tol,
+    }
+
+    if case.compact:
+        m_val = mass(case, traj, grid.t0)
+        analytic, rel, ok = mass_error(case, m_val, tols.mass_rtol)
+        reports["mass"] = {"divergent": False, "value": m_val, "analytic": analytic,
+                           "relative_error": rel, "tolerance": tols.mass_rtol, "pass": ok}
+        con = mass_conservation(case, traj, list(np.linspace(grid.t0, grid.t1, 5)))
+        drift = con.max_relative_drift
+        reports["mass_conservation"] = {
+            "divergent": False, "times": con.times, "masses": con.masses,
+            "max_relative_drift": drift, "tolerance": tols.drift_tol,
+            "pass": drift is not None and drift <= tols.drift_tol,
+        }
+    else:
+        note = "mass diverges: the profile grows like |x| on the full line"
+        reports["mass"] = {"divergent": True, "skipped": True, "note": note}
+        reports["mass_conservation"] = {"divergent": True, "skipped": True, "note": note}
+
+    if report.classification is not Classification.COLLAPSE:
+        reports["origin_decay"] = _origin_decay_record(case, traj, tols)
+    elif case.alpha > 0:
+        reports["blowup_rate"] = _blowup_rate_record(case, traj, report, tols.rate_rtol)
+    return reports
+
+
+def _blowup_rate_record(case, traj, report, rtol: float) -> dict:
+    S = report.s_collapse_quadrature
+    samples = blowup_rate(case, traj, report, S - np.geomspace(1e-2, 1e-6, 17) * S)
+    products = [p for _, p in samples]
+    expected = case.alpha / (2.0 * report.theta) ** (1.0 / 6.0)
+    limit = products[-1]
+    rel = abs(limit - expected) / expected
+    floor_ratio = min(products) / limit
+    return {"samples": [[s, p] for s, p in samples], "limit_estimate": limit,
+            "expected": expected, "relative_error": rel, "min_over_limit": floor_ratio,
+            "tolerance": rtol, "pass": rel <= rtol and floor_ratio >= 1e-2}
+
+
+def _origin_decay_record(case, traj, tols: Tolerances) -> dict:
+    t_hi = min(tols.decay_t_max, _t_max(traj))
+    t_samples = list(np.geomspace(max(t_hi / 100.0, 1e-3), t_hi, 12))
+    values = origin_decay(case, traj, t_samples)
+    decreasing = all(b < a for a, b in zip(values, values[1:]))
+    k = (4.0 * case.emden.xi / 9.0) ** 0.75
+    expected = case.alpha / (math.sqrt(3.0) * k ** (1.0 / 3.0))
+    scaled_tail = values[-1] * math.sqrt(t_samples[-1])
+    if expected > 0:
+        rel = abs(scaled_tail - expected) / expected
+        ok = decreasing and rel <= tols.decay_rtol
+    else:
+        rel = abs(scaled_tail)
+        ok = rel <= 1e-12
+    return {"times": t_samples, "values": values, "strictly_decreasing": decreasing,
+            "scaled_tail": scaled_tail, "expected": expected, "relative_error": rel,
+            "tolerance": tols.decay_rtol, "pass": ok}

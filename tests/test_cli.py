@@ -1,8 +1,11 @@
 """End-to-end CLI behavior: configs, outputs, determinism, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ import pytest
 import ch2exact.cli as cli
 from ch2exact import EmdenParams, IntegrationFailure, analyze, sample
 from ch2exact.cli import ConfigError, main, parse_config_blocks
-from ch2exact.verify import _fields_on_grid
+from ch2exact.verify import Tolerances, _fields_on_grid
 
 
 def write_config(tmp_path, text, name="case.cfg"):
@@ -242,6 +245,46 @@ def test_verify_rejects_invalid_sign_pattern(tmp_path, capsys):
     assert "admissible sign patterns" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,message", [
+    ("levels = 2.5", "config key 'levels' is not an integer: '2.5'"),
+    ("mass_rtol = tight", "config key 'mass_rtol' is not a number: 'tight'"),
+    ("alpha_d = 0,x", "could not convert string to float: 'x'"),
+    ("rate_tol = 0.1", "unknown config key(s) for verify: rate_tol"),
+])
+def test_verify_tolerance_key_errors(tmp_path, capsys, line, message):
+    cfg = write_config(tmp_path, CFG_2A + line + "\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"invalid input: {message}\n"
+
+
+def test_verify_tolerance_keys_reach_the_checks(tmp_path):
+    cfg = write_config(tmp_path, verify_cfg_2a() + "decay_rtol = 0\nalpha_d = 0,2\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 3
+    reports = json.loads((tmp_path / "verify.json").read_text())["reports"]
+    assert reports["origin_decay"]["pass"] is False
+    assert reports["origin_decay"]["tolerance"] == 0
+    assert reports["dispersion_independence"]["alpha_d_values"] == [0, 2]
+    assert reports["residual_mass"]["pass"] is True
+
+
+# A turning-point orbit (inward slope, theta < 0): its support radius is
+# smallest between the grid's time levels, not at an end.
+CFG_TURNING = (
+    "sigma = 1\nxi = 10.714819842391346\nalpha = 0.1693826188803053\n"
+    "a0 = 2.5803653358177017\na1 = -4.479915811840134\n"
+)
+
+
+def test_default_grid_passes_its_own_support_check(tmp_path, capsys):
+    cfg = write_config(tmp_path, CFG_TURNING)
+    rc = main(["verify", "--config", cfg, "--out", str(tmp_path)])
+    assert "minimal support radius" not in capsys.readouterr().err
+    # 81 time levels do not resolve the near-zero turning point, so the
+    # residual orders fail: a verdict (exit 3), not an input error.
+    assert rc in (0, 3)
+    assert (tmp_path / "verify.json").is_file()
+
+
 def test_verify_deterministic(tmp_path):
     cfg = write_config(tmp_path, verify_cfg_2a())
     d1, d2 = tmp_path / "r1", tmp_path / "r2"
@@ -325,6 +368,18 @@ def test_sweep_bad_block_recorded_in_row(tmp_path):
     assert bad_row[11] == "false"
 
 
+def test_sweep_propagates_programming_errors(tmp_path, monkeypatch):
+    # Only library errors become rows; a bug must not hide in the CSV.
+    def broken_analyze(*args, **kwargs):
+        raise TypeError("synthetic programming error")
+
+    monkeypatch.setattr(cli, "analyze", broken_analyze)
+    cfg = write_config(tmp_path, SWEEP_FOUR)
+    with pytest.raises(TypeError, match="synthetic programming error"):
+        main(["sweep", "--config", cfg, "--out", str(tmp_path)])
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_sweep_deterministic(tmp_path):
     cfg = write_config(tmp_path, SWEEP_FOUR)
     d1, d2 = tmp_path / "r1", tmp_path / "r2"
@@ -384,9 +439,23 @@ GOLDEN = {
         (0, "18bdbdabe11f40a0f4eb4fc209aa8911548c1a0df5e0539775bd7b2b39e6b32e"),
     ("verify", "2a", ("--seed-corrupt", "u=1.01")):
         (3, "c51755dcf409c74f3f4a7881c61213d8925b7712d16d47b9e2787b91e98a5fb1"),
+    # One sweep over the four families' blocks, in GOLDEN_FAMILIES order.
+    ("sweep", "all", ()):
+        (0, "3d8725f72665fb000af40459c791d13e495867f74f74b86514a9f082c7ec9b60"),
 }
 
-_GOLDEN_OUTPUT = {"construct": "construct.csv", "emden": "emden.csv", "verify": "verify.json"}
+_GOLDEN_OUTPUT = {
+    "construct": "construct.csv", "emden": "emden.csv",
+    "verify": "verify.json", "sweep": "sweep.csv",
+}
+
+
+def _golden_block(command, family):
+    sigma, xi, a0 = GOLDEN_FAMILIES[family]
+    text = f"xi = {xi}\na0 = {a0}\na1 = 0\n"
+    if command != "emden":
+        text = f"sigma = {sigma}\nalpha = 1\n" + text
+    return text
 
 
 @pytest.mark.parametrize(
@@ -394,10 +463,10 @@ _GOLDEN_OUTPUT = {"construct": "construct.csv", "emden": "emden.csv", "verify": 
     ids=[" ".join((c, f) + e) for c, f, e in GOLDEN],
 )
 def test_golden_output_hashes(tmp_path, command, family, extra):
-    sigma, xi, a0 = GOLDEN_FAMILIES[family]
-    text = f"xi = {xi}\na0 = {a0}\na1 = 0\n"
-    if command != "emden":
-        text = f"sigma = {sigma}\nalpha = 1\n" + text
+    if family == "all":
+        text = "\n".join(_golden_block(command, f) for f in GOLDEN_FAMILIES)
+    else:
+        text = _golden_block(command, family)
     cfg = write_config(tmp_path, text)
     out = tmp_path / "out"
     rc = main([command, "--config", cfg, "--out", str(out), *extra])
@@ -449,3 +518,17 @@ def test_explicit_t1_beyond_orbit_still_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, CFG_ULP + "t1 = 0.07\n")
     assert main(["construct", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "outside [0, 0.18770219167908422]" in capsys.readouterr().err
+
+
+def test_readme_verify_table_matches_tolerances():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("`verify` tolerance keys", 1)[1].split("\n\n", 2)[1]
+    rows = re.findall(r"^\| `(\w+)` +\| ([^|]+?) +\|", table, flags=re.MULTILINE)
+    fields = dataclasses.fields(Tolerances)
+    assert [key for key, _ in rows] == [f.name for f in fields]
+    for (key, text), f in zip(rows, fields):
+        if isinstance(f.default, tuple):
+            value = tuple(float(v) for v in text.split(","))
+        else:
+            value = type(f.default)(text)
+        assert value == f.default, key

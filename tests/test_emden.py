@@ -107,6 +107,14 @@ def test_params_validation():
         EmdenParams(xi=float("nan"), a0=1.0)
 
 
+@pytest.mark.parametrize("field", ["xi", "a0", "a1"])
+def test_params_reject_bool(field):
+    # bool is an int subclass, so True would otherwise pass as the number 1.
+    values = {"xi": 1.0, "a0": 1.0, "a1": 0.0, field: True}
+    with pytest.raises(ValueError, match=f"{field} must be a finite real, got True"):
+        EmdenParams(**values)
+
+
 # ----------------------------------------------------------------------
 # integrate
 # ----------------------------------------------------------------------

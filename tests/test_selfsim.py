@@ -73,6 +73,14 @@ def test_case_validation():
         SolutionCase(sigma=1, alpha=-0.5, emden=EmdenParams(xi=1.0, a0=1.0))
 
 
+def test_case_rejects_bool():
+    emden = EmdenParams(xi=1.0, a0=1.0)
+    with pytest.raises(ValueError, match="alpha must be a finite real, got True"):
+        SolutionCase(sigma=1, alpha=True, emden=emden)
+    with pytest.raises(ValueError, match="sigma must be"):
+        SolutionCase(sigma=True, alpha=1.0, emden=emden)
+
+
 def test_eta_boundary():
     assert make_case("2a", alpha=1.0, xi_mag=1.0).eta_boundary == pytest.approx(1.0)
     assert make_case("1a", alpha=2.0, xi_mag=4.0).eta_boundary == pytest.approx(1.0)

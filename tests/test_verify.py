@@ -16,6 +16,7 @@ from ch2exact import (
     GridError,
     SolutionCase,
     SpaceTimeGrid,
+    Tolerances,
     analyze,
     blowup_rate,
     density,
@@ -27,9 +28,10 @@ from ch2exact import (
     origin_decay,
     residual_mass_eq,
     residual_momentum_eq,
+    run_battery,
     support,
 )
-from ch2exact.verify import _fields_on_grid
+from ch2exact.verify import _fields_on_grid, analytic_mass, mass_error, min_support_radius
 
 
 def direct_mass(case, traj, t):
@@ -223,6 +225,20 @@ def test_mass_zero_amplitude():
     assert mass(case, traj, 0.0) == 0.0
 
 
+def test_mass_error_relative_and_zero_amplitude(case_2a):
+    case, _, _ = case_2a
+    assert analytic_mass(case) == math.pi / 2.0
+    analytic, err, ok = mass_error(case, math.pi / 2.0 * (1.0 + 2e-6), 1e-6)
+    assert analytic == math.pi / 2.0 and err == pytest.approx(2e-6) and not ok
+    zero = SolutionCase(sigma=1, alpha=0.0, emden=EmdenParams(xi=1.0, a0=1.0))
+    assert mass_error(zero, 0.0, 1e-6) == (0.0, 0.0, True)
+    assert mass_error(zero, 1e-9, 1.0)[2] is False  # absolute floor, not rtol
+
+
+def test_analytic_mass_divergent_on_full_line(case_2b):
+    assert analytic_mass(case_2b[0]) == math.inf
+
+
 def test_mass_conservation_2a(case_2a):
     case, traj, _ = case_2a
     rep = mass_conservation(case, traj, [0.0, 0.2, 0.5, 1.0])
@@ -332,3 +348,65 @@ def test_origin_decay_rejects_collapse(case_1a):
     case, traj, _ = case_1a
     with pytest.raises(ValueError, match="global"):
         origin_decay(case, traj, [0.1])
+
+
+# ----------------------------------------------------------------------
+# support radius and the battery
+# ----------------------------------------------------------------------
+
+def test_min_support_radius_finds_an_interior_minimum():
+    # Inward slope with theta < 0: a(s) turns around inside [0, 1.5].
+    case = SolutionCase(sigma=1, alpha=0.1693826188803053, emden=EmdenParams(
+        xi=10.714819842391346, a0=2.5803653358177017, a1=-4.479915811840134))
+    traj = integrate(case.emden, s_end=2.0)
+    ts = np.linspace(0.0, 0.5, 81)
+    r_min = min_support_radius(case, traj, ts)
+    ends = min_support_radius(case, traj, ts[[0, -1]])
+    assert r_min < 0.75 * ends
+    a, _ = traj.eval_many(3.0 * ts)
+    assert r_min == float(np.min(np.cbrt(a) * case.eta_boundary))
+
+
+def test_tolerances_defaults_and_levels():
+    tols = Tolerances()
+    assert tols.margin == 0.8 and tols.alpha_d == (0.0, 1.0, 10.0)
+    assert Tolerances(levels=1).residual_levels == 2
+    assert Tolerances(levels=4).residual_levels == 4
+
+
+def test_run_battery_records_in_report_order(case_1a, case_2a):
+    case, traj, report = case_2a
+    grid = SpaceTimeGrid(0.0, 0.5, 41, -0.6, 0.6, 41)
+    rec = run_battery(case, traj, report, grid, Tolerances(levels=3))
+    assert list(rec) == ["residual_mass", "residual_momentum", "dispersion_independence",
+                         "mass", "mass_conservation", "origin_decay"]
+    assert all(r["pass"] is True for r in rec.values())
+    assert len(rec["residual_mass"]["residuals"]) == 3
+
+    case, traj, report = case_1a
+    S = report.s_collapse_quadrature
+    grid = SpaceTimeGrid(0.0, 0.25 * S / 3.0, 41, -0.5, 0.5, 41)
+    rec = run_battery(case, traj, report, grid, Tolerances(levels=3))
+    assert list(rec)[-1] == "blowup_rate"
+    assert all(r["pass"] is True for r in rec.values())
+
+
+def test_run_battery_skips_mass_on_full_line(case_2b):
+    case, traj, report = case_2b
+    grid = SpaceTimeGrid(0.0, 0.1, 21, -1.0, 1.0, 21)
+    rec = run_battery(case, traj, report, grid)
+    assert rec["mass"]["skipped"] and "pass" not in rec["mass"]
+    assert rec["mass_conservation"]["skipped"] and "pass" not in rec["mass_conservation"]
+
+
+def test_run_battery_each_tolerance_can_fail(case_2a):
+    case, traj, report = case_2a
+    grid = SpaceTimeGrid(0.0, 0.5, 41, -0.6, 0.6, 41)
+    rec = run_battery(case, traj, report, grid, Tolerances(order_band=0.0, decay_rtol=0.0,
+                                                           dispersion_tol=-1.0))
+    assert rec["residual_mass"]["pass"] is False
+    assert rec["residual_momentum"]["pass"] is False
+    assert rec["dispersion_independence"]["pass"] is False
+    assert rec["origin_decay"]["pass"] is False
+    bad = run_battery(case, traj, report, grid, u_scale=1.01)
+    assert bad["residual_momentum"]["pass"] is False
