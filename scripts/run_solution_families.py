@@ -36,7 +36,7 @@ def interior_grid(case, traj, report, n):
     else:
         t1 = 0.5
     if case.compact:
-        a_min = min(traj.a(0.0), traj.a(3.0 * t1))
+        a_min = min(traj.eval(0.0).a, traj.eval(3.0 * t1).a)
         x1 = 0.5 * float(np.cbrt(a_min)) * case.eta_boundary
     else:
         x1 = 1.0

@@ -20,12 +20,15 @@ from .emden import (
     InvalidEnergy,
     Trajectory,
     analyze,
+    analyze_many,
     classify,
     collapse_time_quadrature,
     detect_collapse,
     energy,
     growth_asymptote,
     integrate,
+    integrate_many,
+    node_energies,
     orbit_time_integral,
     rhs,
 )

@@ -1,25 +1,39 @@
-"""Explicit Runge-Kutta DOP853 with dense output and terminal events.
+"""Explicit Runge-Kutta DOP853 with dense output and terminal events, for a
+batch of independent problems stepped in lockstep.
 
 This is the subset of ``scipy.integrate.solve_ivp(method="DOP853",
-dense_output=True, events=...)`` that ``emden.integrate`` uses, ported
-from SciPy 1.17.1 (``scipy/integrate/_ivp/{ivp,rk,common,base}.py`` and
-the C ``brentq`` behind ``scipy.optimize.brentq``) operation for
-operation, so that it returns the same doubles: the same nodes, states,
-event times and dense-output values.  Every ``np.dot`` and
-``np.linalg.norm`` is kept exactly as SciPy writes it, because numpy hands
-these to BLAS, whose kernels may fuse multiply-adds; rewriting them as
-scalar arithmetic would change the last bits.
+dense_output=True, events=...)`` that ``emden`` uses, ported from SciPy
+1.17.1 (``scipy/integrate/_ivp/{ivp,rk,common,base}.py`` and the C
+``brentq`` behind ``scipy.optimize.brentq``) operation for operation, so
+that every problem of a batch gets the doubles ``solve_ivp`` gives it
+alone: the same nodes, states, event times and dense-output values.
+
+``solve`` integrates n problems at once.  Each keeps its own t, step
+size, ``t_bound``, ``rtol``/``atol``, status, event state and counters;
+one iteration tries one step on every problem still running, with numpy
+arrays across the batch, and a problem leaves the running set when it
+finishes.  The batched arithmetic rounds exactly like SciPy's one-problem
+arithmetic: ``np.matmul`` over a stack of stage matrices calls the same
+BLAS gemv as ``np.dot`` on each (BLAS kernels may fuse multiply-adds, so
+neither is rewritten as scalar arithmetic), ``sqrt(x @ x)`` is what
+``np.linalg.norm`` computes, and elementwise operations and ``np.cbrt``
+give the same bits on arrays as on scalars.  Powers are the exception:
+numpy's array ``**`` may use a SIMD kernel that rounds differently from
+libm's ``pow``, which SciPy's scalar ``**`` calls, so every power (the
+squared error norms, the step factor, the initial step) is taken per
+problem on Python floats.  The event root, which is rare, is also found
+per problem.
 
 What differs from SciPy:
 
-- each step's interpolant is built when it is first evaluated, from a
-  stored copy of that step's stage matrix, instead of after every step;
-  only the step on which an event fires builds it at once (the event
-  root is found on it).  The values are the same because the same
-  operations run on the same data;
+- each step's interpolant is built when it is first evaluated, from the
+  stored stage matrix of that step, instead of after every step; only
+  the step on which an event fires builds it at once (the event root is
+  found on it).  The values are the same because the same operations run
+  on the same data;
 - integration runs forward only, every event is terminal and
-  directional, and the solver has no ``max_step``, ``first_step``, ``t_eval``, ``vectorized``
-  or complex-valued mode.
+  directional, and the solver has no ``max_step``, ``first_step``,
+  ``t_eval``, ``vectorized`` or complex-valued mode.
 
 The method is due to Dormand and Prince; see E. Hairer, S. P. Norsett and
 G. Wanner, Solving Ordinary Differential Equations I, 2nd ed., Springer
@@ -57,11 +71,12 @@ A_EXTRA = coef.A[N_STAGES + 1:]
 C_EXTRA = coef.C[N_STAGES + 1:]
 N_STAGES_EXTRA = len(C_EXTRA)  # stages evaluated only for dense output
 ERROR_EXPONENT = -1 / (7 + 1)  # error estimator order 7
+STAGES = [(s, A[s][:s]) for s in range(1, N_STAGES)]
 
 
 @dataclass(frozen=True)
 class OdeResult:
-    """Outcome of ``solve``.
+    """Outcome of one problem of ``solve``.
 
     ``status`` is 0 when ``t_bound`` was reached, 1 when a terminal event
     stopped the integration and -1 when the step size underflowed
@@ -83,63 +98,93 @@ class OdeResult:
     n_rejected: int
 
 
-def _validate_tol(rtol, atol):
-    if rtol < 100 * EPS:
-        warnings.warn("At least one element of `rtol` is too small. "
-                      f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.",
-                      stacklevel=3)
-        rtol = np.maximum(rtol, 100 * EPS)
-    if atol < 0:
-        raise ValueError("`atol` must be positive.")
-    return rtol, atol
+def _pow(values, exponent) -> np.ndarray:
+    """values ** exponent element by element with libm's pow, as SciPy's scalar ``**``."""
+    out = []
+    for v in values.tolist():
+        try:
+            out.append(v ** exponent)
+        except OverflowError:  # numpy's scalar ** returns inf here
+            out.append(math.inf)
+    return np.array(out)
 
 
-def _norm(x):
-    """RMS norm."""
-    return np.linalg.norm(x) / x.size ** 0.5
+def _norms(x) -> np.ndarray:
+    """np.linalg.norm of each row of the (n, m) array x: sqrt of its dot product."""
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None]))[:, 0, 0]
 
 
-def _select_initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
-    """Hairer-Norsett-Wanner initial step (Sec. II.4), for order 7."""
-    interval_length = abs(t_bound - t0)
+def _select_initial_step(fun, t0, y0, t_bound, f0, rtol, atol, idx):
+    """Hairer-Norsett-Wanner initial step (Sec. II.4), for order 7, per problem."""
+    interval_length = np.abs(t_bound - t0)
     scale = atol + np.abs(y0) * rtol
-    d0 = _norm(y0 / scale)
-    d1 = _norm(f0 / scale)
-    if d0 < 1e-5 or d1 < 1e-5:
-        h0 = 1e-6
-    else:
-        h0 = 0.01 * d0 / d1
-    h0 = min(h0, interval_length)
-    y1 = y0 + h0 * f0
-    f1 = fun(t0 + h0, y1)
-    d2 = _norm((f1 - f0) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / (7 + 1))
-    return min(100 * h0, h1, interval_length)
+    root_m = y0.shape[1] ** 0.5  # SciPy's norm here is the RMS norm
+    d0 = _norms(y0 / scale) / root_m
+    d1 = _norms(f0 / scale) / root_m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = np.minimum(h0, interval_length)
+    f1 = np.empty_like(f0)
+    fun(t0 + h0, y0 + h0[:, None] * f0, idx, f1)
+    d2 = _norms((f1 - f0) / scale) / root_m / h0
+    flat = (d1 <= 1e-15) & (d2 <= 1e-15)
+    h1 = np.maximum(1e-6, h0 * 1e-3)
+    h1[~flat] = _pow(0.01 / np.maximum(d1, d2)[~flat], 1 / (7 + 1))
+    return np.minimum(np.minimum(100 * h0, h1), interval_length)
 
 
-def _rk_step(fun, t, y, f, h, K, stages):
-    K[0] = f
-    for s, K_sT, a, c in stages:
-        dy = np.dot(K_sT, a) * h
-        K[s] = fun(t + c * h, y + dy)
-    y_new = y + h * np.dot(K[:-1].T, B)
-    f_new = fun(t + h, y_new)
-    K[-1] = f_new
-    return y_new, f_new
+class _StageBuffer:
+    """Stage matrices K of k problems, reused from step to step.
+
+    ``stages`` holds, per stage s, the view it writes (``K[:, s]``), the
+    view it reads (each problem's ``K[:s].T``) and its coefficients.
+    """
+
+    def __init__(self, k, m):
+        self.K = np.empty((k, N_STAGES + 1, m))
+        K_T = self.K.transpose(0, 2, 1)  # each problem's K.T, as SciPy's K[:s].T
+        self.stages = [(self.K[:, s], K_T[:, :, :s], a) for s, a in STAGES]
+        self.K_T_B = K_T[:, :, :-1]
+        self.f_new = self.K[:, -1]
+
+
+def _rk_step(fun, t, y, f, h, idx, buf):
+    """One DOP853 step of every problem, its stages into buf; returns y_new."""
+    buf.K[:, 0] = f
+    h_col = h[:, None]
+    t_stages = t[:, None] + C * h_col
+    for s, (K_s, K_sT, a) in enumerate(buf.stages, start=1):
+        fun(t_stages[:, s], y + np.matmul(K_sT, a) * h_col, idx, K_s)
+    y_new = y + h_col * np.matmul(buf.K_T_B, B)
+    fun(t + h, y_new, idx, buf.f_new)
+    return y_new
 
 
 def _estimate_error_norm(K, h, scale):
-    err5 = np.dot(K.T, E5) / scale
-    err3 = np.dot(K.T, E3) / scale
-    err5_norm_2 = np.linalg.norm(err5) ** 2
-    err3_norm_2 = np.linalg.norm(err3) ** 2
-    if err5_norm_2 == 0 and err3_norm_2 == 0:
-        return 0.0
+    K_T = K.transpose(0, 2, 1)
+    err5 = np.matmul(K_T, E5) / scale
+    err3 = np.matmul(K_T, E3) / scale
+    err5_norm_2 = _pow(_norms(err5), 2)
+    err3_norm_2 = _pow(_norms(err3), 2)
     denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+    # SciPy returns 0 when both norms are 0; a unit denominator gives that
+    # 0 without computing 0 / 0.
+    denom[(err5_norm_2 == 0) & (err3_norm_2 == 0)] = 1.0
+    return np.abs(h) * err5_norm_2 / np.sqrt(denom * scale.shape[1])
+
+
+def _step_factors(error_norm, rejected) -> np.ndarray:
+    """Step-size factor of each problem: SciPy's scalar rule, libm pow and all."""
+    factors = []
+    for e, was_rejected in zip(error_norm.tolist(), rejected.tolist()):
+        if e < 1:
+            factor = MAX_FACTOR if e == 0 else min(MAX_FACTOR, SAFETY * e ** ERROR_EXPONENT)
+            if was_rejected:
+                factor = min(1, factor)
+        else:
+            factor = max(MIN_FACTOR, SAFETY * e ** ERROR_EXPONENT)
+        factors.append(factor)
+    return np.array(factors, dtype=float)
 
 
 def _dense_coefficients(fun, t_old, y_old, y, h, K):
@@ -156,6 +201,13 @@ def _dense_coefficients(fun, t_old, y_old, y, h, K):
     F[2] = 2 * delta_y - h * (f + f_old)
     F[3:] = h * np.dot(D, K)
     return F
+
+
+def _extended(K_step):
+    """A step's stage matrix with room for the dense-output stages."""
+    K = np.empty((coef.N_STAGES_EXTENDED, K_step.shape[1]))
+    K[:N_STAGES + 1] = K_step
+    return K
 
 
 def _dense_eval(t_old, h, y_old, F, t):
@@ -176,27 +228,51 @@ def _dense_eval(t_old, h, y_old, F, t):
     return y.T
 
 
-class DenseSolution:
-    """Piecewise interpolant over the accepted steps.
+class _StepStages:
+    """One problem's stage matrix of every step, as a sequence.
 
-    A query on a node uses the segment with the lower index, as SciPy's
+    They stay in the blocks the lockstep loop stored them in: step i is
+    ``blocks[block[i]][row[i]]``.
+    """
+
+    def __init__(self, blocks, block, row):
+        self._blocks, self._block, self._row = blocks, block, row
+
+    def __len__(self):
+        return len(self._block)
+
+    def __getitem__(self, i):
+        return self._blocks[self._block[i]][self._row[i]]
+
+
+class DenseSolution:
+    """Piecewise interpolant over the accepted steps of one problem.
+
+    ``ts`` are the nodes; step i runs from ``t_steps[i]`` to
+    ``t_steps[i + 1]`` (the two differ only at the end of an event step,
+    where the last node is the event root) with stage matrix ``K[i]``.  A
+    query on a node uses the segment with the lower index, as SciPy's
     ``OdeSolution`` does.  Segment interpolants are built on first use
     and kept.
     """
 
-    def __init__(self, fun, ts, steps, built):
+    def __init__(self, fun, ts, t_steps, y_steps, K, built=None):
         self.ts = ts
         self._fun = fun
-        self._steps = steps  # (t_old, t, y_old, y, h, K) per step
-        self._F = built      # interpolation matrix per step, or None
-        self.n_segments = len(steps)
+        self._t = t_steps
+        self._y = y_steps
+        self._K = K
+        self._F = built or {}  # segment index -> interpolation matrix
+        self.n_segments = len(K)
 
     def _segment(self, i, t):
-        t_old, t_new, y_old, y, h, K = self._steps[i]
-        F = self._F[i]
+        t_old = self._t[i]
+        h = self._t[i + 1] - t_old
+        F = self._F.get(i)
         if F is None:
-            F = self._F[i] = _dense_coefficients(self._fun, t_old, y_old, y, h, K)
-        return _dense_eval(t_old, t_new - t_old, y_old, F, t)
+            F = self._F[i] = _dense_coefficients(
+                self._fun, t_old, self._y[i], self._y[i + 1], h, _extended(self._K[i]))
+        return _dense_eval(t_old, h, self._y[i], F, t)
 
     def __call__(self, t):
         t = np.asarray(t)
@@ -296,131 +372,268 @@ def brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-def solve(fun, t0: float, t_bound: float, y0, rtol: float, atol: float,
-          events=()) -> OdeResult:
-    """Integrate y' = fun(t, y) from t0 forward to t_bound with DOP853.
+def _one_rhs(fun, k):
+    """The batch right-hand side restricted to problem k, as SciPy's fun(t, y)."""
+    i = np.array([k])
 
-    ``fun(t, y)`` returns a float ndarray shaped like y.  ``events`` is a
-    sequence of ``(g, direction)`` pairs: integration stops at the first
-    zero of ``g(t, y)`` crossed in ``direction`` (+1 upward, -1 downward).
-    ``rtol`` below 100 eps is raised to it with a ``UserWarning``.
+    def fun_k(t, y):
+        out = np.empty((1, y.size))
+        fun(np.array([t]), y[None, :], i, out)
+        return out[0]
+
+    return fun_k
+
+
+def _one_event(g, k):
+    """A batch event function restricted to problem k, as SciPy's event(t, y)."""
+    i = np.array([k])
+
+    def g_k(t, y):
+        return g(np.array([t]), y[None, :], i)[0]
+
+    return g_k
+
+
+def _locate_event(fun_k, events_k, fired, t_old, y_old, t_new, y_new, K_step):
+    """(event, root, state at root, interpolant) of a step on which events fired.
+
+    The earliest root among the fired events ends the run: every event is
+    terminal.
     """
-    t0, t_bound = float(t0), float(t_bound)
-    if not t_bound > t0:
+    K = _extended(K_step)
+    h = t_new - t_old
+    F = _dense_coefficients(fun_k, t_old, y_old, y_new, h, K)
+
+    def sol(s):
+        return _dense_eval(t_old, h, y_old, F, np.asarray(s))
+
+    roots = np.asarray([
+        brentq(lambda s, g=events_k[i]: g(s, sol(s)), t_old, t_new, xtol=4 * EPS, rtol=4 * EPS)
+        for i in fired
+    ])
+    first = np.argsort(roots)[0]
+    return fired[first], roots[first], sol(roots[first]), F
+
+
+class _Active:
+    """State of the problems still being integrated, one row per problem."""
+
+    __slots__ = ("idx", "t", "y", "f", "h_abs", "rejected", "t_bound", "rtol", "atol", "g")
+
+    def __init__(self, **arrays):
+        for name, value in arrays.items():
+            setattr(self, name, value)
+
+    def keep(self, rows):
+        for name in self.__slots__:
+            setattr(self, name, getattr(self, name)[rows])
+
+
+def solve(fun, t0: float, t_bound, y0, rtol, atol, events=()) -> list:
+    """Integrate the batch y_k' = fun(t, y)_k from t0 forward to t_bound with DOP853.
+
+    ``y0`` is an (n, m) array, one row per problem; ``t_bound``, ``rtol``
+    and ``atol`` are scalars or length-n sequences.  ``fun(t, y, i, out)``
+    gets the (k,) times, the (k, m) states and the (k,) batch indices of
+    the problems it is asked about, and writes their derivatives into the
+    (k, m) float array ``out``.  ``events`` is a sequence of
+    ``(g, direction)`` pairs, ``g(t, y, i)`` returning (k,) values: a problem
+    stops at the first zero of any g crossed in ``direction`` (+1 upward,
+    -1 downward).  ``rtol`` below 100 eps is raised to it with a
+    ``UserWarning``, one per problem.
+
+    Returns one entry per problem: its ``OdeResult``, or the exception
+    raised while its event root was located.
+    """
+    t0 = float(t0)
+    y0 = np.array(y0, dtype=float)
+    if y0.ndim != 2:
+        raise ValueError("`y0` must be 2-dimensional: one row per problem.")
+    n, m = y0.shape
+    t_bound = np.broadcast_to(np.asarray(t_bound, dtype=float), (n,))
+    if not np.all(t_bound > t0):
         raise ValueError("integration runs forward only: need t_bound > t0")
-    y = np.asarray(y0).astype(float, copy=False)
-    if y.ndim != 1:
-        raise ValueError("`y0` must be 1-dimensional.")
-    if not np.isfinite(y).all():
+    if not np.isfinite(y0).all():
         raise ValueError("All components of the initial state `y0` must be finite.")
-    rtol, atol = _validate_tol(rtol, atol)
+    rtol = np.broadcast_to(np.asarray(rtol, dtype=float), (n,))
+    atol = np.broadcast_to(np.asarray(atol, dtype=float), (n,))
+    for rtol_k in rtol.tolist():
+        if rtol_k < 100 * EPS:
+            warnings.warn("At least one element of `rtol` is too small. "
+                          f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.",
+                          stacklevel=2)
+    rtol = np.maximum(rtol, 100 * EPS)[:, None]
+    if np.any(atol < 0):
+        raise ValueError("`atol` must be positive.")
+    atol = atol[:, None]
+    directions = np.array([direction for _, direction in events], dtype=float)
+    if not np.all(np.abs(directions) == 1):
+        raise ValueError("every event direction must be +1 or -1")
 
-    f = fun(t0, y)
-    h_abs = _select_initial_step(fun, t0, y, t_bound, f, rtol, atol)
-    nfev = 2
-    K_ext = np.empty((coef.N_STAGES_EXTENDED, y.size), dtype=y.dtype)
-    K = K_ext[:N_STAGES + 1]
-    stages = [(s, K[:s].T, A[s][:s], C[s]) for s in range(1, N_STAGES)]
+    idx = np.arange(n)
+    t = np.full(n, t0)
+    f = np.empty_like(y0)
+    fun(t, y0, idx, f)
+    # Event values times their directions: an event fires when this
+    # crosses from <= 0 to >= 0.
+    g = np.empty((n, len(events)))
+    for e, (event, _) in enumerate(events):
+        g[:, e] = event(t, y0, idx)
+    g *= directions
+    active = _Active(idx=idx, t=t, y=y0, f=f,
+                     h_abs=_select_initial_step(fun, t, y0, t_bound, f, rtol, atol, idx),
+                     rejected=np.zeros(n, dtype=bool), t_bound=t_bound, rtol=rtol, atol=atol,
+                     g=g)
+    n_rejected = np.zeros(n, dtype=int)
+    status = [None] * n
+    hits = {}    # problem -> (event, root, state at root, interpolant, node dropped)
+    errors = {}  # problem -> exception raised while locating its event
+    # Every accepted node in the order it was reached: the batch index, t,
+    # y, and (after the initial nodes) the step's stage matrix.
+    rec_idx, rec_t, rec_y, rec_K = [idx], [t], [y0], []
+    buf = _StageBuffer(n, m)
 
-    t = t0
-    ts, ys = [t0], [y0]
-    steps, built = [], []
-    g = [event(t0, y0) for event, _ in events]
-    t_events = [[] for _ in events]
-    n_accepted = n_rejected = 0
-    status = None
-    message = None
-    while status is None:
-        # RungeKutta._step_impl
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        if h_abs < min_step:
-            h_abs = min_step
-        step_accepted = False
-        step_rejected = False
-        while not step_accepted:
-            if h_abs < min_step:
-                message = TOO_SMALL_STEP
+    while active.idx.size:
+        # RungeKutta._step_impl: a fresh step starts no smaller than
+        # min_step; a rejected one that falls below it fails.
+        min_step = 10 * np.abs(np.nextafter(active.t, np.inf) - active.t)
+        small = active.h_abs < min_step
+        if small.any():
+            active.h_abs = np.where(small, min_step, active.h_abs)
+            stuck = small & active.rejected
+            for k in active.idx[stuck].tolist():
+                status[k] = -1
+            active.keep(~stuck)
+            if not active.idx.size:
                 break
-            h = h_abs
-            t_new = t + h
-            if t_new - t_bound > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = np.abs(h)
-            y_new, f_new = _rk_step(fun, t, y, f, h, K, stages)
-            nfev += N_STAGES
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _estimate_error_norm(K, h, scale)
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = MAX_FACTOR
-                else:
-                    factor = min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
-                if step_rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                step_accepted = True
-            else:
-                h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
-                step_rejected = True
-                n_rejected += 1
-        if message is not None:
-            status = -1
-            break
-        n_accepted += 1
-        t_old, y_old = t, y
-        t, y, f = t_new, y_new, f_new
-        if t - t_bound >= 0:
-            status = 0
 
-        steps.append((t_old, t, y_old, y, h, K_ext.copy()))
-        built.append(None)
+        t_new = np.minimum(active.t + active.h_abs, active.t_bound)
+        h = t_new - active.t
+        if buf.K.shape[0] != len(h):
+            buf = _StageBuffer(len(h), m)
+        y_new = _rk_step(fun, active.t, active.y, active.f, h, active.idx, buf)
+        K = buf.K
+        scale = active.atol + np.maximum(np.abs(active.y), np.abs(y_new)) * active.rtol
+        error_norm = _estimate_error_norm(K, h, scale)
+        accepted = error_norm < 1
+        active.h_abs = np.abs(h) * _step_factors(error_norm, active.rejected)
+        active.rejected = ~accepted
+
+        rows = np.flatnonzero(accepted)
+        # The accepted rows: a slice when all are, so that nothing is copied.
+        all_accepted = len(rows) == len(accepted)
+        acc = slice(None) if all_accepted else rows
+        if not all_accepted:
+            n_rejected[active.idx[active.rejected]] += 1
+        idx_a, t_a, y_a = active.idx[acc], t_new[acc], y_new[acc]
+        rec_idx.append(idx_a)
+        rec_t.append(t_a)
+        rec_y.append(y_a)
+        rec_K.append(K.copy() if all_accepted else K[rows])
+        done = t_a >= active.t_bound[acc]
 
         if events:
-            g_new = [event(t, y) for event, _ in events]
-            active = []
-            for i, (g_i, gn_i, (_, direction)) in enumerate(zip(g, g_new, events)):
-                up = g_i <= 0 and gn_i >= 0
-                down = g_i >= 0 and gn_i <= 0
-                if up and direction > 0 or down and direction < 0:
-                    active.append(i)
-            if active:
-                F = built[-1] = _dense_coefficients(fun, t_old, y_old, y, h, steps[-1][5])
-                nfev += N_STAGES_EXTRA
-                h_dense = t - t_old
+            g_new = np.empty((len(rows), len(events)))
+            for e, (event, _) in enumerate(events):
+                g_new[:, e] = event(t_a, y_a, idx_a)
+            g_new *= directions
+            crossed = (active.g[acc] <= 0) & (g_new >= 0)
+            fired = np.flatnonzero(crossed.any(axis=1)).tolist() if crossed.any() else ()
+            for j in fired:
+                k, row = int(idx_a[j]), rows[j]
+                t_old = active.t[row]
+                try:
+                    first, root, y_root, F = _locate_event(
+                        _one_rhs(fun, k), [_one_event(g, k) for g, _ in events],
+                        np.flatnonzero(crossed[j]).tolist(),
+                        t_old, active.y[row], t_a[j], y_a[j], K[row])
+                except Exception as exc:  # this problem's outcome, not the batch's
+                    errors[k] = exc
+                else:
+                    # SciPy does not append a root equal to the last node
+                    # (the initial node excepted).
+                    hits[k] = (first, root, y_root, F, t_old != t0 and root == t_old)
+                    status[k] = 1
+                done[j] = True
+            if all_accepted:
+                active.g = g_new
+            else:
+                active.g = active.g.copy()
+                active.g[acc] = g_new
 
-                def sol(s):
-                    return _dense_eval(t_old, h_dense, y_old, F, np.asarray(s))
-
-                roots = np.asarray([
-                    brentq(lambda s, event=events[i][0]: event(s, sol(s)),
-                           t_old, t, xtol=4 * EPS, rtol=4 * EPS)
-                    for i in active
-                ])
-                # Every event is terminal: the earliest root ends the run.
-                first = np.argsort(roots)[0]
-                t_events[active[first]].append(roots[first])
-                status = 1
-                t = roots[first]
-                y = sol(t)
-            g = g_new
-
-        if len(ts) > 1 and ts[-1] == t:
-            steps.pop()
-            built.pop()
+        if all_accepted:
+            active.t, active.y, active.f = t_a, y_a, buf.f_new.copy()
         else:
-            ts.append(t)
-            ys.append(y)
+            active.t = np.where(accepted, t_new, active.t)
+            active.y = np.where(accepted[:, None], y_new, active.y)
+            active.f = np.where(accepted[:, None], buf.f_new, active.f)
+        if done.any():
+            for k in idx_a[done].tolist():
+                if status[k] is None and k not in errors:
+                    status[k] = 0
+            finished = np.zeros(len(accepted), dtype=bool)
+            finished[rows[done]] = True
+            active.keep(~finished)
 
-    ts = np.array(ts)
-    return OdeResult(
-        t=ts,
-        y=np.vstack(ys).T,
-        sol=DenseSolution(fun, ts, steps, built),
-        t_events=[np.asarray(te) for te in t_events],
-        status=status,
-        message=message,
-        nfev=nfev,
-        n_accepted=n_accepted,
-        n_rejected=n_rejected,
-    )
+    return _assemble(fun, n, events, status, hits, errors, n_rejected,
+                     rec_idx, rec_t, rec_y, rec_K)
+
+
+def _assemble(fun, n, events, status, hits, errors, n_rejected,
+              rec_idx, rec_t, rec_y, rec_K) -> list:
+    """Each problem's OdeResult (or exception) from the lockstep records."""
+    node_idx = np.concatenate(rec_idx)
+    n_accepted = np.bincount(node_idx, minlength=n) - 1
+    # A stable sort by problem keeps each problem's nodes in time order.
+    order = np.argsort(node_idx, kind="stable")
+    t_all = np.concatenate(rec_t)[order]
+    y_all = np.concatenate(rec_y)[order]
+    node_end = np.cumsum(n_accepted + 1).tolist()
+    # The stage matrices stay in their blocks (copying them would double
+    # the solver's largest store); each step gets its block and row.
+    sizes = [len(block) for block in rec_K]
+    step_order = np.argsort(node_idx[n:], kind="stable")
+    block_of = np.repeat(np.arange(len(sizes)), sizes)[step_order]
+    row_of = (np.arange(len(step_order)) - np.repeat(np.cumsum(sizes) - sizes, sizes))[step_order]
+    step_end = np.cumsum(n_accepted).tolist()
+
+    results = []
+    for k in range(n):
+        if k in errors:
+            results.append(errors[k])
+            continue
+        n_steps = int(n_accepted[k])
+        ts = t_all[node_end[k] - n_steps - 1:node_end[k]]
+        ys = y_all[node_end[k] - n_steps - 1:node_end[k]]
+        steps = slice(step_end[k] - n_steps, step_end[k])
+        block, row = block_of[steps], row_of[steps]
+        fun_k = _one_rhs(fun, k)
+        t_events = [np.asarray([]) for _ in events]
+        extra_stages = 0
+        if k in hits:
+            event, root, y_root, F, dropped = hits[k]
+            t_events[event] = np.asarray([root])
+            extra_stages = N_STAGES_EXTRA
+            if dropped:
+                ts, ys, block, row = ts[:-1], ys[:-1], block[:-1], row[:-1]
+                sol = DenseSolution(fun_k, ts, ts, ys, _StepStages(rec_K, block, row))
+            else:
+                nodes_t, nodes_y = ts.copy(), ys.copy()
+                nodes_t[-1], nodes_y[-1] = root, y_root
+                sol = DenseSolution(fun_k, nodes_t, ts, ys, _StepStages(rec_K, block, row),
+                                    {n_steps - 1: F})
+                ts, ys = nodes_t, nodes_y
+        else:
+            sol = DenseSolution(fun_k, ts, ts, ys, _StepStages(rec_K, block, row))
+        results.append(OdeResult(
+            t=ts,
+            y=ys.T,
+            sol=sol,
+            t_events=t_events,
+            status=status[k],
+            message=TOO_SMALL_STEP if status[k] == -1 else None,
+            nfev=2 + N_STAGES * int(n_accepted[k] + n_rejected[k]) + extra_stages,
+            n_accepted=n_steps,
+            n_rejected=int(n_rejected[k]),
+        ))
+    return results

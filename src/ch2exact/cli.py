@@ -34,7 +34,8 @@ from .emden import (
     IntegrationFailure,
     InvalidEnergy,
     analyze,
-    energy,
+    analyze_many,
+    node_energies,
 )
 from .selfsim import SolutionCase
 from .serialize import fmt_float, fmt_floats, to_json, write_csv, write_text
@@ -181,7 +182,8 @@ def _parse_corrupt(flag: str | None) -> float:
         raise ConfigError(f"--seed-corrupt factor is not a number: {flag!r}") from exc
 
 
-def _grid_values(case: SolutionCase, traj, report, block: dict[str, str]):
+def _grid_values(case: SolutionCase, traj, report, block: dict[str, str],
+                 margin: float = Tolerances.margin):
     """(t0, t1, nt, x0, x1, nx) from config keys, defaults derived from the orbit."""
     params = case.emden
     if params.xi < 0:
@@ -194,10 +196,10 @@ def _grid_values(case: SolutionCase, traj, report, block: dict[str, str]):
     nx = _get(block, "nx", 81, int)
     if case.compact:
         # The minimum over the grid's own times, which the residual checks'
-        # support test takes too, so 0.6 stays inside any margin above it.
+        # support test takes too, and a fraction that stays inside margin.
         # (At least both ends: the caller reports nt < 2.)
         ts = np.linspace(t0, t1, max(nt, 2))
-        x1_default = 0.6 * min_support_radius(case, traj, ts)
+        x1_default = min(0.6, 0.75 * margin) * min_support_radius(case, traj, ts)
     else:
         x1_default = float(np.cbrt(abs(params.a0)))
     x1 = _get(block, "x1", x1_default)
@@ -219,12 +221,11 @@ def cmd_emden(args) -> int:
 
     traj, report = analyze(params, s_end=s_end, tol=tol)
 
-    states = traj.states
     rows = zip(
-        fmt_floats([st.s for st in states]),
-        fmt_floats([st.a for st in states]),
-        fmt_floats([st.a_dot for st in states]),
-        fmt_floats([energy(params, st) for st in states]),
+        fmt_floats(traj.s),
+        fmt_floats(traj.a),
+        fmt_floats(traj.a_dot),
+        fmt_floats(node_energies(traj)),
     )
     out = Path(args.out)
     write_csv(out / "emden.csv", ["s", "a", "a_dot", "energy"], rows)
@@ -309,14 +310,14 @@ def cmd_verify(args) -> int:
     tols = Tolerances(**{f.name: _get(block, f.name, f.default, type(f.default))
                          for f in fields(Tolerances)})
 
+    t_end = _get(block, "t_end", 0.0)
     if params.xi < 0:
-        traj, report = analyze(params, tol=tol)
+        s_end = 3.0 * t_end if t_end > 0 else None
     else:
-        t_end = _get(block, "t_end", 0.0)
         t1_cfg = _get(block, "t1", _GLOBAL_T1)
         s_end = 3.0 * max(tols.decay_t_max, t_end, t1_cfg * 1.05)
-        traj, report = analyze(params, s_end=s_end, tol=tol)
-    grid = SpaceTimeGrid(*_grid_values(case, traj, report, block))
+    traj, report = analyze(params, s_end=s_end, tol=tol)
+    grid = SpaceTimeGrid(*_grid_values(case, traj, report, block, tols.margin))
 
     reports = {
         "blowup": {**asdict(report), "classification": report.classification.value},
@@ -343,18 +344,23 @@ _SWEEP_HEADER = [
 ]
 
 
-def _sweep_row(block: dict[str, str], tol_flag: float | None) -> list[str]:
+# Per-case library errors, which a sweep records in the case's row.
+_ROW_ERRORS = (ValueError, ArithmeticError, IntegrationFailure)
+
+
+def _sweep_orbit(block: dict[str, str], tol_flag: float | None):
+    """(case, s_end, tol) of one sweep block."""
     _check_keys(block, _SWEEP_KEYS, "sweep")
     case = _solution_case(block)
-    params = case.emden
     tol = tol_flag if tol_flag is not None else _get(block, "tol", DEFAULT_TOL)
     t_end = _get(block, "t_end", 0.0)
-    s_end = 3.0 * t_end if t_end > 0 else None
+    return case, 3.0 * t_end if t_end > 0 else None, tol
 
-    traj, report = analyze(params, s_end=s_end, tol=tol)
 
+def _sweep_row(case: SolutionCase, traj, report) -> list[str]:
+    params = case.emden
     drift_bound = ENERGY_DRIFT_TOL * (1.0 + abs(report.theta))
-    ok = not any(abs(energy(params, st) - report.theta) > drift_bound for st in traj.states)
+    ok = not np.any(np.abs(node_energies(traj) - report.theta) > drift_bound)
 
     mass_cell = "div"
     if case.compact:
@@ -386,12 +392,26 @@ def _sweep_row(block: dict[str, str], tol_flag: float | None) -> list[str]:
 
 
 def cmd_sweep(args) -> int:
+    """Parse every block, integrate all valid orbits as one batch, then build the rows."""
     blocks = _load_blocks(args.config)
-    rows = []
+    orbits = []
     for block in blocks:
         try:
-            rows.append(_sweep_row(block, args.tol))
-        except (ValueError, ArithmeticError, IntegrationFailure) as exc:  # library error: one row
+            orbits.append(_sweep_orbit(block, args.tol))
+        except _ROW_ERRORS as exc:
+            orbits.append(exc)
+    valid = [orbit for orbit in orbits if not isinstance(orbit, Exception)]
+    analyzed = iter(analyze_many([(case.emden, s_end, tol) for case, s_end, tol in valid]))
+    rows = []
+    for block, orbit in zip(blocks, orbits):
+        try:
+            if isinstance(orbit, Exception):
+                raise orbit
+            result = next(analyzed)
+            if isinstance(result, Exception):
+                raise result
+            rows.append(_sweep_row(orbit[0], *result))
+        except _ROW_ERRORS as exc:  # library error: one row
             rows.append([
                 "?",
                 block.get("sigma", ""), block.get("xi", ""), block.get("alpha", ""),

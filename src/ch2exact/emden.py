@@ -26,12 +26,14 @@ quadrature.
 The ODE is integrated with an in-tree port of SciPy's DOP853 (``_dop853``)
 and the quadrature uses a fixed 21-point Gauss-Kronrod rule
 (``_quadrature``); both reproduce SciPy 1.17's ``solve_ivp`` and ``quad``
-bit for bit on these problems, and neither imports SciPy.
+bit for bit on these problems, and neither imports SciPy.  The solver
+steps a batch of orbits in lockstep: ``integrate_many`` and
+``analyze_many`` take one, ``integrate`` and ``analyze`` a batch of one,
+and every orbit gets the doubles it would get alone.
 """
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 from dataclasses import dataclass, field
@@ -54,12 +56,15 @@ __all__ = [
     "InvalidEnergy",
     "Trajectory",
     "analyze",
+    "analyze_many",
     "classify",
     "collapse_time_quadrature",
     "detect_collapse",
     "energy",
     "growth_asymptote",
     "integrate",
+    "integrate_many",
+    "node_energies",
     "orbit_time_integral",
     "rhs",
 ]
@@ -154,14 +159,25 @@ def energy(params: EmdenParams, state: EmdenState) -> float:
     return _energy(params.xi, state.a, state.a_dot)
 
 
+def node_energies(traj: "Trajectory") -> np.ndarray:
+    """energy() at every node of traj, as an array of the same doubles."""
+    cbrt_a = np.cbrt(traj.a).tolist()
+    xi = traj.params.xi
+    # float ** 2 is libm's pow, as in _energy; c * c can differ in the last bit.
+    return np.array([0.5 * a_dot * a_dot - 0.5 * xi * c ** 2
+                     for a_dot, c in zip(traj.a_dot.tolist(), cbrt_a)])
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Numerical orbit with dense output.
 
-    ``states`` are the accepted integration nodes (strictly increasing in s).
-    ``eval`` snaps to stored nodes when the query matches one exactly, so
-    node values round-trip; between nodes it uses the integrator's own
-    dense-output interpolant.
+    ``s``, ``a`` and ``a_dot`` are float arrays holding the accepted
+    integration nodes (``s`` strictly increasing) and the states there;
+    ``state(i)`` returns node i as an ``EmdenState``.  ``eval`` snaps to
+    stored nodes when the query matches one exactly, so node values
+    round-trip; between nodes it uses the integrator's own dense-output
+    interpolant.
 
     ``nfev``, ``n_accepted`` and ``n_rejected`` count the integrator's
     right-hand-side evaluations, accepted steps and rejected steps.  They
@@ -169,30 +185,29 @@ class Trajectory:
     """
 
     params: EmdenParams
-    states: tuple[EmdenState, ...]
+    s: np.ndarray
+    a: np.ndarray
+    a_dot: np.ndarray
     s_max: float
     collapsed: bool
     _dense: object = field(repr=False)
-    _nodes: tuple[float, ...] = field(repr=False)
     nfev: int
     n_accepted: int
     n_rejected: int
+
+    def state(self, i: int) -> EmdenState:
+        """Node i (negative i counts from the end)."""
+        return EmdenState(float(self.s[i]), float(self.a[i]), float(self.a_dot[i]))
 
     def eval(self, s: float) -> EmdenState:
         """State at time s, 0 <= s <= s_max."""
         if not (0.0 <= s <= self.s_max):
             raise ValueError(f"s = {s} outside integrated range [0, {self.s_max}]")
-        i = bisect.bisect_left(self._nodes, s)
-        if i < len(self._nodes) and self._nodes[i] == s:
-            return self.states[i]
+        i = self.s.searchsorted(s)
+        if i < len(self.s) and self.s[i] == s:
+            return self.state(i)
         a, a_dot = self._dense(s)
         return EmdenState(s, float(a), float(a_dot))
-
-    def a(self, s: float) -> float:
-        return self.eval(s).a
-
-    def a_dot(self, s: float) -> float:
-        return self.eval(s).a_dot
 
     def eval_many(self, s_values) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized dense-output evaluation; returns (a, a') arrays."""
@@ -233,52 +248,84 @@ def integrate(
     -------
     Trajectory
     """
-    if not (math.isfinite(s_end) and s_end > 0.0):
-        raise ValueError(f"s_end must be positive and finite, got {s_end}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol}")
+    traj = integrate_many([params], [s_end], [tol], [stop_abs_a])[0]
+    if isinstance(traj, Exception):
+        raise traj
+    return traj
 
-    xi, a0, a1 = params.xi, params.a0, params.a1
-    sgn = 1.0 if a0 > 0 else -1.0
-    stop_level = REL_STOP * abs(a0)
 
-    def f(s, y):
-        return np.array((y[1], xi / (3.0 * np.cbrt(y[0]))))
+def integrate_many(params, s_end, tol, stop_abs_a) -> list:
+    """``integrate`` on every orbit of a batch, stepped in lockstep.
+
+    The arguments are equal-length sequences, one entry per orbit, with
+    the meaning they have in ``integrate``.  Returns one entry per orbit:
+    its ``Trajectory``, bit for bit the one ``integrate`` gives it alone,
+    or the exception ``integrate`` would raise for it.
+    """
+    out = [None] * len(params)
+    todo = []
+    for k, (p, s_k, tol_k) in enumerate(zip(params, s_end, tol)):
+        if not (math.isfinite(s_k) and s_k > 0.0):
+            out[k] = ValueError(f"s_end must be positive and finite, got {s_k}")
+        elif not (math.isfinite(tol_k) and tol_k > 0.0):
+            out[k] = ValueError(f"tol must be positive, got {tol_k}")
+        else:
+            todo.append(k)
+    if not todo:
+        return out
+
+    batch = [params[k] for k in todo]
+    xi = np.array([p.xi for p in batch])
+    a0 = np.array([p.a0 for p in batch])
+    sgn = np.where(a0 > 0, 1.0, -1.0)
+    stop_level = REL_STOP * np.abs(a0)
+
+    def f(s, y, i, dy):
+        dy[:, 0] = y[:, 1]
+        np.divide(xi[i], 3.0 * np.cbrt(y[:, 0]), out=dy[:, 1])
 
     # Signed event: sgn*a decreases through the stop level exactly when |a|
     # does, and the signed form is monotone through the crossing.
-    def hit_zero(s, y):
-        return sgn * y[0] - stop_level
+    def hit_zero(s, y, i):
+        return sgn[i] * y[:, 0] - stop_level[i]
 
     events = [(hit_zero, -1.0)]
-    if stop_abs_a is not None:
-        def hit_growth(s, y):
-            return sgn * y[0] - stop_abs_a
+    stops = [stop_abs_a[k] for k in todo]
+    if any(stop is not None for stop in stops):
+        # An orbit without a growth stop gets an unreachable one.
+        growth_level = np.array([math.inf if stop is None else stop for stop in stops])
+
+        def hit_growth(s, y, i):
+            return sgn[i] * y[:, 0] - growth_level[i]
 
         events.append((hit_growth, 1.0))
 
-    scale = max(abs(a0), abs(a1), 1.0)
-    res = _dop853.solve(
-        f, 0.0, s_end, [a0, a1], rtol=tol, atol=tol * 1e-4 * scale, events=events
-    )
+    rtol = [tol[k] for k in todo]
+    atol = [tol_k * 1e-4 * max(abs(p.a0), abs(p.a1), 1.0) for p, tol_k in zip(batch, rtol)]
+    results = _dop853.solve(f, 0.0, [s_end[k] for k in todo], [[p.a0, p.a1] for p in batch],
+                            rtol=rtol, atol=atol, events=events)
+    for k, p, res in zip(todo, batch, results):
+        out[k] = res if isinstance(res, Exception) else _trajectory(p, res)
+    return out
+
+
+def _trajectory(params: EmdenParams, res) -> Trajectory | Exception:
+    """The Trajectory of one solver result, or the exception it amounts to."""
     if res.status == -1:
         last = None
         if res.t.size:
             last = EmdenState(float(res.t[-1]), float(res.y[0, -1]), float(res.y[1, -1]))
-        raise IntegrationFailure(f"adaptive step failed: {res.message}", last)
-
-    states = tuple(
-        EmdenState(float(s), float(a), float(ad))
-        for s, a, ad in zip(res.t, res.y[0], res.y[1])
-    )
-    collapsed = res.status == 1 and len(res.t_events[0]) > 0
+        return IntegrationFailure(f"adaptive step failed: {res.message}", last)
+    if not np.isfinite(res.y).all():
+        return ValueError("state components must be finite")
     return Trajectory(
         params=params,
-        states=states,
+        s=res.t,
+        a=res.y[0],
+        a_dot=res.y[1],
         s_max=float(res.t[-1]),
-        collapsed=collapsed,
+        collapsed=res.status == 1 and len(res.t_events[0]) > 0,
         _dense=res.sol,
-        _nodes=tuple(float(s) for s in res.t),
         nfev=res.nfev,
         n_accepted=res.n_accepted,
         n_rejected=res.n_rejected,
@@ -346,7 +393,7 @@ def detect_collapse(traj: Trajectory) -> float | None:
     """
     if not traj.collapsed:
         return None
-    last = traj.states[-1]
+    last = traj.state(-1)
     theta = energy(traj.params, last)
     if theta <= 0.0:
         raise InvalidEnergy(f"halted orbit carries nonpositive energy {theta}")
@@ -359,7 +406,7 @@ def growth_asymptote(traj: Trajectory) -> float:
         raise ValueError("growth asymptote requires xi > 0")
     if traj.s_max <= 0:
         raise ValueError("trajectory has no extent")
-    last = traj.states[-1]
+    last = traj.state(-1)
     return last.a / last.s ** 1.5
 
 
@@ -411,17 +458,54 @@ def analyze(
     For collapse orbits the horizon is extended past the quadrature collapse
     time so the stop event is always reached.
     """
+    cls, s_quad, horizon = _plan(params, s_end)
+    traj = integrate(params, horizon, tol=tol)
+    return traj, _report(params, cls, s_quad, traj)
+
+
+def analyze_many(orbits) -> list:
+    """``analyze`` on every ``(params, s_end, tol)`` of orbits, integrated as one batch.
+
+    Returns one entry per orbit: its ``(trajectory, report)``, bit for bit
+    what ``analyze`` returns for it alone, or the exception ``analyze``
+    would raise for it.  The collapse time S is computed once per collapse
+    orbit, before the batch, and the report reuses it.
+    """
+    out = []
+    for params, s_end, _ in orbits:
+        try:
+            out.append(_plan(params, s_end))
+        except Exception as exc:  # this orbit's outcome, not the batch's
+            out.append(exc)
+    todo = [k for k, plan in enumerate(out) if not isinstance(plan, Exception)]
+    trajs = integrate_many([orbits[k][0] for k in todo], [out[k][2] for k in todo],
+                           [orbits[k][2] for k in todo], [None] * len(todo))
+    for k, traj in zip(todo, trajs):
+        cls, s_quad, _ = out[k]
+        try:
+            if isinstance(traj, Exception):
+                raise traj
+            out[k] = (traj, _report(orbits[k][0], cls, s_quad, traj))
+        except Exception as exc:
+            out[k] = exc
+    return out
+
+
+def _plan(params: EmdenParams, s_end: float | None):
+    """(classification, quadrature S or None, integration horizon) of one orbit."""
     cls = classify(params)
-    theta = params.theta
     if cls is Classification.COLLAPSE:
         s_quad = collapse_time_quadrature(params)
         horizon = 1.25 * s_quad if s_end is None else max(s_end, 1.25 * s_quad)
     else:
         s_quad = None
         horizon = _DEFAULT_GLOBAL_HORIZON if s_end is None else s_end
+    return cls, s_quad, horizon
 
-    traj = integrate(params, horizon, tol=tol)
 
+def _report(params: EmdenParams, cls: Classification, s_quad: float | None,
+            traj: Trajectory) -> BlowupReport:
+    theta = params.theta
     b1 = params.a1 if params.a0 > 0 else -params.a1
     a_turning = None
     if cls is Classification.COLLAPSE and b1 > 0.0:
@@ -436,15 +520,15 @@ def analyze(
         if s_num is None:
             raise IntegrationFailure(
                 f"collapse orbit failed to reach the stop event by s = {traj.s_max}",
-                traj.states[-1],
+                traj.state(-1),
             )
         # Measure the rate a little away from S: at the final state the
         # remaining time (S - s) is comparable to the integrator's time
         # error, which would contaminate the ratio.
         s_probe = min(s_quad * (1.0 - 1e-4), traj.s_max)
-        rate = ((s_quad - s_probe) / abs(traj.a(s_probe))) ** (1.0 / 3.0)
+        rate = ((s_quad - s_probe) / abs(traj.eval(s_probe).a)) ** (1.0 / 3.0)
 
-    report = BlowupReport(
+    return BlowupReport(
         classification=cls,
         theta=theta,
         s_collapse_numeric=s_num,
@@ -452,4 +536,3 @@ def analyze(
         a_turning=a_turning,
         rate_limit_estimate=rate,
     )
-    return traj, report

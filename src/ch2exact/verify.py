@@ -246,6 +246,7 @@ def _check_grid(
     traj: Trajectory,
     grid: SpaceTimeGrid,
     margin: float,
+    s_collapse: float | None,
 ) -> None:
     if grid.t0 < 0.0:
         raise GridError(f"grid starts before t = 0 (t0 = {grid.t0})")
@@ -255,7 +256,8 @@ def _check_grid(
             f"grid needs s up to {s_hi} but the trajectory ends at {traj.s_max}"
         )
     if classify(case.emden) is Classification.COLLAPSE:
-        s_collapse = collapse_time_quadrature(case.emden)
+        if s_collapse is None:
+            s_collapse = collapse_time_quadrature(case.emden)
         if s_hi > COLLAPSE_TIME_MARGIN * s_collapse:
             raise GridError(
                 f"grid reaches s = {s_hi}, too close to collapse at "
@@ -275,8 +277,8 @@ def _check_grid(
 # residual operations
 # ----------------------------------------------------------------------
 
-def _residual_levels(case, traj, grid, levels, margin, u_scale, which, alpha_d):
-    _check_grid(case, traj, grid, margin)
+def _residual_levels(case, traj, grid, levels, margin, u_scale, which, alpha_d, s_collapse):
+    _check_grid(case, traj, grid, margin, s_collapse)
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     h_values: list[float] = []
@@ -313,14 +315,17 @@ def residual_mass_eq(
     levels: int = 1,
     margin: float = DEFAULT_SUPPORT_MARGIN,
     u_scale: float = 1.0,
+    s_collapse: float | None = None,
 ) -> ResidualReport:
     """Mass-equation residual on the grid interior.
 
     With ``levels`` >= 2 the grid is refined by halving both spacings and
     the observed convergence order (log2 ratio of max residuals on the
-    finest pair) is reported; the exact fields give order ~ 2.
+    finest pair) is reported; the exact fields give order ~ 2.  The grid
+    must end before ``COLLAPSE_TIME_MARGIN`` of the collapse time
+    ``s_collapse`` (the report's quadrature S; computed when not given).
     """
-    return _residual_levels(case, traj, grid, levels, margin, u_scale, "mass", 0.0)
+    return _residual_levels(case, traj, grid, levels, margin, u_scale, "mass", 0.0, s_collapse)
 
 
 def residual_momentum_eq(
@@ -331,13 +336,16 @@ def residual_momentum_eq(
     levels: int = 1,
     margin: float = DEFAULT_SUPPORT_MARGIN,
     u_scale: float = 1.0,
+    s_collapse: float | None = None,
 ) -> ResidualReport:
     """Momentum-equation residual with dispersion scale alpha_d.
 
     The reported norms must be independent of alpha_d (to roundoff) for the
-    exact fields, because their velocity is linear in x.
+    exact fields, because their velocity is linear in x.  ``s_collapse`` is
+    as in ``residual_mass_eq``.
     """
-    return _residual_levels(case, traj, grid, levels, margin, u_scale, "momentum", alpha_d)
+    return _residual_levels(case, traj, grid, levels, margin, u_scale, "momentum", alpha_d,
+                            s_collapse)
 
 
 # ----------------------------------------------------------------------
@@ -497,12 +505,13 @@ def run_battery(
     record carries its own "pass", except the skipped mass records of
     full-line families.  u_scale scales the velocity (fault injection).
     """
-    levels, margin = tols.residual_levels, tols.margin
+    residual_args = {"margin": tols.margin, "u_scale": u_scale,
+                     "s_collapse": report.s_collapse_quadrature}
     reports: dict = {}
-    rep = residual_mass_eq(case, traj, grid, levels=levels, margin=margin, u_scale=u_scale)
+    rep = residual_mass_eq(case, traj, grid, levels=tols.residual_levels, **residual_args)
     reports["residual_mass"] = _residual_record(rep, tols.order_band)
-    rep = residual_momentum_eq(case, traj, grid, alpha_d=tols.alpha_d[0], levels=levels,
-                               margin=margin, u_scale=u_scale)
+    rep = residual_momentum_eq(case, traj, grid, alpha_d=tols.alpha_d[0],
+                               levels=tols.residual_levels, **residual_args)
     reports["residual_momentum"] = _residual_record(rep, tols.order_band)
 
     # The dispersion comparison runs on a coarse copy of the grid: the
@@ -513,7 +522,7 @@ def run_battery(
                               grid.x0, grid.x1, min(17, grid.nx))
     disp_max = [
         residual_momentum_eq(case, traj, grid_disp, alpha_d=ad, levels=1,
-                             margin=margin, u_scale=u_scale).interior_max_residual
+                             **residual_args).interior_max_residual
         for ad in tols.alpha_d
     ]
     disp_diff = max(abs(v - disp_max[0]) for v in disp_max)

@@ -115,7 +115,7 @@ def test_criterion_04_dichotomy():
         a1 = b1 if a0 > 0 else -b1
         target = 1e3 * abs(a0)
         traj = integrate(EmdenParams(xi=xi, a0=a0, a1=a1), s_end=1e4, stop_abs_a=target)
-        if abs(traj.states[-1].a) >= target * (1.0 - 1e-9) and traj.s_max <= 1e4:
+        if abs(traj.a[-1]) >= target * (1.0 - 1e-9) and traj.s_max <= 1e4:
             growth_ok += 1
 
     ok = collapse_ok == 50 and growth_ok == 50
@@ -137,7 +137,7 @@ def test_criterion_05_first_integral(case_1a, case_1b, case_2a, case_2b):
     for traj in trajectories:
         e0 = traj.params.theta
         scale = 1.0 + abs(e0)
-        for state in traj.states:
+        for state in map(traj.state, range(len(traj.s))):
             worst = max(worst, abs(energy(traj.params, state) - e0) / scale)
     ok = worst <= 1e-8
     _report(5, "first-integral drift on 24 trajectories", ok, f"worst {worst:.2e}")
@@ -155,7 +155,7 @@ def test_criterion_06_residual_convergence(case_1a, case_1b, case_2a, case_2b):
         else:
             t1 = 0.5
         if case.compact:
-            a_min = min(traj.a(3.0 * t1), traj.a(0.0))
+            a_min = min(traj.eval(3.0 * t1).a, traj.eval(0.0).a)
             x1 = 0.5 * float(np.cbrt(a_min)) * case.eta_boundary
         else:
             x1 = 1.0

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import ch2exact.cli as cli
+import ch2exact.emden as emden
 from ch2exact import EmdenParams, IntegrationFailure, analyze, sample
 from ch2exact.cli import ConfigError, main, parse_config_blocks
 from ch2exact.verify import Tolerances, _fields_on_grid
@@ -267,6 +268,72 @@ def test_verify_tolerance_keys_reach_the_checks(tmp_path):
     assert reports["residual_mass"]["pass"] is True
 
 
+CFG_1A = "sigma = -1\nxi = -1\nalpha = 1\na0 = 1\na1 = 0\n"
+
+
+@pytest.mark.parametrize("cfg_text", [CFG_1A, CFG_2A], ids=["1a", "2a"])
+def test_verify_parses_t_end_on_every_orbit(tmp_path, capsys, cfg_text):
+    cfg = write_config(tmp_path, cfg_text + "t_end = bad\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "invalid input: config key 't_end' is not a number: 'bad'\n"
+
+
+def test_verify_passes_t_end_of_a_collapse_orbit_to_analyze(tmp_path, monkeypatch):
+    # As in construct: s_end = 3 t_end (analyze extends it past 1.25 S).
+    seen = []
+
+    def spy(params, s_end=None, tol=None):
+        seen.append(s_end)
+        return analyze(params, s_end=s_end, tol=tol)
+
+    monkeypatch.setattr(cli, "analyze", spy)
+    for t_end, s_end in (("", None), ("t_end = 2\n", 6.0)):
+        cfg = write_config(tmp_path, CFG_1A + t_end)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert seen.pop() == s_end
+
+
+def test_verify_default_grid_respects_margin(tmp_path):
+    # x1 defaults to min(0.6, 0.75 margin) of the support radius (1.0 here),
+    # so margin = 0.5 gives the grid an explicit x1 = 0.375 gives.
+    docs = []
+    for extra in ("margin = 0.5\n", "margin = 0.5\nx1 = 0.375\n"):
+        out = tmp_path / str(len(docs))
+        cfg = write_config(tmp_path, CFG_2A + extra)
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        docs.append((out / "verify.json").read_bytes())
+    assert docs[0] == docs[1]
+    assert json.loads(docs[0])["grid"]["x1"] == 0.375
+
+
+def _counting(monkeypatch, module_names, name):
+    """Wrap ch2exact.<module>.<name> in every listed module; returns the call list."""
+    import importlib
+
+    calls = []
+    original = getattr(importlib.import_module(f"ch2exact.{module_names[0]}"), name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in module_names:
+        monkeypatch.setattr(importlib.import_module(f"ch2exact.{module}"), name, counted)
+    return calls
+
+
+def test_collapse_time_computed_once_per_orbit(tmp_path, monkeypatch):
+    calls = _counting(monkeypatch, ["emden", "verify"], "collapse_time_quadrature")
+    cfg = write_config(tmp_path, CFG_1A)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    cfg = write_config(tmp_path, SWEEP_FOUR)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    rows = (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1:]
+    assert len(calls) == sum(row.split(",")[6] == "Collapse" for row in rows) == 2
+
+
 # A turning-point orbit (inward slope, theta < 0): its support radius is
 # smallest between the grid's time levels, not at an end.
 CFG_TURNING = (
@@ -368,12 +435,43 @@ def test_sweep_bad_block_recorded_in_row(tmp_path):
     assert bad_row[11] == "false"
 
 
+# Blocks that fail at each stage of a sweep: parsing, integration and the
+# report (the two collapse-time routes differ by 1.5e-6 > S_AGREEMENT_TOL).
+SWEEP_FAILING = [
+    "sigma = 1\nxi = 0\nalpha = 1\na0 = 1\n",
+    "sigma = 1\nxi = 1\nalpha = 1\na0 = 1\ntol = -1\n",
+    "sigma = -1\nxi = -0.0404969088912777\nalpha = 1\na0 = 10\na1 = 0\n",
+]
+
+
+def test_sweep_failing_blocks_leave_valid_rows_alone(tmp_path):
+    valid = SWEEP_FOUR.split("\n\n")
+    blocks = valid[:2] + SWEEP_FAILING + valid[2:]
+    cfg = write_config(tmp_path, "\n\n".join(blocks))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "all")]) == 0
+    rows = (tmp_path / "all" / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 7
+    assert [row.split(",")[6] for row in rows[2:5]] == [
+        "error: coupling constant fails xi != 0",
+        "error: tol must be positive; got -1.0",
+        "error: collapse-time routes disagree by 1.458e-06 (> 1e-06)",
+    ]
+    assert all(row.startswith("?,") and row.endswith(",false") for row in rows[2:5])
+    alone = []
+    for k, block in enumerate(valid):
+        cfg = write_config(tmp_path, block, name=f"{k}.cfg")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / str(k))]) == 0
+        alone += (tmp_path / str(k) / "sweep.csv").read_text().splitlines()[1:]
+    assert rows[:2] + rows[5:] == alone
+
+
 def test_sweep_propagates_programming_errors(tmp_path, monkeypatch):
-    # Only library errors become rows; a bug must not hide in the CSV.
-    def broken_analyze(*args, **kwargs):
+    # Only library errors become rows; a bug must not hide in the CSV, even
+    # when the batch hands it back as one orbit's outcome.
+    def broken_quadrature(*args, **kwargs):
         raise TypeError("synthetic programming error")
 
-    monkeypatch.setattr(cli, "analyze", broken_analyze)
+    monkeypatch.setattr(emden, "collapse_time_quadrature", broken_quadrature)
     cfg = write_config(tmp_path, SWEEP_FOUR)
     with pytest.raises(TypeError, match="synthetic programming error"):
         main(["sweep", "--config", cfg, "--out", str(tmp_path)])

@@ -6,9 +6,10 @@ through ``ch2exact._dop853`` and both quadratures through
 drawn over many decades of ``|xi|`` and ``|a0|``, every slope and every
 tolerance, the port must return the same doubles as
 ``scipy.integrate.solve_ivp(method="DOP853")``: nodes, states, status,
-event times, dense output and warnings.  The rule must equal
-``scipy.integrate.quad`` on the package's two integrands, which ``quad``
-settles with one 21-point evaluation.
+event times, dense output and warnings.  The port steps a batch of orbits
+in lockstep, and every orbit of a batch must get what solve_ivp gives it
+alone.  The rule must equal ``scipy.integrate.quad`` on the package's two
+integrands, which ``quad`` settles with one 21-point evaluation.
 """
 
 import math
@@ -24,10 +25,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq as scipy_brentq
 
-from ch2exact import EmdenParams, EmdenState, IntegrationFailure, SolutionCase, integrate
+from ch2exact import EmdenParams, EmdenState, IntegrationFailure, SolutionCase, analyze, integrate
 from ch2exact import _dop853
 from ch2exact._quadrature import gauss_kronrod21
-from ch2exact.emden import REL_STOP, orbit_time_integral
+from ch2exact.emden import REL_STOP, analyze_many, integrate_many, orbit_time_integral
 from ch2exact.selfsim import density, support
 from ch2exact.verify import mass
 
@@ -49,7 +50,7 @@ def orbit(xi_sign, xi_dec, a0_sign, a0_dec, u):
 
 
 def problem(params, stop_abs_a):
-    """Right-hand side and (event, direction) pairs, as emden.integrate builds them."""
+    """Right-hand side and (event, direction) pairs, as emden.integrate built them for scipy."""
     xi, a0 = params.xi, params.a0
     sgn = 1.0 if a0 > 0 else -1.0
     stop_level = REL_STOP * abs(a0)
@@ -61,6 +62,27 @@ def problem(params, stop_abs_a):
     if stop_abs_a is not None:
         events.append((lambda s, y: sgn * y[0] - stop_abs_a, 1.0))
     return f, events
+
+
+def batch_problem(params, stops):
+    """The same orbits as one batch for _dop853.solve; a missing growth stop is unreachable."""
+    xi = np.array([p.xi for p in params])
+    sgn = np.array([1.0 if p.a0 > 0 else -1.0 for p in params])
+    stop_level = np.array([REL_STOP * abs(p.a0) for p in params])
+
+    def f(s, y, i, out):
+        out[:] = np.stack((y[:, 1], xi[i] / (3.0 * np.cbrt(y[:, 0]))), axis=1)
+
+    events = [(lambda s, y, i: sgn[i] * y[:, 0] - stop_level[i], -1.0)]
+    if any(stop is not None for stop in stops):
+        growth = np.array([math.inf if stop is None else stop for stop in stops])
+        events.append((lambda s, y, i: sgn[i] * y[:, 0] - growth[i], 1.0))
+    return f, events
+
+
+def tolerances(params, tol):
+    """(rtol, atol) as emden.integrate derives them."""
+    return tol, tol * 1e-4 * max(abs(params.a0), abs(params.a1), 1.0)
 
 
 def scipy_events(events):
@@ -92,36 +114,28 @@ def probe_points(ts, count=17):
     return np.concatenate([ts, inner, mids, [ts[0], ts[-1]]])
 
 
-@settings(max_examples=60, deadline=None)
-@given(xi_sign=signs, xi_dec=decades, a0_sign=signs, a0_dec=decades, u=slopes,
-       tol=tols, s_end=horizons, growth=growth_stops)
-def test_solver_matches_solve_ivp(xi_sign, xi_dec, a0_sign, a0_dec, u, tol, s_end, growth):
-    params = orbit(xi_sign, xi_dec, a0_sign, a0_dec, u)
-    stop_abs_a = None if growth is None else abs(params.a0) * 10.0 ** growth
+def scipy_outcome(params, s_end, tol, stop_abs_a):
+    """(result, exception text, warnings) of solve_ivp on one orbit."""
     f, events = problem(params, stop_abs_a)
-    y0 = [params.a0, params.a1]
-    rtol, atol = tol, tol * 1e-4 * max(abs(params.a0), abs(params.a1), 1.0)
-
-    ref, ref_err, ref_warn = outcome(lambda: solve_ivp(
-        f, (0.0, s_end), y0, method="DOP853", rtol=rtol, atol=atol,
+    rtol, atol = tolerances(params, tol)
+    return outcome(lambda: solve_ivp(
+        f, (0.0, s_end), [params.a0, params.a1], method="DOP853", rtol=rtol, atol=atol,
         dense_output=True, events=scipy_events(events)))
-    res, err, warn = outcome(lambda: _dop853.solve(
-        f, 0.0, s_end, y0, rtol=rtol, atol=atol, events=events))
 
-    assert err == ref_err
-    assert warn == ref_warn
-    if tol < 100 * EPS:
-        assert any("`rtol` is too small" in w for w in warn)
-    if ref is None:
-        return
+
+def assert_matches_scipy(res, ref):
+    """One orbit's OdeResult equals solve_ivp's on everything both report."""
     assert res.status == ref.status
     if ref.status == -1:
         assert res.message == ref.message
     assert np.array_equal(res.t, ref.t)
     assert np.array_equal(res.y, ref.y)
-    assert len(res.t_events) == len(ref.t_events)
+    # A batch with a growth stop gives every orbit that event; it never
+    # fires where the orbit has none.
+    assert len(res.t_events) >= len(ref.t_events)
     for mine, theirs in zip(res.t_events, ref.t_events):
         assert np.array_equal(mine, theirs)
+    assert all(te.size == 0 for te in res.t_events[len(ref.t_events):])
     # scipy builds every step's interpolant (3 extra stages each); the
     # port builds only the event step's during integration.
     assert ref.nfev == res.nfev + 3 * (res.n_accepted - (res.status == 1))
@@ -131,6 +145,146 @@ def test_solver_matches_solve_ivp(xi_sign, xi_dec, a0_sign, a0_dec, u, tol, s_en
     assert np.array_equal(res.sol(pts[::-1]), ref.sol(pts[::-1]))
     for s in pts[::5]:
         assert np.array_equal(res.sol(float(s)), ref.sol(float(s)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(xi_sign=signs, xi_dec=decades, a0_sign=signs, a0_dec=decades, u=slopes,
+       tol=tols, s_end=horizons, growth=growth_stops)
+def test_solver_matches_solve_ivp(xi_sign, xi_dec, a0_sign, a0_dec, u, tol, s_end, growth):
+    params = orbit(xi_sign, xi_dec, a0_sign, a0_dec, u)
+    stop_abs_a = None if growth is None else abs(params.a0) * 10.0 ** growth
+    f, events = batch_problem([params], [stop_abs_a])
+    rtol, atol = tolerances(params, tol)
+
+    ref, ref_err, ref_warn = scipy_outcome(params, s_end, tol, stop_abs_a)
+    res, err, warn = outcome(lambda: _dop853.solve(
+        f, 0.0, s_end, [[params.a0, params.a1]], rtol=rtol, atol=atol, events=events)[0])
+
+    assert err == ref_err
+    assert warn == ref_warn
+    if tol < 100 * EPS:
+        assert any("`rtol` is too small" in w for w in warn)
+    if ref is not None:
+        assert_matches_scipy(res, ref)
+
+
+orbits = st.tuples(signs, decades, signs, decades, slopes, tols, horizons, growth_stops)
+
+
+@settings(max_examples=40, deadline=None)
+@given(draws=st.lists(orbits, min_size=1, max_size=12))
+def test_batch_matches_solve_ivp_per_orbit(draws):
+    params = [orbit(*d[:5]) for d in draws]
+    tol = [d[5] for d in draws]
+    s_end = [d[6] for d in draws]
+    stops = [None if d[7] is None else abs(p.a0) * 10.0 ** d[7] for p, d in zip(params, draws)]
+    f, events = batch_problem(params, stops)
+    rtol, atol = zip(*map(tolerances, params, tol))
+
+    results, err, warn = outcome(lambda: _dop853.solve(
+        f, 0.0, s_end, [[p.a0, p.a1] for p in params], rtol=rtol, atol=atol, events=events))
+    assert err is None
+    refs = [scipy_outcome(*args) for args in zip(params, s_end, tol, stops)]
+    # One clamp warning per orbit, in batch order, as scipy warns each alone.
+    assert warn == [w for _, _, ref_warn in refs for w in ref_warn]
+    for res, (ref, ref_err, _) in zip(results, refs):
+        if ref is None:
+            assert f"{type(res).__name__}: {res}" == ref_err
+        else:
+            assert_matches_scipy(res, ref)
+
+
+def test_step_size_underflow_matches_solve_ivp():
+    # y' = y^2 blows up at t = 1; the step size collapses before t_bound = 2.
+    def f(t, y):
+        return np.array((y[0] * y[0],))
+
+    ref = solve_ivp(f, (0.0, 2.0), [1.0], method="DOP853", rtol=1e-8, atol=1e-12,
+                    dense_output=True)
+    def f_batch(t, y, i, out):
+        out[:] = y * y
+
+    res = _dop853.solve(f_batch, 0.0, 2.0, [[1.0]], rtol=1e-8, atol=1e-12)[0]
+    assert ref.status == res.status == -1
+    assert res.message == ref.message == _dop853.TOO_SMALL_STEP
+    assert np.array_equal(res.t, ref.t)
+    assert np.array_equal(res.y, ref.y)
+
+
+def test_step_size_underflow_in_a_batch():
+    # y' = c y^2 from y(0) = 1 blows up at t = 1/c: inside [0, 2] only for
+    # c = 1.  That orbit fails alone; the others run to t_bound as they
+    # would alone, and all three match scipy.
+    c = np.array([0.1, 1.0, -1.0])
+
+    def solve(rows):
+        def f(t, y, i, out):
+            out[:] = c[rows[i], None] * y * y
+
+        return _dop853.solve(f, 0.0, 2.0, [[1.0]] * len(rows), rtol=1e-8, atol=1e-12)
+
+    batch = solve(np.arange(3))
+    assert [res.status for res in batch] == [0, -1, 0]
+    assert [res.message for res in batch] == [None, _dop853.TOO_SMALL_STEP, None]
+    for k, res in enumerate(batch):
+        alone = solve(np.array([k]))[0]
+        ref = solve_ivp(lambda t, y, k=k: np.array((c[k] * y[0] * y[0],)), (0.0, 2.0), [1.0],
+                        method="DOP853", rtol=1e-8, atol=1e-12, dense_output=True)
+        assert res.status == alone.status == ref.status
+        for mine in (res, alone):
+            assert np.array_equal(mine.t, ref.t)
+            assert np.array_equal(mine.y, ref.y)
+        assert (res.nfev, res.n_accepted, res.n_rejected) == \
+            (alone.nfev, alone.n_accepted, alone.n_rejected)
+        if res.status == 0:
+            pts = probe_points(ref.t)
+            assert np.array_equal(res.sol(pts), ref.sol(pts))
+            assert np.array_equal(res.sol(pts), alone.sol(pts))
+
+
+def assert_same_trajectory(traj, ref):
+    assert np.array_equal(np.stack([traj.s, traj.a, traj.a_dot]),
+                          np.stack([ref.s, ref.a, ref.a_dot]))
+    assert (traj.s_max, traj.collapsed) == (ref.s_max, ref.collapsed)
+    assert (traj.nfev, traj.n_accepted, traj.n_rejected) == \
+        (ref.nfev, ref.n_accepted, ref.n_rejected)
+    pts = np.linspace(0.0, traj.s_max, 41)
+    assert np.array_equal(np.stack(traj.eval_many(pts)), np.stack(ref.eval_many(pts)))
+
+
+def test_integrate_many_matches_integrate():
+    params = [EmdenParams(1.0, 1.0), EmdenParams(2.0, -1.0, 0.5), EmdenParams(-1.0, 1.0),
+              EmdenParams(1.0, 1.0)]
+    s_end, tol = [1e4, 10.0, 5.0, 0.0], [1e-10, 1e-8, 1e-15, 1e-10]
+    stops = [50.0, None, None, None]
+    batch, _, warn = outcome(lambda: integrate_many(params, s_end, tol, stops))
+    assert len(warn) == 1 and "`rtol` is too small" in warn[0]  # the 1e-15 orbit's
+    for args, got in zip(zip(params, s_end, tol, stops), batch):
+        want, err, _ = outcome(lambda: integrate(*args))
+        if want is None:
+            assert f"{type(got).__name__}: {got}" == err
+        else:
+            assert_same_trajectory(got, want)
+
+
+def test_analyze_many_matches_analyze():
+    orbits = [
+        (EmdenParams(-1.0, 1.0), None, 1e-10),                  # collapse
+        (EmdenParams(1.0, -1.0, 0.3), 30.0, 1e-8),              # growth
+        (EmdenParams(-0.0404969088912777, 10.0), None, 1e-10),  # the S routes disagree
+        (EmdenParams(1.0, 1.0), 30.0, -1.0),                    # invalid tol
+        (EmdenParams(-3.0, 1.0, 2.0), 10.0, 1e-12),             # turning point
+    ]
+    batch = analyze_many(orbits)
+    for (params, s_end, tol), got in zip(orbits, batch):
+        want, err, _ = outcome(lambda: analyze(params, s_end=s_end, tol=tol))
+        if want is None:
+            assert f"{type(got).__name__}: {got}" == err
+        else:
+            assert got[1] == want[1]
+            assert_same_trajectory(got[0], want[0])
+    assert [type(r).__name__ for r in batch] == \
+        ["tuple", "tuple", "IntegrationFailure", "ValueError", "tuple"]
 
 
 def reference_integrate(params, s_end, tol, stop_abs_a):
@@ -161,7 +315,7 @@ def test_integrate_matches_scipy_reference(xi_sign, xi_dec, a0_sign, a0_dec, u, 
     assert warn == ref_warn
     if ref is None:
         return
-    assert [(node.s, node.a, node.a_dot) for node in traj.states] == list(zip(ref.t, *ref.y))
+    assert np.array_equal(np.stack([traj.s, traj.a, traj.a_dot]), np.vstack([ref.t, ref.y]))
     assert traj.s_max == ref.t[-1]
     assert traj.collapsed == (ref.status == 1 and len(ref.t_events[0]) > 0)
     pts = np.clip(probe_points(ref.t), 0.0, traj.s_max)
@@ -170,20 +324,6 @@ def test_integrate_matches_scipy_reference(xi_sign, xi_dec, a0_sign, a0_dec, u, 
     for s in pts[::7]:
         state = traj.eval(float(s))
         assert np.array_equal([state.a, state.a_dot], ref.sol(float(s)))
-
-
-def test_step_size_underflow_matches_solve_ivp():
-    # y' = y^2 blows up at t = 1; the step size collapses before t_bound = 2.
-    def f(t, y):
-        return np.array((y[0] * y[0],))
-
-    ref = solve_ivp(f, (0.0, 2.0), [1.0], method="DOP853", rtol=1e-8, atol=1e-12,
-                    dense_output=True)
-    res = _dop853.solve(f, 0.0, 2.0, [1.0], rtol=1e-8, atol=1e-12)
-    assert ref.status == res.status == -1
-    assert res.message == ref.message == _dop853.TOO_SMALL_STEP
-    assert np.array_equal(res.t, ref.t)
-    assert np.array_equal(res.y, ref.y)
 
 
 def test_brentq_matches_scipy():
@@ -267,7 +407,7 @@ def test_counters_are_consistent_and_repeatable(params, s_end):
     counts = [(t.nfev, t.n_accepted, t.n_rejected) for t in runs]
     assert counts[0] == counts[1]
     traj = runs[0]
-    assert traj.n_accepted == len(traj.states) - 1
+    assert traj.n_accepted == len(traj.s) - 1
     event_stages = 3 if traj.collapsed else 0
     assert traj.nfev == 2 + 12 * (traj.n_accepted + traj.n_rejected) + event_stages
     # Interpolating afterwards evaluates more stages but leaves the counts alone.

@@ -122,7 +122,7 @@ def test_params_reject_bool(field):
 def test_growth_monotone():
     # xi > 0, a1 = 0: acceleration is positive, so a increases for s > 0.
     traj = integrate(EmdenParams(xi=1.0, a0=1.0, a1=0.0), s_end=5.0)
-    a_vals = [st_.a for st_ in traj.states]
+    a_vals = traj.a.tolist()
     assert all(b > a for a, b in zip(a_vals, a_vals[1:]))
     assert not traj.collapsed
 
@@ -130,7 +130,7 @@ def test_growth_monotone():
 def test_collapse_halts_near_exact_time():
     traj = integrate(EmdenParams(xi=-3.0, a0=1.0, a1=0.0), s_end=2.0)
     assert traj.collapsed
-    assert abs(traj.states[-1].a) <= 1e-10 * 1.0 + 1e-12
+    assert abs(traj.a[-1]) <= 1e-10 * 1.0 + 1e-12
     assert traj.s_max == pytest.approx(SQRT3_PI_OVER_4, abs=1e-6)
 
 
@@ -149,7 +149,7 @@ def test_integration_failure_carries_state():
 
 def test_interpolant_reproduces_nodes_exactly():
     traj = integrate(EmdenParams(xi=-3.0, a0=1.0, a1=0.5), s_end=2.0)
-    for node in traj.states:
+    for node in map(traj.state, range(len(traj.s))):
         got = traj.eval(node.s)
         assert got.a == node.a and got.a_dot == node.a_dot
 
@@ -159,10 +159,10 @@ def test_interpolant_accuracy_between_nodes():
     p = EmdenParams(xi=-3.0, a0=1.0, a1=0.0)
     coarse = integrate(p, s_end=1.2, tol=1e-8)
     ref = integrate(p, s_end=1.2, tol=1e-13)
-    nodes = [st_.s for st_ in coarse.states]
+    nodes = coarse.s.tolist()
     mids = [(lo + hi) / 2.0 for lo, hi in zip(nodes, nodes[1:]) if hi <= ref.s_max]
     for s in mids[:-1]:
-        assert coarse.a(s) == pytest.approx(ref.a(s), abs=1e-6)
+        assert coarse.eval(s).a == pytest.approx(ref.eval(s).a, abs=1e-6)
 
 
 def test_eval_range_checked():
@@ -177,7 +177,7 @@ def test_eval_range_checked():
 
 def test_growth_event_stops_integration():
     traj = integrate(EmdenParams(xi=4.0, a0=1.0, a1=0.0), s_end=1e4, stop_abs_a=50.0)
-    assert traj.states[-1].a == pytest.approx(50.0, rel=1e-9)
+    assert traj.a[-1] == pytest.approx(50.0, rel=1e-9)
     assert traj.s_max < 1e4
 
 
@@ -338,7 +338,7 @@ def test_energy_conserved_along_trajectory(xi_mag, xi_sign, a0_mag, a0_sign, a1)
     traj = integrate(p, s_end=2.0)
     e0 = p.theta
     bound = 10.0 * 1e-10 * (1.0 + abs(e0))
-    for state in traj.states:
+    for state in map(traj.state, range(len(traj.s))):
         assert abs(energy(p, state) - e0) <= bound
 
 
@@ -348,8 +348,7 @@ def test_sign_of_a_never_flips(xi_mag, xi_sign, a0_mag, a0_sign, a1):
     """Integration halts at the stop level before any zero crossing."""
     p = EmdenParams(xi=xi_sign * xi_mag, a0=a0_sign * a0_mag, a1=a1)
     traj = integrate(p, s_end=3.0)
-    for state in traj.states:
-        assert state.a * p.a0 > 0.0
+    assert np.all(traj.a * p.a0 > 0.0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -360,8 +359,9 @@ def test_odd_symmetry(xi_mag, a0_mag, a1):
     t2 = integrate(p.mirrored(), s_end=2.0)
     s_hi = min(t1.s_max, t2.s_max)
     for s in np.linspace(0.0, s_hi, 9):
-        assert abs(t1.a(s) + t2.a(s)) <= 1e-12 * max(1.0, abs(t1.a(s)))
-        assert abs(t1.a_dot(s) + t2.a_dot(s)) <= 1e-12 * max(1.0, abs(t1.a_dot(s)))
+        u, v = t1.eval(s), t2.eval(s)
+        assert abs(u.a + v.a) <= 1e-12 * max(1.0, abs(u.a))
+        assert abs(u.a_dot + v.a_dot) <= 1e-12 * max(1.0, abs(u.a_dot))
 
 
 @settings(max_examples=20, deadline=None)
@@ -388,7 +388,7 @@ def test_dichotomy_global_branch(xi_mag, a0_mag, a0_sign, a1_out):
     p = EmdenParams(xi=xi_mag, a0=a0_sign * a0_mag, a1=b1)
     target = 1e3 * abs(p.a0)
     traj = integrate(p, s_end=1e4, stop_abs_a=target)
-    assert abs(traj.states[-1].a) >= target * (1.0 - 1e-9)
+    assert abs(traj.a[-1]) >= target * (1.0 - 1e-9)
 
 
 @pytest.mark.parametrize("xi", [-0.5, -3.0])

@@ -320,7 +320,7 @@ def test_self_similarity_invariance(case_id, eta, f1, f2, all_trajectories):
     vals = []
     for f in (f1, f2):
         t = f * horizon
-        a = traj.a(3.0 * t)
+        a = traj.eval(3.0 * t).a
         cb = float(np.cbrt(a))
         vals.append(density(case, traj, t, eta * cb) * cb)
     assert vals[0] == pytest.approx(vals[1], rel=1e-9, abs=1e-12)
