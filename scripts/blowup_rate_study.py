@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from ch2exact import EmdenParams, SolutionCase, analyze, blowup_rate
-from ch2exact.serialize import fmt_float, write_csv
+from ch2exact.serialize import write_csv
 
 
 def main() -> int:
@@ -55,8 +55,8 @@ def main() -> int:
     print(f"\ntail relative error: {tail_rel:.2e}")
 
     if args.out:
-        rows = [[fmt_float(s), fmt_float(S - s), fmt_float(p)] for s, p in samples]
-        write_csv(Path(args.out), ["s", "S_minus_s", "product"], rows)
+        s_arr, products = np.array(samples).T
+        write_csv(Path(args.out), ["s", "S_minus_s", "product"], [s_arr, S - s_arr, products])
         print(f"wrote {args.out}")
 
     return 0 if tail_rel <= 0.01 else 1

@@ -38,7 +38,7 @@ from .emden import (
     node_energies,
 )
 from .selfsim import SolutionCase
-from .serialize import fmt_float, fmt_floats, to_json, write_csv, write_text
+from .serialize import Indexed, fmt_float, to_json, write_csv, write_text
 from .verify import (
     ENERGY_DRIFT_TOL,
     SpaceTimeGrid,
@@ -221,14 +221,9 @@ def cmd_emden(args) -> int:
 
     traj, report = analyze(params, s_end=s_end, tol=tol)
 
-    rows = zip(
-        fmt_floats(traj.s),
-        fmt_floats(traj.a),
-        fmt_floats(traj.a_dot),
-        fmt_floats(node_energies(traj)),
-    )
     out = Path(args.out)
-    write_csv(out / "emden.csv", ["s", "a", "a_dot", "energy"], rows)
+    write_csv(out / "emden.csv", ["s", "a", "a_dot", "energy"],
+              [traj.s, traj.a, traj.a_dot, node_energies(traj)])
 
     doc = {
         "case": None,
@@ -277,23 +272,19 @@ def cmd_construct(args) -> int:
     ts, xs = np.linspace(t0, t1, nt), np.linspace(x0, x1, nx)
     rho, u, eta = _fields_on_grid(case, traj, ts, xs)
     eta_b = case.eta_boundary
-    if eta_b is None:
-        in_sup = ["true"] * eta.size
-    else:
-        inside = (eta * eta < eta_b * eta_b).ravel().tolist()
-        in_sup = ["true" if b else "false" for b in inside]
-    # Built a column at a time in t-major order: t and x cells are formatted
-    # once per distinct value, the fields once per cell.
-    rows = zip(
-        [t for t in fmt_floats(ts) for _ in range(nx)],
-        fmt_floats(xs) * nt,
-        fmt_floats(rho),
-        fmt_floats(u),
-        fmt_floats(eta),
-        in_sup,
-    )
+    inside = np.ones(eta.size, dtype=bool) if eta_b is None else (eta * eta < eta_b * eta_b).ravel()
+    # Columns in t-major order: t, x and in_support cells are formatted once
+    # per distinct value, the fields once per cell.
+    columns = [
+        Indexed(ts, np.repeat(np.arange(nt), nx)),
+        Indexed(xs, np.tile(np.arange(nx), nt)),
+        rho,
+        u,
+        eta,
+        Indexed(["false", "true"], inside),
+    ]
     out = Path(args.out)
-    write_csv(out / "construct.csv", ["t", "x", "rho", "u", "eta", "in_support"], rows)
+    write_csv(out / "construct.csv", ["t", "x", "rho", "u", "eta", "in_support"], columns)
     print(f"wrote {out / 'construct.csv'} ({nt * nx} rows, case {case.case_id})")
     return EXIT_OK
 
@@ -420,7 +411,8 @@ def cmd_sweep(args) -> int:
                 "", "", "", "", "false",
             ])
     out = Path(args.out)
-    write_csv(out / "sweep.csv", _SWEEP_HEADER, rows)
+    columns = list(zip(*rows)) or [()] * len(_SWEEP_HEADER)  # an empty sweep has no rows to transpose
+    write_csv(out / "sweep.csv", _SWEEP_HEADER, columns)
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} case(s))")
     return EXIT_OK
 

@@ -40,7 +40,7 @@ from .emden import (
     classify,
     collapse_time_quadrature,
 )
-from .selfsim import SolutionCase, profile, density
+from .selfsim import SolutionCase, _scale_at, density, profile
 
 __all__ = [
     "DEFAULT_SUPPORT_MARGIN",
@@ -363,16 +363,16 @@ def mass(case: SolutionCase, traj: Trajectory, t: float) -> float:
     """
     if not case.compact:
         return math.inf
-    from .selfsim import support as _support
-
-    lo, hi = _support(case, traj, t)
-    xb = hi
+    # a(3t) once: rho(t, x) = f(x / cb) / cb on the support [-xb, xb].
+    a, _ = _scale_at(traj, t)
+    cb = float(np.cbrt(a))
+    xb = cb * case.eta_boundary
     if xb == 0.0:
         return 0.0
 
     def integrand(phi: float) -> float:
         x = xb * math.sin(phi)
-        return density(case, traj, t, x) * xb * math.cos(phi)
+        return profile(case, x / cb) / cb * xb * math.cos(phi)
 
     return gauss_kronrod21(integrand, -math.pi / 2.0, math.pi / 2.0)
 

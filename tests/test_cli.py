@@ -435,6 +435,24 @@ def test_sweep_bad_block_recorded_in_row(tmp_path):
     assert bad_row[11] == "false"
 
 
+def test_sweep_error_row_keeps_config_text_as_utf8(tmp_path):
+    # An error row carries the block's raw config text, here non-ASCII,
+    # between two valid rows.  The hash was recorded before the CSV writer
+    # moved to byte matrices.
+    bad = "sigma = 1\nxi = 1\u00e9\nalpha = 1\na0 = 1\na1 = 0\n"
+    cfg = write_config(tmp_path, "\n".join([
+        "sigma = 1\nxi = 1\nalpha = 1\na0 = 1\na1 = 0\n",
+        bad,
+        "sigma = -1\nxi = -1\nalpha = 1\na0 = 1\na1 = 0\n",
+    ]))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    data = (tmp_path / "s" / "sweep.csv").read_bytes()
+    assert data.splitlines()[2].startswith("?,1,1\u00e9,1,1,0,error: ".encode("utf-8"))
+    assert hashlib.sha256(data).hexdigest() == (
+        "d352075609b541dac1febac6cfbf12e5b090798cf43b8e35bd7df9cf989128da"
+    )
+
+
 # Blocks that fail at each stage of a sweep: parsing, integration and the
 # report (the two collapse-time routes differ by 1.5e-6 > S_AGREEMENT_TOL).
 SWEEP_FAILING = [

@@ -31,6 +31,8 @@ from ch2exact import (
     run_battery,
     support,
 )
+from ch2exact._quadrature import gauss_kronrod21
+from ch2exact.emden import Trajectory
 from ch2exact.verify import _fields_on_grid, analytic_mass, mass_error, min_support_radius
 
 
@@ -223,6 +225,22 @@ def test_mass_zero_amplitude():
     case = SolutionCase(sigma=1, alpha=0.0, emden=EmdenParams(xi=1.0, a0=1.0))
     traj = integrate(case.emden, s_end=1.0)
     assert mass(case, traj, 0.0) == 0.0
+
+
+def test_mass_evaluates_the_scale_factor_once(case_2a, monkeypatch):
+    case, traj, _ = case_2a
+    t = 0.3
+    _, xb = support(case, traj, t)
+    # The same rule over rho(t, x) point by point, one a(3t) per node.
+    per_point = gauss_kronrod21(
+        lambda phi: density(case, traj, t, xb * math.sin(phi)) * xb * math.cos(phi),
+        -math.pi / 2.0, math.pi / 2.0,
+    )
+    calls = []
+    real_eval = Trajectory.eval
+    monkeypatch.setattr(Trajectory, "eval", lambda self, s: calls.append(s) or real_eval(self, s))
+    assert mass(case, traj, t) == per_point
+    assert len(calls) == 1
 
 
 def test_mass_error_relative_and_zero_amplitude(case_2a):
