@@ -10,27 +10,25 @@ alone: the same nodes, states, event times and dense-output values.
 
 ``solve`` integrates n problems at once.  Each keeps its own t, step
 size, ``t_bound``, ``rtol``/``atol``, status, event state and counters;
-one iteration tries one step on every problem still running, with numpy
-arrays across the batch, and a problem leaves the running set when it
-finishes.  The batched arithmetic rounds exactly like SciPy's one-problem
-arithmetic: ``np.matmul`` over a stack of stage matrices calls the same
-BLAS gemv as ``np.dot`` on each (BLAS kernels may fuse multiply-adds, so
-neither is rewritten as scalar arithmetic), ``sqrt(x @ x)`` is what
-``np.linalg.norm`` computes, and elementwise operations and ``np.cbrt``
-give the same bits on arrays as on scalars.  Powers are the exception:
-numpy's array ``**`` may use a SIMD kernel that rounds differently from
-libm's ``pow``, which SciPy's scalar ``**`` calls, so every power (the
-squared error norms, the step factor, the initial step) is taken per
-problem on Python floats.  The event root, which is rare, is also found
-per problem.
+one iteration tries one step on every problem still running, and a
+problem leaves the running set when it finishes.  Batched arithmetic
+rounds as SciPy's one-problem arithmetic does: ``np.matmul`` over a stack
+of stage matrices calls the BLAS kernel ``np.dot`` calls on each,
+``sqrt(x @ x)`` is ``np.linalg.norm``, and elementwise operations and
+``np.cbrt`` give the same bits on arrays as on scalars.  Powers are the
+exception: numpy's array ``**`` may round differently from libm's
+``pow``, which SciPy's scalar ``**`` calls, so each power is taken on
+Python floats in one list comprehension and every branch around it is
+done with numpy masks.
 
 What differs from SciPy:
 
-- each step's interpolant is built when it is first evaluated, from the
-  stored stage matrix of that step, instead of after every step; only
-  the step on which an event fires builds it at once (the event root is
-  found on it).  The values are the same because the same operations run
-  on the same data;
+- a step's interpolant is built when it is first evaluated, from its
+  stored stage matrix, instead of after every step; a query builds all
+  the interpolants it needs in one batch.  Event roots are found after
+  the loop, on every step where an event fired, by one array-valued
+  ``brentq``.  The same operations run on the same data, so the values
+  are the same;
 - integration runs forward only, every event is terminal and
   directional, and the solver has no ``max_step``, ``first_step``,
   ``t_eval``, ``vectorized`` or complex-valued mode.
@@ -47,7 +45,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -59,6 +56,7 @@ SAFETY = 0.9  # Multiply steps computed from asymptotic behaviour of errors by t
 MIN_FACTOR = 0.2  # Minimum allowed decrease in a step size.
 MAX_FACTOR = 10  # Maximum allowed increase in a step size.
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+_SQRT_MAX = math.sqrt(np.finfo(float).max)  # the largest double whose square is finite
 
 N_STAGES = coef.N_STAGES
 A = coef.A[:N_STAGES, :N_STAGES]
@@ -98,15 +96,10 @@ class OdeResult:
     n_rejected: int
 
 
-def _pow(values, exponent) -> np.ndarray:
-    """values ** exponent element by element with libm's pow, as SciPy's scalar ``**``."""
-    out = []
-    for v in values.tolist():
-        try:
-            out.append(v ** exponent)
-        except OverflowError:  # numpy's scalar ** returns inf here
-            out.append(math.inf)
-    return np.array(out)
+def _squares(x) -> np.ndarray:
+    """x ** 2 element by element with libm's pow, as SciPy's scalar ``**``."""
+    # Python's float ** raises OverflowError where numpy's scalar ** returns inf.
+    return np.array([v ** 2 for v in np.where(x > _SQRT_MAX, np.inf, x).tolist()])
 
 
 def _norms(x) -> np.ndarray:
@@ -129,7 +122,7 @@ def _select_initial_step(fun, t0, y0, t_bound, f0, rtol, atol, idx):
     d2 = _norms((f1 - f0) / scale) / root_m / h0
     flat = (d1 <= 1e-15) & (d2 <= 1e-15)
     h1 = np.maximum(1e-6, h0 * 1e-3)
-    h1[~flat] = _pow(0.01 / np.maximum(d1, d2)[~flat], 1 / (7 + 1))
+    h1[~flat] = [v ** (1 / (7 + 1)) for v in (0.01 / np.maximum(d1, d2)[~flat]).tolist()]
     return np.minimum(np.minimum(100 * h0, h1), interval_length)
 
 
@@ -164,8 +157,8 @@ def _estimate_error_norm(K, h, scale):
     K_T = K.transpose(0, 2, 1)
     err5 = np.matmul(K_T, E5) / scale
     err3 = np.matmul(K_T, E3) / scale
-    err5_norm_2 = _pow(_norms(err5), 2)
-    err3_norm_2 = _pow(_norms(err3), 2)
+    squares = _squares(np.concatenate([_norms(err5), _norms(err3)]))
+    err5_norm_2, err3_norm_2 = squares[:len(h)], squares[len(h):]
     denom = err5_norm_2 + 0.01 * err3_norm_2
     # SciPy returns 0 when both norms are 0; a unit denominator gives that
     # 0 without computing 0 / 0.
@@ -175,244 +168,222 @@ def _estimate_error_norm(K, h, scale):
 
 def _step_factors(error_norm, rejected) -> np.ndarray:
     """Step-size factor of each problem: SciPy's scalar rule, libm pow and all."""
-    factors = []
-    for e, was_rejected in zip(error_norm.tolist(), rejected.tolist()):
-        if e < 1:
-            factor = MAX_FACTOR if e == 0 else min(MAX_FACTOR, SAFETY * e ** ERROR_EXPONENT)
-            if was_rejected:
-                factor = min(1, factor)
-        else:
-            factor = max(MIN_FACTOR, SAFETY * e ** ERROR_EXPONENT)
-        factors.append(factor)
-    return np.array(factors, dtype=float)
+    zero = error_norm == 0  # 0 ** negative raises in Python; its factor is the cap
+    factor = SAFETY * np.array([e ** ERROR_EXPONENT
+                                for e in np.where(zero, 1.0, error_norm).tolist()])
+    factor[zero] = np.inf
+    # A step after a rejected one may not grow.  np.fmax, like the scalar
+    # max, gives MIN_FACTOR for a NaN error norm.
+    cap = np.where(rejected, 1.0, MAX_FACTOR)
+    return np.where(error_norm < 1, np.minimum(cap, factor), np.fmax(MIN_FACTOR, factor))
 
 
-def _dense_coefficients(fun, t_old, y_old, y, h, K):
-    """Interpolation matrix F of one step; fills the extra stages of K."""
+def _dense_coefficients(fun, t_old, y_old, y, h, K_steps, idx):
+    """SciPy's ``_dense_output_impl`` on k steps (stage matrices K_steps) of the problems idx."""
+    K = np.empty((len(h), coef.N_STAGES_EXTENDED, y.shape[1]))
+    K[:, :N_STAGES + 1] = K_steps
+    K_T = K.transpose(0, 2, 1)
+    h_col = h[:, None]
     for s, (a, c) in enumerate(zip(A_EXTRA, C_EXTRA), start=N_STAGES + 1):
-        dy = np.dot(K[:s].T, a[:s]) * h
-        K[s] = fun(t_old + c * h, y_old + dy)
-    F = np.empty((coef.INTERPOLATOR_POWER, y_old.size), dtype=y_old.dtype)
-    f_old = K[0]
-    f = K[N_STAGES]
+        fun(t_old + c * h, y_old + np.matmul(K_T[:, :, :s], a[:s]) * h_col, idx, K[:, s])
+    F = np.empty((len(h), coef.INTERPOLATOR_POWER, y.shape[1]))
+    f_old = K[:, 0]
+    f = K[:, N_STAGES]
     delta_y = y - y_old
-    F[0] = delta_y
-    F[1] = h * f_old - delta_y
-    F[2] = 2 * delta_y - h * (f + f_old)
-    F[3:] = h * np.dot(D, K)
+    F[:, 0] = delta_y
+    F[:, 1] = h_col * f_old - delta_y
+    F[:, 2] = 2 * delta_y - h_col * (f + f_old)
+    F[:, 3:] = h[:, None, None] * np.matmul(D, K)
     return F
 
 
-def _extended(K_step):
-    """A step's stage matrix with room for the dense-output stages."""
-    K = np.empty((coef.N_STAGES_EXTENDED, K_step.shape[1]))
-    K[:N_STAGES + 1] = K_step
-    return K
-
-
 def _dense_eval(t_old, h, y_old, F, t):
-    """Evaluate one step's interpolant at the 0-d or 1-d array t."""
+    """Values at t of the step interpolants (t_old, h, y_old, F), one step per time."""
     x = (t - t_old) / h
-    if t.ndim == 0:
-        y = np.zeros_like(y_old)
-    else:
+    if np.ndim(x):
         x = x[:, None]
-        y = np.zeros((len(x), len(y_old)), dtype=y_old.dtype)
-    for i, f in enumerate(reversed(F)):
+    y = np.zeros_like(y_old)
+    for i, f in enumerate(F.swapaxes(0, -2)[::-1]):  # F's rows, last first
         y += f
-        if i % 2 == 0:
-            y *= x
-        else:
-            y *= 1 - x
-    y += y_old
-    return y.T
-
-
-class _StepStages:
-    """One problem's stage matrix of every step, as a sequence.
-
-    They stay in the blocks the lockstep loop stored them in: step i is
-    ``blocks[block[i]][row[i]]``.
-    """
-
-    def __init__(self, blocks, block, row):
-        self._blocks, self._block, self._row = blocks, block, row
-
-    def __len__(self):
-        return len(self._block)
-
-    def __getitem__(self, i):
-        return self._blocks[self._block[i]][self._row[i]]
+        y *= x if i % 2 == 0 else 1 - x
+    return y + y_old
 
 
 class DenseSolution:
-    """Piecewise interpolant over the accepted steps of one problem.
+    """Piecewise interpolant over the accepted steps of problem k.
 
     ``ts`` are the nodes; step i runs from ``t_steps[i]`` to
     ``t_steps[i + 1]`` (the two differ only at the end of an event step,
-    where the last node is the event root) with stage matrix ``K[i]``.  A
+    where the last node is the event root).  Its stage matrix stays in the
+    block the lockstep loop stored it in: ``blocks[block[i]][row[i]]``.  A
     query on a node uses the segment with the lower index, as SciPy's
-    ``OdeSolution`` does.  Segment interpolants are built on first use
-    and kept.
+    ``OdeSolution`` does.  Segment interpolants are built on first use, all
+    that a query needs in one batch, and kept; each point is evaluated on
+    its own segment's interpolant with the arithmetic SciPy uses.
     """
 
-    def __init__(self, fun, ts, t_steps, y_steps, K, built=None):
+    def __init__(self, fun, k, ts, t_steps, y_steps, blocks, block, row, built=None):
         self.ts = ts
-        self._fun = fun
-        self._t = t_steps
-        self._y = y_steps
-        self._K = K
+        self._fun, self._k = fun, k
+        self._t, self._y = t_steps, y_steps
+        self._blocks, self._block, self._row = blocks, block, row
         self._F = built or {}  # segment index -> interpolation matrix
-        self.n_segments = len(K)
+        self.n_segments = len(block)
 
-    def _segment(self, i, t):
-        t_old = self._t[i]
-        h = self._t[i + 1] - t_old
-        F = self._F.get(i)
-        if F is None:
-            F = self._F[i] = _dense_coefficients(
-                self._fun, t_old, self._y[i], self._y[i + 1], h, _extended(self._K[i]))
-        return _dense_eval(t_old, h, self._y[i], F, t)
+    def _find(self, t):
+        segments = np.searchsorted(self.ts, t, side="left") - 1
+        return np.minimum(np.maximum(segments, 0), self.n_segments - 1)
 
     def __call__(self, t):
         t = np.asarray(t)
-        if t.ndim == 0:
-            ind = np.searchsorted(self.ts, t, side="left")
-            segment = min(max(ind - 1, 0), self.n_segments - 1)
-            return self._segment(segment, t)
-
-        order = np.argsort(t)
-        reverse = np.empty_like(order)
-        reverse[order] = np.arange(order.shape[0])
-        t_sorted = t[order]
-
-        segments = np.searchsorted(self.ts, t_sorted, side="left")
-        segments -= 1
-        segments[segments < 0] = 0
-        segments[segments > self.n_segments - 1] = self.n_segments - 1
-
-        ys = []
-        group_start = 0
-        for segment, group in groupby(segments):
-            group_end = group_start + len(list(group))
-            ys.append(self._segment(segment, t_sorted[group_start:group_end]))
-            group_start = group_end
-
-        ys = np.hstack(ys)
-        return ys[:, reverse]
+        segments = self._find(t)
+        built, where = np.unique(segments, return_inverse=True)
+        _build([(self, i) for i in built.tolist()])
+        F = np.array([self._F[i] for i in built.tolist()])[where.reshape(t.shape)]
+        t_old = self._t[segments]
+        return _dense_eval(t_old, self._t[segments + 1] - t_old, self._y[segments], F, t).T
 
 
-def brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
-    """Root of f in [xa, xb] by Brent's method; SciPy's C brentq, line for line."""
-    def call(x):
-        fx = f(x)
-        if np.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return float(fx)
-
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre = call(xpre)
-    fcur = call(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk = xpre
-            fblk = fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre = xcur
-            xcur = xblk
-            xblk = xpre
-
-            fpre = fcur
-            fcur = fblk
-            fblk = fpre
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre = scur
-                scur = stry
-            else:
-                # bisect
-                spre = sbis
-                scur = sbis
-        else:
-            # bisect
-            spre = sbis
-            scur = sbis
-
-        xpre = xcur
-        fpre = fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-
-        fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+def _build(pieces):
+    """Build the interpolants of the (solution, segment) pairs that lack one, one batch per fun."""
+    by_fun = {}
+    for sol, i in pieces:
+        if i not in sol._F:
+            by_fun.setdefault(sol._fun, []).append((sol, i))
+    for fun, group in by_fun.items():
+        t_old, t_new, y_old, y_new, K, idx = map(np.array, zip(*[
+            (sol._t[i], sol._t[i + 1], sol._y[i], sol._y[i + 1],
+             sol._blocks[sol._block[i]][sol._row[i]], sol._k)
+            for sol, i in group]))
+        for (sol, i), F in zip(group, _dense_coefficients(fun, t_old, y_old, y_new,
+                                                          t_new - t_old, K, idx)):
+            sol._F[i] = F
 
 
-def _one_rhs(fun, k):
-    """The batch right-hand side restricted to problem k, as SciPy's fun(t, y)."""
-    i = np.array([k])
-
-    def fun_k(t, y):
-        out = np.empty((1, y.size))
-        fun(np.array([t]), y[None, :], i, out)
-        return out[0]
-
-    return fun_k
+def dense_values(sols, t) -> np.ndarray:
+    """``sols[p](t[p])`` for every p, as an (n, m) array, evaluated as one batch."""
+    pieces = [(sol, int(sol._find(t_p))) for sol, t_p in zip(sols, t)]
+    _build(pieces)
+    t_old, t_new, y_old, F = map(np.array, zip(*[
+        (sol._t[i], sol._t[i + 1], sol._y[i], sol._F[i]) for sol, i in pieces]))
+    return _dense_eval(t_old, t_new - t_old, y_old, F, np.asarray(t, dtype=float))
 
 
-def _one_event(g, k):
-    """A batch event function restricted to problem k, as SciPy's event(t, y)."""
-    i = np.array([k])
+def brentq(f, xa, xb, xtol: float, rtol: float, maxiter: int = 100):
+    """Roots of n functions by Brent's method, each as SciPy's C brentq finds it alone.
 
-    def g_k(t, y):
-        return g(np.array([t]), y[None, :], i)[0]
-
-    return g_k
-
-
-def _locate_event(fun_k, events_k, fired, t_old, y_old, t_new, y_new, K_step):
-    """(event, root, state at root, interpolant) of a step on which events fired.
-
-    The earliest root among the fired events ends the run: every event is
-    terminal.
+    ``f(x, i)`` returns the values at the points x of the functions with
+    the indices i; function i is bracketed by ``[xa[i], xb[i]]``.  The C
+    code runs on all at once, its branches as masks, and a function leaves
+    when it converges or fails.  Returns the (n,) roots (NaN where none was
+    found) and {index: the exception SciPy's brentq raises}.
     """
-    K = _extended(K_step)
+    xpre, xcur = np.broadcast_arrays(np.asarray(xa, dtype=float), np.asarray(xb, dtype=float))
+    n = len(xpre)
+    roots = np.full(n, np.nan)
+    errors = {}
+
+    def call(x, i):
+        fx = np.asarray(f(x, i), dtype=float)
+        nan = np.isnan(fx)
+        for k, x_k in zip(i[nan].tolist(), x[nan].tolist()):
+            errors.setdefault(k, ValueError(
+                f"The function value at x={x_k} is NaN; solver cannot continue."))
+        return fx, ~nan
+
+    fx, ok = call(np.concatenate([xpre, xcur]), np.tile(np.arange(n), 2))
+    fpre, fcur = fx[:n], fx[n:]
+    ok = ok[:n] & ok[n:]
+    for x, fx_end in ((xpre, fpre), (xcur, fcur)):
+        end = ok & (fx_end == 0)
+        roots[end] = x[end]
+        ok &= ~end
+    same = ok & (np.signbit(fpre) == np.signbit(fcur))
+    errors.update((k, ValueError("f(a) and f(b) must have different signs"))
+                  for k in np.flatnonzero(same).tolist())
+    i = np.flatnonzero(ok & ~same)
+    xpre, xcur, fpre, fcur = xpre[i], xcur[i], fpre[i], fcur[i]
+    xblk = fblk = spre = scur = np.zeros(len(i))
+    for _ in range(maxiter):
+        if not i.size:
+            break
+        new = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        d = xcur - xpre
+        xblk, fblk, spre, scur = np.where(new, [xpre, fpre, d, d], [xblk, fblk, spre, scur])
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = np.where(swap, [xcur, xblk, xcur], [xpre, xcur, xblk])
+        fpre, fcur, fblk = np.where(swap, [fcur, fblk, fcur], [fpre, fcur, fblk])
+
+        delta = (xtol + rtol * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        if done.any():
+            roots[i[done]] = xcur[done]
+            i, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                v[~done] for v in (i, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis))
+            if not i.size:
+                break
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrapolate = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        stry = np.where(xpre == xblk, interpolate, extrapolate)
+        short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                 & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
+        spre, scur = np.where(short, [scur, stry], sbis)
+
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        fcur, ok = call(xcur, i)
+        if not ok.all():
+            i, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = (
+                v[ok] for v in (i, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur))
+    errors.update((k, RuntimeError(f"Failed to converge after {maxiter} iterations."))
+                  for k in i.tolist())
+    return roots, errors
+
+
+def _locate_events(fun, events, t0, fired) -> dict:
+    """The event roots of every step in ``fired`` (see ``solve``), found as one batch.
+
+    Returns, per problem, (event, root, state at root, interpolant, whether
+    the root node is dropped), or the exception SciPy's brentq raises on
+    the first of its fired events that fails.  The earliest root wins.
+    """
+    k, t_old, y_old, t_new, y_new, K, crossed = map(np.concatenate, zip(*fired))
     h = t_new - t_old
-    F = _dense_coefficients(fun_k, t_old, y_old, y_new, h, K)
+    F = _dense_coefficients(fun, t_old, y_old, y_new, h, K, k)
+    step, event = np.nonzero(crossed)  # each step's fired events, in order
 
-    def sol(s):
-        return _dense_eval(t_old, h, y_old, F, np.asarray(s))
+    def g(t, i):
+        s, e = step[i], event[i]
+        y = _dense_eval(t_old[s], h[s], y_old[s], F[s], t)
+        out = np.empty(len(i))
+        for j, (g_j, _) in enumerate(events):
+            mine = e == j
+            if mine.any():
+                out[mine] = g_j(t[mine], y[mine], k[s[mine]])
+        return out
 
-    roots = np.asarray([
-        brentq(lambda s, g=events_k[i]: g(s, sol(s)), t_old, t_new, xtol=4 * EPS, rtol=4 * EPS)
-        for i in fired
-    ])
-    first = np.argsort(roots)[0]
-    return fired[first], roots[first], sol(roots[first]), F
+    roots, errors = brentq(g, t_old[step], t_new[step], xtol=4 * EPS, rtol=4 * EPS)
+    located, first = {}, []
+    bounds = np.searchsorted(step, np.arange(len(k) + 1)).tolist()
+    for s, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        failed = [errors[p] for p in range(lo, hi) if p in errors]
+        if failed:
+            located[int(k[s])] = failed[0]
+        else:
+            first.append(lo + int(np.argsort(roots[lo:hi])[0]))
+    s = step[first]
+    y_root = _dense_eval(t_old[s], h[s], y_old[s], F[s], roots[first])
+    for p, s_p, y_p in zip(first, s.tolist(), y_root):
+        # SciPy does not append a root equal to the last node (the initial
+        # node excepted).
+        located[int(k[s_p])] = (int(event[p]), roots[p], y_p, F[s_p],
+                                t_old[s_p] != t0 and roots[p] == t_old[s_p])
+    return located
 
 
 class _Active:
@@ -443,7 +414,7 @@ def solve(fun, t0: float, t_bound, y0, rtol, atol, events=()) -> list:
     ``UserWarning``, one per problem.
 
     Returns one entry per problem: its ``OdeResult``, or the exception
-    raised while its event root was located.
+    SciPy's brentq raises while its event root is located.
     """
     t0 = float(t0)
     y0 = np.array(y0, dtype=float)
@@ -486,8 +457,9 @@ def solve(fun, t0: float, t_bound, y0, rtol, atol, events=()) -> list:
                      g=g)
     n_rejected = np.zeros(n, dtype=int)
     status = [None] * n
-    hits = {}    # problem -> (event, root, state at root, interpolant, node dropped)
-    errors = {}  # problem -> exception raised while locating its event
+    # Per iteration, the steps on which events fired: problems, t and y at
+    # both ends, stage matrices and crossed-event masks.
+    fired = []
     # Every accepted node in the order it was reached: the batch index, t,
     # y, and (after the initial nodes) the step's stage matrix.
     rec_idx, rec_t, rec_y, rec_K = [idx], [t], [y0], []
@@ -538,23 +510,13 @@ def solve(fun, t0: float, t_bound, y0, rtol, atol, events=()) -> list:
                 g_new[:, e] = event(t_a, y_a, idx_a)
             g_new *= directions
             crossed = (active.g[acc] <= 0) & (g_new >= 0)
-            fired = np.flatnonzero(crossed.any(axis=1)).tolist() if crossed.any() else ()
-            for j in fired:
-                k, row = int(idx_a[j]), rows[j]
-                t_old = active.t[row]
-                try:
-                    first, root, y_root, F = _locate_event(
-                        _one_rhs(fun, k), [_one_event(g, k) for g, _ in events],
-                        np.flatnonzero(crossed[j]).tolist(),
-                        t_old, active.y[row], t_a[j], y_a[j], K[row])
-                except Exception as exc:  # this problem's outcome, not the batch's
-                    errors[k] = exc
-                else:
-                    # SciPy does not append a root equal to the last node
-                    # (the initial node excepted).
-                    hits[k] = (first, root, y_root, F, t_old != t0 and root == t_old)
+            if crossed.any():
+                js = np.flatnonzero(crossed.any(axis=1))
+                fired.append((idx_a[js], active.t[rows[js]], active.y[rows[js]], t_a[js],
+                              y_a[js], rec_K[-1][js], crossed[js]))
+                for k in idx_a[js].tolist():
                     status[k] = 1
-                done[j] = True
+                done[js] = True
             if all_accepted:
                 active.g = g_new
             else:
@@ -569,18 +531,17 @@ def solve(fun, t0: float, t_bound, y0, rtol, atol, events=()) -> list:
             active.f = np.where(accepted[:, None], buf.f_new, active.f)
         if done.any():
             for k in idx_a[done].tolist():
-                if status[k] is None and k not in errors:
+                if status[k] is None:
                     status[k] = 0
             finished = np.zeros(len(accepted), dtype=bool)
             finished[rows[done]] = True
             active.keep(~finished)
 
-    return _assemble(fun, n, events, status, hits, errors, n_rejected,
-                     rec_idx, rec_t, rec_y, rec_K)
+    located = _locate_events(fun, events, t0, fired) if fired else {}
+    return _assemble(fun, n, events, status, located, n_rejected, rec_idx, rec_t, rec_y, rec_K)
 
 
-def _assemble(fun, n, events, status, hits, errors, n_rejected,
-              rec_idx, rec_t, rec_y, rec_K) -> list:
+def _assemble(fun, n, events, status, located, n_rejected, rec_idx, rec_t, rec_y, rec_K) -> list:
     """Each problem's OdeResult (or exception) from the lockstep records."""
     node_idx = np.concatenate(rec_idx)
     n_accepted = np.bincount(node_idx, minlength=n) - 1
@@ -599,32 +560,31 @@ def _assemble(fun, n, events, status, hits, errors, n_rejected,
 
     results = []
     for k in range(n):
-        if k in errors:
-            results.append(errors[k])
+        hit = located.get(k)
+        if isinstance(hit, Exception):
+            results.append(hit)
             continue
         n_steps = int(n_accepted[k])
         ts = t_all[node_end[k] - n_steps - 1:node_end[k]]
         ys = y_all[node_end[k] - n_steps - 1:node_end[k]]
         steps = slice(step_end[k] - n_steps, step_end[k])
         block, row = block_of[steps], row_of[steps]
-        fun_k = _one_rhs(fun, k)
         t_events = [np.asarray([]) for _ in events]
         extra_stages = 0
-        if k in hits:
-            event, root, y_root, F, dropped = hits[k]
+        if hit is None:
+            sol = DenseSolution(fun, k, ts, ts, ys, rec_K, block, row)
+        else:
+            event, root, y_root, F, dropped = hit
             t_events[event] = np.asarray([root])
             extra_stages = N_STAGES_EXTRA
             if dropped:
                 ts, ys, block, row = ts[:-1], ys[:-1], block[:-1], row[:-1]
-                sol = DenseSolution(fun_k, ts, ts, ys, _StepStages(rec_K, block, row))
+                sol = DenseSolution(fun, k, ts, ts, ys, rec_K, block, row)
             else:
                 nodes_t, nodes_y = ts.copy(), ys.copy()
                 nodes_t[-1], nodes_y[-1] = root, y_root
-                sol = DenseSolution(fun_k, nodes_t, ts, ys, _StepStages(rec_K, block, row),
-                                    {n_steps - 1: F})
+                sol = DenseSolution(fun, k, nodes_t, ts, ys, rec_K, block, row, {n_steps - 1: F})
                 ts, ys = nodes_t, nodes_y
-        else:
-            sol = DenseSolution(fun_k, ts, ts, ys, _StepStages(rec_K, block, row))
         results.append(OdeResult(
             t=ts,
             y=ys.T,

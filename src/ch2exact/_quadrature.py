@@ -9,8 +9,10 @@ requested relative tolerance.  ``gauss_kronrod21`` is therefore that first
 estimate, computed with dqk21's constants and in dqk21's summation order
 (centre, the nodes shared with the 10-point Gauss rule, the Kronrod-only
 nodes, then the scaling by the half-length), so it returns the same
-doubles as ``scipy.integrate.quad``.  The Gauss sum and the error estimate,
-which only decide whether dqagse subdivides, are left out.
+doubles as ``scipy.integrate.quad``.  ``gauss_kronrod21_array`` takes
+the integrand's 21 values from one call; only the sum runs per node.  The
+Gauss sum and the error estimate, which only decide whether dqagse
+subdivides, are left out.
 
 Reference: R. Piessens, E. de Doncker-Kapenga, C. W. Ueberhuber and
 D. K. Kahaner, QUADPACK: A Subroutine Package for Automatic Integration,
@@ -18,6 +20,8 @@ Springer, 1983.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 # Abscissae of the 21-point Kronrod rule on [-1, 1], positive half, from the
 # outermost inwards: odd positions (XGK[1], XGK[3], ...) are the 10-point
@@ -52,19 +56,31 @@ WGK = (
 
 # dqk21 adds the nodes shared with the Gauss rule first, then the others.
 _ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
+# The 21 nodes of [-1, 1] in summation order: the centre, then -x, +x for each j.
+_NODES = np.array([0.0] + [s * XGK[j] for j in _ORDER for s in (-1.0, 1.0)])
 
 
-def gauss_kronrod21(f, a: float, b: float) -> float:
-    """21-point Gauss-Kronrod estimate of int_a^b f for a float function f.
+def gauss_kronrod21_array(f, a: float, b: float) -> float:
+    """21-point Gauss-Kronrod estimate of int_a^b f, with one call of f.
 
-    Equal limits give 0.0 without evaluating f, as ``quad`` does.
+    f maps the float array of the 21 nodes to the list of their values as
+    Python floats.  Equal limits give 0.0 without calling f, as ``quad`` does.
     """
     if a == b:
         return 0.0
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
-    resk = WGK[10] * float(f(centr))
-    for j in _ORDER:
-        absc = hlgth * XGK[j]
-        resk = resk + WGK[j] * (float(f(centr - absc)) + float(f(centr + absc)))
+    # centr + hlgth * (-XGK[j]) is dqk21's centr - hlgth * XGK[j] exactly;
+    # the centre is centr itself.
+    x = centr + hlgth * _NODES
+    x[0] = centr
+    fx = f(x)
+    resk = WGK[10] * fx[0]
+    for j, f_lo, f_hi in zip(_ORDER, fx[1::2], fx[2::2]):
+        resk = resk + WGK[j] * (f_lo + f_hi)
     return resk * hlgth
+
+
+def gauss_kronrod21(f, a: float, b: float) -> float:
+    """The same estimate for a function f of one float, called once per node."""
+    return gauss_kronrod21_array(lambda x: [float(f(v)) for v in x.tolist()], a, b)

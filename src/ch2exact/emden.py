@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _dop853
-from ._quadrature import gauss_kronrod21
+from ._quadrature import gauss_kronrod21_array
 
 __all__ = [
     "DEFAULT_TOL",
@@ -201,13 +201,10 @@ class Trajectory:
 
     def eval(self, s: float) -> EmdenState:
         """State at time s, 0 <= s <= s_max."""
-        if not (0.0 <= s <= self.s_max):
-            raise ValueError(f"s = {s} outside integrated range [0, {self.s_max}]")
-        i = self.s.searchsorted(s)
-        if i < len(self.s) and self.s[i] == s:
-            return self.state(i)
-        a, a_dot = self._dense(s)
-        return EmdenState(s, float(a), float(a_dot))
+        state = _states_at([self], [s])[0]
+        if isinstance(state, Exception):
+            raise state
+        return state
 
     def eval_many(self, s_values) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized dense-output evaluation; returns (a, a') arrays."""
@@ -216,8 +213,7 @@ class Trajectory:
             raise ValueError(
                 f"requested s range [{s_arr.min()}, {s_arr.max()}] outside [0, {self.s_max}]"
             )
-        out = self._dense(s_arr)
-        return out[0], out[1]
+        return tuple(self._dense(s_arr))
 
 
 def integrate(
@@ -353,7 +349,8 @@ def orbit_time_integral(theta: float, g_lo: float, g_hi: float) -> float:
         raise ValueError(f"need 0 <= g_lo <= g_hi <= sqrt(theta), got [{g_lo}, {g_hi}]")
     phi_lo = math.asin(min(1.0, max(0.0, g_lo / root)))
     phi_hi = math.asin(min(1.0, max(0.0, g_hi / root)))
-    return gauss_kronrod21(lambda p: theta * math.sin(p) ** 2, phi_lo, phi_hi)
+    return gauss_kronrod21_array(
+        lambda phi: [theta * math.sin(p) ** 2 for p in phi.tolist()], phi_lo, phi_hi)
 
 
 def collapse_time_quadrature(params: EmdenParams) -> float:
@@ -459,8 +456,10 @@ def analyze(
     time so the stop event is always reached.
     """
     cls, s_quad, horizon = _plan(params, s_end)
-    traj = integrate(params, horizon, tol=tol)
-    return traj, _report(params, cls, s_quad, traj)
+    result = _results([params], [(cls, s_quad)], [integrate(params, horizon, tol=tol)])[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def analyze_many(orbits) -> list:
@@ -480,14 +479,9 @@ def analyze_many(orbits) -> list:
     todo = [k for k, plan in enumerate(out) if not isinstance(plan, Exception)]
     trajs = integrate_many([orbits[k][0] for k in todo], [out[k][2] for k in todo],
                            [orbits[k][2] for k in todo], [None] * len(todo))
-    for k, traj in zip(todo, trajs):
-        cls, s_quad, _ = out[k]
-        try:
-            if isinstance(traj, Exception):
-                raise traj
-            out[k] = (traj, _report(orbits[k][0], cls, s_quad, traj))
-        except Exception as exc:
-            out[k] = exc
+    results = _results([orbits[k][0] for k in todo], [out[k][:2] for k in todo], trajs)
+    for k, result in zip(todo, results):
+        out[k] = result
     return out
 
 
@@ -503,36 +497,65 @@ def _plan(params: EmdenParams, s_end: float | None):
     return cls, s_quad, horizon
 
 
-def _report(params: EmdenParams, cls: Classification, s_quad: float | None,
-            traj: Trajectory) -> BlowupReport:
-    theta = params.theta
-    b1 = params.a1 if params.a0 > 0 else -params.a1
-    a_turning = None
-    if cls is Classification.COLLAPSE and b1 > 0.0:
-        a_turning = (-2.0 * theta / params.xi) ** 1.5
-    elif cls is Classification.GLOBAL and b1 < 0.0 and theta < 0.0:
-        a_turning = (-2.0 * theta / params.xi) ** 1.5
+def _results(params, plans, trajs) -> list:
+    """Each orbit's (trajectory, report), or the exception raised, from its
+    (classification, quadrature S) and trajectory; rate probes run as one batch.
+    """
+    out = [None] * len(trajs)
+    probes = []  # (orbit, report fields, probe time) of collapse orbits
+    for k, (p, (cls, s_quad), traj) in enumerate(zip(params, plans, trajs)):
+        try:
+            if isinstance(traj, Exception):
+                raise traj
+            theta = p.theta
+            b1 = p.a1 if p.a0 > 0 else -p.a1
+            turns = b1 > 0.0 if cls is Classification.COLLAPSE else (b1 < 0.0 and theta < 0.0)
+            a_turning = (-2.0 * theta / p.xi) ** 1.5 if turns else None
+            fields = dict(classification=cls, theta=theta, s_collapse_quadrature=s_quad,
+                          a_turning=a_turning)
+            if cls is Classification.GLOBAL:
+                out[k] = (traj, BlowupReport(**fields))
+                continue
+            fields["s_collapse_numeric"] = detect_collapse(traj)
+            if fields["s_collapse_numeric"] is None:
+                raise IntegrationFailure(
+                    f"collapse orbit failed to reach the stop event by s = {traj.s_max}",
+                    traj.state(-1))
+            # Measure the rate a little away from S: at the final state the
+            # remaining time (S - s) is comparable to the integrator's time
+            # error, which would contaminate the ratio.
+            probes.append((k, fields, min(s_quad * (1.0 - 1e-4), traj.s_max)))
+        except Exception as exc:
+            out[k] = exc
+    states = _states_at([trajs[k] for k, _, _ in probes], [s for _, _, s in probes])
+    for (k, fields, s_probe), state in zip(probes, states):
+        try:
+            if isinstance(state, Exception):
+                raise state
+            rate = ((fields["s_collapse_quadrature"] - s_probe) / abs(state.a)) ** (1.0 / 3.0)
+            out[k] = (trajs[k], BlowupReport(**fields, rate_limit_estimate=rate))
+        except Exception as exc:
+            out[k] = exc
+    return out
 
-    s_num = None
-    rate = None
-    if cls is Classification.COLLAPSE:
-        s_num = detect_collapse(traj)
-        if s_num is None:
-            raise IntegrationFailure(
-                f"collapse orbit failed to reach the stop event by s = {traj.s_max}",
-                traj.state(-1),
-            )
-        # Measure the rate a little away from S: at the final state the
-        # remaining time (S - s) is comparable to the integrator's time
-        # error, which would contaminate the ratio.
-        s_probe = min(s_quad * (1.0 - 1e-4), traj.s_max)
-        rate = ((s_quad - s_probe) / abs(traj.eval(s_probe).a)) ** (1.0 / 3.0)
 
-    return BlowupReport(
-        classification=cls,
-        theta=theta,
-        s_collapse_numeric=s_num,
-        s_collapse_quadrature=s_quad,
-        a_turning=a_turning,
-        rate_limit_estimate=rate,
-    )
+def _states_at(trajs, s) -> list:
+    """``trajs[p].eval(s[p])``, or the error it raises, for every p: a time on a
+    node takes the node's state, the others are interpolated in one batch."""
+    out, dense = [], []
+    for traj, s_p in zip(trajs, s):
+        if not (0.0 <= s_p <= traj.s_max):
+            out.append(ValueError(f"s = {s_p} outside integrated range [0, {traj.s_max}]"))
+        elif (i := traj.s.searchsorted(s_p)) < len(traj.s) and traj.s[i] == s_p:
+            out.append(traj.state(i))
+        else:
+            dense.append(len(out))
+            out.append(None)
+    if dense:
+        values = _dop853.dense_values([trajs[p]._dense for p in dense], [s[p] for p in dense])
+        for p, (a, a_dot) in zip(dense, values.tolist()):
+            try:
+                out[p] = EmdenState(s[p], a, a_dot)
+            except ValueError as exc:  # a non-finite interpolated state
+                out[p] = exc
+    return out

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._quadrature import gauss_kronrod21
+from ._quadrature import gauss_kronrod21_array
 from .emden import (
     BlowupReport,
     Classification,
@@ -370,11 +370,12 @@ def mass(case: SolutionCase, traj: Trajectory, t: float) -> float:
     if xb == 0.0:
         return 0.0
 
-    def integrand(phi: float) -> float:
-        x = xb * math.sin(phi)
-        return profile(case, x / cb) / cb * xb * math.cos(phi)
+    def integrand(phi: np.ndarray) -> list:
+        # sin and cos per node are libm's; the rest is the same arithmetic on arrays.
+        sin, cos = np.array([(math.sin(p), math.cos(p)) for p in phi.tolist()]).T
+        return (profile(case, xb * sin / cb) / cb * xb * cos).tolist()
 
-    return gauss_kronrod21(integrand, -math.pi / 2.0, math.pi / 2.0)
+    return gauss_kronrod21_array(integrand, -math.pi / 2.0, math.pi / 2.0)
 
 
 def analytic_mass(case: SolutionCase) -> float:

@@ -334,6 +334,18 @@ def test_collapse_time_computed_once_per_orbit(tmp_path, monkeypatch):
     assert len(calls) == sum(row.split(",")[6] == "Collapse" for row in rows) == 2
 
 
+def test_sweep_locates_all_event_roots_in_one_batch(tmp_path, monkeypatch):
+    # One analyze_many call, one Brent call for every collapse orbit's stop
+    # event together (one per fired event before: 125 on this sweep).
+    calls = _counting(monkeypatch, ["_dop853"], "brentq")
+    batches = _counting(monkeypatch, ["cli", "emden"], "analyze_many")
+    cfg = str(DATA / GOLDEN_DATA["batch200"])
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert sum(row.split(",")[6] == "Collapse" for row in rows) == 100
+    assert len(batches) == 1 and len(calls) == 1
+
+
 # A turning-point orbit (inward slope, theta < 0): its support radius is
 # smallest between the grid's time levels, not at an end.
 CFG_TURNING = (
@@ -558,7 +570,15 @@ GOLDEN = {
     # One sweep over the four families' blocks, in GOLDEN_FAMILIES order.
     ("sweep", "all", ()):
         (0, "3d8725f72665fb000af40459c791d13e495867f74f74b86514a9f082c7ec9b60"),
+    # 200 generated cases, 100 of them collapse orbits (GOLDEN_DATA).
+    ("sweep", "batch200", ()):
+        (0, "8205997e6c2c2e5ca3d83e7f989e30ddc353ccca0473b8251ca753be47110a62"),
 }
+
+DATA = Path(__file__).parent / "data"
+# Configs read from tests/data instead of built from GOLDEN_FAMILIES.
+# sweep_batch_seed1.cfg is item 0 of the benchmark's sweep-batch stream, seed 1.
+GOLDEN_DATA = {"batch200": "sweep_batch_seed1.cfg"}
 
 _GOLDEN_OUTPUT = {
     "construct": "construct.csv", "emden": "emden.csv",
@@ -581,6 +601,8 @@ def _golden_block(command, family):
 def test_golden_output_hashes(tmp_path, command, family, extra):
     if family == "all":
         text = "\n".join(_golden_block(command, f) for f in GOLDEN_FAMILIES)
+    elif family in GOLDEN_DATA:
+        text = (DATA / GOLDEN_DATA[family]).read_text(encoding="utf-8")
     else:
         text = _golden_block(command, family)
     cfg = write_config(tmp_path, text)

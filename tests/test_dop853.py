@@ -242,6 +242,205 @@ def test_step_size_underflow_in_a_batch():
             assert np.array_equal(res.sol(pts), alone.sol(pts))
 
 
+def solve_alone_and_in_batch(f_batch, events_batch, f_one, events_one, n, t_bound, y0,
+                             rtol=1e-10, atol=1e-14):
+    """The batch's results, each orbit's results alone and solve_ivp's outcome per orbit."""
+    def solve(rows):
+        def f(t, y, i, out):
+            f_batch(t, y, rows[i], out)
+
+        events = [(lambda t, y, i, g=g: g(t, y, rows[i]), d) for g, d in events_batch]
+        return _dop853.solve(f, 0.0, t_bound[rows], y0[rows], rtol=rtol, atol=atol, events=events)
+
+    batch = solve(np.arange(n))
+    alone = [solve(np.array([k]))[0] for k in range(n)]
+    refs = [outcome(lambda k=k: solve_ivp(
+        lambda t, y: f_one(k, t, y), (0.0, t_bound[k]), y0[k], method="DOP853", rtol=rtol,
+        atol=atol, dense_output=True, events=scipy_events(
+            [(lambda t, y, g=g: g(k, t, y), d) for g, d in events_one])))
+        for k in range(n)]
+    return batch, alone, refs
+
+
+def assert_same_result(res, alone):
+    """Two OdeResults of one orbit carry the same doubles."""
+    assert (res.status, res.nfev, res.n_accepted, res.n_rejected) == \
+        (alone.status, alone.nfev, alone.n_accepted, alone.n_rejected)
+    assert np.array_equal(res.t, alone.t) and np.array_equal(res.y, alone.y)
+    for mine, theirs in zip(res.t_events, alone.t_events):
+        assert np.array_equal(mine, theirs)
+    pts = probe_points(res.t)
+    assert np.array_equal(res.sol(pts), alone.sol(pts))
+
+
+def test_events_firing_together_match_solve_ivp(monkeypatch):
+    # Orbits 0-2 and 3-4 step identically (a duplicate and odd mirrors), so
+    # each group's stop events fire on one lockstep iteration.  Orbits 5 and
+    # 6 move linearly, a = 1 - t and b = t, and their stop event (a falls to
+    # 0.5) and growth event (b rises to 0.5 + 1e-9, or -a rises to -0.5, an
+    # exact tie that the first event wins) both fire inside one step.
+    xi = np.array([-1.0, -1.0, -1.0, -2.0, -2.0, 0.0, 0.0])
+    sgn = np.array([1.0, 1.0, -1.0, 1.0, -1.0, 1.0, 1.0])
+    y0 = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.5, 0.3], [-0.5, -0.3],
+                   [1.0, 0.0], [1.0, 0.0]])
+    stop = np.array([1e-10, 1e-10, 1e-10, 5e-11, 5e-11, 0.5, 0.5])
+    linear = xi == 0.0
+    tie = np.arange(7) == 6
+
+    def f_batch(t, y, i, out):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            accel = xi[i] / (3.0 * np.cbrt(y[:, 0]))
+        out[:] = np.where(linear[i, None], [-1.0, 1.0], np.stack((y[:, 1], accel), axis=1))
+
+    def f_one(k, t, y):
+        return np.array((-1.0, 1.0)) if linear[k] else np.array((y[1], xi[k] / (3.0 * np.cbrt(y[0]))))
+
+    def stop_event(t, y, i):
+        return sgn[i] * y[..., 0] - stop[i]
+
+    def growth_event(t, y, i):
+        return np.where(tie[i], 0.5 - y[..., 0],
+                        np.where(linear[i], y[..., 1] - (0.5 + 1e-9), sgn[i] * y[..., 0] - 1e3))
+
+    located, roots = [], []  # per solve call: (steps per iteration, orbit per pair); roots
+    real_locate, real_brentq = _dop853._locate_events, _dop853.brentq
+
+    def spy_locate(fun, events, t0, fired):
+        step, _ = np.nonzero(np.concatenate([entry[6] for entry in fired]))
+        located.append(([len(entry[0]) for entry in fired],
+                        np.concatenate([entry[0] for entry in fired])[step].tolist()))
+        return real_locate(fun, events, t0, fired)
+
+    def spy_brentq(*args, **kwargs):
+        found = real_brentq(*args, **kwargs)
+        roots.append(found[0].tolist())
+        return found
+
+    monkeypatch.setattr(_dop853, "_locate_events", spy_locate)
+    monkeypatch.setattr(_dop853, "brentq", spy_brentq)
+    events = [(stop_event, -1.0), (growth_event, 1.0)]
+    events_one = [(lambda k, t, y: stop_event(t, y, k), -1.0),
+                  (lambda k, t, y: growth_event(t, y, k), 1.0)]
+    batch, alone, refs = solve_alone_and_in_batch(f_batch, events, f_one, events_one, 7,
+                                                  np.full(7, 5.0), y0)
+    # The batch's one Brent call took nine (orbit, event) pairs, with at
+    # least three orbits' steps fired on one iteration; orbit 6's two
+    # roots tie exactly.
+    steps_per_iteration, pair_orbit = located[0]
+    assert sorted(pair_orbit) == [0, 1, 2, 3, 4, 5, 5, 6, 6] and max(steps_per_iteration) >= 3
+    tie_roots = [r for k, r in zip(pair_orbit, roots[0]) if k == 6]
+    assert tie_roots[0] == tie_roots[1]
+    for res, one, (ref, err, _) in zip(batch, alone, refs):
+        assert err is None and res.status == 1
+        assert [te.size for te in res.t_events] == [1, 0]  # the earliest root wins a step
+        assert_matches_scipy(res, ref)
+        assert_same_result(res, one)
+
+
+def test_event_root_error_stays_with_its_orbit():
+    # Orbit 2's time event, t = 0.7 (direction +1), is NaN within 1e-9 of
+    # its root, where Brent's first interpolation lands: locating it raises
+    # scipy's NaN error for that orbit alone.  The others stop at their
+    # collapse events or run to t_bound, as they do alone.
+    xi = np.array([-1.0, 2.0, 1.0, -3.0, -0.5])
+    y0 = np.array([[1.0, 0.0], [-1.0, 0.5], [1.0, 0.2], [1.0, 2.0], [-2.0, 0.0]])
+    sgn = np.sign(y0[:, 0])
+    stop = 1e-10 * np.abs(y0[:, 0])
+    t_fire = np.array([np.inf, np.inf, 0.7, np.inf, np.inf])
+
+    def f_batch(t, y, i, out):
+        out[:] = np.stack((y[:, 1], xi[i] / (3.0 * np.cbrt(y[:, 0]))), axis=1)
+
+    def f_one(k, t, y):
+        return np.array((y[1], xi[k] / (3.0 * np.cbrt(y[0]))))
+
+    def time_event(t, y, i):
+        return np.where(np.abs(t - t_fire[i]) < 1e-9, np.nan, t - t_fire[i])
+
+    events = [(lambda t, y, i: sgn[i] * y[..., 0] - stop[i], -1.0), (time_event, 1.0)]
+    events_one = [(lambda k, t, y, g=g: g(t, y, k), d) for g, d in events]
+    batch, alone, refs = solve_alone_and_in_batch(f_batch, events, f_one, events_one, 5,
+                                                  np.full(5, 20.0), y0)
+    assert [type(res).__name__ for res in batch] == \
+        ["OdeResult", "OdeResult", "ValueError", "OdeResult", "OdeResult"]
+    assert [res.status for k, res in enumerate(batch) if k != 2] == [1, 0, 1, 1]
+    for k, (res, one, (ref, err, _)) in enumerate(zip(batch, alone, refs)):
+        if k == 2:
+            assert err.startswith("ValueError: The function value at x=0.7")
+            assert f"ValueError: {res}" == f"ValueError: {one}" == err
+        else:
+            assert_matches_scipy(res, ref)
+            assert_same_result(res, one)
+
+
+def test_first_failing_event_of_a_step_gives_the_error():
+    # Both orbits move as a = 1 - t, b = t; the stop event (a falls to 0.5)
+    # and the growth event (b rises to 0.5 + 1e-6) fire in one step.  On
+    # orbit 0 both are NaN within 1e-9 of their roots, so both root finds
+    # fail: scipy raises the stop event's error, the first of the two.
+    nan_near_root = np.array([True, False])
+
+    def f_batch(t, y, i, out):
+        out[:] = [-1.0, 1.0]
+
+    def f_one(k, t, y):
+        return np.array((-1.0, 1.0))
+
+    def windowed(g, i):
+        return np.where(nan_near_root[i] & (np.abs(g) < 1e-9), np.nan, g)
+
+    events = [(lambda t, y, i: windowed(y[..., 0] - 0.5, i), -1.0),
+              (lambda t, y, i: windowed(y[..., 1] - (0.5 + 1e-6), i), 1.0)]
+    events_one = [(lambda k, t, y, g=g: g(t, y, k), d) for g, d in events]
+    batch, alone, refs = solve_alone_and_in_batch(f_batch, events, f_one, events_one, 2,
+                                                  np.full(2, 2.0), np.array([[1.0, 0.0]] * 2))
+    (_, err, _), (ref, _, _) = refs
+    assert err.startswith("ValueError: The function value at x=")
+    # the stop event's first iterate, not the growth event's (near 0.500001)
+    assert abs(float(err.split("x=")[1].split()[0]) - 0.5) < 1e-9
+    assert f"ValueError: {batch[0]}" == f"ValueError: {alone[0]}" == err
+    assert_matches_scipy(batch[1], ref)
+    assert_same_result(batch[1], alone[1])
+
+
+def test_step_factors_match_the_scalar_rule():
+    def scalar_rule(e, was_rejected):  # SciPy's rule, as the solver used to apply it per orbit
+        if e < 1:
+            factor = _dop853.MAX_FACTOR if e == 0 else min(
+                _dop853.MAX_FACTOR, _dop853.SAFETY * e ** _dop853.ERROR_EXPONENT)
+            if was_rejected:
+                factor = min(1, factor)
+        else:
+            factor = max(_dop853.MIN_FACTOR, _dop853.SAFETY * e ** _dop853.ERROR_EXPONENT)
+        return float(factor)
+
+    values = [0.0, 5e-324, 1e-300, 1e-8, 0.3, math.nextafter(1.0, 0.0), 1.0,
+              math.nextafter(1.0, 2.0), 1.7, 1e8, 1e300, math.inf, math.nan]
+    for rejected in (False, True):
+        got = _dop853._step_factors(np.array(values), np.full(len(values), rejected))
+        want = [scalar_rule(e, rejected) for e in values]
+        assert got.tolist() == want
+    # one batch mixing both flags
+    flags = np.arange(len(values)) % 2 == 1
+    got = _dop853._step_factors(np.array(values), flags)
+    assert got.tolist() == [scalar_rule(e, r) for e, r in zip(values, flags.tolist())]
+
+
+def test_squares_are_libm_pow_and_overflow_to_inf():
+    big = _dop853._SQRT_MAX
+    values = [0.0, 1e-200, 0.1, 3.0, 1e150, big, math.nextafter(big, math.inf), 1e200,
+              math.inf, math.nan]
+    want = []
+    for v in values:
+        try:
+            want.append(v ** 2)
+        except OverflowError:
+            want.append(math.inf)
+    got = _dop853._squares(np.array(values)).tolist()
+    assert got[:-1] == want[:-1] and math.isnan(got[-1])
+    assert got[5] < math.inf and got[6] == math.inf
+
+
 def assert_same_trajectory(traj, ref):
     assert np.array_equal(np.stack([traj.s, traj.a, traj.a_dot]),
                           np.stack([ref.s, ref.a, ref.a_dot]))
@@ -326,27 +525,68 @@ def test_integrate_matches_scipy_reference(xi_sign, xi_dec, a0_sign, a0_dec, u, 
         assert np.array_equal([state.a, state.a_dot], ref.sol(float(s)))
 
 
+def batch_brentq(funcs, xtol, maxiter):
+    """_dop853.brentq on scalar functions, all in one batch over [-1, 2].
+
+    Each function is called on Python floats, as scipy's brentq calls it.
+    Returns each function's root or the exception raised for it.
+    """
+    def f(x, i):
+        return [funcs[k](x_k) for k, x_k in zip(i.tolist(), x.tolist())]
+
+    n = len(funcs)
+    roots, errors = _dop853.brentq(f, np.full(n, -1.0), np.full(n, 2.0), xtol=xtol,
+                                   rtol=4 * EPS, maxiter=maxiter)
+    return [errors.get(k, roots[k]) for k in range(n)]
+
+
+def brentq_one(f, xtol, maxiter):
+    """The batch of one: f's root, or its exception raised."""
+    (result,) = batch_brentq([f], xtol, maxiter)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+BRENTQ_FUNCS = [
+    lambda x: (x - 0.3) * (1.0 + x * x),
+    lambda x: math.tanh(40.0 * (x - 0.123)) + 1e-3,
+    lambda x: (x - 1.0 / 3.0) ** 3,
+    lambda x: np.float64(x ** 5 - 0.2),
+    lambda x: x * x + 1.0,                   # no sign change
+    lambda x: math.nan,                      # NaN function value
+]
+
+
 def test_brentq_matches_scipy():
-    funcs = [
-        lambda x: (x - 0.3) * (1.0 + x * x),
-        lambda x: math.tanh(40.0 * (x - 0.123)) + 1e-3,
-        lambda x: (x - 1.0 / 3.0) ** 3,
-        lambda x: np.float64(x ** 5 - 0.2),
-        lambda x: x * x + 1.0,                   # no sign change
-        lambda x: math.nan,                      # NaN function value
-    ]
+    funcs = BRENTQ_FUNCS
     errors = set()
     for f in funcs:
         for xtol in (4 * EPS, 1e-12, 1e-6):
             for iterations in (100, 3):
                 theirs = outcome(lambda: scipy_brentq(f, -1.0, 2.0, xtol=xtol, rtol=4 * EPS,
                                                       maxiter=iterations))
-                mine = outcome(lambda: _dop853.brentq(f, -1.0, 2.0, xtol=xtol, rtol=4 * EPS,
-                                                      maxiter=iterations))
+                mine = outcome(lambda: brentq_one(f, xtol=xtol, maxiter=iterations))
                 assert mine == theirs
                 errors.add(mine[1])
     assert {"ValueError: f(a) and f(b) must have different signs",
             "RuntimeError: Failed to converge after 3 iterations."} <= errors
+
+
+@pytest.mark.parametrize("xtol", [4 * EPS, 1e-12, 1e-6])
+@pytest.mark.parametrize("iterations", [100, 3])
+def test_brentq_batch_mixes_roots_and_errors(xtol, iterations):
+    # All six problems in one call, twice over in shuffled order: every
+    # element gets scipy's root or scipy's message, whatever its neighbours do.
+    order = [3, 5, 0, 4, 1, 2, 2, 0, 5, 1, 3, 4]
+    batch = batch_brentq([BRENTQ_FUNCS[j] for j in order], xtol, iterations)
+    for j, got in zip(order, batch):
+        want, err, _ = outcome(lambda: scipy_brentq(BRENTQ_FUNCS[j], -1.0, 2.0, xtol=xtol,
+                                                    rtol=4 * EPS, maxiter=iterations))
+        if err is None:
+            assert not isinstance(got, Exception) and got == want
+        else:
+            assert f"{type(got).__name__}: {got}" == err
 
 
 # ----------------------------------------------------------------------
