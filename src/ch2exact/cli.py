@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 invalid input, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -114,18 +115,19 @@ def _check_keys(block: dict[str, str], allowed: set[str], context: str) -> None:
 
 
 def _get(block: dict[str, str], key: str, default=None, kind=float):
-    """block[key] as kind: float, int, or tuple (comma-separated floats)."""
+    """block[key] as kind: float, int, or tuple (comma-separated floats), each finite."""
     if key not in block:
         if default is None:
             raise ConfigError(f"config key {key!r} is required")
         return default
-    if kind is tuple:
-        return tuple(float(v) for v in block[key].split(","))
     try:
-        return kind(block[key])
+        value = tuple(map(float, block[key].split(","))) if kind is tuple else kind(block[key])
     except ValueError as exc:
-        noun = "an integer" if kind is int else "a number"
+        noun = {int: "an integer", tuple: "a list of numbers"}.get(kind, "a number")
         raise ConfigError(f"config key {key!r} is not {noun}: {block[key]!r}") from exc
+    if not all(map(math.isfinite, value if kind is tuple else (value,))):
+        raise ConfigError(f"config key {key!r} must be finite: {block[key]!r}")
+    return value
 
 
 _CASE_KEYS = {"sigma", "xi", "alpha", "a0", "a1"}

@@ -271,14 +271,19 @@ def integrate_many(params, s_end, tol, stop_abs_a) -> list:
         return out
 
     batch = [params[k] for k in todo]
-    xi = np.array([p.xi for p in batch])
+    xi_list = [p.xi for p in batch]
+    xi = np.array(xi_list)
     a0 = np.array([p.a0 for p in batch])
     sgn = np.where(a0 > 0, 1.0, -1.0)
     stop_level = REL_STOP * np.abs(a0)
 
     def f(s, y, i, dy):
-        dy[:, 0] = y[:, 1]
-        np.divide(xi[i], 3.0 * np.cbrt(y[:, 0]), out=dy[:, 1])
+        if len(y) == 1:  # numpy scalars cost less than one-element arrays, with the same bits
+            (a, a_dot), = y.tolist()
+            dy[0] = a_dot, xi_list[i[0]] / (3.0 * np.cbrt(a))
+        else:
+            dy[:, 0] = y[:, 1]
+            np.divide(xi[i], 3.0 * np.cbrt(y[:, 0]), out=dy[:, 1])
 
     # Signed event: sgn*a decreases through the stop level exactly when |a|
     # does, and the signed form is monotone through the crossing.

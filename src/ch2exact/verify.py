@@ -277,16 +277,26 @@ def _check_grid(
 # residual operations
 # ----------------------------------------------------------------------
 
-def _residual_levels(case, traj, grid, levels, margin, u_scale, which, alpha_d, s_collapse):
+def _sampled_levels(case, traj, grid, levels, margin, u_scale, s_collapse) -> list:
+    """Check the grid once, then (lattice, rho, u) on it and each of its refinements."""
     _check_grid(case, traj, grid, margin, s_collapse)
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
-    h_values: list[float] = []
-    maxes: list[float] = []
-    l2s: list[float] = []
+    sampled = []
     g = grid
     for _ in range(levels):
         rho, u, _ = _fields_on_grid(case, traj, g.ts(), g.xs(), u_scale)
+        sampled.append((g, rho, u))
+        g = g.refined()
+    return sampled
+
+
+def _residual_report(case, sampled, which, alpha_d) -> ResidualReport:
+    """Residual norms of one equation on the sampled levels, and the observed order."""
+    h_values: list[float] = []
+    maxes: list[float] = []
+    l2s: list[float] = []
+    for g, rho, u in sampled:
         if which == "mass":
             r = mass_residual_field(rho, u, g.dt, g.dx)
         else:
@@ -294,9 +304,8 @@ def _residual_levels(case, traj, grid, levels, margin, u_scale, which, alpha_d, 
         h_values.append(g.dx)
         maxes.append(float(np.max(np.abs(r))))
         l2s.append(float(np.sqrt(np.mean(r * r))))
-        g = g.refined()
     order = None
-    if levels >= 2 and maxes[-1] > 0.0:
+    if len(sampled) >= 2 and maxes[-1] > 0.0:
         order = math.log2(maxes[-2] / maxes[-1])
     return ResidualReport(
         eq_label=which,
@@ -325,7 +334,8 @@ def residual_mass_eq(
     must end before ``COLLAPSE_TIME_MARGIN`` of the collapse time
     ``s_collapse`` (the report's quadrature S; computed when not given).
     """
-    return _residual_levels(case, traj, grid, levels, margin, u_scale, "mass", 0.0, s_collapse)
+    sampled = _sampled_levels(case, traj, grid, levels, margin, u_scale, s_collapse)
+    return _residual_report(case, sampled, "mass", 0.0)
 
 
 def residual_momentum_eq(
@@ -344,8 +354,8 @@ def residual_momentum_eq(
     exact fields, because their velocity is linear in x.  ``s_collapse`` is
     as in ``residual_mass_eq``.
     """
-    return _residual_levels(case, traj, grid, levels, margin, u_scale, "momentum", alpha_d,
-                            s_collapse)
+    sampled = _sampled_levels(case, traj, grid, levels, margin, u_scale, s_collapse)
+    return _residual_report(case, sampled, "momentum", alpha_d)
 
 
 # ----------------------------------------------------------------------
@@ -506,13 +516,17 @@ def run_battery(
     record carries its own "pass", except the skipped mass records of
     full-line families.  u_scale scales the velocity (fault injection).
     """
-    residual_args = {"margin": tols.margin, "u_scale": u_scale,
-                     "s_collapse": report.s_collapse_quadrature}
+    # Each lattice is checked and sampled once; both equations, and all
+    # alpha_d runs, read the same samples.
+    def sample(g, levels):
+        return _sampled_levels(case, traj, g, levels, tols.margin, u_scale,
+                               report.s_collapse_quadrature)
+
     reports: dict = {}
-    rep = residual_mass_eq(case, traj, grid, levels=tols.residual_levels, **residual_args)
+    sampled = sample(grid, tols.residual_levels)
+    rep = _residual_report(case, sampled, "mass", 0.0)
     reports["residual_mass"] = _residual_record(rep, tols.order_band)
-    rep = residual_momentum_eq(case, traj, grid, alpha_d=tols.alpha_d[0],
-                               levels=tols.residual_levels, **residual_args)
+    rep = _residual_report(case, sampled, "momentum", tols.alpha_d[0])
     reports["residual_momentum"] = _residual_record(rep, tols.order_band)
 
     # The dispersion comparison runs on a coarse copy of the grid: the
@@ -521,11 +535,9 @@ def run_battery(
     # comparison tolerance.
     grid_disp = SpaceTimeGrid(grid.t0, grid.t1, min(17, grid.nt),
                               grid.x0, grid.x1, min(17, grid.nx))
-    disp_max = [
-        residual_momentum_eq(case, traj, grid_disp, alpha_d=ad, levels=1,
-                             **residual_args).interior_max_residual
-        for ad in tols.alpha_d
-    ]
+    sampled = sample(grid_disp, 1)
+    disp_max = [_residual_report(case, sampled, "momentum", ad).interior_max_residual
+                for ad in tols.alpha_d]
     disp_diff = max(abs(v - disp_max[0]) for v in disp_max)
     reports["dispersion_independence"] = {
         "alpha_d_values": list(tols.alpha_d), "grid": {"nt": grid_disp.nt, "nx": grid_disp.nx},

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -249,13 +250,59 @@ def test_verify_rejects_invalid_sign_pattern(tmp_path, capsys):
 @pytest.mark.parametrize("line,message", [
     ("levels = 2.5", "config key 'levels' is not an integer: '2.5'"),
     ("mass_rtol = tight", "config key 'mass_rtol' is not a number: 'tight'"),
-    ("alpha_d = 0,x", "could not convert string to float: 'x'"),
+    ("alpha_d = 0,x", "config key 'alpha_d' is not a list of numbers: '0,x'"),
     ("rate_tol = 0.1", "unknown config key(s) for verify: rate_tol"),
 ])
 def test_verify_tolerance_key_errors(tmp_path, capsys, line, message):
     cfg = write_config(tmp_path, CFG_2A + line + "\n")
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"invalid input: {message}\n"
+
+
+# A non-finite number, or a malformed entry of a list, in any numeric key:
+# the command stops at parsing (no output, no numpy warning) and names the key.
+@pytest.mark.parametrize("command,line", [
+    ("emden", "t_end = nan"),
+    ("emden", "tol = inf"),
+    ("verify", "t_end = nan"),
+    ("verify", "mass_rtol = nan"),
+    ("verify", "t1 = -inf"),
+    ("verify", "alpha_d = 1,-inf"),
+    ("verify", "alpha_d = 1,x"),
+    ("construct", "x1 = inf"),
+    ("construct", "t_end = -inf"),
+    ("construct", "alpha = nan"),
+])
+def test_non_finite_or_malformed_value_names_its_key(tmp_path, capsys, command, line):
+    key = line.split(" = ")[0]
+    base = CFG_COLLAPSE if command == "emden" else CFG_2A
+    kept = [row for row in base.splitlines() if row.split(" = ")[0] != key]
+    cfg = write_config(tmp_path, "\n".join(kept + [line]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: config key {key!r} ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_non_finite_value_errors_only_its_block(tmp_path):
+    valid = [block.strip("\n") + "\n" for block in SWEEP_FOUR.split("\n\n")]
+    bad = [valid[0] + "t_end = nan\n", valid[2].replace("t_end = 1", "t_end = inf"),
+           valid[3] + "tol = -inf\n"]
+    cfg = write_config(tmp_path, "\n".join([valid[0], bad[0], valid[1], bad[1], valid[2],
+                                            bad[2], valid[3]]))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "mixed")]) == 0
+    rows = (tmp_path / "mixed" / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[6] for row in rows[1::2]] == [
+        "error: config key 't_end' must be finite: 'nan'",
+        "error: config key 't_end' must be finite: 'inf'",
+        "error: config key 'tol' must be finite: '-inf'",
+    ]
+    assert all(row.startswith("?,") and row.endswith(",false") for row in rows[1::2])
+    cfg = write_config(tmp_path, SWEEP_FOUR, name="valid.cfg")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "valid")]) == 0
+    assert rows[::2] == (tmp_path / "valid" / "sweep.csv").read_text().splitlines()[1:]
 
 
 def test_verify_tolerance_keys_reach_the_checks(tmp_path):
@@ -332,6 +379,18 @@ def test_collapse_time_computed_once_per_orbit(tmp_path, monkeypatch):
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
     rows = (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1:]
     assert len(calls) == sum(row.split(",")[6] == "Collapse" for row in rows) == 2
+
+
+def test_battery_samples_each_lattice_once(tmp_path, monkeypatch):
+    # Both residual checks read the two refinement levels of the grid, and
+    # the three alpha_d runs one 17 x 17 lattice: 3 samples and 2 grid
+    # checks, where each check used to sample and check its own (7 and 5).
+    fields = _counting(monkeypatch, ["verify"], "_fields_on_grid")
+    checks = _counting(monkeypatch, ["verify"], "_check_grid")
+    cfg = write_config(tmp_path, CFG_2A)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert [(len(args[2]), len(args[3])) for args in fields] == [(81, 81), (161, 161), (17, 17)]
+    assert [(args[2].nt, args[2].nx) for args in checks] == [(81, 81), (17, 17)]
 
 
 def test_sweep_locates_all_event_roots_in_one_batch(tmp_path, monkeypatch):

@@ -242,18 +242,23 @@ def test_step_size_underflow_in_a_batch():
             assert np.array_equal(res.sol(pts), alone.sol(pts))
 
 
+def solve_rows(f_batch, events_batch, rows, t_bound, y0, rtol, atol):
+    """_dop853.solve on the problems ``rows`` of a batch defined by f_batch and events_batch."""
+    def f(t, y, i, out):
+        f_batch(t, y, rows[i], out)
+
+    events = [(lambda t, y, i, g=g: g(t, y, rows[i]), d) for g, d in events_batch]
+    return _dop853.solve(f, 0.0, np.broadcast_to(t_bound, len(y0))[rows], y0[rows],
+                         rtol=np.broadcast_to(rtol, len(y0))[rows],
+                         atol=np.broadcast_to(atol, len(y0))[rows], events=events)
+
+
 def solve_alone_and_in_batch(f_batch, events_batch, f_one, events_one, n, t_bound, y0,
                              rtol=1e-10, atol=1e-14):
     """The batch's results, each orbit's results alone and solve_ivp's outcome per orbit."""
-    def solve(rows):
-        def f(t, y, i, out):
-            f_batch(t, y, rows[i], out)
-
-        events = [(lambda t, y, i, g=g: g(t, y, rows[i]), d) for g, d in events_batch]
-        return _dop853.solve(f, 0.0, t_bound[rows], y0[rows], rtol=rtol, atol=atol, events=events)
-
-    batch = solve(np.arange(n))
-    alone = [solve(np.array([k]))[0] for k in range(n)]
+    batch = solve_rows(f_batch, events_batch, np.arange(n), t_bound, y0, rtol, atol)
+    alone = [solve_rows(f_batch, events_batch, np.array([k]), t_bound, y0, rtol, atol)[0]
+             for k in range(n)]
     refs = [outcome(lambda k=k: solve_ivp(
         lambda t, y: f_one(k, t, y), (0.0, t_bound[k]), y0[k], method="DOP853", rtol=rtol,
         atol=atol, dense_output=True, events=scipy_events(
@@ -264,13 +269,23 @@ def solve_alone_and_in_batch(f_batch, events_batch, f_one, events_one, n, t_boun
 
 def assert_same_result(res, alone):
     """Two OdeResults of one orbit carry the same doubles."""
-    assert (res.status, res.nfev, res.n_accepted, res.n_rejected) == \
-        (alone.status, alone.nfev, alone.n_accepted, alone.n_rejected)
+    assert (res.status, res.message, res.nfev, res.n_accepted, res.n_rejected) == \
+        (alone.status, alone.message, alone.nfev, alone.n_accepted, alone.n_rejected)
     assert np.array_equal(res.t, alone.t) and np.array_equal(res.y, alone.y)
+    assert len(res.t_events) == len(alone.t_events)
     for mine, theirs in zip(res.t_events, alone.t_events):
         assert np.array_equal(mine, theirs)
-    pts = probe_points(res.t)
-    assert np.array_equal(res.sol(pts), alone.sol(pts))
+    if len(res.t) > 1:
+        pts = probe_points(res.t)
+        assert np.array_equal(res.sol(pts), alone.sol(pts))
+
+
+def assert_same_outcome(res, alone):
+    """The same OdeResult doubles, or the same exception, from two solves of one orbit."""
+    if isinstance(res, Exception) or isinstance(alone, Exception):
+        assert f"{type(res).__name__}: {res}" == f"{type(alone).__name__}: {alone}"
+    else:
+        assert_same_result(res, alone)
 
 
 def test_events_firing_together_match_solve_ivp(monkeypatch):
@@ -401,6 +416,149 @@ def test_first_failing_event_of_a_step_gives_the_error():
     assert f"ValueError: {batch[0]}" == f"ValueError: {alone[0]}" == err
     assert_matches_scipy(batch[1], ref)
     assert_same_result(batch[1], alone[1])
+
+
+# ----------------------------------------------------------------------
+# the one-problem loop against the lockstep loop
+# ----------------------------------------------------------------------
+
+def _underflow(t, y, i, out):  # row 0: y' = y^2 blows up at t = 1; row 1: y' = -y^2
+    out[:] = np.where(i == 0, 1.0, -1.0)[:, None] * y * y
+
+
+def _decay(t, y, i, out):
+    out[:] = -y
+
+
+def _linear(t, y, i, out):  # y = 1 - t on every row
+    out[:] = -1.0
+
+
+def _still(t, y, i, out):  # row 0: y' = 0, every error term exactly 0; row 1: y' = -y
+    out[:] = np.where(i == 0, 0.0, -1.0)[:, None] * y
+
+
+def _node_of_decay(k):
+    """Node k of y' = -y from 1 to t = 5 (rtol 1e-10, atol 1e-14), solved alone."""
+    return float(_dop853.solve(_decay, 0.0, 5.0, [[1.0]], rtol=1e-10, atol=1e-14)[0].t[k])
+
+
+def _root_on_node(t_k):
+    # g = (t - t_k)^2 is 0 at node t_k and positive on both sides: it fires
+    # on the step after the node, with its root on the node, which is dropped.
+    return (_decay, [(lambda t, y, i: np.where(i == 0, (t - t_k) ** 2, -1.0), 1.0)],
+            [5.0, 5.0], [[1.0], [1.0]], [1e-10, 1e-10], 1e-14)
+
+
+EDGE_CASES = {
+    # step-size underflow before t_bound: status -1 with TOO_SMALL_STEP
+    "underflow": lambda: (_underflow, [], [2.0, 2.0], [[1.0], [1.0]], [1e-8, 1e-8], 1e-12),
+    # rtol below 100 eps on row 0 only: one clamp warning
+    "small_rtol": lambda: (_decay, [], [5.0, 5.0], [[1.0], [2.0]], [1e-17, 1e-10], 1e-14),
+    # the stop event fires within the first step
+    "first_step_event": lambda: (
+        _linear, [(lambda t, y, i: y[:, 0] - (1.0 - 1e-9) * (i == 0), -1.0)],
+        [2.0, 2.0], [[1.0], [1.0]], [1e-8, 1e-8], 1e-12),
+    # an event root equal to the last node (node 6)
+    "root_on_last_node": lambda: _root_on_node(_node_of_decay(6)),
+    # both error norms exactly 0: the error norm is 0 and every step grows by MAX_FACTOR
+    "zero_error": lambda: (_still, [], [1e3, 1e3], [[1.0], [1.0]], [1e-10, 1e-10], 1e-14),
+    # the last step is clipped to t_bound = 0.7
+    "clipped_last_step": lambda: (_decay, [], [0.7, 5.0], [[1.0], [1.0]], [1e-10, 1e-10], 1e-14),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_edge_cases_take_both_loops_alike(case):
+    f, events, t_bound, y0, rtol, atol = EDGE_CASES[case]()
+    t_bound, y0, rtol = np.array(t_bound), np.array(y0), np.array(rtol)
+    (one,), err, warn_one = outcome(lambda: solve_rows(f, events, np.array([0]), t_bound, y0,
+                                                       rtol, atol))
+    batch, err_batch, warn_batch = outcome(lambda: solve_rows(f, events, np.arange(2), t_bound,
+                                                              y0, rtol, atol))
+    assert err is None and err_batch is None
+    assert_same_result(batch[0], one)
+    assert warn_one == warn_batch
+
+    def f_one(t, y):
+        out = np.empty((1, len(y)))
+        f(np.array([t]), y[None], np.array([0]), out)
+        return out[0]
+
+    ref, ref_err, ref_warn = outcome(lambda: solve_ivp(
+        f_one, (0.0, t_bound[0]), y0[0], method="DOP853", rtol=rtol[0], atol=atol,
+        dense_output=True, events=scipy_events(
+            [(lambda t, y, g=g: g(np.array([t]), y[None], np.array([0]))[0], d)
+             for g, d in events])))
+    assert ref_err is None and warn_one == ref_warn
+    assert_matches_scipy(one, ref)
+
+    if case == "underflow":
+        assert one.status == -1 and one.message == _dop853.TOO_SMALL_STEP
+        assert batch[1].status == 0
+    elif case == "small_rtol":
+        assert len(warn_one) == 1 and "`rtol` is too small" in warn_one[0]
+    elif case == "first_step_event":
+        assert one.status == 1 and one.n_accepted == 1 and one.t_events[0].size == 1
+    elif case == "root_on_last_node":
+        t_k = _node_of_decay(6)
+        assert one.status == 1 and one.t_events[0].tolist() == [t_k] and one.t[-1] == t_k
+        assert one.n_accepted == len(one.t)  # the step past the root is counted, not kept
+    elif case == "zero_error":
+        steps = np.diff(one.t)
+        assert one.status == 0 and one.n_rejected == 0
+        assert np.allclose(steps[1:-1] / steps[:-2], _dop853.MAX_FACTOR, rtol=1e-6)
+    else:
+        assert one.status == 0 and one.t[-1] == 0.7 and batch[1].t[-1] == 5.0
+
+
+# Slopes either side of theta = 0 (for xi > 0 it falls at u = +-1).
+theta_slopes = st.one_of(st.sampled_from([0.0, -1.0, 1.0]), st.floats(-3.0, 3.0))
+wide_orbits = st.tuples(signs, decades, signs, decades, theta_slopes, tols, horizons, growth_stops)
+
+
+@settings(max_examples=40, deadline=None)
+@given(draws=st.lists(wide_orbits, min_size=2, max_size=6))
+def test_one_orbit_alone_equals_it_in_a_lockstep_batch(draws):
+    # Alone, an orbit goes through the one-problem loop; in the batch,
+    # through the lockstep loop.  Both must give the same doubles, counters,
+    # status, message, event roots and dense output, or the same exception.
+    params = [orbit(*d[:5]) for d in draws]
+    stops = [None if d[7] is None else abs(p.a0) * 10.0 ** d[7] for p, d in zip(params, draws)]
+    f, events = batch_problem(params, stops)
+    rtol, atol = map(np.array, zip(*[tolerances(p, d[5]) for p, d in zip(params, draws)]))
+    s_end = np.array([d[6] for d in draws])
+    y0 = np.array([[p.a0, p.a1] for p in params])
+
+    batch, err, warn = outcome(lambda: solve_rows(f, events, np.arange(len(draws)), s_end, y0,
+                                                  rtol, atol))
+    alone = [outcome(lambda k=k: solve_rows(f, events, np.array([k]), s_end, y0, rtol, atol))
+             for k in range(len(draws))]
+    assert err is None and all(one_err is None for _, one_err, _ in alone)
+    assert warn == [w for _, _, one_warn in alone for w in one_warn]
+    for res, (one, _, _) in zip(batch, alone):
+        assert_same_outcome(res, one[0])
+
+
+def test_one_row_takes_the_one_problem_loop(monkeypatch):
+    loops = []
+    for name in ("_solve_one", "_solve_lockstep"):
+        def spy(*args, real=getattr(_dop853, name), name=name):
+            loops.append(name)
+            return real(*args)
+        monkeypatch.setattr(_dop853, name, spy)
+
+    def f(t, y, i, out):
+        out[:] = -y
+
+    for n in (1, 2, 3, 1):
+        _dop853.solve(f, 0.0, 1.0, np.ones((n, 1)), rtol=1e-8, atol=1e-12)
+    assert loops == ["_solve_one", "_solve_lockstep", "_solve_lockstep", "_solve_one"]
+    loops.clear()
+    integrate(EmdenParams(-1.0, 1.0), 10.0)
+    integrate_many([EmdenParams(-1.0, 1.0)] * 2, [10.0] * 2, [1e-10] * 2, [None] * 2)
+    analyze_many([(EmdenParams(1.0, 1.0), 5.0, 1e-10)])
+    assert loops == ["_solve_one", "_solve_lockstep", "_solve_one"]
 
 
 def test_step_factors_match_the_scalar_rule():
