@@ -12,13 +12,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ch2exact import EmdenParams, SolutionCase, analyze, blowup_rate
+from ch2exact import Classification, EmdenParams, SolutionCase, analyze, blowup_rate, classify
 from ch2exact.serialize import write_csv
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--xi", type=float, default=-3.0, help="coupling, must be < 0")
+    parser.add_argument("--xi", type=float, default=-3.0,
+                        help="coupling; the orbit must collapse with theta > 0")
     parser.add_argument("--alpha", type=float, default=1.0, help="profile amplitude")
     parser.add_argument("--a0", type=float, default=1.0, help="initial scale")
     parser.add_argument("--a1", type=float, default=0.0, help="initial slope")
@@ -27,16 +28,15 @@ def main() -> int:
     parser.add_argument("--out", default=None, help="optional CSV path")
     args = parser.parse_args()
 
-    if args.xi >= 0:
-        print("blowup requires xi < 0", file=sys.stderr)
+    params = EmdenParams(xi=args.xi, a0=args.a0, a1=args.a1)
+    if classify(params) is not Classification.COLLAPSE or params.theta == 0.0:
+        print("blowup at rate (S - s)^{-1/3} needs a collapse orbit (xi < 0, or xi > 0 "
+              "with sign(a0) a1 < 0) with theta > 0", file=sys.stderr)
         return 1
 
-    sigma = -1 if args.a0 > 0 else 1
-    case = SolutionCase(
-        sigma=sigma,
-        alpha=args.alpha,
-        emden=EmdenParams(xi=args.xi, a0=args.a0, a1=args.a1),
-    )
+    # The admissible family of these signs (the sign table of the README).
+    sigma = 1 if (args.xi > 0) == (args.a0 > 0) else -1
+    case = SolutionCase(sigma=sigma, alpha=args.alpha, emden=params)
     traj, report = analyze(case.emden)
     S = report.s_collapse_quadrature
     expected = case.alpha / (2.0 * report.theta) ** (1.0 / 6.0)

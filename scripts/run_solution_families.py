@@ -14,11 +14,13 @@ import sys
 import numpy as np
 
 from ch2exact import (
+    Classification,
     EmdenParams,
     SolutionCase,
     SpaceTimeGrid,
     Tolerances,
     analyze,
+    classify,
     run_battery,
 )
 
@@ -60,7 +62,7 @@ def main() -> int:
     failures = []
     for case_id, case in FAMILIES.items():
         # Global orbits run to the battery's last origin-decay time.
-        s_end = None if case.emden.xi < 0 else 3.0 * tols.decay_t_max
+        s_end = None if classify(case.emden) is Classification.COLLAPSE else 3.0 * tols.decay_t_max
         traj, report = analyze(case.emden, s_end=s_end)
         grid = interior_grid(case, traj, report, args.base_n)
         records = run_battery(case, traj, report, grid, tols)

@@ -21,9 +21,17 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
+
+# Before the first numpy import: numpy's OpenBLAS starts one worker thread
+# per core unless told otherwise, and a command never uses them, since its
+# only BLAS calls are DOP853 stage products on 13 x 2 stage matrices, far
+# below the sizes OpenBLAS threads.  A value the user set wins, and code
+# that imports the library without the CLI keeps its threads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -36,16 +44,17 @@ from .emden import (
     InvalidEnergy,
     analyze,
     analyze_many,
+    classify,
     node_energies,
 )
 from .selfsim import SolutionCase
 from .serialize import Indexed, fmt_float, to_json, write_csv, write_text
 from .verify import (
-    ENERGY_DRIFT_TOL,
     SpaceTimeGrid,
     Tolerances,
     _fields_on_grid,
     _t_max,
+    energy_drift,
     mass,
     mass_error,
     min_support_radius,
@@ -188,7 +197,7 @@ def _grid_values(case: SolutionCase, traj, report, block: dict[str, str],
                  margin: float = Tolerances.margin):
     """(t0, t1, nt, x0, x1, nx) from config keys, defaults derived from the orbit."""
     params = case.emden
-    if params.xi < 0:
+    if report.classification is Classification.COLLAPSE:
         t1_default = 0.25 * report.s_collapse_quadrature / 3.0
     else:
         t1_default = min(_GLOBAL_T1, _t_max(traj))
@@ -250,7 +259,7 @@ def cmd_construct(args) -> int:
     t1 = _get(block, "t1", 0.0)
     s_end = 3.0 * max(t_end, t1) if max(t_end, t1) > 0 else None
     traj, report = analyze(params, s_end=s_end, tol=tol)
-    if params.xi < 0 and "t1" in block:
+    if report.classification is Classification.COLLAPSE and "t1" in block:
         s_collapse = report.s_collapse_quadrature
         if 3.0 * t1 >= s_collapse:
             raise ConfigError(
@@ -304,7 +313,7 @@ def cmd_verify(args) -> int:
                          for f in fields(Tolerances)})
 
     t_end = _get(block, "t_end", 0.0)
-    if params.xi < 0:
+    if classify(params) is Classification.COLLAPSE:
         s_end = 3.0 * t_end if t_end > 0 else None
     else:
         t1_cfg = _get(block, "t1", _GLOBAL_T1)
@@ -352,8 +361,8 @@ def _sweep_orbit(block: dict[str, str], tol_flag: float | None):
 
 def _sweep_row(case: SolutionCase, traj, report) -> list[str]:
     params = case.emden
-    drift_bound = ENERGY_DRIFT_TOL * (1.0 + abs(report.theta))
-    ok = not np.any(np.abs(node_energies(traj) - report.theta) > drift_bound)
+    drift, drift_bound = energy_drift(traj, report.theta)
+    ok = drift <= drift_bound
 
     mass_cell = "div"
     if case.compact:

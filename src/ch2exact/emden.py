@@ -9,19 +9,21 @@ integrating gives the conserved orbit energy
 
     theta = a'^2 / 2 - (xi / 2) |a|^{2/3},
 
-which classifies every orbit: xi < 0 drives |a| to zero in finite time S
-(collapse of the scale factor, hence density blowup), xi > 0 drives |a|
-to infinity like (4 xi / 9)^{3/4} s^{3/2}.
+which classifies every orbit.  |a| reaches zero in finite time S (collapse
+of the scale factor, hence density blowup) when xi < 0, whatever the
+slope, and when xi > 0 with an inward slope sign(a0) a'(0) < 0 and
+theta >= 0; every other xi > 0 orbit grows like (4 xi / 9)^{3/4} s^{3/2}.
 
 Collapse times are computed twice, by independent routes: ODE event
-detection on the trajectory, and a reduced quadrature of
+detection on the trajectory, and a reduction of the first integral to
 
     S = int db / sqrt(2 theta + xi b^{2/3})
 
-which the substitution G = sqrt(-xi/2) b^{1/3} turns into a multiple of
-int G^2 / sqrt(theta - G^2) dG.  The half-orbit value of that integral
-is theta * pi / 4 exactly, which doubles as a self-test of the singular
-quadrature.
+which the substitution G = sqrt(|xi|/2) b^{1/3} turns into a multiple of
+int G^2 / sqrt(theta + sign(xi) G^2) dG.  For xi < 0 a quadrature
+evaluates it; its half-orbit value theta * pi / 4 is exact, which doubles
+as a self-test of the singular quadrature.  For xi > 0 it is elementary
+(G = sqrt(theta) sinh psi).
 
 The ODE is integrated with an in-tree port of SciPy's DOP853 (``_dop853``)
 and the quadrature uses a fixed 21-point Gauss-Kronrod rule
@@ -73,7 +75,8 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 # Halt integration once |a| falls to REL_STOP * |a0|.
 REL_STOP = 1e-10
-# Maximum tolerated disagreement between the two collapse-time routes.
+# Maximum tolerated disagreement between the two collapse-time routes,
+# relative to S.
 S_AGREEMENT_TOL = 1e-6
 
 
@@ -94,7 +97,7 @@ class IntegrationFailure(RuntimeError):
 
 
 class Classification(enum.Enum):
-    """Long-time fate of an orbit, decided by the sign of xi."""
+    """Long-time fate of an orbit: |a| reaches zero in finite time, or grows forever."""
 
     COLLAPSE = "Collapse"
     GLOBAL = "Global"
@@ -334,8 +337,14 @@ def _trajectory(params: EmdenParams, res) -> Trajectory | Exception:
 
 
 def classify(params: EmdenParams) -> Classification:
-    """Collapse for xi < 0, global growth for xi > 0."""
-    return Classification.COLLAPSE if params.xi < 0 else Classification.GLOBAL
+    """Collapse for xi < 0, and for xi > 0 with an inward slope and theta >= 0.
+
+    An inward xi > 0 orbit with theta < 0 turns at |a| = (-2 theta / xi)^{3/2}
+    and grows from there, like every outward one.
+    """
+    b1 = params.a1 if params.a0 > 0 else -params.a1
+    collapses = params.xi < 0 or (b1 < 0.0 and params.theta >= 0.0)
+    return Classification.COLLAPSE if collapses else Classification.GLOBAL
 
 
 def orbit_time_integral(theta: float, g_lo: float, g_hi: float) -> float:
@@ -361,17 +370,20 @@ def orbit_time_integral(theta: float, g_lo: float, g_hi: float) -> float:
 def collapse_time_quadrature(params: EmdenParams) -> float:
     """Collapse time S by reduction of the first integral to a quadrature.
 
-    Requires xi < 0.  Orbits with an initially outward slope are split at the
-    turning point |a| = (-2 theta / xi)^{3/2}; the leg from the turning point
-    down to zero is a full half-orbit of the reduced integral.
+    Requires a collapse orbit.  For xi < 0, orbits with an initially outward
+    slope are split at the turning point |a| = (-2 theta / xi)^{3/2}; the leg
+    from the turning point down to zero is a full half-orbit of the reduced
+    integral.  For xi > 0 the reduced integral is elementary.
     """
-    if params.xi >= 0:
-        raise ValueError("collapse-time quadrature requires xi < 0")
+    if classify(params) is not Classification.COLLAPSE:
+        raise ValueError("collapse-time quadrature requires a collapse orbit")
     xi = params.xi
     # Mirror a0 < 0 data onto the b = |a| half-line (odd symmetry of the ODE).
     b0 = abs(params.a0)
     b1 = params.a1 if params.a0 > 0 else -params.a1
     theta = _energy(xi, b0, b1)
+    if xi > 0:
+        return _inward_time(xi, theta, b0)
     if theta <= 0.0:
         raise InvalidEnergy(
             f"collapse orbit must have positive energy, got theta = {theta}"
@@ -390,16 +402,46 @@ def detect_collapse(traj: Trajectory) -> float | None:
     """Collapse time from the trajectory's stop event, or None.
 
     When integration halted at |a| = REL_STOP * |a0| the remaining time to
-    zero is recovered from the local model |a|(s) ~ sqrt(2 theta) (S - s),
-    valid because a' tends to -sign(a0) sqrt(2 theta) at collapse.
+    zero is recovered from the last node's energy theta.  For xi < 0 it is
+    the local model |a|(s) ~ sqrt(2 theta) (S - s), valid because a' tends
+    to -sign(a0) sqrt(2 theta) at collapse.  For xi > 0 it is the exact
+    remaining time of the inward leg, which at theta = 0, where a' tends to
+    zero, is 1.5 |a|^{2/3} / sqrt(xi).
     """
     if not traj.collapsed:
         return None
     last = traj.state(-1)
     theta = energy(traj.params, last)
+    xi = traj.params.xi
+    if xi > 0:
+        # A theta = 0 orbit ends with a roundoff-sized energy of either sign.
+        return last.s + _inward_time(xi, max(theta, 0.0), abs(last.a))
     if theta <= 0.0:
         raise InvalidEnergy(f"halted orbit carries nonpositive energy {theta}")
     return last.s + abs(last.a) / math.sqrt(2.0 * theta)
+
+
+def _inward_time(xi: float, theta: float, b: float) -> float:
+    """Time for |a| to fall from b to zero when xi > 0 and theta >= 0.
+
+    That is (6 / xi^{3/2}) int_0^g G^2 / sqrt(theta + G^2) dG with
+    g = sqrt(xi/2) b^{1/3}, and G = sqrt(theta) sinh(psi) makes the integral
+    (theta / 4)(sinh 2psi - 2psi) at psi = asinh(g / sqrt(theta)).  For
+    small psi that difference is summed as its Taylor series, which keeps
+    the digits the closed form cancels.  At theta = 0 the time is
+    1.5 b^{2/3} / sqrt(xi).
+    """
+    if theta == 0.0:
+        return 1.5 * float(np.cbrt(b)) ** 2 / math.sqrt(xi)
+    g = math.sqrt(xi / 2.0) * float(np.cbrt(b))
+    if (psi := math.asinh(g / math.sqrt(theta))) > 0.5:
+        integral = 0.5 * (g * math.sqrt(theta + g * g) - theta * psi)
+    else:
+        x2, term, total, k = 4.0 * psi * psi, (2.0 * psi) ** 3 / 6.0, 0.0, 3
+        while total + term != total:
+            total, term, k = total + term, term * x2 / ((k + 1) * (k + 2)), k + 2
+        integral = 0.25 * theta * total
+    return 6.0 / xi ** 1.5 * integral
 
 
 def growth_asymptote(traj: Trajectory) -> float:
@@ -417,10 +459,10 @@ class BlowupReport:
     """Classification plus collapse-time data for one orbit.
 
     Collapse orbits carry both collapse-time routes (numeric event detection
-    and reduced quadrature) and they must agree to S_AGREEMENT_TOL; global
-    orbits carry neither.  ``a_turning`` is the interior extremum of |a|
-    when the orbit has one.  ``rate_limit_estimate`` is the measured limit
-    of ((S - s)/|a|)^{1/3}, which tends to (2 theta)^{-1/6}.
+    and reduced quadrature) and they must agree to S_AGREEMENT_TOL relative
+    to S; global orbits carry neither.  ``a_turning`` is the interior
+    extremum of |a| when the orbit has one.  ``rate_limit_estimate`` is the
+    measured limit of ((S - s)/|a|)^{1/3}, which tends to (2 theta)^{-1/6}.
     """
 
     classification: Classification
@@ -439,10 +481,12 @@ class BlowupReport:
                 "collapse classification and collapse-time fields must agree"
             )
         if is_collapse:
-            gap = abs(self.s_collapse_numeric - self.s_collapse_quadrature)
-            if gap > S_AGREEMENT_TOL:
+            s_quad = self.s_collapse_quadrature
+            gap = abs(self.s_collapse_numeric - s_quad)
+            if gap > S_AGREEMENT_TOL * s_quad:
                 raise IntegrationFailure(
-                    f"collapse-time routes disagree by {gap:.3e} (> {S_AGREEMENT_TOL})"
+                    f"collapse-time routes disagree by {gap / s_quad:.3e} of S "
+                    f"(> {S_AGREEMENT_TOL})"
                 )
 
 
@@ -519,6 +563,10 @@ def _results(params, plans, trajs) -> list:
             fields = dict(classification=cls, theta=theta, s_collapse_quadrature=s_quad,
                           a_turning=a_turning)
             if cls is Classification.GLOBAL:
+                if traj.collapsed:
+                    raise IntegrationFailure(
+                        f"global orbit reached the collapse stop event at s = {traj.s_max}",
+                        traj.state(-1))
                 out[k] = (traj, BlowupReport(**fields))
                 continue
             fields["s_collapse_numeric"] = detect_collapse(traj)

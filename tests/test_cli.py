@@ -15,7 +15,7 @@ import ch2exact.cli as cli
 import ch2exact.emden as emden
 from ch2exact import EmdenParams, IntegrationFailure, analyze, sample
 from ch2exact.cli import ConfigError, main, parse_config_blocks
-from ch2exact.verify import Tolerances, _fields_on_grid
+from ch2exact.verify import Tolerances, _fields_on_grid, energy_drift
 
 
 def write_config(tmp_path, text, name="case.cfg"):
@@ -401,8 +401,37 @@ def test_sweep_locates_all_event_roots_in_one_batch(tmp_path, monkeypatch):
     cfg = str(DATA / GOLDEN_DATA["batch200"])
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
     rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
-    assert sum(row.split(",")[6] == "Collapse" for row in rows) == 100
+    assert sum(row.split(",")[6] == "Collapse" for row in rows) == 126
     assert len(batches) == 1 and len(calls) == 1
+
+
+def test_verify_zero_energy_collapse_skips_the_rate_check(tmp_path):
+    # xi > 0, theta = 0: rho(s, 0) grows like (S - s)^{-1/2}, so the
+    # (S - s)^{1/3} rate check has no finite limit to compare with.
+    cfg = write_config(tmp_path, "sigma = 1\nxi = 1\nalpha = 1\na0 = 1\na1 = -1\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) in (0, 3)
+    reports = json.loads((tmp_path / "verify.json").read_text())["reports"]
+    assert reports["blowup"]["classification"] == "Collapse"
+    assert reports["blowup"]["s_collapse_quadrature"] == 1.5
+    assert reports["blowup_rate"]["skipped"] is True and "pass" not in reports["blowup_rate"]
+
+
+def test_sweep_energy_drift_bound_on_batch200():
+    # Every clean orbit of batch200 passes the sweep's first-integral check,
+    # and the fault a' (1 + 1e-5) trips it on every one.
+    blocks = cli._load_blocks(str(DATA / GOLDEN_DATA["batch200"]))
+    orbits = [cli._sweep_orbit(block, None) for block in blocks]
+    results = emden.analyze_many([(case.emden, s_end, tol) for case, s_end, tol in orbits])
+    clean, faulted = [], []
+    for traj, report in results:
+        drift, bound = energy_drift(traj, report.theta)
+        clean.append(drift / bound)
+        bad = dataclasses.replace(traj, a_dot=traj.a_dot * (1.0 + 1e-5))
+        drift, bound = energy_drift(bad, report.theta)
+        faulted.append(drift / bound)
+    assert len(clean) == 200
+    assert max(clean) < 0.1
+    assert min(faulted) > 1.0
 
 
 # A turning-point orbit (inward slope, theta < 0): its support radius is
@@ -525,11 +554,12 @@ def test_sweep_error_row_keeps_config_text_as_utf8(tmp_path):
 
 
 # Blocks that fail at each stage of a sweep: parsing, integration and the
-# report (the two collapse-time routes differ by 1.5e-6 > S_AGREEMENT_TOL).
+# report (at tol = 1e-3 the two collapse-time routes differ by 4.4e-6 of S,
+# more than S_AGREEMENT_TOL).
 SWEEP_FAILING = [
     "sigma = 1\nxi = 0\nalpha = 1\na0 = 1\n",
     "sigma = 1\nxi = 1\nalpha = 1\na0 = 1\ntol = -1\n",
-    "sigma = -1\nxi = -0.0404969088912777\nalpha = 1\na0 = 10\na1 = 0\n",
+    "sigma = 1\nxi = 3\nalpha = 1\na0 = 1\na1 = -5\ntol = 1e-3\n",
 ]
 
 
@@ -543,7 +573,7 @@ def test_sweep_failing_blocks_leave_valid_rows_alone(tmp_path):
     assert [row.split(",")[6] for row in rows[2:5]] == [
         "error: coupling constant fails xi != 0",
         "error: tol must be positive; got -1.0",
-        "error: collapse-time routes disagree by 1.458e-06 (> 1e-06)",
+        "error: collapse-time routes disagree by 4.423e-06 of S (> 1e-06)",
     ]
     assert all(row.startswith("?,") and row.endswith(",false") for row in rows[2:5])
     alone = []
@@ -629,9 +659,10 @@ GOLDEN = {
     # One sweep over the four families' blocks, in GOLDEN_FAMILIES order.
     ("sweep", "all", ()):
         (0, "3d8725f72665fb000af40459c791d13e495867f74f74b86514a9f082c7ec9b60"),
-    # 200 generated cases, 100 of them collapse orbits (GOLDEN_DATA).
+    # 200 generated cases, 126 of them collapse orbits (GOLDEN_DATA): 100 with
+    # xi < 0 and 26 with xi > 0, an inward slope and theta >= 0.
     ("sweep", "batch200", ()):
-        (0, "8205997e6c2c2e5ca3d83e7f989e30ddc353ccca0473b8251ca753be47110a62"),
+        (0, "a8b3c6a0288d73065e8ba8590650fdf33a767e3ea4a1658c43cf4d78ffa37eaa"),
 }
 
 DATA = Path(__file__).parent / "data"
@@ -685,8 +716,9 @@ def test_fields_on_grid_takes_time_and_space_arrays(case_2a):
             assert u[i, j] == point.u
 
 
-# An inward-slope xi > 0 orbit whose integration stops near a = 0 at s_max:
-# s_max / 3, the default grid end, times 3 rounds one ulp above s_max.
+# An inward-slope xi > 0 orbit with theta > 0, which collapses; its
+# integration stops near a = 0 at s_max, and s_max / 3 times 3 rounds one
+# ulp above s_max.
 CFG_ULP = (
     "sigma = 1\nxi = 1.6080305655209362\nalpha = 0.7861880071428833\n"
     "a0 = 0.19120769802229437\na1 = -1.12511702408761\n"
@@ -711,10 +743,10 @@ def test_default_horizon_one_ulp_orbit(tmp_path, capsys):
 
 
 def test_explicit_t1_beyond_orbit_still_rejected(tmp_path, capsys):
-    # The orbit ends at s = 0.1877..., so 3 * t1 = 0.21 lies past it.
+    # The orbit collapses at s = 0.1877..., so 3 * t1 = 0.21 lies past it.
     cfg = write_config(tmp_path, CFG_ULP + "t1 = 0.07\n")
     assert main(["construct", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert "outside [0, 0.18770219167908422]" in capsys.readouterr().err
+    assert "crosses the collapse time s = 0.1877021917" in capsys.readouterr().err
 
 
 def test_readme_verify_table_matches_tolerances():

@@ -628,7 +628,7 @@ def test_analyze_many_matches_analyze():
     orbits = [
         (EmdenParams(-1.0, 1.0), None, 1e-10),                  # collapse
         (EmdenParams(1.0, -1.0, 0.3), 30.0, 1e-8),              # growth
-        (EmdenParams(-0.0404969088912777, 10.0), None, 1e-10),  # the S routes disagree
+        (EmdenParams(3.0, 1.0, -5.0), None, 1e-3),              # the S routes disagree
         (EmdenParams(1.0, 1.0), 30.0, -1.0),                    # invalid tol
         (EmdenParams(-3.0, 1.0, 2.0), 10.0, 1e-12),             # turning point
     ]

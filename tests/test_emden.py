@@ -188,8 +188,11 @@ def test_growth_event_stops_integration():
 def test_classify_sign_table():
     assert classify(EmdenParams(xi=-1.0, a0=1.0, a1=5.0)) is Classification.COLLAPSE
     assert classify(EmdenParams(xi=1.0, a0=-1.0, a1=0.0)) is Classification.GLOBAL
-    # Inward slope with xi > 0 still carries the Global label.
-    assert classify(EmdenParams(xi=1.0, a0=1.0, a1=-10.0)) is Classification.GLOBAL
+    # xi > 0 with an inward slope collapses when theta >= 0 and turns when theta < 0.
+    assert classify(EmdenParams(xi=1.0, a0=1.0, a1=-10.0)) is Classification.COLLAPSE
+    assert classify(EmdenParams(xi=1.0, a0=-1.0, a1=1.0)) is Classification.COLLAPSE
+    assert classify(EmdenParams(xi=1.0, a0=1.0, a1=-0.5)) is Classification.GLOBAL
+    assert classify(EmdenParams(xi=1.0, a0=1.0, a1=10.0)) is Classification.GLOBAL
 
 
 def test_orbit_integral_closed_form():
@@ -232,6 +235,87 @@ def test_collapse_time_split_orbit():
 def test_collapse_time_requires_negative_xi():
     with pytest.raises(ValueError):
         collapse_time_quadrature(EmdenParams(xi=1.0, a0=1.0))
+    # An inward xi > 0 orbit needs theta >= 0 to collapse.
+    with pytest.raises(ValueError):
+        collapse_time_quadrature(EmdenParams(xi=1.0, a0=1.0, a1=-0.5))
+
+
+@pytest.mark.parametrize("xi,a0,a1", [
+    (3.0, 1.0, -5.0),         # theta = 11, psi = 0.36 (the series branch)
+    (2.0, -1.0, 1.5),         # theta = 0.125, psi = 1.76, a0 < 0
+    (0.5, 8.0, -20.0),        # theta = 199 against xi |a0|^{2/3} = 2: psi = 0.07
+    (40.0, 0.01, -3.0),       # psi = 0.49, just below the series threshold
+])
+def test_inward_xi_positive_orbit_collapses(xi, a0, a1):
+    # An inward slope with theta >= 0 drives |a| to zero although xi > 0;
+    # both routes give its S, and the closed form matches the plain-variable
+    # oracle.
+    p = EmdenParams(xi=xi, a0=a0, a1=a1)
+    assert classify(p) is Classification.COLLAPSE
+    traj, report = analyze(p)
+    assert traj.collapsed and report.classification is Classification.COLLAPSE
+    s_quad = report.s_collapse_quadrature
+    assert s_quad == pytest.approx(direct_collapse_time(xi, a0, a1), rel=1e-7)
+    assert abs(report.s_collapse_numeric - s_quad) <= 1e-9 * s_quad
+    assert report.a_turning is None
+
+
+def test_zero_energy_inward_orbit_collapses_at_1_5():
+    # theta = 0: a^{2/3} = 1 - (2/3) s, so S = 1.5, and a' tends to zero at
+    # collapse, where the linear remainder |a| / sqrt(2 theta) is undefined.
+    p = EmdenParams(xi=1.0, a0=1.0, a1=-1.0)
+    assert p.theta == 0.0 and classify(p) is Classification.COLLAPSE
+    assert collapse_time_quadrature(p) == 1.5
+    traj, report = analyze(p)
+    assert report.s_collapse_quadrature == 1.5
+    assert report.s_collapse_numeric == pytest.approx(1.5, rel=1e-9)
+    last = traj.state(-1)
+    remainder = detect_collapse(traj) - last.s
+    assert remainder == pytest.approx(1.5 * abs(last.a) ** (2.0 / 3.0), rel=1e-6)
+
+
+def test_inward_time_series_and_closed_form_agree():
+    # The xi > 0 closed form switches to a Taylor series at psi = 0.5; both
+    # sides of the switch match a direct quadrature of the reduced integral.
+    from ch2exact.emden import _inward_time
+    for psi in (1e-6, 0.1, 0.499, 0.501, 3.0):
+        xi, b = 2.0, 1.0
+        g = math.sqrt(xi / 2.0) * b
+        theta = (g / math.sinh(psi)) ** 2
+        direct, _ = quad(lambda G: G * G / math.sqrt(theta + G * G), 0.0, g,
+                         epsabs=0.0, epsrel=1e-13)
+        assert _inward_time(xi, theta, b) == pytest.approx(6.0 / xi ** 1.5 * direct, rel=1e-13)
+
+
+def test_global_orbit_reaching_the_stop_event_is_an_error():
+    # theta = -1.1e-16: the orbit turns at |a| ~ 3e-24, below the stop
+    # level 1e-10 |a0|, so the integrator stops although the orbit is global.
+    p = EmdenParams(xi=1.0, a0=1.0, a1=-math.nextafter(1.0, 0.0))
+    assert p.theta < 0.0 and classify(p) is Classification.GLOBAL
+    with pytest.raises(IntegrationFailure, match="global orbit reached the collapse stop event"):
+        analyze(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(xi_sign=st.sampled_from([-1.0, 1.0]), xi_dec=st.floats(-6.0, 6.0),
+       a0_sign=st.sampled_from([-1.0, 1.0]), a0_dec=st.floats(-6.0, 6.0),
+       u=st.floats(-2.0, 2.0))
+def test_analyze_label_matches_the_trajectory(xi_sign, xi_dec, a0_sign, a0_dec, u):
+    # |xi| and |a0| over twelve decades, slopes on both sides of theta = 0:
+    # a returned report is Collapse exactly when its trajectory stopped at
+    # a = 0, and then both routes give S.
+    xi, a0 = xi_sign * 10.0 ** xi_dec, a0_sign * 10.0 ** a0_dec
+    p = EmdenParams(xi=xi, a0=a0, a1=u * math.sqrt(abs(xi)) * abs(a0) ** (1.0 / 3.0))
+    try:
+        traj, report = analyze(p)
+    except IntegrationFailure:
+        return
+    assert report.classification is classify(p)
+    assert traj.collapsed == (report.classification is Classification.COLLAPSE)
+    if traj.collapsed:
+        assert report.s_collapse_quadrature > 0.0
+        assert report.s_collapse_numeric == pytest.approx(report.s_collapse_quadrature,
+                                                          rel=1e-6)
 
 
 def test_detect_collapse_matches_quadrature():
@@ -320,6 +404,28 @@ def test_blowup_report_field_consistency():
             s_collapse_numeric=1.0,
             s_collapse_quadrature=1.0 + 1e-3,
         )
+
+
+def test_long_orbit_passes_the_relative_s_agreement():
+    # S = 54.35: the routes differ by 1.46e-6, which an absolute 1e-6 bound
+    # rejected, but only by 2.7e-8 of S.
+    _, report = analyze(EmdenParams(xi=-0.0404969088912777, a0=10.0, a1=0.0))
+    s_quad = report.s_collapse_quadrature
+    gap = abs(report.s_collapse_numeric - s_quad)
+    assert s_quad == pytest.approx(54.3459, rel=1e-5)
+    assert 1e-6 < gap < 1e-7 * s_quad
+
+
+@pytest.mark.parametrize("s_quad", [1e-3, 1.0, 54.35, 1e4])
+def test_s_agreement_is_relative_to_s(s_quad):
+    def report(gap):
+        return BlowupReport(classification=Classification.COLLAPSE, theta=1.0,
+                            s_collapse_numeric=s_quad * (1.0 + gap),
+                            s_collapse_quadrature=s_quad)
+
+    report(0.5e-6)
+    with pytest.raises(IntegrationFailure, match="disagree by 2.000e-06 of S"):
+        report(2e-6)
 
 
 # ----------------------------------------------------------------------
