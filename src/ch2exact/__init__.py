@@ -36,7 +36,6 @@ _EXPORTS = {
         "integrate",
         "integrate_many",
         "node_energies",
-        "orbit_time_integral",
         "rhs",
     ),
     "selfsim": (

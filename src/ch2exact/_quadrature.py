@@ -1,15 +1,15 @@
 """Fixed 21-point Gauss-Kronrod rule (QUADPACK's dqk21).
 
-The package integrates two smooth integrands: theta sin^2(phi) on a
-subinterval of [0, pi/2] (the reduced collapse-time integral) and the
-density over its support after x = x_b sin(phi), which is proportional to
-cos^2(phi).  On both, QUADPACK's adaptive routine dqagse accepts the first
-21-point estimate, because dqk21's error floor 50 eps resabs lies below the
+The package integrates one smooth integrand: the density over its support
+after x = x_b sin(phi), which is proportional to cos^2(phi) (``verify.mass``).
+On it QUADPACK's adaptive routine dqagse accepts the first 21-point
+estimate, because dqk21's error floor 50 eps resabs lies below the
 requested relative tolerance.  ``gauss_kronrod21`` is therefore that first
 estimate, computed with dqk21's constants and in dqk21's summation order
 (centre, the nodes shared with the 10-point Gauss rule, the Kronrod-only
 nodes, then the scaling by the half-length), so it returns the same
-doubles as ``scipy.integrate.quad``.  ``gauss_kronrod21_array`` takes
+doubles as ``scipy.integrate.quad``; the tests hold it to that on the
+mass integrand and on theta sin^2(phi).  ``gauss_kronrod21_array`` takes
 the integrand's 21 values from one call; only the sum runs per node.  The
 Gauss sum and the error estimate, which only decide whether dqagse
 subdivides, are left out.

@@ -188,9 +188,12 @@ def _parse_corrupt(flag: str | None) -> float:
     if not flag.startswith("u="):
         raise ConfigError(f"--seed-corrupt expects 'u=<factor>', got {flag!r}")
     try:
-        return float(flag[2:])
+        factor = float(flag[2:])
     except ValueError as exc:
         raise ConfigError(f"--seed-corrupt factor is not a number: {flag!r}") from exc
+    if not math.isfinite(factor):
+        raise ConfigError(f"--seed-corrupt factor must be finite: {flag!r}")
+    return factor
 
 
 def _grid_values(case: SolutionCase, traj, report, block: dict[str, str],

@@ -20,18 +20,18 @@ detection on the trajectory, and a reduction of the first integral to
     S = int db / sqrt(2 theta + xi b^{2/3})
 
 which the substitution G = sqrt(|xi|/2) b^{1/3} turns into a multiple of
-int G^2 / sqrt(theta + sign(xi) G^2) dG.  For xi < 0 a quadrature
-evaluates it; its half-orbit value theta * pi / 4 is exact, which doubles
-as a self-test of the singular quadrature.  For xi > 0 it is elementary
-(G = sqrt(theta) sinh psi).
+int G^2 / sqrt(theta + sign(xi) G^2) dG.  That integral is elementary: a
+cycloid, the radial Kepler equation, for xi < 0 (G = sqrt(theta) sin phi)
+and its hyperbolic twin for xi > 0 (G = sqrt(theta) sinh psi).  The event
+route uses the same closed form only for the time left after the stop
+event, from |a| = REL_STOP |a0| down to zero.
 
-The ODE is integrated with an in-tree port of SciPy's DOP853 (``_dop853``)
-and the quadrature uses a fixed 21-point Gauss-Kronrod rule
-(``_quadrature``); both reproduce SciPy 1.17's ``solve_ivp`` and ``quad``
-bit for bit on these problems, and neither imports SciPy.  The solver
-steps a batch of orbits in lockstep: ``integrate_many`` and
-``analyze_many`` take one, ``integrate`` and ``analyze`` a batch of one,
-and every orbit gets the doubles it would get alone.
+The ODE is integrated with an in-tree port of SciPy's DOP853 (``_dop853``),
+which reproduces SciPy 1.17's ``solve_ivp`` bit for bit on these problems
+without importing SciPy.  The solver steps a batch of orbits in lockstep:
+``integrate_many`` and ``analyze_many`` take one, ``integrate`` and
+``analyze`` a batch of one, and every orbit gets the doubles it would get
+alone.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _dop853
-from ._quadrature import gauss_kronrod21_array
 
 __all__ = [
     "DEFAULT_TOL",
@@ -67,7 +66,6 @@ __all__ = [
     "integrate",
     "integrate_many",
     "node_energies",
-    "orbit_time_integral",
     "rhs",
 ]
 
@@ -347,33 +345,14 @@ def classify(params: EmdenParams) -> Classification:
     return Classification.COLLAPSE if collapses else Classification.GLOBAL
 
 
-def orbit_time_integral(theta: float, g_lo: float, g_hi: float) -> float:
-    """int_{g_lo}^{g_hi} G^2 / sqrt(theta - G^2) dG, singular endpoint included.
-
-    The substitution G = sqrt(theta) sin(phi) removes the inverse-square-root
-    endpoint singularity (the integrand becomes theta sin^2 phi), after which
-    a single 21-point Gauss-Kronrod rule is accurate to near machine
-    precision.  Over the full half-orbit [0, sqrt(theta)] the exact value is
-    theta * pi / 4.
-    """
-    if not (math.isfinite(theta) and theta > 0.0):
-        raise InvalidEnergy(f"orbit energy must be positive, got theta = {theta}")
-    root = math.sqrt(theta)
-    if not (-1e-12 * root <= g_lo <= g_hi * (1.0 + 1e-12)) or g_hi > root * (1.0 + 1e-12):
-        raise ValueError(f"need 0 <= g_lo <= g_hi <= sqrt(theta), got [{g_lo}, {g_hi}]")
-    phi_lo = math.asin(min(1.0, max(0.0, g_lo / root)))
-    phi_hi = math.asin(min(1.0, max(0.0, g_hi / root)))
-    return gauss_kronrod21_array(
-        lambda phi: [theta * math.sin(p) ** 2 for p in phi.tolist()], phi_lo, phi_hi)
-
-
 def collapse_time_quadrature(params: EmdenParams) -> float:
-    """Collapse time S by reduction of the first integral to a quadrature.
+    """Collapse time S by reduction of the first integral.
 
-    Requires a collapse orbit.  For xi < 0, orbits with an initially outward
-    slope are split at the turning point |a| = (-2 theta / xi)^{3/2}; the leg
-    from the turning point down to zero is a full half-orbit of the reduced
-    integral.  For xi > 0 the reduced integral is elementary.
+    Requires a collapse orbit.  The reduced integral is elementary and is
+    evaluated in closed form (``_fall_time``).  An outward xi < 0 start
+    climbs to the turning point |a| = (-2 theta / xi)^{3/2} and falls back
+    through a full half-orbit: S is two half-orbits, (6 / |xi|^{3/2})
+    theta pi / 2, less the time to fall from the start.
     """
     if classify(params) is not Classification.COLLAPSE:
         raise ValueError("collapse-time quadrature requires a collapse orbit")
@@ -382,66 +361,69 @@ def collapse_time_quadrature(params: EmdenParams) -> float:
     b0 = abs(params.a0)
     b1 = params.a1 if params.a0 > 0 else -params.a1
     theta = _energy(xi, b0, b1)
-    if xi > 0:
-        return _inward_time(xi, theta, b0)
-    if theta <= 0.0:
+    if xi < 0 and theta <= 0.0:
         raise InvalidEnergy(
             f"collapse orbit must have positive energy, got theta = {theta}"
         )
-    c = 6.0 / (-xi) ** 1.5
-    root = math.sqrt(theta)
-    g0 = min(math.sqrt(-xi / 2.0) * float(np.cbrt(b0)), root)
+    fall = _fall_time(xi, b0, abs(b1))
     if b1 <= 0.0:
-        # Moving toward zero from the start.
-        return c * orbit_time_integral(theta, 0.0, g0)
-    # Out to the turning point, then the full leg back down to zero.
-    return c * (orbit_time_integral(theta, g0, root) + orbit_time_integral(theta, 0.0, root))
+        return fall
+    return 6.0 / (-xi) ** 1.5 * theta * (0.5 * math.pi) - fall
 
 
 def detect_collapse(traj: Trajectory) -> float | None:
     """Collapse time from the trajectory's stop event, or None.
 
     When integration halted at |a| = REL_STOP * |a0| the remaining time to
-    zero is recovered from the last node's energy theta.  For xi < 0 it is
-    the local model |a|(s) ~ sqrt(2 theta) (S - s), valid because a' tends
-    to -sign(a0) sqrt(2 theta) at collapse.  For xi > 0 it is the exact
-    remaining time of the inward leg, which at theta = 0, where a' tends to
-    zero, is 1.5 |a|^{2/3} / sqrt(xi).
+    zero is the closed-form time of the rest of the inward leg, from the
+    last node's state.
     """
     if not traj.collapsed:
         return None
     last = traj.state(-1)
-    theta = energy(traj.params, last)
     xi = traj.params.xi
-    if xi > 0:
-        # A theta = 0 orbit ends with a roundoff-sized energy of either sign.
-        return last.s + _inward_time(xi, max(theta, 0.0), abs(last.a))
-    if theta <= 0.0:
+    if xi < 0 and (theta := energy(traj.params, last)) <= 0.0:
         raise InvalidEnergy(f"halted orbit carries nonpositive energy {theta}")
-    return last.s + abs(last.a) / math.sqrt(2.0 * theta)
+    return last.s + _fall_time(xi, abs(last.a), abs(last.a_dot))
 
 
-def _inward_time(xi: float, theta: float, b: float) -> float:
-    """Time for |a| to fall from b to zero when xi > 0 and theta >= 0.
+def _fall_time(xi: float, b: float, v: float) -> float:
+    """Time for |a| to fall from b to zero on an inward leg of speed v = |a'|.
 
-    That is (6 / xi^{3/2}) int_0^g G^2 / sqrt(theta + G^2) dG with
-    g = sqrt(xi/2) b^{1/3}, and G = sqrt(theta) sinh(psi) makes the integral
+    With g = sqrt(|xi|/2) b^{1/3} that time is (6 / |xi|^{3/2}) times
+    int_0^g G^2 / sqrt(theta - G^2) dG for xi < 0, and the same integral
+    with theta + G^2 for xi > 0.  G = sqrt(theta) sin(phi) makes the first
+    (theta / 4)(2phi - sin 2phi), the radial Kepler equation, at
+    phi = atan2(g, v / sqrt 2), which stays well conditioned at rest
+    (phi = pi / 2).  G = sqrt(theta) sinh(psi) makes the second
     (theta / 4)(sinh 2psi - 2psi) at psi = asinh(g / sqrt(theta)).  For
-    small psi that difference is summed as its Taylor series, which keeps
-    the digits the closed form cancels.  At theta = 0 the time is
-    1.5 b^{2/3} / sqrt(xi).
+    small angles x - sin x and sinh x - x are summed as their common
+    Taylor series, which keeps the digits the closed forms cancel.  At
+    theta = 0, reached only for xi > 0, the time is 1.5 b^{2/3} / sqrt(xi).
     """
-    if theta == 0.0:
-        return 1.5 * float(np.cbrt(b)) ** 2 / math.sqrt(xi)
-    g = math.sqrt(xi / 2.0) * float(np.cbrt(b))
-    if (psi := math.asinh(g / math.sqrt(theta))) > 0.5:
-        integral = 0.5 * (g * math.sqrt(theta + g * g) - theta * psi)
+    cb = float(np.cbrt(b))
+    theta = _energy(xi, b, v)
+    if xi > 0 and theta <= 0.0:
+        # A theta = 0 orbit ends with a roundoff-sized energy of either sign.
+        return 1.5 * cb ** 2 / math.sqrt(xi)
+    g = math.sqrt(abs(xi) / 2.0) * cb
+    if xi < 0:
+        w = v / math.sqrt(2.0)  # sqrt(theta - g^2) = sqrt(theta) cos(phi)
+        sign, angle = -1.0, math.atan2(g, w)
     else:
-        x2, term, total, k = 4.0 * psi * psi, (2.0 * psi) ** 3 / 6.0, 0.0, 3
+        w = math.sqrt(theta + g * g)  # sqrt(theta) cosh(psi)
+        sign, angle = 1.0, math.asinh(g / math.sqrt(theta))
+    if angle > 0.5:
+        # The closed forms, with sin 2phi and sinh 2psi both 2 g w / theta.
+        integral = 0.5 * sign * (g * w - theta * angle)
+    else:
+        # x - sin x = x^3/3! - x^5/5! + ...; sinh x - x has every sign +.
+        x = 2.0 * angle
+        x2, term, total, k = sign * x * x, x ** 3 / 6.0, 0.0, 3
         while total + term != total:
             total, term, k = total + term, term * x2 / ((k + 1) * (k + 2)), k + 2
         integral = 0.25 * theta * total
-    return 6.0 / xi ** 1.5 * integral
+    return 6.0 / abs(xi) ** 1.5 * integral
 
 
 def growth_asymptote(traj: Trajectory) -> float:
@@ -459,10 +441,11 @@ class BlowupReport:
     """Classification plus collapse-time data for one orbit.
 
     Collapse orbits carry both collapse-time routes (numeric event detection
-    and reduced quadrature) and they must agree to S_AGREEMENT_TOL relative
-    to S; global orbits carry neither.  ``a_turning`` is the interior
-    extremum of |a| when the orbit has one.  ``rate_limit_estimate`` is the
-    measured limit of ((S - s)/|a|)^{1/3}, which tends to (2 theta)^{-1/6}.
+    and the closed form of the reduced first integral) and they must agree
+    to S_AGREEMENT_TOL relative to S; global orbits carry neither.
+    ``a_turning`` is the interior extremum of |a| when the orbit has one.
+    ``rate_limit_estimate`` is the measured limit of ((S - s)/|a|)^{1/3},
+    which tends to (2 theta)^{-1/6}.
     """
 
     classification: Classification

@@ -84,7 +84,7 @@ class Tolerances:
     levels: int = 2                 # grid refinements for the order estimate
     margin: float = DEFAULT_SUPPORT_MARGIN
     order_band: float = 0.2         # accepted |order - 2|
-    dispersion_tol: float = 1e-10   # max residual spread across alpha_d values
+    dispersion_tol: float = 100.0   # max alpha_d spread, in units of its roundoff scale
     mass_rtol: float = 1e-6         # mass vs analytic_mass
     drift_tol: float = 1e-8         # relative mass drift across times
     rate_rtol: float = 0.01         # blowup-rate tail vs alpha / (2 theta)^{1/6}
@@ -553,19 +553,10 @@ def run_battery(
 
     # The dispersion comparison runs on a coarse copy of the grid: the
     # alpha_d runs must share one grid, and coarse spacings keep the
-    # roundoff amplification of D_xx u (analytically zero) far below the
-    # comparison tolerance.
+    # roundoff amplification of D_xx u (analytically zero) small.
     grid_disp = SpaceTimeGrid(grid.t0, grid.t1, min(17, grid.nt),
                               grid.x0, grid.x1, min(17, grid.nx))
-    sampled = sample(grid_disp, 1)
-    disp_max = [_residual_report(case, sampled, "momentum", ad).interior_max_residual
-                for ad in tols.alpha_d]
-    disp_diff = max(abs(v - disp_max[0]) for v in disp_max)
-    reports["dispersion_independence"] = {
-        "alpha_d_values": list(tols.alpha_d), "grid": {"nt": grid_disp.nt, "nx": grid_disp.nx},
-        "interior_max_residuals": disp_max, "max_abs_difference": disp_diff,
-        "tolerance": tols.dispersion_tol, "pass": disp_diff <= tols.dispersion_tol,
-    }
+    reports["dispersion_independence"] = _dispersion_record(case, sample(grid_disp, 1), tols)
 
     if case.compact:
         m_val = mass(case, traj, grid.t0)
@@ -589,6 +580,29 @@ def run_battery(
     elif case.alpha > 0:
         reports["blowup_rate"] = _blowup_rate_record(case, traj, report, tols.rate_rtol)
     return reports
+
+
+def _dispersion_record(case, sampled, tols: Tolerances) -> dict:
+    """Spread of the momentum residual across alpha_d on one sampled lattice.
+
+    For a velocity linear in x, D_xx u is roundoff, of size eps max|u| / dx^2,
+    and the residual's difference quotients amplify alpha_d^2 times it by up
+    to 1 / min(dt, dx).  The bound is dispersion_tol, which is dimensionless,
+    times that scale, so it holds in every unit system.
+    """
+    (g, _, u), = sampled
+    disp_max = [_residual_report(case, sampled, "momentum", ad).interior_max_residual
+                for ad in tols.alpha_d]
+    disp_diff = max(abs(v - disp_max[0]) for v in disp_max)
+    eps = float(np.finfo(float).eps)
+    scale = (eps * max(ad * ad for ad in tols.alpha_d) * float(np.max(np.abs(u)))
+             / (g.dx ** 2 * min(g.dt, g.dx)))
+    bound = tols.dispersion_tol * scale
+    return {
+        "alpha_d_values": list(tols.alpha_d), "grid": {"nt": g.nt, "nx": g.nx},
+        "interior_max_residuals": disp_max, "max_abs_difference": disp_diff,
+        "tolerance": tols.dispersion_tol, "bound": bound, "pass": disp_diff <= bound,
+    }
 
 
 def _blowup_rate_record(case, traj, report, rtol: float) -> dict:

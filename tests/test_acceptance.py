@@ -25,7 +25,6 @@ from ch2exact import (
     integrate,
     mass,
     mass_conservation,
-    orbit_time_integral,
     residual_mass_eq,
     residual_momentum_eq,
 )
@@ -60,13 +59,19 @@ def test_criterion_01_mass_exactness(case_2a):
 
 
 def test_criterion_02_orbit_integral_self_test():
-    """Singular quadrature reproduces theta*pi/4 for theta in {0.5, 1.5, 7}."""
-    errs = []
+    """Closed-form half-orbit 6 theta pi / 4 matches DOP853 for theta in {0.5, 1.5, 7}."""
+    exact_errs, ode_gaps = [], []
     for theta in (0.5, 1.5, 7.0):
-        exact = theta * math.pi / 4.0
-        errs.append(abs(orbit_time_integral(theta, 0.0, math.sqrt(theta)) - exact) / exact)
-    ok = max(errs) <= 1e-8
-    _report(2, "theta*pi/4 quadrature self-test", ok, f"max rel error {max(errs):.2e}")
+        # xi = -1 from rest at |a0| = (2 theta)^{3/2}: one full half-orbit.
+        params = EmdenParams(xi=-1.0, a0=(2.0 * theta) ** 1.5, a1=0.0)
+        exact = 6.0 * theta * math.pi / 4.0
+        s_closed = collapse_time_quadrature(params)
+        s_num = detect_collapse(integrate(params, s_end=1.25 * exact))
+        exact_errs.append(abs(s_closed - exact) / exact)
+        ode_gaps.append(abs(s_num - s_closed) / s_closed)
+    ok = max(exact_errs) <= 1e-13 and max(ode_gaps) <= 1e-9
+    _report(2, "closed-form half-orbit against DOP853", ok,
+            f"max rel error {max(exact_errs):.2e}, DOP853 gap {max(ode_gaps):.2e}")
 
 
 def test_criterion_03_collapse_time():

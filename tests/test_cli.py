@@ -237,6 +237,34 @@ def test_verify_bad_corrupt_flag(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("factor", ["nan", "inf", "-inf"])
+def test_verify_rejects_a_non_finite_corrupt_factor(tmp_path, capsys, factor):
+    # Rejected before the battery runs, like a non-finite config value.
+    cfg = write_config(tmp_path, verify_cfg_2a())
+    out = tmp_path / "out"
+    rc = main(["verify", "--config", cfg, "--out", str(out), "--seed-corrupt", f"u={factor}"])
+    assert rc == 1
+    assert f"--seed-corrupt factor must be finite: 'u={factor}'" in capsys.readouterr().err
+    assert not (out / "verify.json").exists()
+
+
+# A clean item (verify-cli seed 1, item 1) whose alpha_d spread, 7.6e-8, is
+# roundoff: it is a third of the bound's scale, but 760 times the absolute
+# 1e-10 the check used to apply.
+CFG_DISPERSION_ROUNDOFF = (
+    "sigma = 1\nxi = -2.5845637022394996\nalpha = 2.470677476185586\n"
+    "a0 = -0.0299521875216168\na1 = 0.3541423897229059\n"
+)
+
+
+def test_verify_dispersion_bound_is_relative_to_roundoff(tmp_path):
+    cfg = write_config(tmp_path, CFG_DISPERSION_ROUNDOFF)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rec = json.loads((tmp_path / "verify.json").read_text())["reports"]["dispersion_independence"]
+    assert rec["pass"] is True and rec["tolerance"] == 100.0
+    assert 1e-10 < rec["max_abs_difference"] <= rec["bound"]
+
+
 def test_verify_rejects_invalid_sign_pattern(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -597,6 +625,26 @@ def test_sweep_propagates_programming_errors(tmp_path, monkeypatch):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+FAMILY_CONFIGS = Path(__file__).resolve().parents[1] / "configs" / "families"
+
+
+def test_family_configs_agree_with_the_sweep_config(tmp_path):
+    # CI runs verify on each family config and sweep on sweep.cfg; the sweep
+    # holds the same four cases, with an invalid block as its third row.
+    cases = {}
+    for family in GOLDEN_FAMILIES:
+        block = cli._single_block(str(FAMILY_CONFIGS / f"{family}.cfg"))
+        assert (block["levels"], block["nt"], block["nx"]) == ("3", "41", "41")
+        cases[family] = {k: v for k, v in block.items() if k in cli._CASE_KEYS}
+    blocks = cli._load_blocks(str(FAMILY_CONFIGS / "sweep.cfg"))
+    assert blocks[:2] + blocks[3:] == list(cases.values())
+    assert main(["sweep", "--config", str(FAMILY_CONFIGS / "sweep.cfg"),
+                 "--out", str(tmp_path)]) == 0
+    rows = [row.split(",") for row in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["1a", "1b", "?", "2a", "2b"]
+    assert [row[-1] for row in rows] == ["true", "true", "false", "true", "true"]
+
+
 def test_sweep_deterministic(tmp_path):
     cfg = write_config(tmp_path, SWEEP_FOUR)
     d1, d2 = tmp_path / "r1", tmp_path / "r2"
@@ -647,22 +695,22 @@ GOLDEN = {
     ("emden", "2b", ()):
         (0, "f8ac7995c47c86042d176347000a9837efaab04a854518ebc2b5d492f3beb9da"),
     ("verify", "1a", ()):
-        (0, "7d702e9ff3da131fb4557c2645ce152720524124c52f808977a90bdaa8691074"),
+        (0, "4ed20dbfd2670294fe66aeb6a7bf8f236261edb324776fe5521d0330237b4b62"),
     ("verify", "1b", ()):
-        (0, "5ef38e4dd8d46fc4333b70971a9068d4b5aea612d9032ed5bc5a33542b50817e"),
+        (0, "0fbef66be3e621f16f4671944095a94dd6a6aa0dd9b63e76cbb67276bb5cd66f"),
     ("verify", "2a", ()):
-        (0, "66c1d7095e4b0ed1035b3d4a9726b4e74ebbfdfd3c1a6d7cad4fb971a421e077"),
+        (0, "292576e431b1473e427488f4c4cd29f45676bfb80b69e685a4f7c876e36b0984"),
     ("verify", "2b", ()):
-        (0, "18bdbdabe11f40a0f4eb4fc209aa8911548c1a0df5e0539775bd7b2b39e6b32e"),
+        (0, "1cb4a0949c0fdad9bd130a727559875af749cc306e8072602adf40ecea0128ed"),
     ("verify", "2a", ("--seed-corrupt", "u=1.01")):
-        (3, "c51755dcf409c74f3f4a7881c61213d8925b7712d16d47b9e2787b91e98a5fb1"),
+        (3, "34e63c39e800c8ed1d7fb9482760a1362a3eaa582334e26a6238875cf9b3f80e"),
     # One sweep over the four families' blocks, in GOLDEN_FAMILIES order.
     ("sweep", "all", ()):
         (0, "3d8725f72665fb000af40459c791d13e495867f74f74b86514a9f082c7ec9b60"),
     # 200 generated cases, 126 of them collapse orbits (GOLDEN_DATA): 100 with
     # xi < 0 and 26 with xi > 0, an inward slope and theta >= 0.
     ("sweep", "batch200", ()):
-        (0, "a8b3c6a0288d73065e8ba8590650fdf33a767e3ea4a1658c43cf4d78ffa37eaa"),
+        (0, "8976b709e5761a7061a8a44240687f4f0338f8cad935d3e5a0c973490f4d4c10"),
 }
 
 DATA = Path(__file__).parent / "data"

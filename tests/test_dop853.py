@@ -28,7 +28,7 @@ from scipy.optimize import brentq as scipy_brentq
 from ch2exact import EmdenParams, EmdenState, IntegrationFailure, SolutionCase, analyze, integrate
 from ch2exact import _dop853
 from ch2exact._quadrature import gauss_kronrod21
-from ch2exact.emden import REL_STOP, analyze_many, integrate_many, orbit_time_integral
+from ch2exact.emden import REL_STOP, analyze_many, integrate_many
 from ch2exact.selfsim import density, support
 from ch2exact.verify import mass
 
@@ -761,13 +761,12 @@ def test_rule_matches_quad_on_orbit_time_integrand(theta_dec, lo, hi):
     def g(p):
         return theta * math.sin(p) ** 2
 
-    # orbit_time_integral as it was written on top of scipy's quad
+    # The reduced collapse-time integrand after G = sqrt(theta) sin(phi)
     phi_lo = math.asin(min(1.0, max(0.0, g_lo / root)))
     phi_hi = math.asin(min(1.0, max(0.0, g_hi / root)))
     val, _, info = quad(g, phi_lo, phi_hi, epsabs=1e-15, epsrel=1e-13, full_output=1)
     assert info["neval"] == (0 if phi_lo == phi_hi else 21)
     assert gauss_kronrod21(g, phi_lo, phi_hi) == val
-    assert orbit_time_integral(theta, g_lo, g_hi) == val
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,14 +3,15 @@
 Collapse times are cross-checked against an oracle that integrates
 ds = da / sqrt(2 theta + xi a^{2/3}) directly in the original variable,
 with no substitution -- a route fully independent of both the event
-detector and the reduced quadrature used by the library.
+detector and the closed form used by the library.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from ch2exact import (
@@ -20,7 +21,6 @@ from ch2exact import (
     EmdenParams,
     EmdenState,
     IntegrationFailure,
-    InvalidEnergy,
     analyze,
     classify,
     collapse_time_quadrature,
@@ -28,9 +28,9 @@ from ch2exact import (
     energy,
     growth_asymptote,
     integrate,
-    orbit_time_integral,
     rhs,
 )
+from ch2exact.emden import _fall_time
 
 # Frozen expected values.
 SQRT3_PI_OVER_4 = 1.3603495231756633  # sqrt(3) * pi / 4
@@ -195,21 +195,6 @@ def test_classify_sign_table():
     assert classify(EmdenParams(xi=1.0, a0=1.0, a1=10.0)) is Classification.GLOBAL
 
 
-def test_orbit_integral_closed_form():
-    # int_0^sqrt(theta) G^2 / sqrt(theta - G^2) dG = theta * pi / 4
-    for theta in (0.5, 1.5, 7.0):
-        exact = theta * math.pi / 4.0
-        got = orbit_time_integral(theta, 0.0, math.sqrt(theta))
-        assert got == pytest.approx(exact, rel=1e-10)
-
-
-def test_orbit_integral_rejects_bad_energy():
-    with pytest.raises(InvalidEnergy):
-        orbit_time_integral(-1.0, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        orbit_time_integral(1.0, 0.5, 2.0)  # g_hi beyond sqrt(theta)
-
-
 def test_collapse_time_monotone_case():
     s = collapse_time_quadrature(EmdenParams(xi=-3.0, a0=1.0, a1=0.0))
     assert s == pytest.approx(SQRT3_PI_OVER_4, rel=1e-9)
@@ -275,16 +260,21 @@ def test_zero_energy_inward_orbit_collapses_at_1_5():
 
 
 def test_inward_time_series_and_closed_form_agree():
-    # The xi > 0 closed form switches to a Taylor series at psi = 0.5; both
-    # sides of the switch match a direct quadrature of the reduced integral.
-    from ch2exact.emden import _inward_time
-    for psi in (1e-6, 0.1, 0.499, 0.501, 3.0):
-        xi, b = 2.0, 1.0
-        g = math.sqrt(xi / 2.0) * b
-        theta = (g / math.sinh(psi)) ** 2
-        direct, _ = quad(lambda G: G * G / math.sqrt(theta + G * G), 0.0, g,
+    # The closed forms switch to the shared Taylor series at an angle of 0.5;
+    # both sides of the switch, for both signs of xi, match a direct
+    # quadrature of the reduced integral.
+    b = 1.0
+    for xi, angle in itertools.product((2.0, -2.0), (1e-6, 0.1, 0.499, 0.501, 1.2)):
+        g = math.sqrt(abs(xi) / 2.0) * b
+        if xi > 0:
+            theta = (g / math.sinh(angle)) ** 2
+            v = math.sqrt(2.0 * (theta + g * g))
+        else:
+            theta = (g / math.sin(angle)) ** 2
+            v = math.sqrt(2.0) * g / math.tan(angle)
+        direct, _ = quad(lambda G: G * G / math.sqrt(theta + math.copysign(G * G, xi)), 0.0, g,
                          epsabs=0.0, epsrel=1e-13)
-        assert _inward_time(xi, theta, b) == pytest.approx(6.0 / xi ** 1.5 * direct, rel=1e-13)
+        assert _fall_time(xi, b, v) == pytest.approx(6.0 / abs(xi) ** 1.5 * direct, rel=1e-13)
 
 
 def test_global_orbit_reaching_the_stop_event_is_an_error():
@@ -407,13 +397,48 @@ def test_blowup_report_field_consistency():
 
 
 def test_long_orbit_passes_the_relative_s_agreement():
-    # S = 54.35: the routes differ by 1.46e-6, which an absolute 1e-6 bound
-    # rejected, but only by 2.7e-8 of S.
+    # S = 54.35 on an orbit that starts at rest.  An absolute 1e-6 bound
+    # rejected it when S came from a quadrature whose asin start lost 1.5e-6
+    # of it; the closed form and DOP853 agree to well within 1e-9 of S.
     _, report = analyze(EmdenParams(xi=-0.0404969088912777, a0=10.0, a1=0.0))
     s_quad = report.s_collapse_quadrature
     gap = abs(report.s_collapse_numeric - s_quad)
     assert s_quad == pytest.approx(54.3459, rel=1e-5)
-    assert 1e-6 < gap < 1e-7 * s_quad
+    assert gap <= 1e-9 * s_quad
+
+
+def test_orbit_at_rest_collapses_after_a_quarter_cycloid():
+    # a1 = 0 puts the start at the top of the cycloid, phi = pi / 2, so
+    # S = c theta pi / 4 = 0.75 pi |a0|^{2/3} / sqrt|xi| exactly.  An asin
+    # start at 1 - O(eps) lost up to 2.7e-8 of S on such orbits.
+    rng = np.random.default_rng(20261018)
+    for xi_dec, a0_dec, a0_sign in zip(rng.uniform(-6.0, 6.0, 300), rng.uniform(-6.0, 6.0, 300),
+                                       rng.choice([-1.0, 1.0], 300)):
+        xi, a0 = -(10.0 ** xi_dec), a0_sign * 10.0 ** a0_dec
+        expected = 0.75 * math.pi * abs(a0) ** (2.0 / 3.0) / math.sqrt(-xi)
+        s = collapse_time_quadrature(EmdenParams(xi=xi, a0=a0, a1=0.0))
+        assert s == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(xi_sign=st.sampled_from([-1.0, 1.0]), xi_dec=st.floats(-6.0, 6.0),
+       a0_sign=st.sampled_from([-1.0, 1.0]), a0_dec=st.floats(-6.0, 6.0),
+       u=st.one_of(st.just(0.0), st.just(-1.0), st.floats(-3.0, 3.0)),
+       k=st.integers(-6, 6), m=st.integers(-20, 20))
+@example(xi_sign=1.0, xi_dec=0.0, a0_sign=1.0, a0_dec=0.0, u=-1.0, k=1, m=1)  # theta = 0
+def test_collapse_time_scales_exactly(xi_sign, xi_dec, a0_sign, a0_dec, u, k, m):
+    # a -> lam a(s / mu) maps orbits to orbits when xi -> xi lam^{4/3} / mu^2,
+    # so S -> mu S.  lam = 8^k and mu = 2^m make the scaled data exact.
+    # u is the slope in units of sqrt|xi| |a0|^{1/3}, positive outward;
+    # u = -1 is the theta = 0 boundary of the xi > 0 collapse orbits.
+    xi, a0 = xi_sign * 10.0 ** xi_dec, a0_sign * 10.0 ** a0_dec
+    p = EmdenParams(xi=xi, a0=a0, a1=a0_sign * u * math.sqrt(abs(xi)) * abs(a0) ** (1.0 / 3.0))
+    lam, mu = 8.0 ** k, 2.0 ** m
+    scaled = EmdenParams(xi=xi * 16.0 ** k / mu ** 2, a0=lam * p.a0, a1=lam * p.a1 / mu)
+    assume(classify(p) is Classification.COLLAPSE)
+    assert classify(scaled) is Classification.COLLAPSE
+    s = collapse_time_quadrature(p)
+    assert collapse_time_quadrature(scaled) == pytest.approx(mu * s, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("s_quad", [1e-3, 1.0, 54.35, 1e4])

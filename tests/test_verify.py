@@ -33,7 +33,13 @@ from ch2exact import (
 )
 from ch2exact._quadrature import gauss_kronrod21
 from ch2exact.emden import Trajectory
-from ch2exact.verify import _fields_on_grid, analytic_mass, mass_error, min_support_radius
+from ch2exact.verify import (
+    _dispersion_record,
+    _fields_on_grid,
+    analytic_mass,
+    mass_error,
+    min_support_radius,
+)
 
 
 def direct_mass(case, traj, t):
@@ -159,6 +165,22 @@ def test_dispersion_independence(case_2a):
         for ad in (0.0, 1.0, 10.0)
     ]
     assert max(maxes) - min(maxes) <= 1e-10
+
+
+def test_dispersion_bound_trips_on_a_nonlinear_velocity(case_2a):
+    # A velocity linear in x leaves only roundoff across alpha_d; a cubic
+    # term of 1e-6 max|u| gives alpha_d^2 D_xx u a real value, far above
+    # the bound.  No scaling of u can trip this check.
+    case, traj, _ = case_2a
+    grid = SpaceTimeGrid(0.0, 0.5, 17, -0.6, 0.6, 17)
+    rho, u, _ = _fields_on_grid(case, traj, grid.ts(), grid.xs())
+    clean = _dispersion_record(case, [(grid, rho, u)], Tolerances())
+    bad_u = u + 1e-6 * np.max(np.abs(u)) * (grid.xs() / grid.x1) ** 3
+    bad = _dispersion_record(case, [(grid, rho, bad_u)], Tolerances())
+    assert clean["pass"] is True and clean["max_abs_difference"] <= clean["bound"]
+    assert bad["pass"] is False and bad["max_abs_difference"] > 100.0 * bad["bound"]
+    scaled = _dispersion_record(case, [(grid, rho, 1.01 * u)], Tolerances())
+    assert scaled["pass"] is True
 
 
 def test_corrupted_velocity_breaks_convergence(case_2a):
