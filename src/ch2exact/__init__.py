@@ -55,7 +55,6 @@ _EXPORTS = {
         "DEFAULT_SUPPORT_MARGIN",
         "ConservationReport",
         "GridError",
-        "ResidualReport",
         "SpaceTimeGrid",
         "Tolerances",
         "blowup_rate",
@@ -64,8 +63,6 @@ _EXPORTS = {
         "mass_residual_field",
         "momentum_residual_field",
         "origin_decay",
-        "residual_mass_eq",
-        "residual_momentum_eq",
         "run_battery",
     ),
 }

@@ -76,15 +76,20 @@ class ConfigError(ValueError):
 # ----------------------------------------------------------------------
 
 def parse_config_blocks(text: str) -> list[dict[str, str]]:
-    """Split a flat key=value config into blank-line-separated blocks."""
+    """Split a flat key=value config into blocks separated by blank lines.
+
+    A line that holds only a comment is skipped: it does not end a block.
+    """
     blocks: list[dict[str, str]] = []
     current: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if not raw.strip():
             if current:
                 blocks.append(current)
                 current = {}
+            continue
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
@@ -106,15 +111,6 @@ def _load_blocks(path: str) -> list[dict[str, str]]:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_blocks(text)
-
-
-def _single_block(path: str) -> dict[str, str]:
-    blocks = _load_blocks(path)
-    if len(blocks) != 1:
-        raise ConfigError(
-            f"config {path} must contain exactly one block, found {len(blocks)}"
-        )
-    return blocks[0]
 
 
 def _check_keys(block: dict[str, str], allowed: set[str], context: str) -> None:
@@ -140,46 +136,57 @@ def _get(block: dict[str, str], key: str, default=None, kind=float):
 
 
 _CASE_KEYS = {"sigma", "xi", "alpha", "a0", "a1"}
-_EMDEN_KEYS = {"xi", "a0", "a1", "t_end", "tol"}
 _GRID_KEYS = {"t0", "t1", "nt", "x0", "x1", "nx"}
-_VERIFY_KEYS = _CASE_KEYS | _GRID_KEYS | {"t_end", "tol"} | {f.name for f in fields(Tolerances)}
-_SWEEP_KEYS = _CASE_KEYS | {"t_end", "tol"}
+_KEYS = {
+    "emden": {"xi", "a0", "a1", "t_end", "tol"},
+    "construct": _CASE_KEYS | _GRID_KEYS | {"t_end", "tol"},
+    "verify": _CASE_KEYS | _GRID_KEYS | {"t_end", "tol"} | {f.name for f in fields(Tolerances)},
+    "sweep": _CASE_KEYS | {"t_end", "tol"},
+}
 # Default grid end of global orbits, in physical time.
 _GLOBAL_T1 = 0.5
 
 
-def _emden_params(block: dict[str, str]) -> EmdenParams:
-    try:
-        return EmdenParams(
-            xi=_get(block, "xi"),
-            a0=_get(block, "a0"),
-            a1=_get(block, "a1", 0.0),
+def _orbit(block: dict[str, str], command: str, tol_flag: float | None):
+    """(case, params, tol) of one block; case is None for ``emden``."""
+    _check_keys(block, _KEYS[command], command)
+    case_args = {}
+    if command != "emden":
+        sigma = _get(block, "sigma")
+        if sigma not in (-1.0, 1.0):
+            raise ConfigError(f"sigma must be +1 or -1, got {block['sigma']}")
+        case_args = {"sigma": int(sigma), "alpha": _get(block, "alpha")}
+    params = EmdenParams(xi=_get(block, "xi"), a0=_get(block, "a0"), a1=_get(block, "a1", 0.0))
+    case = SolutionCase(**case_args, emden=params) if case_args else None
+    tol = tol_flag if tol_flag is not None else _get(block, "tol", DEFAULT_TOL)
+    return case, params, tol
+
+
+def _load(args):
+    """(block, case, params, tol) of a single-case command's config, --grid applied."""
+    blocks = _load_blocks(args.config)
+    if len(blocks) != 1:
+        raise ConfigError(
+            f"config {args.config} must contain exactly one block, found {len(blocks)}"
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    block = blocks[0]
+    grid_flag = getattr(args, "grid", None)
+    if grid_flag is not None:
+        parts = grid_flag.split(",")
+        if len(parts) != 2:
+            raise ConfigError(f"--grid expects 'nx,nt', got {grid_flag!r}")
+        block["nx"], block["nt"] = parts[0].strip(), parts[1].strip()
+    return (block, *_orbit(block, args.command, args.tol))
 
 
-def _solution_case(block: dict[str, str]) -> SolutionCase:
-    sigma_f = _get(block, "sigma")
-    if sigma_f not in (-1.0, 1.0):
-        raise ConfigError(f"sigma must be +1 or -1, got {block.get('sigma')}")
-    try:
-        return SolutionCase(
-            sigma=int(sigma_f),
-            alpha=_get(block, "alpha"),
-            emden=_emden_params(block),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _horizon(block: dict[str, str], t_needed: float = 0.0) -> float | None:
+    """analyze's s_end: 3 max(t_end, t_needed), or None (its default) when that is 0."""
+    t = max(_get(block, "t_end", 0.0), t_needed)
+    return 3.0 * t if t > 0 else None
 
 
-def _apply_grid_flag(block: dict[str, str], grid_flag: str | None) -> None:
-    if grid_flag is None:
-        return
-    parts = grid_flag.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"--grid expects 'nx,nt', got {grid_flag!r}")
-    block["nx"], block["nt"] = parts[0].strip(), parts[1].strip()
+def _blowup_record(report) -> dict:
+    return {**asdict(report), "classification": report.classification.value}
 
 
 def _parse_corrupt(flag: str | None) -> float:
@@ -196,9 +203,9 @@ def _parse_corrupt(flag: str | None) -> float:
     return factor
 
 
-def _grid_values(case: SolutionCase, traj, report, block: dict[str, str],
-                 margin: float = Tolerances.margin):
-    """(t0, t1, nt, x0, x1, nx) from config keys, defaults derived from the orbit."""
+def _grid(case: SolutionCase, traj, report, block: dict[str, str],
+                 margin: float = Tolerances.margin) -> SpaceTimeGrid:
+    """The lattice of the config's grid keys, defaults derived from the orbit."""
     params = case.emden
     if report.classification is Classification.COLLAPSE:
         t1_default = 0.25 * report.s_collapse_quadrature / 3.0
@@ -211,14 +218,14 @@ def _grid_values(case: SolutionCase, traj, report, block: dict[str, str],
     if case.compact:
         # The minimum over the grid's own times, which the residual checks'
         # support test takes too, and a fraction that stays inside margin.
-        # (At least both ends: the caller reports nt < 2.)
+        # (At least both ends: SpaceTimeGrid reports nt < 2.)
         ts = np.linspace(t0, t1, max(nt, 2))
         x1_default = min(0.6, 0.75 * margin) * min_support_radius(case, traj, ts)
     else:
         x1_default = float(np.cbrt(abs(params.a0)))
     x1 = _get(block, "x1", x1_default)
     x0 = _get(block, "x0", -x1)
-    return t0, t1, nt, x0, x1, nx
+    return SpaceTimeGrid(t0, t1, nt, x0, x1, nx)
 
 
 # ----------------------------------------------------------------------
@@ -226,14 +233,8 @@ def _grid_values(case: SolutionCase, traj, report, block: dict[str, str],
 # ----------------------------------------------------------------------
 
 def cmd_emden(args) -> int:
-    block = _single_block(args.config)
-    _check_keys(block, _EMDEN_KEYS, "emden")
-    params = _emden_params(block)
-    tol = args.tol if args.tol is not None else _get(block, "tol", DEFAULT_TOL)
-    t_end = _get(block, "t_end", 0.0)
-    s_end = 3.0 * t_end if t_end > 0 else None
-
-    traj, report = analyze(params, s_end=s_end, tol=tol)
+    block, _, params, tol = _load(args)
+    traj, report = analyze(params, _horizon(block), tol)
 
     out = Path(args.out)
     write_csv(out / "emden.csv", ["s", "a", "a_dot", "energy"],
@@ -242,7 +243,7 @@ def cmd_emden(args) -> int:
     doc = {
         "case": None,
         "params": {"xi": params.xi, "a0": params.a0, "a1": params.a1, "tol": tol},
-        "reports": {"blowup": {**asdict(report), "classification": report.classification.value}},
+        "reports": {"blowup": _blowup_record(report)},
         "pass": True,
     }
     write_text(out / "emden.json", to_json(doc))
@@ -251,17 +252,9 @@ def cmd_emden(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    block = _single_block(args.config)
-    _apply_grid_flag(block, args.grid)
-    _check_keys(block, _CASE_KEYS | _GRID_KEYS | {"t_end", "tol"}, "construct")
-    case = _solution_case(block)
-    params = case.emden
-    tol = args.tol if args.tol is not None else _get(block, "tol", DEFAULT_TOL)
-
-    t_end = _get(block, "t_end", 0.0)
+    block, case, params, tol = _load(args)
     t1 = _get(block, "t1", 0.0)
-    s_end = 3.0 * max(t_end, t1) if max(t_end, t1) > 0 else None
-    traj, report = analyze(params, s_end=s_end, tol=tol)
+    traj, report = analyze(params, _horizon(block, t1), tol)
     if report.classification is Classification.COLLAPSE and "t1" in block:
         s_collapse = report.s_collapse_quadrature
         if 3.0 * t1 >= s_collapse:
@@ -269,21 +262,14 @@ def cmd_construct(args) -> int:
                 f"grid end 3*t1 = {3.0 * t1} crosses the collapse "
                 f"time s = {s_collapse}"
             )
-    # Plain sampling has no stencil, so any lattice with >= 2 points per
-    # axis is fine (unlike the residual grids, which need >= 5).
-    t0, t1, nt, x0, x1, nx = _grid_values(case, traj, report, block)
-    if nt < 2 or nx < 2:
-        raise ConfigError(f"need nt >= 2 and nx >= 2, got nt={nt}, nx={nx}")
-    if not (t1 > t0) or not (x1 > x0):
+    # Plain sampling has no stencil: any SpaceTimeGrid will do.
+    grid = _grid(case, traj, report, block)
+    if 3.0 * grid.t1 > traj.s_max:
         raise ConfigError(
-            f"need t1 > t0 and x1 > x0, got t=[{t0}, {t1}], x=[{x0}, {x1}]"
-        )
-    if 3.0 * t1 > traj.s_max:
-        raise ConfigError(
-            f"grid needs s up to {3.0 * t1} but the orbit ends at {traj.s_max}"
+            f"grid needs s up to {3.0 * grid.t1} but the orbit ends at {traj.s_max}"
         )
 
-    ts, xs = np.linspace(t0, t1, nt), np.linspace(x0, x1, nx)
+    ts, xs, nt, nx = grid.ts(), grid.xs(), grid.nt, grid.nx
     rho, u, eta = _fields_on_grid(case, traj, ts, xs)
     eta_b = case.eta_boundary
     inside = np.ones(eta.size, dtype=bool) if eta_b is None else (eta * eta < eta_b * eta_b).ravel()
@@ -304,30 +290,20 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    block = _single_block(args.config)
-    _apply_grid_flag(block, args.grid)
-    _check_keys(block, _VERIFY_KEYS, "verify")
-    case = _solution_case(block)
-    params = case.emden
-    tol = args.tol if args.tol is not None else _get(block, "tol", DEFAULT_TOL)
+    block, case, params, tol = _load(args)
     u_scale = _parse_corrupt(args.seed_corrupt)
     # Each tolerance key parses as the type of its default, in field order.
     tols = Tolerances(**{f.name: _get(block, f.name, f.default, type(f.default))
                          for f in fields(Tolerances)})
+    # A global orbit runs to the last origin-decay time and past the grid.
+    t_needed = 0.0
+    if classify(params) is Classification.GLOBAL:
+        t_needed = max(tols.decay_t_max, 1.05 * _get(block, "t1", _GLOBAL_T1))
+    traj, report = analyze(params, _horizon(block, t_needed), tol)
+    grid = _grid(case, traj, report, block, tols.margin)
 
-    t_end = _get(block, "t_end", 0.0)
-    if classify(params) is Classification.COLLAPSE:
-        s_end = 3.0 * t_end if t_end > 0 else None
-    else:
-        t1_cfg = _get(block, "t1", _GLOBAL_T1)
-        s_end = 3.0 * max(tols.decay_t_max, t_end, t1_cfg * 1.05)
-    traj, report = analyze(params, s_end=s_end, tol=tol)
-    grid = SpaceTimeGrid(*_grid_values(case, traj, report, block, tols.margin))
-
-    reports = {
-        "blowup": {**asdict(report), "classification": report.classification.value},
-        **run_battery(case, traj, report, grid, tols, u_scale),
-    }
+    reports = {"blowup": _blowup_record(report),
+               **run_battery(case, traj, report, grid, tols, u_scale)}
     all_pass = all(r.get("pass", True) for r in reports.values())
     doc = {
         "case": case.case_id,
@@ -351,15 +327,6 @@ _SWEEP_HEADER = [
 
 # Per-case library errors, which a sweep records in the case's row.
 _ROW_ERRORS = (ValueError, ArithmeticError, IntegrationFailure)
-
-
-def _sweep_orbit(block: dict[str, str], tol_flag: float | None):
-    """(case, s_end, tol) of one sweep block."""
-    _check_keys(block, _SWEEP_KEYS, "sweep")
-    case = _solution_case(block)
-    tol = tol_flag if tol_flag is not None else _get(block, "tol", DEFAULT_TOL)
-    t_end = _get(block, "t_end", 0.0)
-    return case, 3.0 * t_end if t_end > 0 else None, tol
 
 
 def _sweep_row(case: SolutionCase, traj, report) -> list[str]:
@@ -399,23 +366,24 @@ def _sweep_row(case: SolutionCase, traj, report) -> list[str]:
 def cmd_sweep(args) -> int:
     """Parse every block, integrate all valid orbits as one batch, then build the rows."""
     blocks = _load_blocks(args.config)
-    orbits = []
+    cases, plans = [], []
     for block in blocks:
         try:
-            orbits.append(_sweep_orbit(block, args.tol))
+            case, params, tol = _orbit(block, "sweep", args.tol)
+            plans.append((params, _horizon(block), tol))
+            cases.append(case)
         except _ROW_ERRORS as exc:
-            orbits.append(exc)
-    valid = [orbit for orbit in orbits if not isinstance(orbit, Exception)]
-    analyzed = iter(analyze_many([(case.emden, s_end, tol) for case, s_end, tol in valid]))
+            cases.append(exc)
+    analyzed = iter(analyze_many(plans))
     rows = []
-    for block, orbit in zip(blocks, orbits):
+    for block, case in zip(blocks, cases):
         try:
-            if isinstance(orbit, Exception):
-                raise orbit
+            if isinstance(case, Exception):
+                raise case
             result = next(analyzed)
             if isinstance(result, Exception):
                 raise result
-            rows.append(_sweep_row(orbit[0], *result))
+            rows.append(_sweep_row(case, *result))
         except _ROW_ERRORS as exc:  # library error: one row
             rows.append([
                 "?",
@@ -435,15 +403,24 @@ def cmd_sweep(args) -> int:
 # entry point
 # ----------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting EXIT_INVALID_INPUT, not 2 (which
+    here means numerical failure); --help still exits 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ch2exact",
         description="Exact self-similar solutions of the two-component "
                     "Camassa-Holm system: construction and verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--config", required=True, help="flat key=value config file")
     common.add_argument("--out", default=".", help="output directory (default: .)")
     common.add_argument("--tol", type=float, default=None,
@@ -480,7 +457,7 @@ def main(argv=None) -> int:
     except (IntegrationFailure, CollapseSingularity, InvalidEnergy) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 

@@ -28,7 +28,7 @@ Tolerances, the one place their defaults are defined.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .emden import (
     Classification,
     Trajectory,
     classify,
-    collapse_time_quadrature,
     node_energies,
 )
 from .selfsim import SolutionCase, _scale_at, density, profile
@@ -47,9 +46,9 @@ __all__ = [
     "DEFAULT_SUPPORT_MARGIN",
     "COLLAPSE_TIME_MARGIN",
     "ENERGY_DRIFT_TOL",
+    "MAX_LATTICE_POINTS",
     "ConservationReport",
     "GridError",
-    "ResidualReport",
     "SpaceTimeGrid",
     "Tolerances",
     "analytic_mass",
@@ -62,8 +61,6 @@ __all__ = [
     "min_support_radius",
     "momentum_residual_field",
     "origin_decay",
-    "residual_mass_eq",
-    "residual_momentum_eq",
     "run_battery",
 ]
 
@@ -71,6 +68,9 @@ __all__ = [
 DEFAULT_SUPPORT_MARGIN = 0.8
 # ... and at most this fraction of the collapse time (in s).
 COLLAPSE_TIME_MARGIN = 0.9
+# The finest lattice of the residual ladder holds at most this many points:
+# each of its fields takes 8 bytes a point, and a check holds several.
+MAX_LATTICE_POINTS = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,16 @@ class Tolerances:
     decay_t_max: float = 300.0      # last sampled decay time
     alpha_d: tuple[float, ...] = (0.0, 1.0, 10.0)  # dispersion scales
 
+    def __post_init__(self):
+        # Zero tolerances are valid: they demand exact agreement.
+        for name in ("order_band", "dispersion_tol", "mass_rtol", "drift_tol",
+                     "rate_rtol", "decay_rtol"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("margin", "decay_t_max"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+
     @property
     def residual_levels(self) -> int:
         """Levels the residual checks run: an order estimate needs two."""
@@ -106,12 +116,15 @@ ENERGY_DRIFT_TOL = 1e-8
 
 
 class GridError(ValueError):
-    """Grid violates a residual-evaluation precondition."""
+    """Grid violates a lattice or residual-evaluation precondition."""
 
 
 @dataclass(frozen=True)
 class SpaceTimeGrid:
-    """Uniform lattice on [t0, t1] x [x0, x1] (physical time)."""
+    """Uniform lattice on [t0, t1] x [x0, x1] (physical time), >= 2 points per axis.
+
+    The residual stencils need more (see _check_grid); plain sampling does not.
+    """
 
     t0: float
     t1: float
@@ -121,8 +134,8 @@ class SpaceTimeGrid:
     nx: int
 
     def __post_init__(self):
-        if self.nt < 5 or self.nx < 5:
-            raise GridError(f"need nt >= 5 and nx >= 5, got nt={self.nt}, nx={self.nx}")
+        if self.nt < 2 or self.nx < 2:
+            raise GridError(f"need nt >= 2 and nx >= 2, got nt={self.nt}, nx={self.nx}")
         if not (self.t1 > self.t0):
             raise GridError(f"need t1 > t0, got [{self.t0}, {self.t1}]")
         if not (self.x1 > self.x0):
@@ -146,18 +159,6 @@ class SpaceTimeGrid:
         """Same domain with both spacings halved."""
         return SpaceTimeGrid(self.t0, self.t1, 2 * self.nt - 1,
                              self.x0, self.x1, 2 * self.nx - 1)
-
-
-@dataclass
-class ResidualReport:
-    """Interior residual norms, one entry per grid level (h halving)."""
-
-    eq_label: str
-    interior_max_residual: float
-    interior_l2_residual: float
-    h_values: list[float] = field(default_factory=list)
-    residuals: list[float] = field(default_factory=list)
-    estimated_order: float | None = None
 
 
 @dataclass
@@ -251,6 +252,10 @@ def _check_grid(
     margin: float,
     s_collapse: float | None,
 ) -> None:
+    """Raise GridError unless the residual stencils fit the grid and it stays in
+    the smooth region; s_collapse is the collapse time, None for a global orbit."""
+    if grid.nt < 5 or grid.nx < 5:
+        raise GridError(f"need nt >= 5 and nx >= 5, got nt={grid.nt}, nx={grid.nx}")
     if grid.t0 < 0.0:
         raise GridError(f"grid starts before t = 0 (t0 = {grid.t0})")
     s_hi = 3.0 * grid.t1
@@ -258,14 +263,11 @@ def _check_grid(
         raise GridError(
             f"grid needs s up to {s_hi} but the trajectory ends at {traj.s_max}"
         )
-    if classify(case.emden) is Classification.COLLAPSE:
-        if s_collapse is None:
-            s_collapse = collapse_time_quadrature(case.emden)
-        if s_hi > COLLAPSE_TIME_MARGIN * s_collapse:
-            raise GridError(
-                f"grid reaches s = {s_hi}, too close to collapse at "
-                f"s = {s_collapse} (margin {COLLAPSE_TIME_MARGIN})"
-            )
+    if s_collapse is not None and s_hi > COLLAPSE_TIME_MARGIN * s_collapse:
+        raise GridError(
+            f"grid reaches s = {s_hi}, too close to collapse at "
+            f"s = {s_collapse} (margin {COLLAPSE_TIME_MARGIN})"
+        )
     if case.compact:
         xb_min = min_support_radius(case, traj, grid.ts())
         x_extent = max(abs(grid.x0), abs(grid.x1))
@@ -281,10 +283,18 @@ def _check_grid(
 # ----------------------------------------------------------------------
 
 def _sampled_levels(case, traj, grid, levels, margin, u_scale, s_collapse) -> list:
-    """Check the grid once, then (lattice, rho, u) on it and each of its refinements."""
+    """Check the grid and its ladder once, then (lattice, rho, u) on it and each
+    of its refinements."""
     _check_grid(case, traj, grid, margin, s_collapse)
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
+    # Each refinement halves both spacings: n points per axis become 2 n - 1.
+    nt, nx = ((n - 1) * 2 ** (levels - 1) + 1 for n in (grid.nt, grid.nx))
+    if nt * nx > MAX_LATTICE_POINTS:
+        raise GridError(
+            f"levels = {levels} refines the {grid.nt} x {grid.nx} grid to {nt} x {nx} "
+            f"points, more than {MAX_LATTICE_POINTS}"
+        )
     sampled = []
     g = grid
     for _ in range(levels):
@@ -294,8 +304,14 @@ def _sampled_levels(case, traj, grid, levels, margin, u_scale, s_collapse) -> li
     return sampled
 
 
-def _residual_report(case, sampled, which, alpha_d) -> ResidualReport:
-    """Residual norms of one equation on the sampled levels, and the observed order."""
+def _residual_report(case, sampled, which, alpha_d, band) -> dict:
+    """Battery record of one equation's residual on the sampled levels.
+
+    ``residuals`` holds each level's max norm.  The observed order is the
+    log2 ratio of the last two (the exact fields give ~ 2) and must lie
+    within band of 2; residuals at the roundoff floor count as exact, since
+    the order is meaningless there.
+    """
     h_values: list[float] = []
     maxes: list[float] = []
     l2s: list[float] = []
@@ -310,55 +326,9 @@ def _residual_report(case, sampled, which, alpha_d) -> ResidualReport:
     order = None
     if len(sampled) >= 2 and maxes[-1] > 0.0:
         order = math.log2(maxes[-2] / maxes[-1])
-    return ResidualReport(
-        eq_label=which,
-        interior_max_residual=maxes[0],
-        interior_l2_residual=l2s[0],
-        h_values=h_values,
-        residuals=maxes,
-        estimated_order=order,
-    )
-
-
-def residual_mass_eq(
-    case: SolutionCase,
-    traj: Trajectory,
-    grid: SpaceTimeGrid,
-    levels: int = 1,
-    margin: float = DEFAULT_SUPPORT_MARGIN,
-    u_scale: float = 1.0,
-    s_collapse: float | None = None,
-) -> ResidualReport:
-    """Mass-equation residual on the grid interior.
-
-    With ``levels`` >= 2 the grid is refined by halving both spacings and
-    the observed convergence order (log2 ratio of max residuals on the
-    finest pair) is reported; the exact fields give order ~ 2.  The grid
-    must end before ``COLLAPSE_TIME_MARGIN`` of the collapse time
-    ``s_collapse`` (the report's quadrature S; computed when not given).
-    """
-    sampled = _sampled_levels(case, traj, grid, levels, margin, u_scale, s_collapse)
-    return _residual_report(case, sampled, "mass", 0.0)
-
-
-def residual_momentum_eq(
-    case: SolutionCase,
-    traj: Trajectory,
-    grid: SpaceTimeGrid,
-    alpha_d: float = 0.0,
-    levels: int = 1,
-    margin: float = DEFAULT_SUPPORT_MARGIN,
-    u_scale: float = 1.0,
-    s_collapse: float | None = None,
-) -> ResidualReport:
-    """Momentum-equation residual with dispersion scale alpha_d.
-
-    The reported norms must be independent of alpha_d (to roundoff) for the
-    exact fields, because their velocity is linear in x.  ``s_collapse`` is
-    as in ``residual_mass_eq``.
-    """
-    sampled = _sampled_levels(case, traj, grid, levels, margin, u_scale, s_collapse)
-    return _residual_report(case, sampled, "momentum", alpha_d)
+    ok = max(maxes) < 1e-12 or (order is not None and abs(order - 2.0) <= band)
+    return {"eq": which, "interior_max_residual": maxes[0], "interior_l2_residual": l2s[0],
+            "h_values": h_values, "residuals": maxes, "estimated_order": order, "pass": ok}
 
 
 # ----------------------------------------------------------------------
@@ -508,20 +478,6 @@ def origin_decay(case: SolutionCase, traj: Trajectory, t_list) -> list[float]:
 # the battery
 # ----------------------------------------------------------------------
 
-def _order_ok(rep: ResidualReport, band: float) -> bool:
-    # Residuals at the roundoff floor count as exact; order is meaningless there.
-    if rep.residuals and max(rep.residuals) < 1e-12:
-        return True
-    if rep.estimated_order is None:
-        return False
-    return abs(rep.estimated_order - 2.0) <= band
-
-
-def _residual_record(rep: ResidualReport, band: float) -> dict:
-    rec = asdict(rep)
-    return {"eq": rec.pop("eq_label"), **rec, "pass": _order_ok(rep, band)}
-
-
 def run_battery(
     case: SolutionCase,
     traj: Trajectory,
@@ -544,12 +500,12 @@ def run_battery(
         return _sampled_levels(case, traj, g, levels, tols.margin, u_scale,
                                report.s_collapse_quadrature)
 
-    reports: dict = {}
     sampled = sample(grid, tols.residual_levels)
-    rep = _residual_report(case, sampled, "mass", 0.0)
-    reports["residual_mass"] = _residual_record(rep, tols.order_band)
-    rep = _residual_report(case, sampled, "momentum", tols.alpha_d[0])
-    reports["residual_momentum"] = _residual_record(rep, tols.order_band)
+    reports = {
+        "residual_mass": _residual_report(case, sampled, "mass", 0.0, tols.order_band),
+        "residual_momentum": _residual_report(case, sampled, "momentum", tols.alpha_d[0],
+                                              tols.order_band),
+    }
 
     # The dispersion comparison runs on a coarse copy of the grid: the
     # alpha_d runs must share one grid, and coarse spacings keep the
@@ -590,9 +546,11 @@ def _dispersion_record(case, sampled, tols: Tolerances) -> dict:
     to 1 / min(dt, dx).  The bound is dispersion_tol, which is dimensionless,
     times that scale, so it holds in every unit system.
     """
-    (g, _, u), = sampled
-    disp_max = [_residual_report(case, sampled, "momentum", ad).interior_max_residual
-                for ad in tols.alpha_d]
+    (g, rho, u), = sampled
+    disp_max = []
+    for ad in tols.alpha_d:
+        r = momentum_residual_field(rho, u, g.dt, g.dx, case.sigma, ad)
+        disp_max.append(float(np.max(np.abs(r))))
     disp_diff = max(abs(v - disp_max[0]) for v in disp_max)
     eps = float(np.finfo(float).eps)
     scale = (eps * max(ad * ad for ad in tols.alpha_d) * float(np.max(np.abs(u)))

@@ -16,6 +16,7 @@ from ch2exact import (
     EmdenParams,
     SolutionCase,
     SpaceTimeGrid,
+    Tolerances,
     analyze,
     blowup_rate,
     collapse_time_quadrature,
@@ -25,8 +26,7 @@ from ch2exact import (
     integrate,
     mass,
     mass_conservation,
-    residual_mass_eq,
-    residual_momentum_eq,
+    run_battery,
 )
 from ch2exact.cli import main
 
@@ -165,18 +165,19 @@ def test_criterion_06_residual_convergence(case_1a, case_1b, case_2a, case_2b):
         else:
             x1 = 1.0
         grid = SpaceTimeGrid(0.0, t1, 41, -x1, x1, 41)
-        rm = residual_mass_eq(case, traj, grid, levels=3)
-        rp = residual_momentum_eq(case, traj, grid, levels=3)
+        rec = run_battery(case, traj, report, grid, Tolerances(levels=3))
+        rm, rp = rec["residual_mass"], rec["residual_momentum"]
         for rep in (rm, rp):
-            if not (abs(rep.estimated_order - 2.0) <= 0.2):
+            if not (abs(rep["estimated_order"] - 2.0) <= 0.2):
                 orders_ok = False
-        details.append(f"{case.case_id}: {rm.estimated_order:.2f}/{rp.estimated_order:.2f}")
+        details.append(f"{case.case_id}: {rm['estimated_order']:.2f}/"
+                       f"{rp['estimated_order']:.2f}")
 
-        coarse = SpaceTimeGrid(0.0, t1, 17, -x1, x1, 17)
-        maxes = [
-            residual_momentum_eq(case, traj, coarse, alpha_d=ad).interior_max_residual
-            for ad in (0.0, 1.0, 10.0)
-        ]
+        # The battery compares alpha_d = 0, 1, 10 on a 17 x 17 copy of the grid.
+        disp = rec["dispersion_independence"]
+        assert disp["alpha_d_values"] == [0.0, 1.0, 10.0]
+        assert disp["grid"] == {"nt": 17, "nx": 17}
+        maxes = disp["interior_max_residuals"]
         if max(maxes) - min(maxes) > 1e-10:
             disp_ok = False
 

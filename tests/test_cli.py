@@ -54,6 +54,57 @@ def test_parse_blocks_empty_text():
     assert parse_config_blocks("# only comments\n\n") == []
 
 
+def test_comment_line_does_not_end_a_block():
+    # Only a line that is blank before its comment is stripped separates blocks.
+    text = "xi = -3\n# note\n  # indented note\na0 = 1\n\n# next\nxi = 1\na0 = -1\n"
+    assert parse_config_blocks(text) == [{"xi": "-3", "a0": "1"}, {"xi": "1", "a0": "-1"}]
+
+
+def test_verify_config_with_inner_comments(tmp_path):
+    plain = verify_cfg_2a()
+    lines = plain.splitlines()
+    commented = "\n".join(["# family 2a"] + lines[:3] + ["# the scale factor", "  # at rest"]
+                          + lines[3:-1] + ["# three levels", lines[-1]]) + "\n"
+    outs = []
+    for name, text in (("plain", plain), ("commented", commented)):
+        cfg = write_config(tmp_path, text, name + ".cfg")
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        outs.append((tmp_path / name / "verify.json").read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_sweep_block_with_inner_comment_is_one_row(tmp_path):
+    cfg = write_config(tmp_path, "sigma = 1\nalpha = 1\n# the orbit\nxi = 1\na0 = 1\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 1 and rows[0].startswith("2a,") and rows[0].endswith(",true")
+
+
+# ----------------------------------------------------------------------
+# usage errors
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["verify"],                                      # no --config
+    ["verify", "--config", "x.cfg", "--frobnicate"],  # unknown flag
+    ["verify", "--config", "x.cfg", "--tol", "abc"],  # malformed value
+    ["simulate", "--config", "x.cfg"],               # unknown subcommand
+])
+def test_usage_errors_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == cli.EXIT_INVALID_INPUT == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 # ----------------------------------------------------------------------
 # emden command
 # ----------------------------------------------------------------------
@@ -151,6 +202,20 @@ def test_construct_rejects_grid_crossing_collapse(tmp_path, capsys):
     rc = main(["construct", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 1
     assert "collapse" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra,flags,message", [
+    ("", ["--grid", "81,1"], "need nt >= 2 and nx >= 2, got nt=1, nx=81"),
+    ("", ["--grid", "1,81"], "need nt >= 2 and nx >= 2, got nt=81, nx=1"),
+    ("t0 = 0.2\nt1 = 0.2\n", [], "need t1 > t0, got [0.2, 0.2]"),
+    ("x0 = 0.5\nx1 = -0.5\n", [], "need x1 > x0, got [0.5, -0.5]"),
+])
+def test_construct_rejects_a_degenerate_lattice(tmp_path, capsys, extra, flags, message):
+    # construct samples on a SpaceTimeGrid, which checks every lattice.
+    cfg = write_config(tmp_path, CFG_2A + extra)
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path / "out"), *flags]) == 1
+    assert capsys.readouterr().err == f"invalid input: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_construct_deterministic(tmp_path):
@@ -287,6 +352,32 @@ def test_verify_tolerance_key_errors(tmp_path, capsys, line, message):
     assert capsys.readouterr().err == f"invalid input: {message}\n"
 
 
+@pytest.mark.parametrize("line,message", [
+    ("order_band = -1", "order_band must be >= 0, got -1.0"),
+    ("mass_rtol = -1", "mass_rtol must be >= 0, got -1.0"),
+    ("decay_t_max = -1", "decay_t_max must be > 0, got -1.0"),
+    ("margin = 0", "margin must be > 0, got 0.0"),
+])
+def test_verify_out_of_range_tolerance_names_its_key(tmp_path, capsys, line, message):
+    cfg = write_config(tmp_path, CFG_2A + line + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"invalid input: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_too_many_levels_is_rejected_before_sampling(tmp_path, capsys, monkeypatch):
+    # 40 levels of the default 81 x 81 grid would need far more memory than
+    # any host has; the ladder is sized and rejected before any field exists.
+    fields = _counting(monkeypatch, ["verify"], "_fields_on_grid")
+    cfg = write_config(tmp_path, CFG_2A + "levels = 40\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: levels = 40 refines the 81 x 81 grid to ")
+    assert fields == [] and not (tmp_path / "out").exists()
+
+
 # A non-finite number, or a malformed entry of a list, in any numeric key:
 # the command stops at parsing (no output, no numpy warning) and names the key.
 @pytest.mark.parametrize("command,line", [
@@ -398,7 +489,7 @@ def _counting(monkeypatch, module_names, name):
 
 
 def test_collapse_time_computed_once_per_orbit(tmp_path, monkeypatch):
-    calls = _counting(monkeypatch, ["emden", "verify"], "collapse_time_quadrature")
+    calls = _counting(monkeypatch, ["emden"], "collapse_time_quadrature")
     cfg = write_config(tmp_path, CFG_1A)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
     assert len(calls) == 1
@@ -448,8 +539,9 @@ def test_sweep_energy_drift_bound_on_batch200():
     # Every clean orbit of batch200 passes the sweep's first-integral check,
     # and the fault a' (1 + 1e-5) trips it on every one.
     blocks = cli._load_blocks(str(DATA / GOLDEN_DATA["batch200"]))
-    orbits = [cli._sweep_orbit(block, None) for block in blocks]
-    results = emden.analyze_many([(case.emden, s_end, tol) for case, s_end, tol in orbits])
+    orbits = [cli._orbit(block, "sweep", None) for block in blocks]
+    results = emden.analyze_many([(params, cli._horizon(block), tol)
+                                  for block, (_, params, tol) in zip(blocks, orbits)])
     clean, faulted = [], []
     for traj, report in results:
         drift, bound = energy_drift(traj, report.theta)
@@ -633,7 +725,7 @@ def test_family_configs_agree_with_the_sweep_config(tmp_path):
     # holds the same four cases, with an invalid block as its third row.
     cases = {}
     for family in GOLDEN_FAMILIES:
-        block = cli._single_block(str(FAMILY_CONFIGS / f"{family}.cfg"))
+        block, = cli._load_blocks(str(FAMILY_CONFIGS / f"{family}.cfg"))
         assert (block["levels"], block["nt"], block["nx"]) == ("3", "41", "41")
         cases[family] = {k: v for k, v in block.items() if k in cli._CASE_KEYS}
     blocks = cli._load_blocks(str(FAMILY_CONFIGS / "sweep.cfg"))
@@ -809,3 +901,18 @@ def test_readme_verify_table_matches_tolerances():
         else:
             value = type(f.default)(text)
         assert value == f.default, key
+
+
+def test_readme_library_example_runs():
+    # The README's python block documents the library API; it must run and
+    # give the values its comments state.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block, = re.findall(r"^```python\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    ns: dict = {}
+    exec(compile(block, "README.md", "exec"), ns)
+    assert ns["report"].classification.value == "Collapse"
+    assert ns["report"].s_collapse_quadrature == pytest.approx(math.sqrt(3) * math.pi / 4,
+                                                               rel=1e-12)
+    assert ns["mass"](ns["case"], ns["traj"], 0.2) == pytest.approx(
+        math.pi / (2.0 * math.sqrt(3.0)), rel=1e-6)
+    assert [name for name, rec in ns["records"].items() if rec.get("pass") is False] == []

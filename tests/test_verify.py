@@ -26,8 +26,6 @@ from ch2exact import (
     mass_residual_field,
     momentum_residual_field,
     origin_decay,
-    residual_mass_eq,
-    residual_momentum_eq,
     run_battery,
     support,
 )
@@ -36,6 +34,8 @@ from ch2exact.emden import Trajectory
 from ch2exact.verify import (
     _dispersion_record,
     _fields_on_grid,
+    _residual_report,
+    _sampled_levels,
     analytic_mass,
     mass_error,
     min_support_radius,
@@ -54,15 +54,18 @@ def direct_mass(case, traj, t):
 # grids
 # ----------------------------------------------------------------------
 
-def test_grid_validation():
-    with pytest.raises(GridError):
-        SpaceTimeGrid(0.0, 1.0, 4, -1.0, 1.0, 9)
-    with pytest.raises(GridError):
-        SpaceTimeGrid(0.0, 1.0, 9, -1.0, 1.0, 3)
-    with pytest.raises(GridError):
-        SpaceTimeGrid(1.0, 1.0, 9, -1.0, 1.0, 9)
-    with pytest.raises(GridError):
-        SpaceTimeGrid(0.0, 1.0, 9, 1.0, -1.0, 9)
+def test_grid_validation(case_2a):
+    # Any lattice has >= 2 points per axis and increasing bounds ...
+    for bad in ((0.0, 1.0, 1, -1.0, 1.0, 9), (0.0, 1.0, 9, -1.0, 1.0, 1),
+                (1.0, 1.0, 9, -1.0, 1.0, 9), (0.0, 1.0, 9, 1.0, -1.0, 9)):
+        with pytest.raises(GridError):
+            SpaceTimeGrid(*bad)
+    # ... and the residual stencils need >= 5, which the battery checks.
+    case, traj, report = case_2a
+    for nt, nx in ((4, 9), (9, 3)):
+        grid = SpaceTimeGrid(0.0, 0.5, nt, -0.5, 0.5, nx)
+        with pytest.raises(GridError, match="nt >= 5 and nx >= 5"):
+            run_battery(case, traj, report, grid)
 
 
 def test_grid_spacing_and_refinement():
@@ -120,21 +123,21 @@ def test_mass_kernel_zero_for_zero_density_case():
 # ----------------------------------------------------------------------
 
 def test_mass_residual_converges_2a(case_2a):
-    case, traj, _ = case_2a
+    case, traj, report = case_2a
     grid = SpaceTimeGrid(0.0, 0.5, 21, -0.6, 0.6, 21)
-    rep = residual_mass_eq(case, traj, grid, levels=2)
-    assert rep.eq_label == "mass"
-    assert 1.7 <= rep.estimated_order <= 2.3
-    assert rep.residuals[1] < rep.residuals[0] < 1e-2
+    rep = run_battery(case, traj, report, grid, Tolerances(levels=2))["residual_mass"]
+    assert rep["eq"] == "mass"
+    assert 1.7 <= rep["estimated_order"] <= 2.3
+    assert rep["residuals"][1] < rep["residuals"][0] < 1e-2
 
 
 def test_momentum_residual_converges_2a(case_2a):
     # The momentum stencil needs a finer base grid than the mass one to
     # reach its asymptotic O(h^2) range.
-    case, traj, _ = case_2a
+    case, traj, report = case_2a
     grid = SpaceTimeGrid(0.0, 0.5, 41, -0.6, 0.6, 41)
-    rep = residual_momentum_eq(case, traj, grid, levels=2)
-    assert 1.7 <= rep.estimated_order <= 2.3
+    rep = run_battery(case, traj, report, grid, Tolerances(levels=2))["residual_momentum"]
+    assert 1.7 <= rep["estimated_order"] <= 2.3
 
 
 def test_residuals_converge_noncompact(case_2b):
@@ -142,28 +145,27 @@ def test_residuals_converge_noncompact(case_2b):
     case, traj, report = case_2b
     t1 = 0.25 * report.s_collapse_quadrature / 3.0
     grid = SpaceTimeGrid(0.0, t1, 21, -1.0, 1.0, 21)
-    for rep in (
-        residual_mass_eq(case, traj, grid, levels=2),
-        residual_momentum_eq(case, traj, grid, levels=2),
-    ):
-        assert 1.7 <= rep.estimated_order <= 2.3
+    rec = run_battery(case, traj, report, grid, Tolerances(levels=2))
+    for rep in (rec["residual_mass"], rec["residual_momentum"]):
+        assert 1.7 <= rep["estimated_order"] <= 2.3
 
 
 def test_single_level_reports_no_order(case_2a):
     case, traj, _ = case_2a
-    rep = residual_mass_eq(case, traj, SpaceTimeGrid(0.0, 0.5, 11, -0.5, 0.5, 11))
-    assert rep.estimated_order is None
-    assert rep.interior_max_residual >= 0.0
-    assert rep.interior_l2_residual <= rep.interior_max_residual
+    grid = SpaceTimeGrid(0.0, 0.5, 11, -0.5, 0.5, 11)
+    sampled = _sampled_levels(case, traj, grid, 1, Tolerances.margin, 1.0, None)
+    rep = _residual_report(case, sampled, "mass", 0.0, Tolerances.order_band)
+    assert rep["estimated_order"] is None
+    assert rep["interior_max_residual"] >= 0.0
+    assert rep["interior_l2_residual"] <= rep["interior_max_residual"]
 
 
 def test_dispersion_independence(case_2a):
-    case, traj, _ = case_2a
+    case, traj, report = case_2a
     grid = SpaceTimeGrid(0.0, 0.5, 17, -0.6, 0.6, 17)
-    maxes = [
-        residual_momentum_eq(case, traj, grid, alpha_d=ad).interior_max_residual
-        for ad in (0.0, 1.0, 10.0)
-    ]
+    rec = run_battery(case, traj, report, grid)["dispersion_independence"]
+    assert rec["alpha_d_values"] == [0.0, 1.0, 10.0]
+    maxes = rec["interior_max_residuals"]
     assert max(maxes) - min(maxes) <= 1e-10
 
 
@@ -185,13 +187,14 @@ def test_dispersion_bound_trips_on_a_nonlinear_velocity(case_2a):
 
 def test_corrupted_velocity_breaks_convergence(case_2a):
     """A 1% velocity error leaves an O(1) residual that refinement cannot kill."""
-    case, traj, _ = case_2a
+    case, traj, report = case_2a
     grid = SpaceTimeGrid(0.0, 0.5, 41, -0.6, 0.6, 41)
-    clean = residual_momentum_eq(case, traj, grid, levels=2)
-    bad = residual_momentum_eq(case, traj, grid, levels=2, u_scale=1.01)
-    assert bad.estimated_order < 1.0
+    clean = run_battery(case, traj, report, grid, Tolerances(levels=2))["residual_momentum"]
+    bad = run_battery(case, traj, report, grid, Tolerances(levels=2),
+                      u_scale=1.01)["residual_momentum"]
+    assert bad["estimated_order"] < 1.0
     # on the finest level the O(1) defect dwarfs the shrinking truncation error
-    assert bad.residuals[-1] > 10.0 * clean.residuals[-1]
+    assert bad["residuals"][-1] > 10.0 * clean["residuals"][-1]
 
 
 def test_grid_preconditions(case_1a, case_2a):
@@ -199,18 +202,18 @@ def test_grid_preconditions(case_1a, case_2a):
     S = report.s_collapse_quadrature
     # reaching past the collapse margin
     with pytest.raises(GridError, match="collapse"):
-        residual_mass_eq(case, traj, SpaceTimeGrid(0.0, 0.95 * S / 3.0, 9, -0.1, 0.1, 9))
+        run_battery(case, traj, report, SpaceTimeGrid(0.0, 0.95 * S / 3.0, 9, -0.1, 0.1, 9))
     # negative start time
     with pytest.raises(GridError, match="t = 0"):
-        residual_mass_eq(case, traj, SpaceTimeGrid(-0.1, 0.1, 9, -0.1, 0.1, 9))
+        run_battery(case, traj, report, SpaceTimeGrid(-0.1, 0.1, 9, -0.1, 0.1, 9))
     # beyond the support margin
-    case2, traj2, _ = case_2a
+    case2, traj2, report2 = case_2a
     with pytest.raises(GridError, match="support"):
-        residual_mass_eq(case2, traj2, SpaceTimeGrid(0.0, 0.5, 9, -0.95, 0.95, 9))
+        run_battery(case2, traj2, report2, SpaceTimeGrid(0.0, 0.5, 9, -0.95, 0.95, 9))
     # past the integrated horizon
     short = integrate(case2.emden, s_end=0.5)
     with pytest.raises(GridError, match="trajectory ends"):
-        residual_mass_eq(case2, short, SpaceTimeGrid(0.0, 1.0, 9, -0.3, 0.3, 9))
+        run_battery(case2, short, report2, SpaceTimeGrid(0.0, 1.0, 9, -0.3, 0.3, 9))
 
 
 # ----------------------------------------------------------------------
@@ -414,6 +417,26 @@ def test_tolerances_defaults_and_levels():
     assert Tolerances(levels=4).residual_levels == 4
 
 
+@pytest.mark.parametrize("name,value,rule", [
+    ("order_band", -1.0, ">= 0"),
+    ("dispersion_tol", -1e-300, ">= 0"),
+    ("mass_rtol", -1.0, ">= 0"),
+    ("drift_tol", -1.0, ">= 0"),
+    ("rate_rtol", -0.5, ">= 0"),
+    ("decay_rtol", -0.05, ">= 0"),
+    ("margin", 0.0, "> 0"),
+    ("margin", -0.8, "> 0"),
+    ("decay_t_max", 0.0, "> 0"),
+    ("decay_t_max", -1.0, "> 0"),
+])
+def test_tolerances_reject_out_of_range_values(name, value, rule):
+    with pytest.raises(ValueError, match=f"^{name} must be {rule}, got {value}$"):
+        Tolerances(**{name: value})
+    # A zero tolerance demands exact agreement, which is valid.
+    if rule == ">= 0":
+        assert getattr(Tolerances(**{name: 0.0}), name) == 0.0
+
+
 def test_run_battery_records_in_report_order(case_1a, case_2a):
     case, traj, report = case_2a
     grid = SpaceTimeGrid(0.0, 0.5, 41, -0.6, 0.6, 41)
@@ -443,10 +466,11 @@ def test_run_battery_each_tolerance_can_fail(case_2a):
     case, traj, report = case_2a
     grid = SpaceTimeGrid(0.0, 0.5, 41, -0.6, 0.6, 41)
     rec = run_battery(case, traj, report, grid, Tolerances(order_band=0.0, decay_rtol=0.0,
-                                                           dispersion_tol=-1.0))
+                                                           dispersion_tol=0.0))
     assert rec["residual_mass"]["pass"] is False
     assert rec["residual_momentum"]["pass"] is False
     assert rec["dispersion_independence"]["pass"] is False
+    assert rec["dispersion_independence"]["max_abs_difference"] > 0.0
     assert rec["origin_decay"]["pass"] is False
     bad = run_battery(case, traj, report, grid, u_scale=1.01)
     assert bad["residual_momentum"]["pass"] is False
