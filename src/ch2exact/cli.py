@@ -309,7 +309,7 @@ def cmd_verify(args) -> int:
         "case": case.case_id,
         "params": {"sigma": case.sigma, "xi": params.xi, "alpha": case.alpha, "a0": params.a0,
                    "a1": params.a1, "tol": tol, "u_scale": u_scale},
-        "grid": {**asdict(grid), "levels": tols.residual_levels},
+        "grid": {**asdict(grid), "levels": tols.levels},
         "reports": reports,
         "pass": all_pass,
     }

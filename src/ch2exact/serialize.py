@@ -8,14 +8,19 @@ identical everywhere.  Reruns on identical inputs are byte-identical.
 
 ``write_csv`` takes whole columns.  A float column is formatted by an
 exact integer route that gives ``fmt_float``'s bytes without a per-cell
-Python call: for ``1e-11 <= |x| < 1e17`` the 17 digits are
-``round_half_even(|x| * 10**p)``, computed from the 53-bit significand times
-``5**p`` as two uint64 limbs and shifted by the binary exponent.  Every
-other cell (both zeros, magnitudes outside that range, a cell whose
-``log10`` decade estimate is off by one and does not round onto a power of
-ten) goes to ``fmt_float`` itself, once per distinct value.  Cells are
-fixed-width byte rows padded with 0xFF, a byte that UTF-8 never contains,
-and the padding is dropped as the rows are written.
+Python call: for ``1e-11 <= |x| < 1e17`` the 17 digits are ``n =
+round_half_even(|x| * 10**p)``, from the 53-bit significand times ``5**p``
+as two uint64 limbs; other cells (zeros, other magnitudes, a ``log10``
+decade estimate off by one) go to ``fmt_float``, once per distinct value.
+Cells are fixed-width byte rows padded with 0xFF, which UTF-8 never
+contains and which is dropped on writing.  A float cell is three
+little-endian uint64 words, built by the same whole-block array operations
+for every decade: byte 0 is the sign, bytes 1-5 the decade's prefix (``0.``
+to ``0.000`` in [1e-4, 1)), bytes 6-23 the digits of ``n`` from a 4-digit
+table with a '1' inserted where the point goes, so that padding trailing
+zeros stops there; an XOR makes it the point, or padding if no digit
+follows.  Exponent form shifts the words down 4 bytes for ``e-XX``.  The
+words go straight into their slice of the CSV row block.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ def fmt_float(x: float) -> str:
 # exact vectorised %.17g
 # ----------------------------------------------------------------------
 
-_PAD = 0xFF
 _CELL = 24  # len("-1.7976931348623157e+308"), the longest %.17g of a double
 # Decades k handled by the integer route: p = 16 - k lies in [0, 27], so 5**p < 2**63.
 _K_MIN, _K_MAX = -11, 16
@@ -48,22 +52,38 @@ _K_MIN, _K_MAX = -11, 16
 _POW5_HI = np.array([5 ** p >> 32 for p in range(16 - _K_MIN + 1)], dtype=np.uint64)
 _POW5_LO = np.array([5 ** p & 0xFFFFFFFF for p in range(16 - _K_MIN + 1)], dtype=np.uint64)
 _TEN16, _TEN17 = np.uint64(10 ** 16), np.uint64(10 ** 17)
-_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 def _digit_table() -> np.ndarray:
-    """uint32 entries whose 4 bytes spell i in ASCII digits (zero-filled) for
-    i < 10**4, and at 10**4 + i the same with trailing zeros as padding."""
+    """uint64 entries whose low 4 bytes spell i in ASCII digits (zero-filled)
+    for i < 10**4, and at 10**4 + i the same with trailing zeros as padding."""
     ten = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     d = np.stack(np.meshgrid(ten, ten, ten, ten, indexing="ij"), axis=-1).reshape(-1, 4)
     trailing = d == ord("0")
     for j in (2, 1, 0):
         trailing[:, j] &= trailing[:, j + 1]
-    stripped = np.where(trailing, _PAD, d).astype(np.uint8)
-    return np.concatenate([d, stripped]).view(np.uint32).ravel()
+    stripped = np.where(trailing, 0xFF, d).astype(np.uint8)
+    return np.concatenate([d, stripped]).view("<u4").ravel().astype(np.uint64)
 
 
 _DIGITS4 = _digit_table()
+
+
+def _decade_table() -> np.ndarray:
+    """Rows q, word0, hole, shift, suffix of _float_cells' layout by decade."""
+    columns = []
+    for e in range(_K_MIN, _K_MAX + 2):  # _K_MAX + 1 only for rows _round17 rejects
+        h = min(e + 1, 17) if e >= 0 else int(e < -4)  # digits before the point
+        prefix = b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b""
+        suffix = b"e-%02d" % -e if e < -4 else b""
+        # With a prefix, byte 6 turns the '1' into padding: the point is in the prefix.
+        word0 = b"\xff" + prefix.ljust(5, b"\xff") + (b"\xd1" if prefix else b"\0") + b"\0"
+        columns.append((10 ** (17 - h), int.from_bytes(word0, "little"), 8 * (6 + h),
+                        32 if suffix else 0, int.from_bytes(suffix, "little") << 32))
+    return np.array(columns, dtype=np.uint64).T
+
+
+_DECADES = _decade_table()
 
 
 def _decade(ax: np.ndarray) -> np.ndarray:
@@ -72,17 +92,13 @@ def _decade(ax: np.ndarray) -> np.ndarray:
 
 
 def _round17(ax: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(n, ok): n = round_half_even(ax * 10**(16 - k)) exactly where ok.
-
-    ok holds where the product is at least 10**16 before rounding and at
-    most 10**17 after it, i.e. where k is the decade of ax or n carries
-    into the next one.
-    """
+    """(n, ok): n = round_half_even(ax * 10**(16 - k)), exact where ok: where k is
+    the decade of ax or n carries into the next (10**16 <= product, n <= 10**17)."""
     frac, e2 = np.frexp(ax)
     m = (frac * 2.0 ** 53).astype(np.uint64)  # ax = m * 2**(e2 - 53)
     p = 16 - k
     # m * 5**p = hi * 2**64 + lo, from 32-bit halves (m < 2**53, 5**p < 2**63).
-    m1, m0, q1, q0 = m >> 32, m & _LOW32, _POW5_HI[p], _POW5_LO[p]
+    m1, m0, q1, q0 = m >> 32, m & 0xFFFFFFFF, _POW5_HI.take(p), _POW5_LO.take(p)
     mid = m0 * q1 + m1 * q0
     mid_lo = mid << 32
     lo = m0 * q0 + mid_lo
@@ -99,16 +115,6 @@ def _round17(ax: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return n, ok & (n <= _TEN17)
 
 
-def _layout(e: int) -> tuple[bytes, int, bytes, bytes]:
-    """(prefix, h, mid, suffix) of decade e: a cell after its sign is
-    prefix, digits[:h], '.', mid, digits[h:], suffix."""
-    if e >= 0:
-        return b"", e + 1, b"", b""
-    if e >= -4:
-        return b"0", 0, b"0" * (-e - 1), b""
-    return b"", 1, b"", b"e-%02d" % -e
-
-
 def _finite(values) -> np.ndarray:
     """values as a flat float array; fmt_float's ValueError on the first non-finite one."""
     x = np.asarray(values, dtype=float).ravel()
@@ -122,82 +128,72 @@ def _text_cells(texts, width: int | None = None) -> np.ndarray:
     """(len(texts), width) uint8 rows of the UTF-8 texts, 0xFF-padded."""
     data = [t.encode("utf-8") for t in texts]
     if width is None:
-        width = max(map(len, data), default=0)
+        width = max([1, *map(len, data)])  # a void record needs a byte
     buf = b"".join(d.ljust(width, b"\xff") for d in data)
     return np.frombuffer(buf, dtype=np.uint8).reshape(len(data), width)
 
 
-def _float_cells(x: np.ndarray) -> np.ndarray:
-    """(x.size, 24) uint8 rows of fmt_float(v) for a flat finite array x.
-
-    0xFF marks unused bytes, which may sit inside a cell: a positive sign,
-    dropped trailing zeros, a decimal point with no digits after it.
-    """
-    cells = np.empty((x.size, _CELL), dtype=np.uint8)
+def _float_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out, its rows set to fmt_float(v) for each v of the flat finite array x
+    in the module docstring's layout; (x.size, 24) uint8, rows may be apart."""
     ax = np.abs(x)
-    rows = np.flatnonzero((ax >= 1e-11) & (ax < 1e17))
-    k = np.clip(_decade(ax[rows]), _K_MIN, _K_MAX)
-    n, ok = _round17(ax[rows], k)
-    rows, n, k = rows[ok], n[ok], k[ok]
+    inside = (ax >= 1e-11) & (ax < 1e17)
+    ax = np.where(inside, ax, 1.0)
+    k = np.clip(_decade(ax), _K_MIN, _K_MAX)
+    n, ok = _round17(ax, k)
+    ok &= inside
     carry = n == _TEN17
-    n[carry] = _TEN16
-    k += carry
-
-    # Sorted by decade, each decade's cells are one slice with one layout.
-    order = np.argsort(k.astype(np.int8), kind="stable")
-    rows, n, k = rows[order], n[order], k[order]
-    # n in 4-digit blocks lead, b1, b2, b3, b4 (numpy's // by a constant is
-    # several times faster than its % or divmod).
+    n -= carry * (_TEN17 - _TEN16)
+    q, word0, hole, shift, suffix = _DECADES.take(k + carry - _K_MIN, axis=1)
+    # The '1' after h digits: with q = 10**(17 - h), whole + frac -> whole * 10 + q + frac.
+    whole = n // q * q
+    frac = n - whole
+    n = whole * 10 + q + frac
+    # Blocks lead (2 characters), b1..b4 (4 each); // by a constant beats % or divmod.
+    lead = n // 10 ** 16
+    n -= lead * 10 ** 16
     hi = n // 10 ** 8
-    lead, b34 = hi // 10 ** 8, n - hi * 10 ** 8
-    b12 = hi - lead * 10 ** 8
-    b1, b3 = b12 // 10 ** 4, b34 // 10 ** 4
-    b2, b4 = b12 - b1 * 10 ** 4, b34 - b3 * 10 ** 4
-    # digits: the 17 digits of n.  sig: the same with the trailing zeros as
-    # padding, from the table's second half for a 4-digit block followed
-    # only by zero blocks.
+    lo = n - hi * 10 ** 8
+    b1, b3 = hi // 10 ** 4, lo // 10 ** 4
+    b2, b4 = hi - b1 * 10 ** 4, lo - b3 * 10 ** 4
+    # A block followed only by zero blocks takes the table's padded half.
     z4 = b4 == 0
     z3 = z4 & (b3 == 0)
     z2 = z3 & (b2 == 0)
-    strip = np.uint64(10_000)
-    index = np.stack([
-        lead, b1, b2, b3, b4,
-        lead + strip * (z2 & (b1 == 0)), b1 + strip * z2, b2 + strip * z3, b3 + strip * z4, b4 + strip,
-    ], axis=1, dtype=np.intp, casting="unsafe")
-    table = np.take(_DIGITS4, index).view(np.uint8)
-    digits, sig = table[:, 3:20], table[:, 23:40]
-
-    out = np.full((rows.size, _CELL), _PAD, dtype=np.uint8)
-    out[x[rows] < 0, 0] = ord("-")
-    bounds = (np.flatnonzero(np.diff(k)) + 1).tolist()
-    for s, e in zip([0] + bounds, bounds + [rows.size]) if rows.size else ():
-        prefix, h, mid, suffix = _layout(int(k[s]))
-        # Digits before the point are kept; after it, the point goes with
-        # the trailing zeros when no digit is left.
-        dot = np.where(sig[s:e, h:h + 1] != _PAD, ord("."), _PAD)
-        col = 1
-        for piece in (prefix, digits[s:e, :h], dot, mid, sig[s:e, h:], suffix):
-            if isinstance(piece, bytes):
-                piece = np.frombuffer(piece, dtype=np.uint8)
-            if piece.shape[-1]:
-                out[s:e, col:col + piece.shape[-1]] = piece
-                col += piece.shape[-1]
-    cells[rows] = out
-
+    strip, digits = np.uint64(10_000), _DIGITS4.take
+    w0 = word0 ^ (digits(lead) & 0xFFFF0000) << 32
+    w1 = digits(b1 + strip * z2) | digits(b2 + strip * z3) << 32
+    w2 = digits(b3 + strip * z4) | digits(b4 + strip) << 32
+    # '1' ^ 0x1F is '.', '1' ^ 0xCE is padding.  numpy shifts by 64 or more give 0.
+    dot = np.where(frac == 0, np.uint64(0xCE), np.uint64(0x1F))
+    w0 ^= dot << hole
+    w1 ^= dot << (hole - 64)
+    w2 ^= dot << (hole - 128)
+    words = out.view("<u8")
+    np.bitwise_or(w2 >> shift, suffix, out=words[:, 2])
+    np.bitwise_or(w1 >> shift, w2 << (64 - shift), out=words[:, 1])
+    sign = (x < 0) * np.uint64(0xFF ^ ord("-"))
+    np.bitwise_xor((w0 >> shift) | (w1 << (64 - shift)), sign, out=words[:, 0])
     # Every other cell: fmt_float once per distinct bit pattern.
-    rest_rows = np.ones(x.size, dtype=bool)
-    rest_rows[rows] = False
-    rest_rows = np.flatnonzero(rest_rows)
-    if rest_rows.size:
-        bits, inverse = np.unique(x[rest_rows].view(np.uint64), return_inverse=True)
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        bits, inverse = np.unique(x[rest].view(np.uint64), return_inverse=True)
         texts = [fmt_float(v) for v in bits.view(np.float64).tolist()]
-        cells[rest_rows] = _text_cells(texts, _CELL)[inverse]
-    return cells
+        out[rest] = _text_cells(texts, _CELL)[inverse]
+    return out
+
+
+def _cells(values) -> np.ndarray:
+    """(n, width) uint8 cells of a float array or a sequence of str."""
+    if not isinstance(values, np.ndarray):
+        return _text_cells(values)
+    x = _finite(values)
+    return _float_cells(x, np.empty((x.size, _CELL), dtype=np.uint8))
 
 
 def fmt_floats(values) -> list[str]:
     """``[fmt_float(v) for v in values]`` for a whole array, flattened in C order."""
-    cells = _float_cells(_finite(values))
+    cells = _cells(np.asarray(values, dtype=float))
     return [c.translate(None, b"\xff").decode("ascii") for c in map(bytes, cells)]
 
 
@@ -270,17 +266,19 @@ class Indexed:
 
 
 def _column(column):
-    """(rows, width, cells_of) of a write_csv column: cells_of(r0, r1) gives
-    rows r0..r1 as (r1 - r0, width) uint8 cells."""
-    if isinstance(column, Indexed):
-        values, index = column.values, np.asarray(column.index, dtype=np.intp)
-        cells = _float_cells(_finite(values)) if isinstance(values, np.ndarray) else _text_cells(values)
-        return len(index), cells.shape[1], lambda r0, r1: cells[index[r0:r1]]
+    """(rows, width, write) of a write_csv column: write(r0, r1, out) puts its
+    rows r0..r1 into out, their (r1 - r0, width) uint8 slice of the row block."""
     if isinstance(column, np.ndarray):
         x = _finite(column)
-        return x.size, _CELL, lambda r0, r1: _float_cells(x[r0:r1])
-    cells = _text_cells(column)
-    return len(cells), cells.shape[1], lambda r0, r1: cells[r0:r1]
+        return x.size, _CELL, lambda r0, r1, out: _float_cells(x[r0:r1], out)
+    if not isinstance(column, Indexed):
+        column = Indexed(column, np.arange(len(column)))
+    cells, index = _cells(column.values), np.asarray(column.index, dtype=np.intp)
+    # One void record per cell, so that a gather moves whole cells.
+    record = np.dtype((np.void, cells.shape[1]))
+    cells = cells.view(record)[:, 0]
+    return len(index), record.itemsize, lambda r0, r1, out: np.copyto(
+        out.view(record)[:, 0], cells.take(index[r0:r1]))
 
 
 def _open_for_write(path: Path):
@@ -311,15 +309,15 @@ def write_csv(path: Path, header: list[str], columns) -> None:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
     n_rows = lengths.pop() if lengths else 0
     width = sum(w + 1 for _, w, _ in cols)
+    # One row block, commas and newlines in place, is reused for every block.
+    block = np.empty((min(n_rows, _CSV_BLOCK_ROWS), width), dtype=np.uint8)
+    ends = np.cumsum([w + 1 for _, w, _ in cols], dtype=np.intp) - 1
+    block[:, ends] = ord(",")
+    block[:, ends[-1:]] = ord("\n")
     with _open_for_write(path) as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
         for r0 in range(0, n_rows, _CSV_BLOCK_ROWS):
-            r1 = min(r0 + _CSV_BLOCK_ROWS, n_rows)
-            block = np.empty((r1 - r0, width), dtype=np.uint8)
-            col = 0
-            for _, w, cells_of in cols:
-                block[:, col:col + w] = cells_of(r0, r1)
-                block[:, col + w] = ord(",")
-                col += w + 1
-            block[:, -1] = ord("\n")
-            fh.write(block.tobytes().translate(None, b"\xff"))
+            rows = block[:min(n_rows - r0, _CSV_BLOCK_ROWS)]
+            for (_, w, write), end in zip(cols, ends):
+                write(r0, r0 + len(rows), rows[:, end - w:end])
+            fh.write(rows.tobytes().translate(None, b"\xff"))

@@ -101,11 +101,9 @@ class Tolerances:
         for name in ("margin", "decay_t_max"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-
-    @property
-    def residual_levels(self) -> int:
-        """Levels the residual checks run: an order estimate needs two."""
-        return max(self.levels, 2)
+        # The order estimate compares the last two levels.
+        if not self.levels >= 2:
+            raise ValueError(f"levels must be >= 2, got {self.levels}")
 
 
 # The sweep's first-integral check (energy_drift): |energy - theta| at every
@@ -500,7 +498,7 @@ def run_battery(
         return _sampled_levels(case, traj, g, levels, tols.margin, u_scale,
                                report.s_collapse_quadrature)
 
-    sampled = sample(grid, tols.residual_levels)
+    sampled = sample(grid, tols.levels)
     reports = {
         "residual_mass": _residual_report(case, sampled, "mass", 0.0, tols.order_band),
         "residual_momentum": _residual_report(case, sampled, "momentum", tols.alpha_d[0],

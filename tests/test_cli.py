@@ -357,6 +357,8 @@ def test_verify_tolerance_key_errors(tmp_path, capsys, line, message):
     ("mass_rtol = -1", "mass_rtol must be >= 0, got -1.0"),
     ("decay_t_max = -1", "decay_t_max must be > 0, got -1.0"),
     ("margin = 0", "margin must be > 0, got 0.0"),
+    ("levels = -5", "levels must be >= 2, got -5"),
+    ("levels = 1", "levels must be >= 2, got 1"),
 ])
 def test_verify_out_of_range_tolerance_names_its_key(tmp_path, capsys, line, message):
     cfg = write_config(tmp_path, CFG_2A + line + "\n")

@@ -239,3 +239,26 @@ def test_write_csv_matches_the_per_cell_text(tmp_path):
     expected = "a,b\n" + "".join(f"{fmt_float(v)},{fmt_float(-v)}\n" for v in a.tolist())
     data = path.read_bytes()
     assert hashlib.sha256(data).digest() == hashlib.sha256(expected.encode()).digest()
+
+
+# Any bit pattern, or a short decimal such as 2.5 or 1e-05 (no digit after the point).
+_FINITE = _BITS.filter(math.isfinite) | st.floats(allow_nan=False, allow_infinity=False)
+_TEXT = st.text(st.sampled_from("\x00é€\U0001d6fc,a") | st.characters(codec="utf-8"), max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_FINITE, min_size=1, max_size=5), st.data())
+def test_write_csv_matches_the_per_cell_text_in_small_blocks(tmp_path_factory, values, data):
+    # Rows straddle blocks of a small prime size; a gathered float column and
+    # text with NUL and non-ASCII characters sit beside arbitrary doubles.
+    rows = data.draw(st.lists(st.tuples(_FINITE, st.integers(0, len(values) - 1), _TEXT),
+                              max_size=40))
+    floats, index, texts = (list(c) for c in zip(*rows)) if rows else ([], [], [])
+    path = tmp_path_factory.getbasetemp() / "small_blocks.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(serialize, "_CSV_BLOCK_ROWS", 3)
+        write_csv(path, ["f", "i", "s"],
+                  [np.array(floats), Indexed(np.array(values), np.array(index, dtype=int)), texts])
+    expected = "f,i,s\n" + "".join(f"{fmt_float(a)},{fmt_float(values[i])},{t}\n"
+                                   for a, i, t in rows)
+    assert path.read_bytes() == expected.encode("utf-8")

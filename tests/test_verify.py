@@ -413,8 +413,11 @@ def test_min_support_radius_finds_an_interior_minimum():
 def test_tolerances_defaults_and_levels():
     tols = Tolerances()
     assert tols.margin == 0.8 and tols.alpha_d == (0.0, 1.0, 10.0)
-    assert Tolerances(levels=1).residual_levels == 2
-    assert Tolerances(levels=4).residual_levels == 4
+    assert tols.levels == 2 and Tolerances(levels=4).levels == 4
+    # An order estimate needs two levels: fewer is an error, not the default.
+    for levels in (1, 0, -5):
+        with pytest.raises(ValueError, match=f"^levels must be >= 2, got {levels}$"):
+            Tolerances(levels=levels)
 
 
 @pytest.mark.parametrize("name,value,rule", [
