@@ -68,7 +68,7 @@ EXIT_VERIFICATION_FAILURE = 3
 
 
 class ConfigError(ValueError):
-    """Malformed or invalid configuration."""
+    """Malformed or invalid configuration, flag or output path."""
 
 
 # ----------------------------------------------------------------------
@@ -145,6 +145,8 @@ _KEYS = {
 }
 # Default grid end of global orbits, in physical time.
 _GLOBAL_T1 = 0.5
+# A compact profile of amplitude 0, which neither command's default grid fits.
+_ONE_POINT = "alpha = 0 shrinks the compact profile's support to the one point x = 0"
 
 
 def _orbit(block: dict[str, str], command: str, tol_flag: float | None):
@@ -185,6 +187,14 @@ def _horizon(block: dict[str, str], t_needed: float = 0.0) -> float | None:
     return 3.0 * t if t > 0 else None
 
 
+def _write(write, path: Path, *content) -> None:
+    """write(path, *content), with an OSError reported as a ConfigError naming the path."""
+    try:
+        write(path, *content)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _blowup_record(report) -> dict:
     return {**asdict(report), "classification": report.classification.value}
 
@@ -216,6 +226,8 @@ def _grid(case: SolutionCase, traj, report, block: dict[str, str],
     nt = _get(block, "nt", 81, int)
     nx = _get(block, "nx", 81, int)
     if case.compact:
+        if case.alpha == 0 and "x1" not in block:
+            raise ConfigError(f"{_ONE_POINT}, so there is no default grid: give x0 and x1")
         # The minimum over the grid's own times, which the residual checks'
         # support test takes too, and a fraction that stays inside margin.
         # (At least both ends: SpaceTimeGrid reports nt < 2.)
@@ -237,8 +249,8 @@ def cmd_emden(args) -> int:
     traj, report = analyze(params, _horizon(block), tol)
 
     out = Path(args.out)
-    write_csv(out / "emden.csv", ["s", "a", "a_dot", "energy"],
-              [traj.s, traj.a, traj.a_dot, node_energies(traj)])
+    _write(write_csv, out / "emden.csv", ["s", "a", "a_dot", "energy"],
+           [traj.s, traj.a, traj.a_dot, node_energies(traj)])
 
     doc = {
         "case": None,
@@ -246,7 +258,7 @@ def cmd_emden(args) -> int:
         "reports": {"blowup": _blowup_record(report)},
         "pass": True,
     }
-    write_text(out / "emden.json", to_json(doc))
+    _write(write_text, out / "emden.json", to_json(doc))
     print(f"wrote {out / 'emden.csv'} and {out / 'emden.json'}")
     return EXIT_OK
 
@@ -284,7 +296,8 @@ def cmd_construct(args) -> int:
         Indexed(["false", "true"], inside),
     ]
     out = Path(args.out)
-    write_csv(out / "construct.csv", ["t", "x", "rho", "u", "eta", "in_support"], columns)
+    _write(write_csv, out / "construct.csv", ["t", "x", "rho", "u", "eta", "in_support"],
+           columns)
     print(f"wrote {out / 'construct.csv'} ({nt * nx} rows, case {case.case_id})")
     return EXIT_OK
 
@@ -292,6 +305,8 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     block, case, params, tol = _load(args)
     u_scale = _parse_corrupt(args.seed_corrupt)
+    if case.compact and case.alpha == 0:
+        raise ConfigError(f"{_ONE_POINT}, so no grid fits inside it")
     # Each tolerance key parses as the type of its default, in field order.
     tols = Tolerances(**{f.name: _get(block, f.name, f.default, type(f.default))
                          for f in fields(Tolerances)})
@@ -314,7 +329,7 @@ def cmd_verify(args) -> int:
         "pass": all_pass,
     }
     out = Path(args.out)
-    write_text(out / "verify.json", to_json(doc))
+    _write(write_text, out / "verify.json", to_json(doc))
     print(f"wrote {out / 'verify.json'} (case {case.case_id}, pass={all_pass})")
     return EXIT_OK if all_pass else EXIT_VERIFICATION_FAILURE
 
@@ -394,7 +409,7 @@ def cmd_sweep(args) -> int:
             ])
     out = Path(args.out)
     columns = list(zip(*rows)) or [()] * len(_SWEEP_HEADER)  # an empty sweep has no rows to transpose
-    write_csv(out / "sweep.csv", _SWEEP_HEADER, columns)
+    _write(write_csv, out / "sweep.csv", _SWEEP_HEADER, columns)
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} case(s))")
     return EXIT_OK
 
@@ -463,7 +478,13 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    import gc  # here, so that importing the CLI loads no module it does not use
+
+    code = main()
+    # Finalization still runs atexit handlers, flushes the streams and clears
+    # modules, but its full collections skip the frozen import-time heap.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -105,6 +105,31 @@ def test_help_exits_0(argv, capsys):
     assert "usage:" in capsys.readouterr().out
 
 
+# Every command's first output file, under an --out that is a regular file
+# or lies below one: one "cannot write" line, exit 1, no traceback.
+_FIRST_OUTPUT = {
+    "emden": (CFG_COLLAPSE, "emden.csv"),
+    "construct": (CFG_2A + "nt = 3\nnx = 3\n", "construct.csv"),
+    "verify": (CFG_2A, "verify.json"),
+    "sweep": (CFG_2A, "sweep.csv"),
+}
+
+
+@pytest.mark.parametrize("command", list(_FIRST_OUTPUT))
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_unwritable_out_is_invalid_input(tmp_path, capsys, command, below):
+    config, first = _FIRST_OUTPUT[command]
+    out = tmp_path / "taken"
+    out.write_text("")
+    if below:
+        out = out / "sub"
+    cfg = write_config(tmp_path, config)
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: cannot write {out / first}: [Errno ")
+    assert err.count("\n") == 1
+
+
 # ----------------------------------------------------------------------
 # emden command
 # ----------------------------------------------------------------------
@@ -405,6 +430,38 @@ def test_non_finite_or_malformed_value_names_its_key(tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert err.startswith(f"invalid input: config key {key!r} ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+# alpha = 0 on a compact family (sigma xi > 0) puts the whole profile at x = 0.
+CFG_ALPHA0 = "sigma = 1\nxi = 3\nalpha = 0\na0 = 1\na1 = 0\n"
+
+
+@pytest.mark.parametrize("command,extra,reason", [
+    ("construct", "", "so there is no default grid: give x0 and x1"),
+    ("verify", "", "so no grid fits inside it"),
+    ("verify", "x0 = -1\nx1 = 1\n", "so no grid fits inside it"),
+], ids=["construct", "verify", "verify-given-range"])
+def test_alpha_zero_on_a_compact_family_names_its_one_point_support(
+        tmp_path, capsys, command, extra, reason):
+    cfg = write_config(tmp_path, CFG_ALPHA0 + extra)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "invalid input: alpha = 0 shrinks the compact profile's support to the one point "
+        f"x = 0, {reason}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_alpha_zero_on_a_compact_family_constructs_on_a_given_range_and_sweeps(tmp_path):
+    cfg = write_config(tmp_path, CFG_ALPHA0 + "x0 = -1\nx1 = 1\nnt = 3\nnx = 3\n")
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = [ln.split(",") for ln in (tmp_path / "construct.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 9 and all(r[2] == "0" and r[5] == "false" for r in rows)
+    cfg = write_config(tmp_path, CFG_ALPHA0, name="sweep.cfg")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "sweep.csv").read_text().splitlines()[1] == (
+        "2a,1,3,0,1,0,Global,-1.5,,0,,true"
+    )
 
 
 def test_sweep_non_finite_value_errors_only_its_block(tmp_path):

@@ -2,11 +2,15 @@
 
 ``import ch2exact`` loads no numpy, and ``ch2exact.cli`` pins numpy's
 OpenBLAS to one thread before numpy starts, unless the caller chose a
-count.  Each check runs in a fresh interpreter with OPENBLAS_NUM_THREADS
-removed from its environment, on the same copy of the package as the
-tests (the source tree or an installed one).
+count.  The entry point ``cli.run`` freezes the collector's heap after
+``main()`` returns, so that finalization skips it; ``main()`` leaves the
+collector alone.  Every check but the last runs a fresh interpreter with
+OPENBLAS_NUM_THREADS removed from its environment, on the same copy of the
+package as the tests (the source tree or an installed one).
 """
 
+import gc
+import json
 import os
 import subprocess
 import sys
@@ -15,16 +19,23 @@ from pathlib import Path
 import pytest
 
 import ch2exact
+from ch2exact import cli
 
 PACKAGE_ROOT = str(Path(ch2exact.__file__).resolve().parents[1])
+CONFIG_2A = str(Path(__file__).resolve().parents[1] / "configs" / "families" / "2a.cfg")
 
 
-def run_fresh(code, **env_overrides):
+def fresh(*args, **env_overrides):
+    """subprocess.run of ``python *args`` in a fresh interpreter."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     env.update(env_overrides)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=120)
+
+
+def run_fresh(code, **env_overrides):
+    proc = fresh("-c", code, **env_overrides)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
 
@@ -63,3 +74,50 @@ def test_startup_cli_keeps_a_preset_thread_count():
 def test_startup_library_import_leaves_threads_alone():
     code = "import os, numpy, ch2exact.emden; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
     assert run_fresh(code) == ["None"]
+
+
+def test_startup_module_entry_writes_what_main_writes(tmp_path):
+    proc = fresh("-m", "ch2exact.cli", "verify", "--config", CONFIG_2A,
+                 "--out", str(tmp_path / "fresh"))
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main(["verify", "--config", CONFIG_2A, "--out", str(tmp_path / "main")]) == 0
+    fresh_bytes = (tmp_path / "fresh" / "verify.json").read_bytes()
+    assert fresh_bytes == (tmp_path / "main" / "verify.json").read_bytes()
+
+
+def test_startup_run_freezes_the_heap_before_atexit_handlers(tmp_path):
+    cfg = tmp_path / "collapse.cfg"
+    cfg.write_text("xi = -3\na0 = 1\na1 = 0\n")
+    code = (
+        "import atexit, gc, sys\n"
+        "from ch2exact import cli\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        f"sys.argv = ['ch2exact', 'emden', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]\n"
+        "cli.run()\n"
+    )
+    proc = fresh("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "frozen True"
+    assert (tmp_path / "emden.json").exists()
+
+
+def test_startup_module_entry_exit_codes(tmp_path):
+    proc = fresh("-m", "ch2exact.cli", "verify", "--config", CONFIG_2A,
+                 "--out", str(tmp_path), "--seed-corrupt", "u=1.01")
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads((tmp_path / "verify.json").read_text())["pass"] is False
+    malformed = tmp_path / "malformed.cfg"
+    malformed.write_text("sigma = 1\nxi = 1\nalpha = 1\na0 = 1\na1 = nan\n")
+    proc = fresh("-m", "ch2exact.cli", "verify", "--config", str(malformed),
+                 "--out", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert proc.stderr == "invalid input: config key 'a1' must be finite: 'nan'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_startup_main_in_process_leaves_the_collector_alone(tmp_path):
+    assert gc.get_freeze_count() == 0
+    cfg = tmp_path / "collapse.cfg"
+    cfg.write_text("xi = -3\na0 = 1\na1 = 0\n")
+    assert cli.main(["emden", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert gc.get_freeze_count() == 0 and gc.isenabled()
