@@ -32,23 +32,15 @@ _EXPORTS = {
         "collapse_time_quadrature",
         "detect_collapse",
         "energy",
-        "growth_asymptote",
         "integrate",
         "integrate_many",
         "node_energies",
-        "rhs",
     ),
     "selfsim": (
-        "FieldSample",
         "SolutionCase",
-        "SupportBoundaryError",
         "TimeOutOfRange",
         "density",
         "profile",
-        "profile_derivative",
-        "sample",
-        "support",
-        "velocity",
     ),
     "verify": (
         "COLLAPSE_TIME_MARGIN",

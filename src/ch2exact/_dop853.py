@@ -1,12 +1,13 @@
-"""Explicit Runge-Kutta DOP853 with dense output and terminal events, for a
-batch of independent problems stepped in lockstep.
+"""Explicit Runge-Kutta DOP853 with dense output and one terminal event, for
+a batch of independent problems stepped in lockstep.
 
 This is the subset of ``scipy.integrate.solve_ivp(method="DOP853",
-dense_output=True, events=...)`` that ``emden`` uses, ported from SciPy
-1.17.1 (``scipy/integrate/_ivp/{ivp,rk,common,base}.py`` and the C
-``brentq`` behind ``scipy.optimize.brentq``) operation for operation, so
-that every problem of a batch gets the doubles ``solve_ivp`` gives it
-alone: the same nodes, states, event times and dense-output values.
+dense_output=True, events=event)`` that ``emden`` uses, for one terminal
+event of direction -1, ported from SciPy 1.17.1
+(``scipy/integrate/_ivp/{ivp,rk,common,base}.py`` and the C ``brentq``
+behind ``scipy.optimize.brentq``) operation for operation, so that every
+problem of a batch gets the doubles ``solve_ivp`` gives it alone: the same
+nodes, states, event times and dense-output values.
 
 ``solve`` integrates n problems at once.  Each keeps its own t, step
 size, ``t_bound``, ``rtol``/``atol``, status, event state and counters;
@@ -25,7 +26,7 @@ A batch of one row takes a one-problem loop instead, with its scalars as
 Python floats and only SciPy's per-problem stage arithmetic in numpy, so
 that one orbit does not pay for array operations on one-element arrays.
 Both loops write the same records (nodes, stage matrices and the steps on
-which an event fired), from which one code path finds event roots and
+which the event fired), from which one code path finds event roots and
 builds the results and their dense output.
 
 What differs from SciPy:
@@ -33,12 +34,13 @@ What differs from SciPy:
 - a step's interpolant is built when it is first evaluated, from its
   stored stage matrix, instead of after every step; a query builds all
   the interpolants it needs in one batch.  Event roots are found after
-  the loop, on every step where an event fired, by one array-valued
+  the loop, on every step where the event fired, by one array-valued
   ``brentq``.  The same operations run on the same data, so the values
   are the same;
-- integration runs forward only, every event is terminal and
-  directional, and the solver has no ``max_step``, ``first_step``,
-  ``t_eval``, ``vectorized`` or complex-valued mode.
+- integration runs forward only, there is exactly one event, it is
+  terminal and fires only on a fall through zero, and the solver has no
+  ``max_step``, ``first_step``, ``t_eval``, ``vectorized`` or
+  complex-valued mode.
 
 The method is due to Dormand and Prince; see E. Hairer, S. P. Norsett and
 G. Wanner, Solving Ordinary Differential Equations I, 2nd ed., Springer
@@ -83,19 +85,17 @@ STAGES = [(s, A[s][:s]) for s in range(1, N_STAGES)]
 class OdeResult:
     """Outcome of one problem of ``solve``.
 
-    ``status`` is 0 when ``t_bound`` was reached, 1 when a terminal event
-    stopped the integration and -1 when the step size underflowed
-    (``message`` says so).  ``t`` and ``y`` are the accepted nodes, the
-    last one being the event root when an event fired.  ``t_events[i]`` is
-    the array of roots of event ``i`` (empty or one element).  ``nfev``
-    counts right-hand-side evaluations made by ``solve``; stages evaluated
-    later, when ``sol`` first interpolates a step, are not included.
+    ``status`` is 0 when ``t_bound`` was reached, 1 when the event stopped
+    the integration and -1 when the step size underflowed (``message``
+    says so).  ``t`` and ``y`` are the accepted nodes; with status 1 the
+    last one, ``t[-1]``, is the event root.  ``nfev`` counts
+    right-hand-side evaluations made by ``solve``; stages evaluated later,
+    when ``sol`` first interpolates a step, are not included.
     """
 
     t: np.ndarray
     y: np.ndarray
     sol: "DenseSolution"
-    t_events: list
     status: int
     message: str | None
     nfev: int
@@ -352,44 +352,27 @@ def brentq(f, xa, xb, xtol: float, rtol: float, maxiter: int = 100):
     return roots, errors
 
 
-def _locate_events(fun, events, t0, fired) -> dict:
-    """The event roots of every step in ``fired`` (see ``solve``), found as one batch.
+def _locate_events(fun, event, t0, fired) -> dict:
+    """The event root of every step in ``fired`` (see ``solve``), found as one batch.
 
-    Returns, per problem, (event, root, state at root, interpolant, whether
-    the root node is dropped), or the exception SciPy's brentq raises on
-    the first of its fired events that fails.  The earliest root wins.
+    Returns, per problem, (root, state at root, interpolant, whether the
+    root node is dropped), or the exception SciPy's brentq raises.
     """
-    k, t_old, y_old, t_new, y_new, K, crossed = map(np.concatenate, zip(*fired))
+    k, t_old, y_old, t_new, y_new, K = map(np.concatenate, zip(*fired))
     h = t_new - t_old
     F = _dense_coefficients(fun, t_old, y_old, y_new, h, K, k)
-    step, event = np.nonzero(crossed)  # each step's fired events, in order
 
     def g(t, i):
-        s, e = step[i], event[i]
-        y = _dense_eval(t_old[s], h[s], y_old[s], F[s], t)
-        out = np.empty(len(i))
-        for j, (g_j, _) in enumerate(events):
-            mine = e == j
-            if mine.any():
-                out[mine] = g_j(t[mine], y[mine], k[s[mine]])
-        return out
+        return event(t, _dense_eval(t_old[i], h[i], y_old[i], F[i], t), k[i])
 
-    roots, errors = brentq(g, t_old[step], t_new[step], xtol=4 * EPS, rtol=4 * EPS)
-    located, first = {}, []
-    bounds = np.searchsorted(step, np.arange(len(k) + 1)).tolist()
-    for s, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        failed = [errors[p] for p in range(lo, hi) if p in errors]
-        if failed:
-            located[int(k[s])] = failed[0]
-        else:
-            first.append(lo + int(np.argsort(roots[lo:hi])[0]))
-    s = step[first]
-    y_root = _dense_eval(t_old[s], h[s], y_old[s], F[s], roots[first])
-    for p, s_p, y_p in zip(first, s.tolist(), y_root):
+    roots, errors = brentq(g, t_old, t_new, xtol=4 * EPS, rtol=4 * EPS)
+    located = {int(k[s]): error for s, error in errors.items()}
+    found = [s for s in range(len(k)) if s not in errors]
+    y_root = _dense_eval(t_old[found], h[found], y_old[found], F[found], roots[found])
+    for s, y_s in zip(found, y_root):
         # SciPy does not append a root equal to the last node (the initial
         # node excepted).
-        located[int(k[s_p])] = (int(event[p]), roots[p], y_p, F[s_p],
-                                t_old[s_p] != t0 and roots[p] == t_old[s_p])
+        located[int(k[s])] = (roots[s], y_s, F[s], t_old[s] != t0 and roots[s] == t_old[s])
     return located
 
 
@@ -407,18 +390,18 @@ class _Active:
             setattr(self, name, getattr(self, name)[rows])
 
 
-def solve(fun, t0: float, t_bound, y0, rtol, atol, events=()) -> list:
+def solve(fun, t0: float, t_bound, y0, rtol, atol, event) -> list:
     """Integrate the batch y_k' = fun(t, y)_k from t0 forward to t_bound with DOP853.
 
     ``y0`` is an (n, m) array, one row per problem; ``t_bound``, ``rtol``
     and ``atol`` are scalars or length-n sequences.  ``fun(t, y, i, out)``
     gets the (k,) times, the (k, m) states and the (k,) batch indices of
     the problems it is asked about, and writes their derivatives into the
-    (k, m) float array ``out``.  ``events`` is a sequence of
-    ``(g, direction)`` pairs, ``g(t, y, i)`` returning (k,) values: a problem
-    stops at the first zero of any g crossed in ``direction`` (+1 upward,
-    -1 downward).  ``rtol`` below 100 eps is raised to it with a
-    ``UserWarning``, one per problem.
+    (k, m) float array ``out``.  ``event(t, y, i)`` returns (k,) values in
+    the same way; a problem stops at the first step over which its event
+    value falls from >= 0 to <= 0, at the root in that step (SciPy's
+    terminal event of direction -1).  ``rtol`` below 100 eps is raised to
+    it with a ``UserWarning``, one per problem.
 
     Returns one entry per problem: its ``OdeResult``, or the exception
     SciPy's brentq raises while its event root is located.
@@ -444,36 +427,28 @@ def solve(fun, t0: float, t_bound, y0, rtol, atol, events=()) -> list:
     if np.any(atol < 0):
         raise ValueError("`atol` must be positive.")
     atol = atol[:, None]
-    directions = np.array([direction for _, direction in events], dtype=float)
-    if not np.all(np.abs(directions) == 1):
-        raise ValueError("every event direction must be +1 or -1")
 
     idx = np.arange(n)
     t = np.full(n, t0)
     f = np.empty_like(y0)
     fun(t, y0, idx, f)
-    # Event values times their directions: an event fires when this
-    # crosses from <= 0 to >= 0.
-    g = np.empty((n, len(events)))
-    for e, (event, _) in enumerate(events):
-        g[:, e] = event(t, y0, idx)
-    g *= directions
+    g = np.asarray(event(t, y0, idx), dtype=float)
     h_abs = _select_initial_step(fun, t, y0, t_bound, f, rtol, atol, idx)
     if n == 1:
         status, n_rejected, fired, records = _solve_one(
-            fun, events, directions.tolist(), t0, y0, f, float(h_abs[0]), float(t_bound[0]),
-            float(rtol[0, 0]), float(atol[0, 0]), g[0].tolist())
+            fun, event, t0, y0, f, float(h_abs[0]), float(t_bound[0]),
+            float(rtol[0, 0]), float(atol[0, 0]), float(g[0]))
     else:
         status, n_rejected, fired, records = _solve_lockstep(
-            fun, events, directions, _Active(idx=idx, t=t, y=y0, f=f, h_abs=h_abs,
-                                             rejected=np.zeros(n, dtype=bool), t_bound=t_bound,
-                                             rtol=rtol, atol=atol, g=g))
+            fun, event, _Active(idx=idx, t=t, y=y0, f=f, h_abs=h_abs,
+                                rejected=np.zeros(n, dtype=bool), t_bound=t_bound,
+                                rtol=rtol, atol=atol, g=g))
 
-    located = _locate_events(fun, events, t0, fired) if fired else {}
-    return _assemble(fun, n, events, status, located, n_rejected, *records)
+    located = _locate_events(fun, event, t0, fired) if fired else {}
+    return _assemble(fun, n, status, located, n_rejected, *records)
 
 
-def _solve_lockstep(fun, events, directions, active):
+def _solve_lockstep(fun, event, active):
     """``solve``'s loop for two or more problems: one step of each running problem per iteration.
 
     Returns the statuses, rejection counts, fired steps and node records
@@ -483,8 +458,8 @@ def _solve_lockstep(fun, events, directions, active):
     n, m = active.y.shape
     n_rejected = np.zeros(n, dtype=int)
     status = [None] * n
-    # Per iteration, the steps on which events fired: problems, t and y at
-    # both ends, stage matrices and crossed-event masks.
+    # Per iteration, the steps on which the event fired: problems, t and y
+    # at both ends, and stage matrices.
     fired = []
     # Every accepted node in the order it was reached: the batch index, t,
     # y, and (after the initial nodes) the step's stage matrix.
@@ -530,31 +505,23 @@ def _solve_lockstep(fun, events, directions, active):
         rec_K.append(K.copy() if all_accepted else K[rows])
         done = t_a >= active.t_bound[acc]
 
-        if events:
-            g_new = np.empty((len(rows), len(events)))
-            for e, (event, _) in enumerate(events):
-                g_new[:, e] = event(t_a, y_a, idx_a)
-            g_new *= directions
-            crossed = (active.g[acc] <= 0) & (g_new >= 0)
-            if crossed.any():
-                js = np.flatnonzero(crossed.any(axis=1))
-                fired.append((idx_a[js], active.t[rows[js]], active.y[rows[js]], t_a[js],
-                              y_a[js], rec_K[-1][js], crossed[js]))
-                for k in idx_a[js].tolist():
-                    status[k] = 1
-                done[js] = True
-            if all_accepted:
-                active.g = g_new
-            else:
-                active.g = active.g.copy()
-                active.g[acc] = g_new
+        g_new = np.asarray(event(t_a, y_a, idx_a), dtype=float)
+        js = np.flatnonzero((active.g[acc] >= 0) & (g_new <= 0))
+        if js.size:
+            fired.append((idx_a[js], active.t[rows[js]], active.y[rows[js]], t_a[js],
+                          y_a[js], rec_K[-1][js]))
+            for k in idx_a[js].tolist():
+                status[k] = 1
+            done[js] = True
 
         if all_accepted:
-            active.t, active.y, active.f = t_a, y_a, buf.f_new.copy()
+            active.t, active.y, active.f, active.g = t_a, y_a, buf.f_new.copy(), g_new
         else:
             active.t = np.where(accepted, t_new, active.t)
             active.y = np.where(accepted[:, None], y_new, active.y)
             active.f = np.where(accepted[:, None], buf.f_new, active.f)
+            active.g = active.g.copy()
+            active.g[acc] = g_new
         if done.any():
             for k in idx_a[done].tolist():
                 if status[k] is None:
@@ -566,11 +533,11 @@ def _solve_lockstep(fun, events, directions, active):
     return status, n_rejected, fired, (rec_idx, rec_t, rec_y, rec_K)
 
 
-def _solve_one(fun, events, directions, t, y, f, h_abs, t_bound, rtol, atol, g):
+def _solve_one(fun, event, t, y, f, h_abs, t_bound, rtol, atol, g):
     """``solve``'s loop for one problem: the lockstep loop's steps on Python floats.
 
     t, the step size, the rejected flag, the error norm, the step factor,
-    ``min_step`` and the event values are floats, with the lockstep loop's
+    ``min_step`` and the event value are floats, with the lockstep loop's
     operations (libm ``**`` included); only the stage arithmetic runs in
     numpy, as SciPy runs it on one problem (``np.dot(K[:s].T, a)``,
     ``sqrt(x @ x)``), which gives the bits of the lockstep ``np.matmul``.
@@ -624,24 +591,19 @@ def _solve_one(fun, events, directions, t, y, f, h_abs, t_bound, rtol, atol, g):
         Ks.append(K.copy())
         if t_new >= t_bound:
             status = 0
-        if events:
-            t_a, y_a = np.array([t_new]), y_new[None]
-            g_new = [float(event(t_a, y_a, idx)[0]) * d
-                     for (event, _), d in zip(events, directions)]
-            crossed = [g_e <= 0 and g_n >= 0 for g_e, g_n in zip(g, g_new)]
-            if any(crossed):
-                fired.append((idx, np.array([t]), y[None], t_a, y_a, Ks[-1][None],
-                              np.array([crossed])))
-                status = 1
-            g = g_new
-        t, y = t_new, y_new
+        t_a, y_a = np.array([t_new]), y_new[None]
+        g_new = float(event(t_a, y_a, idx)[0])
+        if g >= 0 and g_new <= 0:
+            fired.append((idx, np.array([t]), y[None], t_a, y_a, Ks[-1][None]))
+            status = 1
+        t, y, g = t_new, y_new, g_new
         K[0] = K[-1]
     return [status], np.array([n_rejected]), fired, (
         [np.zeros(len(ts), dtype=int)], [np.array(ts)], [np.array(ys)],
         [np.array(Ks).reshape(-1, N_STAGES + 1, m)])
 
 
-def _assemble(fun, n, events, status, located, n_rejected, rec_idx, rec_t, rec_y, rec_K) -> list:
+def _assemble(fun, n, status, located, n_rejected, rec_idx, rec_t, rec_y, rec_K) -> list:
     """Each problem's OdeResult (or exception) from the lockstep records."""
     node_idx = np.concatenate(rec_idx)
     n_accepted = np.bincount(node_idx, minlength=n) - 1
@@ -669,13 +631,11 @@ def _assemble(fun, n, events, status, located, n_rejected, rec_idx, rec_t, rec_y
         ys = y_all[node_end[k] - n_steps - 1:node_end[k]]
         steps = slice(step_end[k] - n_steps, step_end[k])
         block, row = block_of[steps], row_of[steps]
-        t_events = [np.asarray([]) for _ in events]
         extra_stages = 0
         if hit is None:
             sol = DenseSolution(fun, k, ts, ts, ys, rec_K, block, row)
         else:
-            event, root, y_root, F, dropped = hit
-            t_events[event] = np.asarray([root])
+            root, y_root, F, dropped = hit
             extra_stages = N_STAGES_EXTRA
             if dropped:
                 ts, ys, block, row = ts[:-1], ys[:-1], block[:-1], row[:-1]
@@ -689,7 +649,6 @@ def _assemble(fun, n, events, status, located, n_rejected, rec_idx, rec_t, rec_y
             t=ts,
             y=ys.T,
             sol=sol,
-            t_events=t_events,
             status=status[k],
             message=TOO_SMALL_STEP if status[k] == -1 else None,
             nfev=2 + N_STAGES * int(n_accepted[k] + n_rejected[k]) + extra_stages,

@@ -480,10 +480,13 @@ def main(argv=None) -> int:
 def run() -> None:
     import gc  # here, so that importing the CLI loads no module it does not use
 
-    code = main()
-    # Finalization still runs atexit handlers, flushes the streams and clears
-    # modules, but its full collections skip the frozen import-time heap.
-    gc.freeze()
+    try:
+        code = main()
+    finally:
+        # Finalization still runs atexit handlers, flushes the streams and
+        # clears modules, but its full collections skip the frozen heap.  The
+        # finally covers argparse's SystemExit (usage errors and --help) too.
+        gc.freeze()
     sys.exit(code)
 
 

@@ -62,11 +62,9 @@ __all__ = [
     "collapse_time_quadrature",
     "detect_collapse",
     "energy",
-    "growth_asymptote",
     "integrate",
     "integrate_many",
     "node_energies",
-    "rhs",
 ]
 
 # Local error tolerance for the adaptive integrator (mixed abs/rel).
@@ -125,10 +123,6 @@ class EmdenParams:
         """Conserved orbit energy evaluated on the initial data."""
         return _energy(self.xi, self.a0, self.a1)
 
-    def mirrored(self) -> "EmdenParams":
-        """Image of the initial data under the odd symmetry a -> -a."""
-        return EmdenParams(self.xi, -self.a0, -self.a1)
-
 
 @dataclass(frozen=True)
 class EmdenState:
@@ -146,13 +140,6 @@ class EmdenState:
 def _energy(xi: float, a: float, a_dot: float) -> float:
     # |a|^{2/3} via the squared cube root keeps the expression exactly even in a.
     return 0.5 * a_dot * a_dot - 0.5 * xi * float(np.cbrt(a)) ** 2
-
-
-def rhs(params: EmdenParams, state: EmdenState) -> float:
-    """Acceleration xi / (3 a^{1/3}); singular (and rejected) at a = 0."""
-    if state.a == 0.0:
-        raise CollapseSingularity("acceleration undefined at a = 0")
-    return params.xi / (3.0 * float(np.cbrt(state.a)))
 
 
 def energy(params: EmdenParams, state: EmdenState) -> float:
@@ -217,18 +204,14 @@ class Trajectory:
         return tuple(self._dense(s_arr))
 
 
-def integrate(
-    params: EmdenParams,
-    s_end: float,
-    tol: float = DEFAULT_TOL,
-    stop_abs_a: float | None = None,
-) -> Trajectory:
+def integrate(params: EmdenParams, s_end: float, tol: float = DEFAULT_TOL) -> Trajectory:
     """Integrate the scale-factor equation on [0, s_end].
 
     Uses an adaptive explicit Runge-Kutta scheme (DOP853) with embedded
-    error estimate and dense output.  Integration halts early when |a|
-    falls to REL_STOP * |a0| (approach to the a = 0 singularity), or --
-    optionally -- when |a| first exceeds ``stop_abs_a``.
+    error estimate and dense output.  The one stop event halts integration
+    early when |a| falls to REL_STOP * |a0| (approach to the a = 0
+    singularity); the trajectory then ends at the event root and is
+    marked ``collapsed``.
 
     Parameters
     ----------
@@ -238,20 +221,18 @@ def integrate(
     tol : float
         Local error tolerance (relative; the absolute floor is scaled
         from the initial data).
-    stop_abs_a : float, optional
-        Terminal growth threshold on |a|, useful for escape tests.
 
     Returns
     -------
     Trajectory
     """
-    traj = integrate_many([params], [s_end], [tol], [stop_abs_a])[0]
+    traj = integrate_many([params], [s_end], [tol])[0]
     if isinstance(traj, Exception):
         raise traj
     return traj
 
 
-def integrate_many(params, s_end, tol, stop_abs_a) -> list:
+def integrate_many(params, s_end, tol) -> list:
     """``integrate`` on every orbit of a batch, stepped in lockstep.
 
     The arguments are equal-length sequences, one entry per orbit, with
@@ -291,21 +272,10 @@ def integrate_many(params, s_end, tol, stop_abs_a) -> list:
     def hit_zero(s, y, i):
         return sgn[i] * y[:, 0] - stop_level[i]
 
-    events = [(hit_zero, -1.0)]
-    stops = [stop_abs_a[k] for k in todo]
-    if any(stop is not None for stop in stops):
-        # An orbit without a growth stop gets an unreachable one.
-        growth_level = np.array([math.inf if stop is None else stop for stop in stops])
-
-        def hit_growth(s, y, i):
-            return sgn[i] * y[:, 0] - growth_level[i]
-
-        events.append((hit_growth, 1.0))
-
     rtol = [tol[k] for k in todo]
     atol = [tol_k * 1e-4 * max(abs(p.a0), abs(p.a1), 1.0) for p, tol_k in zip(batch, rtol)]
     results = _dop853.solve(f, 0.0, [s_end[k] for k in todo], [[p.a0, p.a1] for p in batch],
-                            rtol=rtol, atol=atol, events=events)
+                            rtol=rtol, atol=atol, event=hit_zero)
     for k, p, res in zip(todo, batch, results):
         out[k] = res if isinstance(res, Exception) else _trajectory(p, res)
     return out
@@ -326,7 +296,7 @@ def _trajectory(params: EmdenParams, res) -> Trajectory | Exception:
         a=res.y[0],
         a_dot=res.y[1],
         s_max=float(res.t[-1]),
-        collapsed=res.status == 1 and len(res.t_events[0]) > 0,
+        collapsed=res.status == 1,
         _dense=res.sol,
         nfev=res.nfev,
         n_accepted=res.n_accepted,
@@ -426,16 +396,6 @@ def _fall_time(xi: float, b: float, v: float) -> float:
     return 6.0 / abs(xi) ** 1.5 * integral
 
 
-def growth_asymptote(traj: Trajectory) -> float:
-    """a(s_max) / s_max^{3/2}; tends to sign(a0) (4 xi / 9)^{3/4} for xi > 0."""
-    if traj.params.xi <= 0:
-        raise ValueError("growth asymptote requires xi > 0")
-    if traj.s_max <= 0:
-        raise ValueError("trajectory has no extent")
-    last = traj.state(-1)
-    return last.a / last.s ** 1.5
-
-
 @dataclass(frozen=True)
 class BlowupReport:
     """Classification plus collapse-time data for one orbit.
@@ -510,7 +470,7 @@ def analyze_many(orbits) -> list:
             out.append(exc)
     todo = [k for k, plan in enumerate(out) if not isinstance(plan, Exception)]
     trajs = integrate_many([orbits[k][0] for k in todo], [out[k][2] for k in todo],
-                           [orbits[k][2] for k in todo], [None] * len(todo))
+                           [orbits[k][2] for k in todo])
     results = _results([orbits[k][0] for k in todo], [out[k][:2] for k in todo], trajs)
     for k, result in zip(todo, results):
         out[k] = result

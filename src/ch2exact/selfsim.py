@@ -1,4 +1,4 @@
-"""Exact self-similar density/velocity fields.
+"""Exact self-similar families: their profile and density.
 
 Each admissible sign pattern (sigma, sign xi, sign a0) yields a family
 
@@ -14,7 +14,8 @@ clamped to zero where the radicand is negative.  sigma*xi > 0 gives a
 compactly supported profile (vanishing like a square root at the support
 boundary, where the slope is unbounded); sigma*xi < 0 gives a profile on
 the whole line growing like |eta|.  The density is nonnegative in all
-four families because sign(f) matches sign(a0^{1/3}).
+four families because sign(f) matches sign(a0^{1/3}).  The battery
+samples both fields on whole lattices (``verify._fields_on_grid``).
 """
 
 from __future__ import annotations
@@ -27,16 +28,10 @@ import numpy as np
 from .emden import CollapseSingularity, EmdenParams, Trajectory
 
 __all__ = [
-    "FieldSample",
     "SolutionCase",
-    "SupportBoundaryError",
     "TimeOutOfRange",
     "density",
     "profile",
-    "profile_derivative",
-    "sample",
-    "support",
-    "velocity",
 ]
 
 # (sigma, sign xi, sign a0) -> family label
@@ -52,10 +47,6 @@ _SIGN_RULE = (
     "(-1, xi<0, a0>0) -> 1a, (-1, xi>0, a0<0) -> 1b, "
     "(+1, xi>0, a0>0) -> 2a, (+1, xi<0, a0<0) -> 2b"
 )
-
-
-class SupportBoundaryError(ArithmeticError):
-    """Profile slope is unbounded at (or undefined beyond) the support boundary."""
 
 
 class TimeOutOfRange(ValueError):
@@ -121,25 +112,8 @@ def profile(case: SolutionCase, eta):
     return f
 
 
-def profile_derivative(case: SolutionCase, eta: float) -> float:
-    """f'(eta) = -(xi/sigma) eta / f(eta) for eta strictly inside the support.
-
-    Returns 0 at eta = 0 (even profile).  Raises SupportBoundaryError where
-    f vanishes at eta != 0: the one-sided slope is unbounded at the support
-    boundary and the profile is identically zero beyond it.
-    """
-    if eta == 0.0:
-        return 0.0
-    f = profile(case, eta)
-    if f == 0.0:
-        raise SupportBoundaryError(
-            f"profile slope unbounded at the support boundary (eta = {eta})"
-        )
-    return -(case.emden.xi / case.sigma) * eta / f
-
-
-def _scale_at(traj: Trajectory, t: float) -> tuple[float, float]:
-    """(a, a') at s = 3t with range checking in physical time."""
+def _scale_at(traj: Trajectory, t: float) -> float:
+    """a at s = 3t with range checking in physical time."""
     s = 3.0 * t
     if not (0.0 <= s <= traj.s_max):
         raise TimeOutOfRange(
@@ -148,58 +122,11 @@ def _scale_at(traj: Trajectory, t: float) -> tuple[float, float]:
     state = traj.eval(s)
     if state.a == 0.0:
         raise CollapseSingularity(f"scale factor vanished at t = {t}")
-    return state.a, state.a_dot
+    return state.a
 
 
 def density(case: SolutionCase, traj: Trajectory, t: float, x: float) -> float:
     """rho(t, x) = f(x / a(3t)^{1/3}) / a(3t)^{1/3}; nonnegative."""
-    a, _ = _scale_at(traj, t)
+    a = _scale_at(traj, t)
     cb = float(np.cbrt(a))
     return profile(case, x / cb) / cb
-
-
-def velocity(case: SolutionCase, traj: Trajectory, t: float, x: float) -> float:
-    """u(t, x) = (a'(3t) / a(3t)) x; linear in x, odd in x."""
-    a, a_dot = _scale_at(traj, t)
-    return (a_dot / a) * x
-
-
-def support(case: SolutionCase, traj: Trajectory, t: float) -> tuple[float, float] | None:
-    """Support interval [-x_b, x_b] of rho(t, .), or None on the full line.
-
-    For compact families x_b(t) = a(3t)^{1/3} alpha / sqrt(sigma xi), which
-    traces the collapse (shrinking) or spreading (growing) of the support.
-    """
-    if not case.compact:
-        return None
-    a, _ = _scale_at(traj, t)
-    xb = float(np.cbrt(a)) * case.eta_boundary
-    return (-xb, xb)
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """Point evaluation of the exact fields."""
-
-    t: float
-    x: float
-    rho: float
-    u: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.t, self.x, self.rho, self.u)):
-            raise ValueError("field sample must be finite")
-        if self.rho < 0:
-            raise ValueError(f"density must be nonnegative, got {self.rho}")
-
-
-def sample(case: SolutionCase, traj: Trajectory, t: float, x: float) -> FieldSample:
-    """Evaluate both fields at one spacetime point."""
-    a, a_dot = _scale_at(traj, t)
-    cb = float(np.cbrt(a))
-    return FieldSample(
-        t=t,
-        x=x,
-        rho=profile(case, x / cb) / cb,
-        u=(a_dot / a) * x,
-    )

@@ -345,7 +345,7 @@ def mass(case: SolutionCase, traj: Trajectory, t: float) -> float:
     if not case.compact:
         return math.inf
     # a(3t) once: rho(t, x) = f(x / cb) / cb on the support [-xb, xb].
-    a, _ = _scale_at(traj, t)
+    a = _scale_at(traj, t)
     cb = float(np.cbrt(a))
     xb = cb * case.eta_boundary
     if xb == 0.0:

@@ -22,7 +22,6 @@ from ch2exact import (
     collapse_time_quadrature,
     detect_collapse,
     energy,
-    growth_asymptote,
     integrate,
     mass,
     mass_conservation,
@@ -118,9 +117,10 @@ def test_criterion_04_dichotomy():
             # inward but below escape energy: |b1| < sqrt(xi) |a0|^{1/3}
             b1 = -float(rng.uniform(0.0, 0.99)) * math.sqrt(xi) * abs(a0) ** (1.0 / 3.0)
         a1 = b1 if a0 > 0 else -b1
-        target = 1e3 * abs(a0)
-        traj = integrate(EmdenParams(xi=xi, a0=a0, a1=a1), s_end=1e4, stop_abs_a=target)
-        if abs(traj.a[-1]) >= target * (1.0 - 1e-9) and traj.s_max <= 1e4:
+        # Integrated over the whole horizon s = 1e4: no collapse on the
+        # way, and |a| has grown 1000-fold by the end.
+        traj = integrate(EmdenParams(xi=xi, a0=a0, a1=a1), s_end=1e4)
+        if not traj.collapsed and traj.s_max == 1e4 and abs(traj.a[-1]) >= 1e3 * abs(a0):
             growth_ok += 1
 
     ok = collapse_ok == 50 and growth_ok == 50
@@ -226,7 +226,7 @@ def test_criterion_08_blowup_rate(case_2b):
 def test_criterion_09_growth_asymptote():
     """a(s)/s^{3/2} within 1% of 1.0 at s = 1e4 for xi = 9/4."""
     traj = integrate(EmdenParams(xi=2.25, a0=1.0, a1=0.0), s_end=1e4)
-    k = growth_asymptote(traj)
+    k = traj.a[-1] / traj.s[-1] ** 1.5
     ok = abs(k - 1.0) <= 0.01
     _report(9, "growth asymptote k = (4 xi / 9)^{3/4}", ok, f"k = {k:.6f}")
 
@@ -237,7 +237,7 @@ def test_criterion_10_negative_branch_symmetry():
     for params in (EmdenParams(xi=-3.0, a0=1.0, a1=0.5),
                    EmdenParams(xi=1.0, a0=1.0, a1=-0.3)):
         t1 = integrate(params, s_end=2.0)
-        t2 = integrate(params.mirrored(), s_end=2.0)
+        t2 = integrate(EmdenParams(params.xi, -params.a0, -params.a1), s_end=2.0)
         ss = np.linspace(0.0, 0.95 * min(t1.s_max, t2.s_max), 41)
         a1_, ad1 = t1.eval_many(ss)
         a2_, ad2 = t2.eval_many(ss)

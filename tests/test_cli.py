@@ -13,7 +13,7 @@ import pytest
 
 import ch2exact.cli as cli
 import ch2exact.emden as emden
-from ch2exact import EmdenParams, IntegrationFailure, analyze, sample
+from ch2exact import EmdenParams, IntegrationFailure, analyze, density
 from ch2exact.cli import ConfigError, main, parse_config_blocks
 from ch2exact.verify import Tolerances, _fields_on_grid, energy_drift
 
@@ -910,9 +910,9 @@ def test_fields_on_grid_takes_time_and_space_arrays(case_2a):
     assert rho.shape == u.shape == eta.shape == (2, 2)
     for i, t in enumerate(ts):
         for j, x in enumerate(xs):
-            point = sample(case, traj, float(t), float(x))
-            assert rho[i, j] == point.rho
-            assert u[i, j] == point.u
+            state = traj.eval(3.0 * t)
+            assert rho[i, j] == density(case, traj, float(t), float(x))
+            assert u[i, j] == state.a_dot / state.a * x
 
 
 # An inward-slope xi > 0 orbit with theta > 0, which collapses; its

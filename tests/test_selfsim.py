@@ -1,4 +1,8 @@
-"""Profile, density, velocity, and support geometry of the four families."""
+"""Profile, density, velocity, and support geometry of the four families.
+
+The velocity and the support radius are checked through the battery's own
+samplers, ``verify._fields_on_grid`` and ``verify.min_support_radius``.
+"""
 
 import math
 
@@ -8,18 +12,15 @@ from hypothesis import given, settings, strategies as st
 
 from ch2exact import (
     EmdenParams,
-    FieldSample,
     SolutionCase,
-    SupportBoundaryError,
     TimeOutOfRange,
     density,
     integrate,
     profile,
-    profile_derivative,
-    sample,
-    support,
-    velocity,
 )
+from ch2exact.verify import _fields_on_grid, min_support_radius
+
+EPS = np.finfo(float).eps
 
 
 def make_case(case_id: str, alpha: float = 1.0, xi_mag: float = 1.0,
@@ -128,27 +129,25 @@ def test_profile_continuous_at_boundary():
     assert approach[-1] < 1e-3
 
 
+def central_slope(case, eta, h):
+    """(f(eta + h) - f(eta - h)) / 2h."""
+    return (profile(case, eta + h) - profile(case, eta - h)) / (2.0 * h)
+
+
 def test_profile_derivative_values():
+    # f' = -(xi/sigma) eta / f: 0 at the centre of the even profile.
     case = make_case("2a")
-    assert profile_derivative(case, 0.0) == 0.0
+    assert central_slope(case, 0.0, 1e-3) == 0.0
     eta = 0.5
-    f = profile(case, eta)
-    assert profile_derivative(case, eta) == pytest.approx(-eta / f)
+    assert central_slope(case, eta, 1e-4) == pytest.approx(-eta / profile(case, eta), rel=1e-7)
 
 
 def test_profile_derivative_blows_up_near_boundary():
+    # The secant from the boundary, f(1 - d) / d ~ sqrt(2 / d), is unbounded.
     case = make_case("2a")
-    slopes = [abs(profile_derivative(case, 1.0 - 10.0 ** (-k))) for k in (3, 5, 7)]
+    slopes = [profile(case, 1.0 - d) / d for d in (1e-3, 1e-5, 1e-7)]
     assert slopes[0] < slopes[1] < slopes[2]
     assert slopes[2] > 1e3
-
-
-def test_profile_derivative_boundary_error():
-    case = make_case("2a")
-    with pytest.raises(SupportBoundaryError):
-        profile_derivative(case, 1.0)
-    with pytest.raises(SupportBoundaryError):
-        profile_derivative(case, 1.5)
 
 
 # ----------------------------------------------------------------------
@@ -185,65 +184,71 @@ def test_density_time_range_checked(case_2a):
         density(case, traj, -0.1, 0.0)
 
 
+def velocity(case, traj, ts, xs):
+    """u on the lattice ts x xs, as the battery samples it."""
+    return _fields_on_grid(case, traj, np.asarray(ts, dtype=float), np.asarray(xs, dtype=float))[1]
+
+
 def test_velocity_linear_and_odd(case_2a):
     case, traj, _ = case_2a
-    t = 0.4
-    assert velocity(case, traj, t, 0.0) == 0.0
-    u1 = velocity(case, traj, t, 0.7)
-    assert velocity(case, traj, t, 1.4) == pytest.approx(2.0 * u1, rel=1e-14)
-    assert velocity(case, traj, t, -0.7) == pytest.approx(-u1, rel=1e-14)
+    (u0, u1, u2, u_odd), = velocity(case, traj, [0.4], [0.0, 0.7, 1.4, -0.7])
+    assert u0 == 0.0
+    assert u2 == pytest.approx(2.0 * u1, rel=1e-14)
+    assert u_odd == pytest.approx(-u1, rel=1e-14)
 
 
 def test_velocity_zero_at_t0_when_a1_zero(case_2a):
     case, traj, _ = case_2a
-    assert velocity(case, traj, 0.0, 5.0) == 0.0
+    assert velocity(case, traj, [0.0], [-5.0, 5.0]).tolist() == [[0.0, 0.0]]
 
 
 def test_velocity_slope_diverges_toward_collapse(case_1a):
     # u/x = a'/a -> -infinity as 3t -> S^-
     case, traj, report = case_1a
     S = report.s_collapse_quadrature
-    c1 = velocity(case, traj, 0.90 * S / 3.0, 1.0)
-    c2 = velocity(case, traj, 0.999 * S / 3.0, 1.0)
+    (c1,), (c2,) = velocity(case, traj, [0.90 * S / 3.0, 0.999 * S / 3.0], [1.0])
     assert c2 < c1 < 0.0
     assert c2 < -50.0
 
 
 def test_support_2a_initial(case_2a):
     case, traj, _ = case_2a
-    lo, hi = support(case, traj, 0.0)
-    assert lo == pytest.approx(-1.0)
-    assert hi == pytest.approx(1.0)
+    assert min_support_radius(case, traj, [0.0]) == pytest.approx(1.0)
 
 
 def test_support_spreads_for_growth(case_2a):
     case, traj, _ = case_2a
-    radii = [support(case, traj, t)[1] for t in (0.0, 0.5, 1.5, 3.0)]
+    radii = [min_support_radius(case, traj, [t]) for t in (0.0, 0.5, 1.5, 3.0)]
     assert all(b > a for a, b in zip(radii, radii[1:]))
+    assert min_support_radius(case, traj, [0.0, 0.5, 1.5, 3.0]) == radii[0]
 
 
 def test_support_shrinks_toward_collapse(case_1a):
     case, traj, report = case_1a
-    S = report.s_collapse_quadrature
-    radii = [support(case, traj, f * S / 3.0)[1] for f in (0.0, 0.5, 0.85)]
+    ts = [f * report.s_collapse_quadrature / 3.0 for f in (0.0, 0.5, 0.85)]
+    radii = [min_support_radius(case, traj, [t]) for t in ts]
     assert all(b < a for a, b in zip(radii, radii[1:]))
+    assert min_support_radius(case, traj, ts) == radii[-1]
 
 
 def test_support_none_on_full_line(case_1b, case_2b):
+    # No support boundary: the density is positive however far out.
     for case, traj, _ in (case_1b, case_2b):
-        assert support(case, traj, 0.1) is None
+        assert case.eta_boundary is None
+        assert density(case, traj, 0.1, 1e6) > 0.0 and density(case, traj, 0.1, -1e6) > 0.0
 
 
 def test_sample_bundles_fields(case_2a):
+    # One a(3t) gives all three fields: eta = x / a^{1/3}, rho = f(eta) / a^{1/3}
+    # and u = (a'/a) x.
     case, traj, _ = case_2a
-    fs = sample(case, traj, 0.3, 0.2)
-    assert fs.rho == pytest.approx(density(case, traj, 0.3, 0.2))
-    assert fs.u == pytest.approx(velocity(case, traj, 0.3, 0.2))
-
-
-def test_field_sample_rejects_negative_density():
-    with pytest.raises(ValueError, match="nonnegative"):
-        FieldSample(t=0.0, x=0.0, rho=-1e-3, u=0.0)
+    t, x = 0.3, 0.2
+    rho, u, eta = _fields_on_grid(case, traj, np.array([t]), np.array([x]))
+    state = traj.eval(3.0 * t)
+    cb = float(np.cbrt(state.a))
+    assert eta[0, 0] == x / cb
+    assert rho[0, 0] == profile(case, x / cb) / cb == density(case, traj, t, x)
+    assert u[0, 0] == state.a_dot / state.a * x
 
 
 # ----------------------------------------------------------------------
@@ -273,16 +278,23 @@ def test_profile_even(case_id, alpha, xi_mag, eta):
     frac=st.floats(-0.999, 0.999),
 )
 def test_profile_ode_residual(case_id, alpha, xi_mag, frac):
-    """(xi/sigma) eta + f f' = 0 strictly inside the support."""
+    """(xi/sigma) eta + f f' = 0 strictly inside the support, f' by a central difference.
+
+    f^2 = alpha^2 - (xi/sigma) eta^2, so the difference quotient of f leaves
+    the residual (xi/sigma) eta (f(eta+h) + f(eta-h) - 2 f) / (f(eta+h) + f(eta-h)),
+    at most (h / room)^2 / 2 of the (xi/sigma) eta term when h is far below
+    the room to the support boundary (or, on the full line, the width
+    alpha / sqrt|xi|): an O(h^2) bound, plus the roundoff of the difference.
+    """
     case = make_case(case_id, alpha=alpha, xi_mag=xi_mag)
-    eta_b = case.eta_boundary if case.compact else 5.0
-    eta = frac * eta_b
-    if eta == 0.0:
-        return
+    k = case.emden.xi / case.sigma
+    width = alpha / math.sqrt(abs(k))
+    eta = frac * (width if case.compact else 5.0)
+    room = width - abs(eta) if case.compact else width
+    h = 1e-3 * room
     f = profile(case, eta)
-    fp = profile_derivative(case, eta)
-    resid = (case.emden.xi / case.sigma) * eta + f * fp
-    assert abs(resid) <= 1e-12 * max(1.0, profile(case, 0.0) ** 2)
+    resid = k * eta + f * central_slope(case, eta, h)
+    assert abs(resid) <= (h / room) ** 2 * abs(k * eta) + 16.0 * EPS * f * f / h
 
 
 @settings(max_examples=30, deadline=None)

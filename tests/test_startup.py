@@ -2,9 +2,9 @@
 
 ``import ch2exact`` loads no numpy, and ``ch2exact.cli`` pins numpy's
 OpenBLAS to one thread before numpy starts, unless the caller chose a
-count.  The entry point ``cli.run`` freezes the collector's heap after
-``main()`` returns, so that finalization skips it; ``main()`` leaves the
-collector alone.  Every check but the last runs a fresh interpreter with
+count.  The entry point ``cli.run`` freezes the collector's heap when
+``main()`` returns or raises (argparse's ``SystemExit`` included), so that
+finalization skips it; ``main()`` leaves the collector alone.  Every check but the last runs a fresh interpreter with
 OPENBLAS_NUM_THREADS removed from its environment, on the same copy of the
 package as the tests (the source tree or an installed one).
 """
@@ -45,14 +45,23 @@ def test_startup_package_import_loads_no_numpy():
 
 
 def test_startup_every_public_name_resolves():
+    # The package's lazy names, and every name in each ch2exact.* module's
+    # __all__, so that ``from ch2exact.<module> import *`` cannot fail on a
+    # name left behind in an export list.
     code = (
-        "import ch2exact\n"
+        "import importlib, pkgutil, ch2exact\n"
         "missing = [n for n in ch2exact.__all__ if getattr(ch2exact, n, None) is None]\n"
+        "exporting = []\n"
+        "for info in pkgutil.iter_modules(ch2exact.__path__):\n"
+        "    module = importlib.import_module(f'ch2exact.{info.name}')\n"
+        "    if hasattr(module, '__all__'):\n"
+        "        exporting.append(info.name)\n"
+        "        missing += [f'{info.name}.{n}' for n in module.__all__ if not hasattr(module, n)]\n"
         "assert not missing, missing\n"
         "assert set(ch2exact.__all__) <= set(dir(ch2exact))\n"
-        "print(len(ch2exact.__all__))\n"
+        "print(len(ch2exact.__all__), ','.join(exporting))\n"
     )
-    assert run_fresh(code) == [str(len(ch2exact.__all__))]
+    assert run_fresh(code) == [str(len(ch2exact.__all__)), "emden,selfsim,serialize,verify"]
     with pytest.raises(AttributeError):
         ch2exact.no_such_name
 
@@ -88,16 +97,20 @@ def test_startup_module_entry_writes_what_main_writes(tmp_path):
 def test_startup_run_freezes_the_heap_before_atexit_handlers(tmp_path):
     cfg = tmp_path / "collapse.cfg"
     cfg.write_text("xi = -3\na0 = 1\na1 = 0\n")
-    code = (
-        "import atexit, gc, sys\n"
-        "from ch2exact import cli\n"
-        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
-        f"sys.argv = ['ch2exact', 'emden', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]\n"
-        "cli.run()\n"
-    )
-    proc = fresh("-c", code)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "frozen True"
+    # A run, a usage error (argparse raises SystemExit(1) inside main())
+    # and --help (SystemExit(0)).
+    for argv, code in ((["emden", "--config", str(cfg), "--out", str(tmp_path)], 0),
+                       (["verify"], 1),
+                       (["--help"], 0)):
+        proc = fresh("-c", (
+            "import atexit, gc, sys\n"
+            "from ch2exact import cli\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            f"sys.argv = {['ch2exact', *argv]!r}\n"
+            "cli.run()\n"
+        ))
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert proc.stdout.splitlines()[-1] == "frozen True", argv
     assert (tmp_path / "emden.json").exists()
 
 
