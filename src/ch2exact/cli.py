@@ -44,21 +44,18 @@ from .emden import (
     InvalidEnergy,
     analyze,
     analyze_many,
-    classify,
     node_energies,
 )
 from .selfsim import SolutionCase
 from .serialize import Indexed, fmt_float, to_json, write_csv, write_text
 from .verify import (
-    SpaceTimeGrid,
     Tolerances,
-    _fields_on_grid,
-    _t_max,
-    energy_drift,
-    mass,
-    mass_error,
-    min_support_radius,
+    battery_t_needed,
+    fields_on_grid,
+    horizon,
     run_battery,
+    sampling_grid,
+    sweep_checks,
 )
 
 EXIT_OK = 0
@@ -136,17 +133,13 @@ def _get(block: dict[str, str], key: str, default=None, kind=float):
 
 
 _CASE_KEYS = {"sigma", "xi", "alpha", "a0", "a1"}
-_GRID_KEYS = {"t0", "t1", "nt", "x0", "x1", "nx"}
+_GRID_KEYS = {"t0": float, "t1": float, "nt": int, "nx": int, "x1": float, "x0": float}
 _KEYS = {
     "emden": {"xi", "a0", "a1", "t_end", "tol"},
-    "construct": _CASE_KEYS | _GRID_KEYS | {"t_end", "tol"},
-    "verify": _CASE_KEYS | _GRID_KEYS | {"t_end", "tol"} | {f.name for f in fields(Tolerances)},
+    "construct": _CASE_KEYS | {*_GRID_KEYS, "t_end", "tol"},
+    "verify": _CASE_KEYS | {*_GRID_KEYS, "t_end", "tol"} | {f.name for f in fields(Tolerances)},
     "sweep": _CASE_KEYS | {"t_end", "tol"},
 }
-# Default grid end of global orbits, in physical time.
-_GLOBAL_T1 = 0.5
-# A compact profile of amplitude 0, which neither command's default grid fits.
-_ONE_POINT = "alpha = 0 shrinks the compact profile's support to the one point x = 0"
 
 
 def _orbit(block: dict[str, str], command: str, tol_flag: float | None):
@@ -181,10 +174,17 @@ def _load(args):
     return (block, *_orbit(block, args.command, args.tol))
 
 
-def _horizon(block: dict[str, str], t_needed: float = 0.0) -> float | None:
-    """analyze's s_end: 3 max(t_end, t_needed), or None (its default) when that is 0."""
-    t = max(_get(block, "t_end", 0.0), t_needed)
-    return 3.0 * t if t > 0 else None
+def _t_end(block: dict[str, str]) -> float:
+    """The block's t_end, 0 when it has none (horizon's default); a given t_end must be > 0."""
+    t_end = _get(block, "t_end", 0.0)
+    if "t_end" in block and not t_end > 0:
+        raise ConfigError(f"config key 't_end' must be > 0: {block['t_end']!r}")
+    return t_end
+
+
+def _grid_keys(block: dict[str, str]) -> dict:
+    """The block's grid keys, parsed in _GRID_KEYS order; sampling_grid derives the rest."""
+    return {key: _get(block, key, kind=kind) for key, kind in _GRID_KEYS.items() if key in block}
 
 
 def _write(write, path: Path, *content) -> None:
@@ -213,40 +213,13 @@ def _parse_corrupt(flag: str | None) -> float:
     return factor
 
 
-def _grid(case: SolutionCase, traj, report, block: dict[str, str],
-                 margin: float = Tolerances.margin) -> SpaceTimeGrid:
-    """The lattice of the config's grid keys, defaults derived from the orbit."""
-    params = case.emden
-    if report.classification is Classification.COLLAPSE:
-        t1_default = 0.25 * report.s_collapse_quadrature / 3.0
-    else:
-        t1_default = min(_GLOBAL_T1, _t_max(traj))
-    t0 = _get(block, "t0", 0.0)
-    t1 = _get(block, "t1", t1_default)
-    nt = _get(block, "nt", 81, int)
-    nx = _get(block, "nx", 81, int)
-    if case.compact:
-        if case.alpha == 0 and "x1" not in block:
-            raise ConfigError(f"{_ONE_POINT}, so there is no default grid: give x0 and x1")
-        # The minimum over the grid's own times, which the residual checks'
-        # support test takes too, and a fraction that stays inside margin.
-        # (At least both ends: SpaceTimeGrid reports nt < 2.)
-        ts = np.linspace(t0, t1, max(nt, 2))
-        x1_default = min(0.6, 0.75 * margin) * min_support_radius(case, traj, ts)
-    else:
-        x1_default = float(np.cbrt(abs(params.a0)))
-    x1 = _get(block, "x1", x1_default)
-    x0 = _get(block, "x0", -x1)
-    return SpaceTimeGrid(t0, t1, nt, x0, x1, nx)
-
-
 # ----------------------------------------------------------------------
 # commands
 # ----------------------------------------------------------------------
 
 def cmd_emden(args) -> int:
     block, _, params, tol = _load(args)
-    traj, report = analyze(params, _horizon(block), tol)
+    traj, report = analyze(params, horizon(_t_end(block)), tol)
 
     out = Path(args.out)
     _write(write_csv, out / "emden.csv", ["s", "a", "a_dot", "energy"],
@@ -266,7 +239,7 @@ def cmd_emden(args) -> int:
 def cmd_construct(args) -> int:
     block, case, params, tol = _load(args)
     t1 = _get(block, "t1", 0.0)
-    traj, report = analyze(params, _horizon(block, t1), tol)
+    traj, report = analyze(params, horizon(_t_end(block), t1), tol)
     if report.classification is Classification.COLLAPSE and "t1" in block:
         s_collapse = report.s_collapse_quadrature
         if 3.0 * t1 >= s_collapse:
@@ -275,14 +248,14 @@ def cmd_construct(args) -> int:
                 f"time s = {s_collapse}"
             )
     # Plain sampling has no stencil: any SpaceTimeGrid will do.
-    grid = _grid(case, traj, report, block)
+    grid = sampling_grid(case, traj, report, _grid_keys(block))
     if 3.0 * grid.t1 > traj.s_max:
         raise ConfigError(
             f"grid needs s up to {3.0 * grid.t1} but the orbit ends at {traj.s_max}"
         )
 
     ts, xs, nt, nx = grid.ts(), grid.xs(), grid.nt, grid.nx
-    rho, u, eta = _fields_on_grid(case, traj, ts, xs)
+    rho, u, eta = fields_on_grid(case, traj, ts, xs)
     eta_b = case.eta_boundary
     inside = np.ones(eta.size, dtype=bool) if eta_b is None else (eta * eta < eta_b * eta_b).ravel()
     # Columns in t-major order: t, x and in_support cells are formatted once
@@ -306,16 +279,14 @@ def cmd_verify(args) -> int:
     block, case, params, tol = _load(args)
     u_scale = _parse_corrupt(args.seed_corrupt)
     if case.compact and case.alpha == 0:
-        raise ConfigError(f"{_ONE_POINT}, so no grid fits inside it")
+        raise ConfigError("alpha = 0 shrinks the compact profile's support to the one point "
+                          "x = 0, so no grid fits inside it")
     # Each tolerance key parses as the type of its default, in field order.
     tols = Tolerances(**{f.name: _get(block, f.name, f.default, type(f.default))
                          for f in fields(Tolerances)})
-    # A global orbit runs to the last origin-decay time and past the grid.
-    t_needed = 0.0
-    if classify(params) is Classification.GLOBAL:
-        t_needed = max(tols.decay_t_max, 1.05 * _get(block, "t1", _GLOBAL_T1))
-    traj, report = analyze(params, _horizon(block, t_needed), tol)
-    grid = _grid(case, traj, report, block, tols.margin)
+    t1 = _get(block, "t1") if "t1" in block else None
+    traj, report = analyze(params, horizon(_t_end(block), battery_t_needed(params, tols, t1)), tol)
+    grid = sampling_grid(case, traj, report, _grid_keys(block), tols.margin)
 
     reports = {"blowup": _blowup_record(report),
                **run_battery(case, traj, report, grid, tols, u_scale)}
@@ -346,22 +317,8 @@ _ROW_ERRORS = (ValueError, ArithmeticError, IntegrationFailure)
 
 def _sweep_row(case: SolutionCase, traj, report) -> list[str]:
     params = case.emden
-    drift, drift_bound = energy_drift(traj, report.theta)
-    ok = drift <= drift_bound
-
-    mass_cell = "div"
-    if case.compact:
-        m_val = mass(case, traj, 0.0)
-        ok = ok and mass_error(case, m_val, Tolerances.mass_rtol)[2]
-        mass_cell = fmt_float(m_val)
-
-    s_cell = ""
-    rate_cell = ""
-    if report.classification is Classification.COLLAPSE:
-        s_cell = fmt_float(report.s_collapse_quadrature)
-        if case.alpha > 0:
-            rate_cell = fmt_float(case.alpha * report.rate_limit_estimate)
-
+    m_val, ok = sweep_checks(case, traj, report)
+    collapse = report.classification is Classification.COLLAPSE
     return [
         case.case_id,
         str(case.sigma),
@@ -371,9 +328,10 @@ def _sweep_row(case: SolutionCase, traj, report) -> list[str]:
         fmt_float(params.a1),
         report.classification.value,
         fmt_float(report.theta),
-        s_cell,
-        mass_cell,
-        rate_cell,
+        fmt_float(report.s_collapse_quadrature) if collapse else "",
+        fmt_float(m_val) if case.compact else "div",
+        fmt_float(case.alpha * report.rate_limit_estimate) if collapse and case.alpha > 0
+        else "",
         "true" if ok else "false",
     ]
 
@@ -385,7 +343,7 @@ def cmd_sweep(args) -> int:
     for block in blocks:
         try:
             case, params, tol = _orbit(block, "sweep", args.tol)
-            plans.append((params, _horizon(block), tol))
+            plans.append((params, horizon(_t_end(block)), tol))
             cases.append(case)
         except _ROW_ERRORS as exc:
             cases.append(exc)

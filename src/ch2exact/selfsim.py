@@ -15,7 +15,7 @@ compactly supported profile (vanishing like a square root at the support
 boundary, where the slope is unbounded); sigma*xi < 0 gives a profile on
 the whole line growing like |eta|.  The density is nonnegative in all
 four families because sign(f) matches sign(a0^{1/3}).  The battery
-samples both fields on whole lattices (``verify._fields_on_grid``).
+samples both fields on whole lattices (``verify.fields_on_grid``).
 """
 
 from __future__ import annotations

@@ -23,6 +23,12 @@ for collapsing families.
 
 run_battery runs every check on one family with the thresholds of
 Tolerances, the one place their defaults are defined.
+
+Windows: sampling_grid fills in the grid keys a config leaves out (t1 =
+0.25 S/3 on collapse, else min(0.5, t_max); x1 a fraction of the support
+radius that _check_grid accepts, or |a0|^{1/3}).  battery_t_needed runs a
+global orbit past the grid and the origin-decay window (_decay_window_end),
+and horizon turns that and a config's t_end into analyze's s_end.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from ._quadrature import gauss_kronrod21_array
 from .emden import (
     BlowupReport,
     Classification,
+    EmdenParams,
     Trajectory,
     classify,
     node_energies,
@@ -43,25 +50,12 @@ from .emden import (
 from .selfsim import SolutionCase, _scale_at, density, profile
 
 __all__ = [
-    "DEFAULT_SUPPORT_MARGIN",
-    "COLLAPSE_TIME_MARGIN",
-    "ENERGY_DRIFT_TOL",
-    "MAX_LATTICE_POINTS",
-    "ConservationReport",
-    "GridError",
-    "SpaceTimeGrid",
-    "Tolerances",
-    "analytic_mass",
-    "blowup_rate",
-    "energy_drift",
-    "mass",
-    "mass_conservation",
-    "mass_error",
-    "mass_residual_field",
-    "min_support_radius",
-    "momentum_residual_field",
-    "origin_decay",
-    "run_battery",
+    "DEFAULT_SUPPORT_MARGIN", "COLLAPSE_TIME_MARGIN", "ENERGY_DRIFT_TOL",
+    "MAX_LATTICE_POINTS", "ConservationReport", "GridError", "SpaceTimeGrid", "Tolerances",
+    "analytic_mass", "battery_t_needed", "blowup_rate", "energy_drift", "fields_on_grid",
+    "horizon", "mass", "mass_conservation", "mass_error", "mass_residual_field",
+    "min_support_radius", "momentum_residual_field", "origin_decay", "run_battery",
+    "sampling_grid", "sweep_checks",
 ]
 
 # Residual grids may use at most this fraction of the support radius.
@@ -71,6 +65,8 @@ COLLAPSE_TIME_MARGIN = 0.9
 # The finest lattice of the residual ladder holds at most this many points:
 # each of its fields takes 8 bytes a point, and a check holds several.
 MAX_LATTICE_POINTS = 2 ** 22
+# Default grid end of global orbits, in physical time.
+_GLOBAL_T1 = 0.5
 
 
 @dataclass(frozen=True)
@@ -210,7 +206,7 @@ def momentum_residual_field(
 # grid preparation
 # ----------------------------------------------------------------------
 
-def _fields_on_grid(
+def fields_on_grid(
     case: SolutionCase,
     traj: Trajectory,
     ts: np.ndarray,
@@ -276,6 +272,53 @@ def _check_grid(
             )
 
 
+def sampling_grid(case: SolutionCase, traj: Trajectory, report: BlowupReport, given: dict,
+                  margin: float = DEFAULT_SUPPORT_MARGIN) -> SpaceTimeGrid:
+    """The lattice of the grid keys in given, the missing ones derived from the orbit."""
+    if report.classification is Classification.COLLAPSE:
+        t1_default = 0.25 * report.s_collapse_quadrature / 3.0
+    else:
+        t1_default = min(_GLOBAL_T1, _t_max(traj))
+    t0 = given.get("t0", 0.0)
+    t1 = given.get("t1", t1_default)
+    nt = given.get("nt", 81)
+    nx = given.get("nx", 81)
+    if case.compact:
+        if case.alpha == 0 and "x1" not in given:
+            raise GridError("alpha = 0 shrinks the compact profile's support to the one "
+                            "point x = 0, so there is no default grid: give x0 and x1")
+        # The minimum over the grid's own times, which _check_grid takes too,
+        # and a fraction that stays inside margin.  (At least both ends:
+        # SpaceTimeGrid reports nt < 2.)
+        ts = np.linspace(t0, t1, max(nt, 2))
+        x1_default = min(0.6, 0.75 * margin) * min_support_radius(case, traj, ts)
+    else:
+        x1_default = float(np.cbrt(abs(case.emden.a0)))
+    x1 = given.get("x1", x1_default)
+    x0 = given.get("x0", -x1)
+    return SpaceTimeGrid(t0, t1, nt, x0, x1, nx)
+
+
+def _decay_window_end(tols: Tolerances) -> float:
+    """Last physical time the origin_decay check samples, where the orbit reaches it."""
+    return tols.decay_t_max
+
+
+def battery_t_needed(params: EmdenParams, tols: Tolerances, t1: float | None = None) -> float:
+    """Physical time a verify run integrates a global orbit to: the end of the
+    origin-decay window or 1.05 times the grid end t1 (sampling_grid's _GLOBAL_T1
+    when None), whichever is later; 0 for a collapse orbit, run to its collapse."""
+    if classify(params) is not Classification.GLOBAL:
+        return 0.0
+    return max(_decay_window_end(tols), 1.05 * (_GLOBAL_T1 if t1 is None else t1))
+
+
+def horizon(t_end: float, t_needed: float = 0.0) -> float | None:
+    """analyze's s_end: 3 max(t_end, t_needed), or None (its default) when that is 0."""
+    t = max(t_end, t_needed)
+    return 3.0 * t if t > 0 else None
+
+
 # ----------------------------------------------------------------------
 # residual operations
 # ----------------------------------------------------------------------
@@ -296,7 +339,7 @@ def _sampled_levels(case, traj, grid, levels, margin, u_scale, s_collapse) -> li
     sampled = []
     g = grid
     for _ in range(levels):
-        rho, u, _ = _fields_on_grid(case, traj, g.ts(), g.xs(), u_scale)
+        rho, u, _ = fields_on_grid(case, traj, g.ts(), g.xs(), u_scale)
         sampled.append((g, rho, u))
         g = g.refined()
     return sampled
@@ -431,6 +474,15 @@ def energy_drift(traj: Trajectory, theta: float) -> tuple[float, float]:
     scale = max(float(kinetic.max()), float(potential.max()))
     drift = float(np.max(np.abs(node_energies(traj) - theta)))
     return drift, ENERGY_DRIFT_TOL * scale
+
+
+def sweep_checks(case: SolutionCase, traj: Trajectory, report: BlowupReport) -> tuple[float, bool]:
+    """(mass at t = 0, pass) of a sweep row: the first integral within its bound
+    and, on a compact family, the mass within the default mass_rtol."""
+    drift, drift_bound = energy_drift(traj, report.theta)
+    m_val = mass(case, traj, 0.0)
+    return m_val, drift <= drift_bound and (
+        not case.compact or mass_error(case, m_val, Tolerances.mass_rtol)[2])
 
 
 # ----------------------------------------------------------------------
@@ -579,7 +631,7 @@ def _blowup_rate_record(case, traj, report, rtol: float) -> dict:
 
 
 def _origin_decay_record(case, traj, tols: Tolerances) -> dict:
-    t_hi = min(tols.decay_t_max, _t_max(traj))
+    t_hi = min(_decay_window_end(tols), _t_max(traj))
     t_samples = list(np.geomspace(max(t_hi / 100.0, 1e-3), t_hi, 12))
     values = origin_decay(case, traj, t_samples)
     decreasing = all(b < a for a, b in zip(values, values[1:]))

@@ -15,7 +15,7 @@ import ch2exact.cli as cli
 import ch2exact.emden as emden
 from ch2exact import EmdenParams, IntegrationFailure, analyze, density
 from ch2exact.cli import ConfigError, main, parse_config_blocks
-from ch2exact.verify import Tolerances, _fields_on_grid, energy_drift
+from ch2exact.verify import Tolerances, _t_max, energy_drift, fields_on_grid, horizon
 
 
 def write_config(tmp_path, text, name="case.cfg"):
@@ -397,7 +397,7 @@ def test_verify_out_of_range_tolerance_names_its_key(tmp_path, capsys, line, mes
 def test_verify_too_many_levels_is_rejected_before_sampling(tmp_path, capsys, monkeypatch):
     # 40 levels of the default 81 x 81 grid would need far more memory than
     # any host has; the ladder is sized and rejected before any field exists.
-    fields = _counting(monkeypatch, ["verify"], "_fields_on_grid")
+    fields = _counting(monkeypatch, ["verify"], "fields_on_grid")
     cfg = write_config(tmp_path, CFG_2A + "levels = 40\n")
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
@@ -518,6 +518,26 @@ def test_verify_passes_t_end_of_a_collapse_orbit_to_analyze(tmp_path, monkeypatc
         assert seen.pop() == s_end
 
 
+# An explicit t_end of zero or less is an error, not the default horizon.
+@pytest.mark.parametrize("command", ["emden", "construct", "verify"])
+def test_t_end_must_be_positive(tmp_path, capsys, command):
+    base = "xi = 1\na0 = 1\na1 = 0\n" if command == "emden" else CFG_2A
+    for value in ("-5", "0"):
+        cfg = write_config(tmp_path, base + f"t_end = {value}\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"invalid input: config key 't_end' must be > 0: '{value}'\n")
+        assert not (tmp_path / "out").exists()
+
+
+def test_sweep_t_end_must_be_positive_in_its_row(tmp_path):
+    cfg = write_config(tmp_path, CFG_2A + "t_end = -5\n\n" + CFG_2A)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert rows[0] == "?,1,1,1,1,0,error: config key 't_end' must be > 0: '-5',,,,,false"
+    assert rows[1].startswith("2a,") and rows[1].endswith(",true")
+
+
 def test_verify_default_grid_respects_margin(tmp_path):
     # x1 defaults to min(0.6, 0.75 margin) of the support radius (1.0 here),
     # so margin = 0.5 gives the grid an explicit x1 = 0.375 gives.
@@ -563,7 +583,7 @@ def test_battery_samples_each_lattice_once(tmp_path, monkeypatch):
     # Both residual checks read the two refinement levels of the grid, and
     # the three alpha_d runs one 17 x 17 lattice: 3 samples and 2 grid
     # checks, where each check used to sample and check its own (7 and 5).
-    fields = _counting(monkeypatch, ["verify"], "_fields_on_grid")
+    fields = _counting(monkeypatch, ["verify"], "fields_on_grid")
     checks = _counting(monkeypatch, ["verify"], "_check_grid")
     cfg = write_config(tmp_path, CFG_2A)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -599,7 +619,7 @@ def test_sweep_energy_drift_bound_on_batch200():
     # and the fault a' (1 + 1e-5) trips it on every one.
     blocks = cli._load_blocks(str(DATA / GOLDEN_DATA["batch200"]))
     orbits = [cli._orbit(block, "sweep", None) for block in blocks]
-    results = emden.analyze_many([(params, cli._horizon(block), tol)
+    results = emden.analyze_many([(params, horizon(cli._t_end(block)), tol)
                                   for block, (_, params, tol) in zip(blocks, orbits)])
     clean, faulted = [], []
     for traj, report in results:
@@ -906,7 +926,7 @@ def test_fields_on_grid_takes_time_and_space_arrays(case_2a):
     # so the sampler takes the t and x arrays directly.
     case, traj, _ = case_2a
     ts, xs = np.array([0.0, 0.3]), np.array([-0.4, 0.7])
-    rho, u, eta = _fields_on_grid(case, traj, ts, xs)
+    rho, u, eta = fields_on_grid(case, traj, ts, xs)
     assert rho.shape == u.shape == eta.shape == (2, 2)
     for i, t in enumerate(ts):
         for j, x in enumerate(xs):
@@ -928,7 +948,7 @@ def test_t_max_stays_inside_the_orbit():
     traj, _ = analyze(EmdenParams(xi=1.6080305655209362, a0=0.19120769802229437,
                                   a1=-1.12511702408761))
     assert 3.0 * (traj.s_max / 3.0) > traj.s_max  # the rounding this guards
-    t = cli._t_max(traj)
+    t = _t_max(traj)
     assert 3.0 * t <= traj.s_max
     assert 3.0 * math.nextafter(t, math.inf) > traj.s_max
 

@@ -1,7 +1,7 @@
 """Profile, density, velocity, and support geometry of the four families.
 
 The velocity and the support radius are checked through the battery's own
-samplers, ``verify._fields_on_grid`` and ``verify.min_support_radius``.
+samplers, ``verify.fields_on_grid`` and ``verify.min_support_radius``.
 """
 
 import math
@@ -18,7 +18,7 @@ from ch2exact import (
     integrate,
     profile,
 )
-from ch2exact.verify import _fields_on_grid, min_support_radius
+from ch2exact.verify import fields_on_grid, min_support_radius
 
 EPS = np.finfo(float).eps
 
@@ -186,7 +186,7 @@ def test_density_time_range_checked(case_2a):
 
 def velocity(case, traj, ts, xs):
     """u on the lattice ts x xs, as the battery samples it."""
-    return _fields_on_grid(case, traj, np.asarray(ts, dtype=float), np.asarray(xs, dtype=float))[1]
+    return fields_on_grid(case, traj, np.asarray(ts, dtype=float), np.asarray(xs, dtype=float))[1]
 
 
 def test_velocity_linear_and_odd(case_2a):
@@ -243,7 +243,7 @@ def test_sample_bundles_fields(case_2a):
     # and u = (a'/a) x.
     case, traj, _ = case_2a
     t, x = 0.3, 0.2
-    rho, u, eta = _fields_on_grid(case, traj, np.array([t]), np.array([x]))
+    rho, u, eta = fields_on_grid(case, traj, np.array([t]), np.array([x]))
     state = traj.eval(3.0 * t)
     cb = float(np.cbrt(state.a))
     assert eta[0, 0] == x / cb

@@ -4,11 +4,14 @@
 OpenBLAS to one thread before numpy starts, unless the caller chose a
 count.  The entry point ``cli.run`` freezes the collector's heap when
 ``main()`` returns or raises (argparse's ``SystemExit`` included), so that
-finalization skips it; ``main()`` leaves the collector alone.  Every check but the last runs a fresh interpreter with
-OPENBLAS_NUM_THREADS removed from its environment, on the same copy of the
-package as the tests (the source tree or an installed one).
+finalization skips it; ``main()`` leaves the collector alone.  The CLI
+imports only public library names.  Every check but the last two runs a
+fresh interpreter with OPENBLAS_NUM_THREADS removed from its environment,
+on the same copy of the package as the tests (the source tree or an
+installed one).
 """
 
+import ast
 import gc
 import json
 import os
@@ -134,3 +137,13 @@ def test_startup_main_in_process_leaves_the_collector_alone(tmp_path):
     cfg.write_text("xi = -3\na0 = 1\na1 = 0\n")
     assert cli.main(["emden", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     assert gc.get_freeze_count() == 0 and gc.isenabled()
+
+
+def test_startup_cli_imports_only_public_library_names():
+    # The CLI parses, calls the library and serializes: every window and
+    # check it relies on is a public library name, not a private helper.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level > 0
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

@@ -9,11 +9,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from ch2exact import (
+    Classification,
     EmdenParams,
     GridError,
+    IntegrationFailure,
     SolutionCase,
     SpaceTimeGrid,
     Tolerances,
@@ -31,13 +34,18 @@ from ch2exact import (
 from ch2exact._quadrature import gauss_kronrod21
 from ch2exact.emden import Trajectory
 from ch2exact.verify import (
+    _check_grid,
+    _decay_window_end,
     _dispersion_record,
-    _fields_on_grid,
     _residual_report,
     _sampled_levels,
     analytic_mass,
+    battery_t_needed,
+    fields_on_grid,
+    horizon,
     mass_error,
     min_support_radius,
+    sampling_grid,
 )
 
 
@@ -116,7 +124,7 @@ def test_mass_kernel_zero_for_zero_density_case():
     case = SolutionCase(sigma=1, alpha=0.0, emden=EmdenParams(xi=1.0, a0=1.0, a1=0.0))
     traj = integrate(case.emden, s_end=3.0)
     grid = SpaceTimeGrid(0.0, 0.5, 9, -0.5, 0.5, 9)
-    rho, u, _ = _fields_on_grid(case, traj, grid.ts(), grid.xs())
+    rho, u, _ = fields_on_grid(case, traj, grid.ts(), grid.xs())
     assert np.all(rho == 0.0)
     r = mass_residual_field(rho, u, grid.dt, grid.dx)
     assert np.all(r == 0.0)
@@ -179,7 +187,7 @@ def test_dispersion_bound_trips_on_a_nonlinear_velocity(case_2a):
     # the bound.  No scaling of u can trip this check.
     case, traj, _ = case_2a
     grid = SpaceTimeGrid(0.0, 0.5, 17, -0.6, 0.6, 17)
-    rho, u, _ = _fields_on_grid(case, traj, grid.ts(), grid.xs())
+    rho, u, _ = fields_on_grid(case, traj, grid.ts(), grid.xs())
     clean = _dispersion_record(case, [(grid, rho, u)], Tolerances())
     bad_u = u + 1e-6 * np.max(np.abs(u)) * (grid.xs() / grid.x1) ** 3
     bad = _dispersion_record(case, [(grid, rho, bad_u)], Tolerances())
@@ -412,6 +420,32 @@ def test_min_support_radius_finds_an_interior_minimum():
     assert r_min < 0.75 * ends
     a, _ = traj.eval_many(3.0 * ts)
     assert r_min == float(np.min(np.cbrt(a) * case.eta_boundary))
+
+
+# (sigma, sign xi) of families 1a, 1b, 2a and 2b; sign a0 = sigma sign xi.
+FAMILY_SIGNS = [(-1, -1.0), (-1, 1.0), (1, 1.0), (1, -1.0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(FAMILY_SIGNS), xi_dec=st.floats(-6.0, 6.0),
+       a0_dec=st.floats(-6.0, 6.0), alpha_dec=st.floats(-3.0, 3.0), u=st.floats(-2.0, 2.0))
+def test_default_verify_windows_pass_their_own_checks(family, xi_dec, a0_dec, alpha_dec, u):
+    # |xi| and |a0| over twelve decades, alpha over six, slopes on both
+    # sides of theta = 0: the orbit a verify run integrates covers the decay
+    # window, and the default lattice on it passes the battery's grid check.
+    sigma, xi_sign = family
+    xi, a0 = xi_sign * 10.0 ** xi_dec, sigma * xi_sign * 10.0 ** a0_dec
+    params = EmdenParams(xi=xi, a0=a0, a1=u * math.sqrt(abs(xi)) * abs(a0) ** (1.0 / 3.0))
+    case = SolutionCase(sigma=sigma, alpha=10.0 ** alpha_dec, emden=params)
+    tols = Tolerances()
+    try:
+        traj, report = analyze(params, horizon(0.0, battery_t_needed(params, tols)))
+    except IntegrationFailure:
+        return  # the theta ~ 0 separatrix (test_emden's stop-event case)
+    grid = sampling_grid(case, traj, report, {}, tols.margin)
+    _check_grid(case, traj, grid, tols.margin, report.s_collapse_quadrature)
+    if report.classification is Classification.GLOBAL:
+        assert 3.0 * _decay_window_end(tols) <= traj.s_max
 
 
 def test_tolerances_defaults_and_levels():
