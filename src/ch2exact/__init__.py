@@ -38,8 +38,6 @@ _EXPORTS = {
     ),
     "selfsim": (
         "SolutionCase",
-        "TimeOutOfRange",
-        "density",
         "profile",
     ),
     "verify": (

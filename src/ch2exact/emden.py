@@ -162,10 +162,10 @@ class Trajectory:
 
     ``s``, ``a`` and ``a_dot`` are float arrays holding the accepted
     integration nodes (``s`` strictly increasing) and the states there;
-    ``state(i)`` returns node i as an ``EmdenState``.  ``eval`` snaps to
-    stored nodes when the query matches one exactly, so node values
-    round-trip; between nodes it uses the integrator's own dense-output
-    interpolant.
+    ``state(i)`` returns node i as an ``EmdenState``.  ``eval_many`` (and
+    ``eval``, which is ``eval_many`` of one point) snaps to stored nodes
+    when the query matches one exactly, so node values round-trip; between
+    nodes it uses the integrator's own dense-output interpolant.
 
     ``nfev``, ``n_accepted`` and ``n_rejected`` count the integrator's
     right-hand-side evaluations, accepted steps and rejected steps.  They
@@ -189,19 +189,30 @@ class Trajectory:
 
     def eval(self, s: float) -> EmdenState:
         """State at time s, 0 <= s <= s_max."""
-        state = _states_at([self], [s])[0]
-        if isinstance(state, Exception):
-            raise state
-        return state
+        (a,), (a_dot,) = self.eval_many([s])
+        return EmdenState(s, float(a), float(a_dot))
 
     def eval_many(self, s_values) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized dense-output evaluation; returns (a, a') arrays."""
+        """(a, a') arrays at the times of the 1-D sequence s_values, each in [0, s_max].
+
+        Only the times between nodes reach the interpolant, so a batch of
+        node times builds none.
+        """
         s_arr = np.asarray(s_values, dtype=float)
-        if s_arr.size and (s_arr.min() < 0.0 or s_arr.max() > self.s_max):
+        if s_arr.size and not (s_arr.min() >= 0.0 and s_arr.max() <= self.s_max):  # NaN too
             raise ValueError(
                 f"requested s range [{s_arr.min()}, {s_arr.max()}] outside [0, {self.s_max}]"
             )
-        return tuple(self._dense(s_arr))
+        i, between = self._node_index(s_arr)
+        a, a_dot = self.a[i], self.a_dot[i]
+        if between.any():
+            a[between], a_dot[between] = self._dense(s_arr[between])
+        return a, a_dot
+
+    def _node_index(self, s):
+        """(i, between) for times s: s[k] is node i[k] unless between[k]."""
+        i = np.minimum(self.s.searchsorted(s), len(self.s) - 1)
+        return i, self.s[i] != s
 
 
 def integrate(params: EmdenParams, s_end: float, tol: float = DEFAULT_TOL) -> Trajectory:
@@ -523,35 +534,24 @@ def _results(params, plans, trajs) -> list:
             probes.append((k, fields, min(s_quad * (1.0 - 1e-4), traj.s_max)))
         except Exception as exc:
             out[k] = exc
-    states = _states_at([trajs[k] for k, _, _ in probes], [s for _, _, s in probes])
-    for (k, fields, s_probe), state in zip(probes, states):
+    a_probe = _scale_factors_at([trajs[k] for k, _, _ in probes], [s for _, _, s in probes])
+    for (k, fields, s_probe), a in zip(probes, a_probe):
         try:
-            if isinstance(state, Exception):
-                raise state
-            rate = ((fields["s_collapse_quadrature"] - s_probe) / abs(state.a)) ** (1.0 / 3.0)
+            rate = ((fields["s_collapse_quadrature"] - s_probe) / abs(a)) ** (1.0 / 3.0)
             out[k] = (trajs[k], BlowupReport(**fields, rate_limit_estimate=rate))
         except Exception as exc:
             out[k] = exc
     return out
 
 
-def _states_at(trajs, s) -> list:
-    """``trajs[p].eval(s[p])``, or the error it raises, for every p: a time on a
-    node takes the node's state, the others are interpolated in one batch."""
-    out, dense = [], []
-    for traj, s_p in zip(trajs, s):
-        if not (0.0 <= s_p <= traj.s_max):
-            out.append(ValueError(f"s = {s_p} outside integrated range [0, {traj.s_max}]"))
-        elif (i := traj.s.searchsorted(s_p)) < len(traj.s) and traj.s[i] == s_p:
-            out.append(traj.state(i))
-        else:
-            dense.append(len(out))
-            out.append(None)
+def _scale_factors_at(trajs, s) -> list:
+    """a of each trajs[p] at s[p], in [0, s_max], as its ``eval_many`` gives it;
+    the times between nodes are interpolated in one batch."""
+    nodes = [traj._node_index(s_p) for traj, s_p in zip(trajs, s)]
+    out = [float(traj.a[i]) for traj, (i, _) in zip(trajs, nodes)]
+    dense = [p for p, (_, between) in enumerate(nodes) if between]
     if dense:
         values = _dop853.dense_values([trajs[p]._dense for p in dense], [s[p] for p in dense])
-        for p, (a, a_dot) in zip(dense, values.tolist()):
-            try:
-                out[p] = EmdenState(s[p], a, a_dot)
-            except ValueError as exc:  # a non-finite interpolated state
-                out[p] = exc
+        for p, a in zip(dense, values[:, 0].tolist()):
+            out[p] = a
     return out

@@ -1,4 +1,4 @@
-"""Exact self-similar families: their profile and density.
+"""Exact self-similar families: their sign table and profile.
 
 Each admissible sign pattern (sigma, sign xi, sign a0) yields a family
 
@@ -14,8 +14,9 @@ clamped to zero where the radicand is negative.  sigma*xi > 0 gives a
 compactly supported profile (vanishing like a square root at the support
 boundary, where the slope is unbounded); sigma*xi < 0 gives a profile on
 the whole line growing like |eta|.  The density is nonnegative in all
-four families because sign(f) matches sign(a0^{1/3}).  The battery
-samples both fields on whole lattices (``verify.fields_on_grid``).
+four families because sign(f) matches sign(a0^{1/3}).  The fields
+themselves are sampled in one place, ``verify.fields_on_grid``, on
+lattices of times and points.
 """
 
 from __future__ import annotations
@@ -25,12 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emden import CollapseSingularity, EmdenParams, Trajectory
+from .emden import EmdenParams
 
 __all__ = [
     "SolutionCase",
-    "TimeOutOfRange",
-    "density",
     "profile",
 ]
 
@@ -47,10 +46,6 @@ _SIGN_RULE = (
     "(-1, xi<0, a0>0) -> 1a, (-1, xi>0, a0<0) -> 1b, "
     "(+1, xi>0, a0>0) -> 2a, (+1, xi<0, a0<0) -> 2b"
 )
-
-
-class TimeOutOfRange(ValueError):
-    """Requested time lies outside the integrated trajectory."""
 
 
 @dataclass(frozen=True)
@@ -110,23 +105,3 @@ def profile(case: SolutionCase, eta):
     if np.isscalar(eta) or np.ndim(eta) == 0:
         return float(f)
     return f
-
-
-def _scale_at(traj: Trajectory, t: float) -> float:
-    """a at s = 3t with range checking in physical time."""
-    s = 3.0 * t
-    if not (0.0 <= s <= traj.s_max):
-        raise TimeOutOfRange(
-            f"t = {t} maps to s = {s} outside the integrated range [0, {traj.s_max}]"
-        )
-    state = traj.eval(s)
-    if state.a == 0.0:
-        raise CollapseSingularity(f"scale factor vanished at t = {t}")
-    return state.a
-
-
-def density(case: SolutionCase, traj: Trajectory, t: float, x: float) -> float:
-    """rho(t, x) = f(x / a(3t)^{1/3}) / a(3t)^{1/3}; nonnegative."""
-    a = _scale_at(traj, t)
-    cb = float(np.cbrt(a))
-    return profile(case, x / cb) / cb

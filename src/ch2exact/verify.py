@@ -21,12 +21,16 @@ at the boundary, and the linear-velocity momentum balance holds only
 where the profile equation is active), and well before the collapse time
 for collapsing families.
 
-run_battery runs every check on one family with the thresholds of
-Tolerances, the one place their defaults are defined.
+Every check reads the fields through one sampler, fields_on_grid: the
+residual lattices, the mass quadrature nodes at one time, and the blowup
+and decay times at x = 0, each in one call.  A fault injected there
+reaches them all.  run_battery runs every check on one family with the
+thresholds of Tolerances, the one place their defaults are defined.
 
 Windows: sampling_grid fills in the grid keys a config leaves out (t1 =
 0.25 S/3 on collapse, else min(0.5, t_max); x1 a fraction of the support
-radius that _check_grid accepts, or |a0|^{1/3}).  battery_t_needed runs a
+radius that _check_grid accepts, or |a0|^{1/3}), after checking that the
+orbit covers [t0, t1].  battery_t_needed runs a
 global orbit past the grid and the origin-decay window (_decay_window_end),
 and horizon turns that and a config's t_end into analyze's s_end.
 """
@@ -42,12 +46,13 @@ from ._quadrature import gauss_kronrod21_array
 from .emden import (
     BlowupReport,
     Classification,
+    CollapseSingularity,
     EmdenParams,
     Trajectory,
     classify,
     node_energies,
 )
-from .selfsim import SolutionCase, _scale_at, density, profile
+from .selfsim import SolutionCase, profile
 
 __all__ = [
     "DEFAULT_SUPPORT_MARGIN", "COLLAPSE_TIME_MARGIN", "ENERGY_DRIFT_TOL",
@@ -215,9 +220,12 @@ def fields_on_grid(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact (rho, u, eta) on the (len(ts), len(xs)) lattice of physical times ts.
 
-    Any lattice size is accepted; u_scale is a fault-injection hook.
+    The one place the checks read the fields from.  Any lattice size is
+    accepted; u_scale is a fault-injection hook.
     """
     a, a_dot = traj.eval_many(3.0 * ts)
+    if not a.all():
+        raise CollapseSingularity(f"scale factor vanished at t = {ts[a == 0.0][0]}")
     cb = np.cbrt(a)
     eta = xs[None, :] / cb[:, None]
     rho = profile(case, eta) / cb[:, None]
@@ -239,6 +247,16 @@ def min_support_radius(case: SolutionCase, traj: Trajectory, ts) -> float:
     return float(np.min(np.cbrt(a))) * case.eta_boundary
 
 
+def _check_window(traj: Trajectory, t0: float, t1: float) -> None:
+    """Raise GridError unless the trajectory covers the physical times [t0, t1]."""
+    if t0 < 0.0:
+        raise GridError(f"grid starts before t = 0 (t0 = {t0})")
+    if 3.0 * t1 > traj.s_max:
+        raise GridError(
+            f"grid needs s up to {3.0 * t1} but the trajectory ends at {traj.s_max}"
+        )
+
+
 def _check_grid(
     case: SolutionCase,
     traj: Trajectory,
@@ -250,13 +268,8 @@ def _check_grid(
     the smooth region; s_collapse is the collapse time, None for a global orbit."""
     if grid.nt < 5 or grid.nx < 5:
         raise GridError(f"need nt >= 5 and nx >= 5, got nt={grid.nt}, nx={grid.nx}")
-    if grid.t0 < 0.0:
-        raise GridError(f"grid starts before t = 0 (t0 = {grid.t0})")
+    _check_window(traj, grid.t0, grid.t1)
     s_hi = 3.0 * grid.t1
-    if s_hi > traj.s_max:
-        raise GridError(
-            f"grid needs s up to {s_hi} but the trajectory ends at {traj.s_max}"
-        )
     if s_collapse is not None and s_hi > COLLAPSE_TIME_MARGIN * s_collapse:
         raise GridError(
             f"grid reaches s = {s_hi}, too close to collapse at "
@@ -283,6 +296,7 @@ def sampling_grid(case: SolutionCase, traj: Trajectory, report: BlowupReport, gi
     t1 = given.get("t1", t1_default)
     nt = given.get("nt", 81)
     nx = given.get("nx", 81)
+    _check_window(traj, t0, t1)
     if case.compact:
         if case.alpha == 0 and "x1" not in given:
             raise GridError("alpha = 0 shrinks the compact profile's support to the one "
@@ -387,17 +401,15 @@ def mass(case: SolutionCase, traj: Trajectory, t: float) -> float:
     """
     if not case.compact:
         return math.inf
-    # a(3t) once: rho(t, x) = f(x / cb) / cb on the support [-xb, xb].
-    a = _scale_at(traj, t)
-    cb = float(np.cbrt(a))
-    xb = cb * case.eta_boundary
+    xb = min_support_radius(case, traj, [t])
     if xb == 0.0:
         return 0.0
 
     def integrand(phi: np.ndarray) -> list:
         # sin and cos per node are libm's; the rest is the same arithmetic on arrays.
         sin, cos = np.array([(math.sin(p), math.cos(p)) for p in phi.tolist()]).T
-        return (profile(case, xb * sin / cb) / cb * xb * cos).tolist()
+        rho, _, _ = fields_on_grid(case, traj, np.array([t]), xb * sin)
+        return (rho[0] * xb * cos).tolist()
 
     return gauss_kronrod21_array(integrand, -math.pi / 2.0, math.pi / 2.0)
 
@@ -505,23 +517,22 @@ def blowup_rate(
     if case.alpha <= 0.0:
         raise ValueError("blowup rate needs alpha > 0 (zero profile otherwise)")
     S = report.s_collapse_quadrature
-    out = []
-    for s in s_samples:
-        s = float(s)
+    s_list = [float(s) for s in s_samples]
+    for s in s_list:
         if not (0.0 <= s <= traj.s_max):
             raise ValueError(f"sample s = {s} outside the trajectory [0, {traj.s_max}]")
         if s >= S:
             raise ValueError(f"sample s = {s} is not before the collapse time {S}")
-        rho0 = density(case, traj, s / 3.0, 0.0)
-        out.append((s, rho0 * (S - s) ** (1.0 / 3.0)))
-    return out
+    rho, _, _ = fields_on_grid(case, traj, np.array(s_list) / 3.0, np.zeros(1))
+    return [(s, rho0 * (S - s) ** (1.0 / 3.0)) for s, rho0 in zip(s_list, rho[:, 0].tolist())]
 
 
 def origin_decay(case: SolutionCase, traj: Trajectory, t_list) -> list[float]:
     """rho(t, 0) samples for global orbits; decays to zero like t^{-1/2}."""
     if classify(case.emden) is Classification.COLLAPSE:
         raise ValueError("origin decay is defined only for global orbits")
-    return [density(case, traj, float(t), 0.0) for t in t_list]
+    rho, _, _ = fields_on_grid(case, traj, np.array(t_list, dtype=float), np.zeros(1))
+    return rho[:, 0].tolist()
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 import ch2exact.cli as cli
 import ch2exact.emden as emden
-from ch2exact import EmdenParams, IntegrationFailure, analyze, density
+from ch2exact import EmdenParams, IntegrationFailure, analyze, profile
 from ch2exact.cli import ConfigError, main, parse_config_blocks
 from ch2exact.verify import Tolerances, _t_max, energy_drift, fields_on_grid, horizon
 
@@ -583,11 +583,15 @@ def test_battery_samples_each_lattice_once(tmp_path, monkeypatch):
     # Both residual checks read the two refinement levels of the grid, and
     # the three alpha_d runs one 17 x 17 lattice: 3 samples and 2 grid
     # checks, where each check used to sample and check its own (7 and 5).
+    # Every other field read goes through the same sampler: the mass at t0
+    # and at the 5 conservation times on the 21 quadrature nodes, then the
+    # 12 origin-decay times at x = 0.
     fields = _counting(monkeypatch, ["verify"], "fields_on_grid")
     checks = _counting(monkeypatch, ["verify"], "_check_grid")
     cfg = write_config(tmp_path, CFG_2A)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
-    assert [(len(args[2]), len(args[3])) for args in fields] == [(81, 81), (161, 161), (17, 17)]
+    assert [(len(args[2]), len(args[3])) for args in fields] == [
+        (81, 81), (161, 161), (17, 17), *[(1, 21)] * 6, (12, 1)]
     assert [(args[2].nt, args[2].nx) for args in checks] == [(81, 81), (17, 17)]
 
 
@@ -931,7 +935,8 @@ def test_fields_on_grid_takes_time_and_space_arrays(case_2a):
     for i, t in enumerate(ts):
         for j, x in enumerate(xs):
             state = traj.eval(3.0 * t)
-            assert rho[i, j] == density(case, traj, float(t), float(x))
+            cb = float(np.cbrt(state.a))
+            assert rho[i, j] == profile(case, float(x) / cb) / cb
             assert u[i, j] == state.a_dot / state.a * x
 
 
@@ -966,6 +971,27 @@ def test_explicit_t1_beyond_orbit_still_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, CFG_ULP + "t1 = 0.07\n")
     assert main(["construct", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "crosses the collapse time s = 0.1877021917" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,cfg,message", [
+    ("construct", CFG_1A + "t0 = -0.1\n", "grid starts before t = 0 (t0 = -0.1)"),
+    ("verify", CFG_1A + "t0 = -0.1\n", "grid starts before t = 0 (t0 = -0.1)"),
+    ("verify", CFG_1A + "t1 = 5\n",
+     "grid needs s up to 15.0 but the trajectory ends at 2.3561944900959215"),
+    ("construct", "sigma = 1\nxi = -3\nalpha = 1\na0 = -1\na1 = 0\nt0 = -0.1\n",
+     "grid starts before t = 0 (t0 = -0.1)"),
+    # 3 t1 lies between the end of the integration and the collapse time.
+    ("construct", CFG_ULP + "t1 = 0.06256739722636141\n",
+     "grid needs s up to 0.18770219167908425 but the trajectory ends at 0.18770219167908422"),
+], ids=["construct-1a-t0", "verify-1a-t0", "verify-1a-t1", "construct-2b-t0", "construct-ulp-t1"])
+def test_window_outside_the_orbit_is_named(tmp_path, capsys, command, cfg, message):
+    # sampling_grid checks the window before it samples the support radius
+    # of a compact family on it, and construct of a full-line family checks
+    # t0 at all.
+    cfg = write_config(tmp_path, cfg)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"invalid input: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_readme_verify_table_matches_tolerances():

@@ -29,7 +29,7 @@ from ch2exact import EmdenParams, EmdenState, IntegrationFailure, SolutionCase, 
 from ch2exact import _dop853
 from ch2exact._quadrature import gauss_kronrod21
 from ch2exact.emden import REL_STOP, analyze_many, integrate_many
-from ch2exact.selfsim import density
+from ch2exact.selfsim import profile
 from ch2exact.verify import mass
 
 EPS = np.finfo(float).eps
@@ -714,10 +714,11 @@ def test_rule_matches_quad_on_mass_integrand(sigma, xi_dec, a0_dec, alpha, t_fra
     case = SolutionCase(sigma=sigma, alpha=alpha, emden=EmdenParams(xi, 10.0 ** a0_dec))
     traj = integrate(case.emden, 30.0)  # only the orbit is needed, not the report
     t = t_frac * traj.s_max / 3.0
-    xb = float(np.cbrt(traj.eval(3.0 * t).a)) * case.eta_boundary
+    cb = float(np.cbrt(traj.eval(3.0 * t).a))
+    xb = cb * case.eta_boundary
 
     def integrand(phi):
-        return density(case, traj, t, xb * math.sin(phi)) * xb * math.cos(phi)
+        return profile(case, xb * math.sin(phi) / cb) / cb * xb * math.cos(phi)
 
     val, _, info = quad(integrand, -math.pi / 2.0, math.pi / 2.0,
                         epsabs=1e-13, epsrel=1e-12, full_output=1)

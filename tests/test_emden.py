@@ -6,6 +6,7 @@ with no substitution -- a route fully independent of both the event
 detector and the closed form used by the library.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -159,6 +160,39 @@ def test_interpolant_accuracy_between_nodes():
         assert coarse.eval(s).a == pytest.approx(ref.eval(s).a, abs=1e-6)
 
 
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(["1a", "1b", "2a", "2b"]),
+       picks=st.lists(st.tuples(st.booleans(), st.floats(0.0, 1.0)), min_size=1, max_size=12))
+def test_eval_many_node_rule(family, picks, all_trajectories):
+    # A time on a node returns the node's stored state bit for bit and never
+    # reaches the interpolant; a time between nodes returns the interpolant;
+    # eval of one point agrees with eval_many.
+    traj, _ = all_trajectories[family]
+    last = len(traj.s) - 1
+    s_values, on_node = [], []
+    for node, frac in picks:
+        k = min(int(frac * last), last - 1)
+        s = traj.s[k] if node else traj.s[k] + frac * (traj.s[k + 1] - traj.s[k])
+        s_values.append(float(s))
+        on_node.append(bool(np.isin(s, traj.s)))
+    s_arr, on_node = np.array(s_values), np.array(on_node)
+    seen = []
+    counted = dataclasses.replace(traj, _dense=lambda s: seen.append(s) or traj._dense(s))
+    a, a_dot = counted.eval_many(s_arr)
+    idx = traj.s.searchsorted(s_arr[on_node])
+    assert np.array_equal(a[on_node], traj.a[idx])
+    assert np.array_equal(a_dot[on_node], traj.a_dot[idx])
+    between = s_arr[~on_node]
+    assert [x.tolist() for x in seen] == ([between.tolist()] if between.size else [])
+    if between.size:
+        dense_a, dense_a_dot = traj._dense(between)
+        assert np.array_equal(a[~on_node], dense_a)
+        assert np.array_equal(a_dot[~on_node], dense_a_dot)
+    for s, a_k, a_dot_k in zip(s_values, a.tolist(), a_dot.tolist()):
+        state = traj.eval(s)
+        assert (state.s, state.a, state.a_dot) == (s, a_k, a_dot_k)
+
+
 def test_eval_range_checked():
     traj = integrate(EmdenParams(xi=1.0, a0=1.0), s_end=1.0)
     with pytest.raises(ValueError):
@@ -167,6 +201,8 @@ def test_eval_range_checked():
         traj.eval(traj.s_max * 1.01)
     with pytest.raises(ValueError):
         traj.eval_many([0.0, traj.s_max + 1.0])
+    with pytest.raises(ValueError, match="outside"):
+        traj.eval_many([0.5, math.nan])
 
 
 # ----------------------------------------------------------------------

@@ -22,15 +22,16 @@ from ch2exact import (
     Tolerances,
     analyze,
     blowup_rate,
-    density,
     integrate,
     mass,
     mass_conservation,
     mass_residual_field,
     momentum_residual_field,
     origin_decay,
+    profile,
     run_battery,
 )
+import ch2exact.verify as verify
 from ch2exact._quadrature import gauss_kronrod21
 from ch2exact.emden import Trajectory
 from ch2exact.verify import (
@@ -52,6 +53,12 @@ from ch2exact.verify import (
 def support_radius(case, traj, t):
     """x_b(t) = a(3t)^{1/3} eta_b, from the trajectory directly."""
     return float(np.cbrt(traj.eval(3.0 * t).a)) * case.eta_boundary
+
+
+def density(case, traj, t, x):
+    """Reference rho(t, x) = f(x / a^{1/3}) / a^{1/3}, with a(3t) from the trajectory."""
+    cb = float(np.cbrt(traj.eval(3.0 * t).a))
+    return profile(case, x / cb) / cb
 
 
 def direct_mass(case, traj, t):
@@ -273,11 +280,14 @@ def test_mass_evaluates_the_scale_factor_once(case_2a, monkeypatch):
         lambda phi: density(case, traj, t, xb * math.sin(phi)) * xb * math.cos(phi),
         -math.pi / 2.0, math.pi / 2.0,
     )
+    # The support radius and the sampler each read a(3t) once, at the one
+    # time, not once per node.
     calls = []
-    real_eval = Trajectory.eval
-    monkeypatch.setattr(Trajectory, "eval", lambda self, s: calls.append(s) or real_eval(self, s))
+    real_eval_many = Trajectory.eval_many
+    monkeypatch.setattr(Trajectory, "eval_many",
+                        lambda self, s: calls.append(list(s)) or real_eval_many(self, s))
     assert mass(case, traj, t) == per_point
-    assert len(calls) == 1
+    assert calls == [[3.0 * t], [3.0 * t]]
 
 
 def test_mass_error_relative_and_zero_amplitude(case_2a):
@@ -515,3 +525,30 @@ def test_run_battery_each_tolerance_can_fail(case_2a):
     assert rec["origin_decay"]["pass"] is False
     bad = run_battery(case, traj, report, grid, u_scale=1.01)
     assert bad["residual_momentum"]["pass"] is False
+
+
+@pytest.mark.parametrize("family,rate_check,rate_tol", [
+    ("case_1a", "blowup_rate", "rate_rtol"),
+    ("case_2a", "origin_decay", "decay_rtol"),
+])
+def test_every_density_check_reads_the_one_sampler(family, rate_check, rate_tol, request,
+                                                   monkeypatch):
+    # A fault injected into verify.fields_on_grid reaches every check that
+    # reads rho.  rho (1 + 1e-3) trips the mass value at its default
+    # tolerance, and the rate check at a tolerance equal to its clean error.
+    case, traj, report = request.getfixturevalue(family)
+    grid = sampling_grid(case, traj, report, {})
+    clean = run_battery(case, traj, report, grid)
+    tols = Tolerances(**{rate_tol: clean[rate_check]["relative_error"]})
+    assert run_battery(case, traj, report, grid, tols)[rate_check]["pass"] is True
+
+    sampler = verify.fields_on_grid
+
+    def scaled(*args, **kwargs):
+        rho, u, eta = sampler(*args, **kwargs)
+        return rho * (1.0 + 1e-3), u, eta
+
+    monkeypatch.setattr(verify, "fields_on_grid", scaled)
+    faulty = run_battery(case, traj, report, grid, tols)
+    assert faulty["mass"]["pass"] is False
+    assert faulty[rate_check]["pass"] is False
