@@ -43,13 +43,11 @@ _EXPORTS = {
     "verify": (
         "COLLAPSE_TIME_MARGIN",
         "DEFAULT_SUPPORT_MARGIN",
-        "ConservationReport",
         "GridError",
         "SpaceTimeGrid",
         "Tolerances",
         "blowup_rate",
         "mass",
-        "mass_conservation",
         "mass_residual_field",
         "momentum_residual_field",
         "origin_decay",

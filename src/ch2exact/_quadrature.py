@@ -4,15 +4,16 @@ The package integrates one smooth integrand: the density over its support
 after x = x_b sin(phi), which is proportional to cos^2(phi) (``verify.mass``).
 On it QUADPACK's adaptive routine dqagse accepts the first 21-point
 estimate, because dqk21's error floor 50 eps resabs lies below the
-requested relative tolerance.  ``gauss_kronrod21`` is therefore that first
-estimate, computed with dqk21's constants and in dqk21's summation order
-(centre, the nodes shared with the 10-point Gauss rule, the Kronrod-only
-nodes, then the scaling by the half-length), so it returns the same
-doubles as ``scipy.integrate.quad``; the tests hold it to that on the
-mass integrand and on theta sin^2(phi).  ``gauss_kronrod21_array`` takes
-the integrand's 21 values from one call; only the sum runs per node.  The
-Gauss sum and the error estimate, which only decide whether dqagse
-subdivides, are left out.
+requested relative tolerance.  ``gauss_kronrod21_array`` is therefore that
+first estimate, computed with dqk21's constants and in dqk21's summation
+order (centre, the nodes shared with the 10-point Gauss rule, the
+Kronrod-only nodes, then the scaling by the half-length), so it returns the
+same doubles as ``scipy.integrate.quad``; the tests hold it to that on the
+mass integrand and on theta sin^2(phi).  One call of the integrand gives
+the values at all 21 nodes along a leading axis; values of shape (21, n)
+give n integrals, each summed elementwise in dqk21's order, so each is the
+double its integrand alone gives.  The Gauss sum and the error estimate,
+which only decide whether dqagse subdivides, are left out.
 
 Reference: R. Piessens, E. de Doncker-Kapenga, C. W. Ueberhuber and
 D. K. Kahaner, QUADPACK: A Subroutine Package for Automatic Integration,
@@ -58,13 +59,16 @@ WGK = (
 _ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
 # The 21 nodes of [-1, 1] in summation order: the centre, then -x, +x for each j.
 _NODES = np.array([0.0] + [s * XGK[j] for j in _ORDER for s in (-1.0, 1.0)])
+# The weights of the node pairs, in the same order.
+_W_ORDER = np.array([WGK[j] for j in _ORDER])
 
 
-def gauss_kronrod21_array(f, a: float, b: float) -> float:
+def gauss_kronrod21_array(f, a: float, b: float):
     """21-point Gauss-Kronrod estimate of int_a^b f, with one call of f.
 
-    f maps the float array of the 21 nodes to the list of their values as
-    Python floats.  Equal limits give 0.0 without calling f, as ``quad`` does.
+    f maps the float array of the 21 nodes to their values along its first
+    axis: a list of floats gives a float, an array of shape (21, n) an array
+    of n integrals.  Equal limits give 0.0 without calling f, as ``quad`` does.
     """
     if a == b:
         return 0.0
@@ -74,13 +78,10 @@ def gauss_kronrod21_array(f, a: float, b: float) -> float:
     # the centre is centr itself.
     x = centr + hlgth * _NODES
     x[0] = centr
-    fx = f(x)
-    resk = WGK[10] * fx[0]
-    for j, f_lo, f_hi in zip(_ORDER, fx[1::2], fx[2::2]):
-        resk = resk + WGK[j] * (f_lo + f_hi)
-    return resk * hlgth
+    fx = np.asarray(f(x), dtype=float).T  # nodes along the last axis
+    # The centre term, then each pair's term; accumulate adds them one at a
+    # time, in order, as dqk21's loop does.
+    terms = np.concatenate([WGK[10] * fx[..., :1], _W_ORDER * (fx[..., 1::2] + fx[..., 2::2])],
+                           axis=-1)
+    return np.add.accumulate(terms, axis=-1)[..., -1] * hlgth
 
-
-def gauss_kronrod21(f, a: float, b: float) -> float:
-    """The same estimate for a function f of one float, called once per node."""
-    return gauss_kronrod21_array(lambda x: [float(f(v)) for v in x.tolist()], a, b)

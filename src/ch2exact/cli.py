@@ -49,8 +49,10 @@ from .emden import (
 from .selfsim import SolutionCase
 from .serialize import Indexed, fmt_float, to_json, write_csv, write_text
 from .verify import (
+    DEFAULT_POINTS,
     Tolerances,
     battery_t_needed,
+    check_lattice_cap,
     fields_on_grid,
     horizon,
     run_battery,
@@ -280,9 +282,13 @@ def cmd_verify(args) -> int:
     # Each tolerance key parses as the type of its default, in field order.
     tols = Tolerances(**{f.name: _get(block, f.name, f.default, type(f.default))
                          for f in fields(Tolerances)})
-    t1 = _get(block, "t1") if "t1" in block else None
-    traj, report = analyze(params, horizon(_t_end(block), battery_t_needed(params, tols, t1)), tol)
-    grid = sampling_grid(case, traj, report, _grid_keys(block), tols.margin)
+    given = _grid_keys(block)
+    # The ladder's size needs no orbit: an oversized one fails before any work.
+    check_lattice_cap(given.get("nt", DEFAULT_POINTS), given.get("nx", DEFAULT_POINTS),
+                      tols.levels)
+    t_needed = battery_t_needed(params, tols, given.get("t1"))
+    traj, report = analyze(params, horizon(_t_end(block), t_needed), tol)
+    grid = sampling_grid(case, traj, report, given, tols.margin)
 
     reports = {"blowup": _blowup_record(report),
                **run_battery(case, traj, report, grid, tols, u_scale)}

@@ -456,10 +456,9 @@ def analyze(
     """Integrate one orbit and assemble its blowup report.
 
     For collapse orbits the horizon is extended past the quadrature collapse
-    time so the stop event is always reached.
+    time so the stop event is always reached.  It is ``analyze_many`` of one.
     """
-    cls, s_quad, horizon = _plan(params, s_end)
-    result = _results([params], [(cls, s_quad)], [integrate(params, horizon, tol=tol)])[0]
+    result = analyze_many([(params, s_end, tol)])[0]
     if isinstance(result, Exception):
         raise result
     return result

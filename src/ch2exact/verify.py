@@ -22,10 +22,12 @@ where the profile equation is active), and well before the collapse time
 for collapsing families.
 
 Every check reads the fields through one sampler, fields_on_grid: the
-residual lattices, the mass quadrature nodes at one time, and the blowup
-and decay times at x = 0, each in one call.  A fault injected there
-reaches them all.  run_battery runs every check on one family with the
-thresholds of Tolerances, the one place their defaults are defined.
+residual lattices, the 21 mass quadrature nodes at the five times of
+[t0, t1] that the mass (at t0, the first) and mass_conservation records
+share, and the blowup and decay times at x = 0, each in one call.  A fault
+injected there reaches them all.  run_battery runs every check on one
+family with the thresholds of Tolerances, the one place their defaults are
+defined.
 
 Windows: sampling_grid fills in the grid keys a config leaves out (t1 =
 0.25 S/3 on collapse, else min(0.5, t_max); x1 a fraction of the support
@@ -55,12 +57,11 @@ from .emden import (
 from .selfsim import SolutionCase, profile
 
 __all__ = [
-    "DEFAULT_SUPPORT_MARGIN", "COLLAPSE_TIME_MARGIN", "ENERGY_DRIFT_TOL",
-    "MAX_LATTICE_POINTS", "ConservationReport", "GridError", "SpaceTimeGrid", "Tolerances",
-    "analytic_mass", "battery_t_needed", "blowup_rate", "energy_drift", "fields_on_grid",
-    "horizon", "mass", "mass_conservation", "mass_error", "mass_residual_field",
-    "min_support_radius", "momentum_residual_field", "origin_decay", "run_battery",
-    "sampling_grid", "sweep_checks",
+    "DEFAULT_POINTS", "DEFAULT_SUPPORT_MARGIN", "COLLAPSE_TIME_MARGIN", "ENERGY_DRIFT_TOL",
+    "MAX_LATTICE_POINTS", "GridError", "SpaceTimeGrid", "Tolerances", "analytic_mass",
+    "battery_t_needed", "blowup_rate", "check_lattice_cap", "energy_drift", "fields_on_grid",
+    "horizon", "mass", "mass_error", "mass_residual_field", "min_support_radius",
+    "momentum_residual_field", "origin_decay", "run_battery", "sampling_grid", "sweep_checks",
 ]
 
 # Residual grids may use at most this fraction of the support radius.
@@ -70,6 +71,8 @@ COLLAPSE_TIME_MARGIN = 0.9
 # The finest lattice of the residual ladder holds at most this many points:
 # each of its fields takes 8 bytes a point, and a check holds several.
 MAX_LATTICE_POINTS = 2 ** 22
+# Grid points per axis where a config gives no nt or nx.
+DEFAULT_POINTS = 81
 # Default grid end of global orbits, in physical time.
 _GLOBAL_T1 = 0.5
 
@@ -160,17 +163,6 @@ class SpaceTimeGrid:
                              self.x0, self.x1, 2 * self.nx - 1)
 
 
-@dataclass
-class ConservationReport:
-    """Mass samples across times, or a divergence marker."""
-
-    times: list[float]
-    masses: list[float]
-    analytic_mass: float | None
-    max_relative_drift: float | None
-    divergent: bool
-
-
 # ----------------------------------------------------------------------
 # difference kernels (pure array functions, testable in isolation)
 # ----------------------------------------------------------------------
@@ -218,7 +210,8 @@ def fields_on_grid(
     xs: np.ndarray,
     u_scale: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact (rho, u, eta) on the (len(ts), len(xs)) lattice of physical times ts.
+    """Exact (rho, u, eta), each (len(ts), nx), at the physical times ts and the
+    points xs: nx points shared by every time, or (len(ts), nx), a row per time.
 
     The one place the checks read the fields from.  Any lattice size is
     accepted; u_scale is a fault-injection hook.
@@ -227,9 +220,9 @@ def fields_on_grid(
     if not a.all():
         raise CollapseSingularity(f"scale factor vanished at t = {ts[a == 0.0][0]}")
     cb = np.cbrt(a)
-    eta = xs[None, :] / cb[:, None]
+    eta = xs / cb[:, None]
     rho = profile(case, eta) / cb[:, None]
-    u = u_scale * (a_dot / a)[:, None] * xs[None, :]
+    u = u_scale * (a_dot / a)[:, None] * xs
     return rho, u, eta
 
 
@@ -294,8 +287,8 @@ def sampling_grid(case: SolutionCase, traj: Trajectory, report: BlowupReport, gi
         t1_default = min(_GLOBAL_T1, _t_max(traj))
     t0 = given.get("t0", 0.0)
     t1 = given.get("t1", t1_default)
-    nt = given.get("nt", 81)
-    nx = given.get("nx", 81)
+    nt = given.get("nt", DEFAULT_POINTS)
+    nx = given.get("nx", DEFAULT_POINTS)
     _check_window(traj, t0, t1)
     if case.compact:
         if case.alpha == 0 and "x1" not in given:
@@ -337,19 +330,26 @@ def horizon(t_end: float, t_needed: float = 0.0) -> float | None:
 # residual operations
 # ----------------------------------------------------------------------
 
-def _sampled_levels(case, traj, grid, levels, margin, u_scale, s_collapse) -> list:
-    """Check the grid and its ladder once, then (lattice, rho, u) on it and each
-    of its refinements."""
-    _check_grid(case, traj, grid, margin, s_collapse)
+def check_lattice_cap(nt: int, nx: int, levels: int) -> None:
+    """Raise GridError when an nt x nx grid refined levels - 1 times holds more
+    than MAX_LATTICE_POINTS points.  It needs no orbit, so it can run first;
+    fewer than 2 points per axis is SpaceTimeGrid's error."""
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     # Each refinement halves both spacings: n points per axis become 2 n - 1.
-    nt, nx = ((n - 1) * 2 ** (levels - 1) + 1 for n in (grid.nt, grid.nx))
-    if nt * nx > MAX_LATTICE_POINTS:
+    nt_fine, nx_fine = ((n - 1) * 2 ** (levels - 1) + 1 for n in (nt, nx))
+    if min(nt, nx) >= 2 and nt_fine * nx_fine > MAX_LATTICE_POINTS:
         raise GridError(
-            f"levels = {levels} refines the {grid.nt} x {grid.nx} grid to {nt} x {nx} "
+            f"levels = {levels} refines the {nt} x {nx} grid to {nt_fine} x {nx_fine} "
             f"points, more than {MAX_LATTICE_POINTS}"
         )
+
+
+def _sampled_levels(case, traj, grid, levels, margin, u_scale, s_collapse) -> list:
+    """Check the ladder's size and the grid once, then (lattice, rho, u) on it
+    and each of its refinements."""
+    check_lattice_cap(grid.nt, grid.nx, levels)
+    _check_grid(case, traj, grid, margin, s_collapse)
     sampled = []
     g = grid
     for _ in range(levels):
@@ -390,26 +390,29 @@ def _residual_report(case, sampled, which, alpha_d, band) -> dict:
 # mass
 # ----------------------------------------------------------------------
 
-def mass(case: SolutionCase, traj: Trajectory, t: float) -> float:
-    """Total mass int rho(t, x) dx; exactly conserved in t.
+def mass(case: SolutionCase, traj: Trajectory, ts) -> np.ndarray:
+    """Total mass int rho(t, x) dx at each time of the 1-D sequence ts; exactly
+    conserved in t.
 
     Compact families integrate over the support with the substitution
-    x = x_b sin(phi), which absorbs the square-root vanishing of rho at the
-    boundary into a smooth integrand proportional to cos^2(phi), integrated
-    to roundoff by one 21-point Gauss-Kronrod rule.  Families on the full
-    line have rho ~ |x| ^ 1 growth and divergent mass; math.inf is returned.
+    x = x_b(t) sin(phi), which absorbs the square-root vanishing of rho at
+    the boundary into a smooth integrand proportional to cos^2(phi),
+    integrated to roundoff by one 21-point Gauss-Kronrod rule.  The fields
+    are read once, on the (len(ts), 21) lattice; each mass has the bits of
+    a call for its time alone.  Families on the full line have rho ~ |x|
+    growth and divergent mass; math.inf is returned.
     """
+    ts = np.asarray(ts, dtype=float)
     if not case.compact:
-        return math.inf
-    xb = min_support_radius(case, traj, [t])
-    if xb == 0.0:
-        return 0.0
+        return np.full(len(ts), math.inf)
+    a, _ = traj.eval_many(3.0 * ts)
+    xb = (np.cbrt(a) * case.eta_boundary)[:, None]
 
-    def integrand(phi: np.ndarray) -> list:
+    def integrand(phi: np.ndarray) -> np.ndarray:
         # sin and cos per node are libm's; the rest is the same arithmetic on arrays.
         sin, cos = np.array([(math.sin(p), math.cos(p)) for p in phi.tolist()]).T
-        rho, _, _ = fields_on_grid(case, traj, np.array([t]), xb * sin)
-        return (rho[0] * xb * cos).tolist()
+        rho, _, _ = fields_on_grid(case, traj, ts, xb * sin)
+        return (rho * xb * cos).T
 
     return gauss_kronrod21_array(integrand, -math.pi / 2.0, math.pi / 2.0)
 
@@ -435,40 +438,6 @@ def mass_error(case: SolutionCase, m: float, rtol: float) -> tuple[float, float,
     return analytic, err, err <= 1e-12
 
 
-def mass_conservation(
-    case: SolutionCase,
-    traj: Trajectory,
-    t_list,
-) -> ConservationReport:
-    """Sample mass across times and report the worst relative drift."""
-    times = [float(t) for t in t_list]
-    if not times:
-        raise ValueError("t_list must be nonempty")
-    if not case.compact:
-        return ConservationReport(
-            times=times,
-            masses=[],
-            analytic_mass=None,
-            max_relative_drift=None,
-            divergent=True,
-        )
-    masses = [mass(case, traj, t) for t in times]
-    analytic = analytic_mass(case)
-    m0 = masses[0]
-    spread = max(abs(m - m0) for m in masses)
-    if m0 != 0.0:
-        drift = spread / abs(m0)
-    else:
-        drift = 0.0 if spread == 0.0 else math.inf
-    return ConservationReport(
-        times=times,
-        masses=masses,
-        analytic_mass=analytic,
-        max_relative_drift=drift,
-        divergent=False,
-    )
-
-
 # ----------------------------------------------------------------------
 # first integral
 # ----------------------------------------------------------------------
@@ -492,7 +461,7 @@ def sweep_checks(case: SolutionCase, traj: Trajectory, report: BlowupReport) -> 
     """(mass at t = 0, pass) of a sweep row: the first integral within its bound
     and, on a compact family, the mass within the default mass_rtol."""
     drift, drift_bound = energy_drift(traj, report.theta)
-    m_val = mass(case, traj, 0.0)
+    m_val = mass(case, traj, [0.0])[0]
     return m_val, drift <= drift_bound and (
         not case.compact or mass_error(case, m_val, Tolerances.mass_rtol)[2])
 
@@ -575,28 +544,39 @@ def run_battery(
                               grid.x0, grid.x1, min(17, grid.nx))
     reports["dispersion_independence"] = _dispersion_record(case, sample(grid_disp, 1), tols)
 
-    if case.compact:
-        m_val = mass(case, traj, grid.t0)
-        analytic, rel, ok = mass_error(case, m_val, tols.mass_rtol)
-        reports["mass"] = {"divergent": False, "value": m_val, "analytic": analytic,
-                           "relative_error": rel, "tolerance": tols.mass_rtol, "pass": ok}
-        con = mass_conservation(case, traj, list(np.linspace(grid.t0, grid.t1, 5)))
-        drift = con.max_relative_drift
-        reports["mass_conservation"] = {
-            "divergent": False, "times": con.times, "masses": con.masses,
-            "max_relative_drift": drift, "tolerance": tols.drift_tol,
-            "pass": drift is not None and drift <= tols.drift_tol,
-        }
-    else:
-        note = "mass diverges: the profile grows like |x| on the full line"
-        reports["mass"] = {"divergent": True, "skipped": True, "note": note}
-        reports["mass_conservation"] = {"divergent": True, "skipped": True, "note": note}
+    reports.update(_mass_records(case, traj, grid, tols))
 
     if report.classification is not Classification.COLLAPSE:
         reports["origin_decay"] = _origin_decay_record(case, traj, tols)
     elif case.alpha > 0:
         reports["blowup_rate"] = _blowup_rate_record(case, traj, report, tols.rate_rtol)
     return reports
+
+
+def _mass_records(case, traj, grid, tols: Tolerances) -> dict:
+    """The mass record at t0 and the mass_conservation record over five times
+    spanning [t0, t1], from one mass call; its first time is t0 itself.
+    Both are skipped on the full line."""
+    if not case.compact:
+        note = "mass diverges: the profile grows like |x| on the full line"
+        return {name: {"divergent": True, "skipped": True, "note": note}
+                for name in ("mass", "mass_conservation")}
+    times = np.linspace(grid.t0, grid.t1, 5).tolist()
+    masses = mass(case, traj, times).tolist()
+    m0 = masses[0]
+    analytic, rel, ok = mass_error(case, m0, tols.mass_rtol)
+    spread = max(abs(m - m0) for m in masses)
+    if m0 != 0.0:
+        drift = spread / abs(m0)
+    else:
+        drift = 0.0 if spread == 0.0 else math.inf
+    return {
+        "mass": {"divergent": False, "value": m0, "analytic": analytic,
+                 "relative_error": rel, "tolerance": tols.mass_rtol, "pass": ok},
+        "mass_conservation": {"divergent": False, "times": times, "masses": masses,
+                              "max_relative_drift": drift, "tolerance": tols.drift_tol,
+                              "pass": drift <= tols.drift_tol},
+    }
 
 
 def _dispersion_record(case, sampled, tols: Tolerances) -> dict:

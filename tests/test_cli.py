@@ -405,6 +405,31 @@ def test_verify_too_many_levels_is_rejected_before_sampling(tmp_path, capsys, mo
     assert fields == [] and not (tmp_path / "out").exists()
 
 
+def test_oversized_lattice_is_rejected_before_the_orbit(tmp_path, capsys, monkeypatch):
+    # The cap reads only nt, nx and levels: a 2,000,000 x 9 grid at the
+    # family config's levels = 3 exits before the orbit is integrated or the
+    # support radius sampled at its 2,000,000 times.
+    analyses = _counting(monkeypatch, ["cli"], "analyze")
+    evals = []
+    monkeypatch.setattr(emden.Trajectory, "eval_many", lambda self, s: evals.append(s))
+    cfg = str(FAMILY_CONFIGS / "2a.cfg")
+    assert main(["verify", "--config", cfg, "--grid", "9,2000000",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "invalid input: levels = 3 refines the 2000000 x 9 grid to 7999997 x 33 points, "
+        "more than 4194304\n")
+    assert analyses == [] and evals == [] and not (tmp_path / "out").exists()
+
+
+def test_verify_negative_sizes_are_the_grid_error_not_the_cap(tmp_path, capsys):
+    # (-3000 - 1) ** 2 refined points would pass as a product over the cap;
+    # the sizes themselves are the error, as SpaceTimeGrid reports it.
+    cfg = write_config(tmp_path, CFG_2A + "nt = -3000\nnx = -3000\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "invalid input: need nt >= 2 and nx >= 2, got nt=-3000, nx=-3000\n")
+
+
 # A non-finite number, or a malformed entry of a list, in any numeric key:
 # the command stops at parsing (no output, no numpy warning) and names the key.
 @pytest.mark.parametrize("command,line", [
@@ -583,15 +608,15 @@ def test_battery_samples_each_lattice_once(tmp_path, monkeypatch):
     # Both residual checks read the two refinement levels of the grid, and
     # the three alpha_d runs one 17 x 17 lattice: 3 samples and 2 grid
     # checks, where each check used to sample and check its own (7 and 5).
-    # Every other field read goes through the same sampler: the mass at t0
-    # and at the 5 conservation times on the 21 quadrature nodes, then the
-    # 12 origin-decay times at x = 0.
+    # Every other field read goes through the same sampler: the mass and
+    # conservation records' 5 times (the first is t0) on the 21 quadrature
+    # nodes, as one lattice, then the 12 origin-decay times at x = 0.
     fields = _counting(monkeypatch, ["verify"], "fields_on_grid")
     checks = _counting(monkeypatch, ["verify"], "_check_grid")
     cfg = write_config(tmp_path, CFG_2A)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
-    assert [(len(args[2]), len(args[3])) for args in fields] == [
-        (81, 81), (161, 161), (17, 17), *[(1, 21)] * 6, (12, 1)]
+    assert [(len(args[2]), np.shape(args[3])[-1]) for args in fields] == [
+        (81, 81), (161, 161), (17, 17), (5, 21), (12, 1)]
     assert [(args[2].nt, args[2].nx) for args in checks] == [(81, 81), (17, 17)]
 
 
@@ -1018,6 +1043,6 @@ def test_readme_library_example_runs():
     assert ns["report"].classification.value == "Collapse"
     assert ns["report"].s_collapse_quadrature == pytest.approx(math.sqrt(3) * math.pi / 4,
                                                                rel=1e-12)
-    assert ns["mass"](ns["case"], ns["traj"], 0.2) == pytest.approx(
-        math.pi / (2.0 * math.sqrt(3.0)), rel=1e-6)
+    assert ns["mass"](ns["case"], ns["traj"], [0.2]).tolist() == pytest.approx(
+        [math.pi / (2.0 * math.sqrt(3.0))], rel=1e-6)
     assert [name for name, rec in ns["records"].items() if rec.get("pass") is False] == []

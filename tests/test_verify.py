@@ -24,7 +24,6 @@ from ch2exact import (
     blowup_rate,
     integrate,
     mass,
-    mass_conservation,
     mass_residual_field,
     momentum_residual_field,
     origin_decay,
@@ -32,7 +31,7 @@ from ch2exact import (
     run_battery,
 )
 import ch2exact.verify as verify
-from ch2exact._quadrature import gauss_kronrod21
+from ch2exact._quadrature import gauss_kronrod21_array
 from ch2exact.emden import Trajectory
 from ch2exact.verify import (
     _check_grid,
@@ -40,6 +39,7 @@ from ch2exact.verify import (
     _dispersion_record,
     _residual_report,
     _sampled_levels,
+    _t_max,
     analytic_mass,
     battery_t_needed,
     fields_on_grid,
@@ -67,6 +67,19 @@ def direct_mass(case, traj, t):
     val, _ = quad(lambda x: density(case, traj, t, x), -xb, xb,
                   epsabs=1e-12, epsrel=1e-10, limit=200)
     return val
+
+
+def per_node_mass(case, traj, t):
+    """The library's rule over rho(t, x_b sin phi) x_b cos phi, one node at a time."""
+    xb = support_radius(case, traj, t)
+    return gauss_kronrod21_array(
+        lambda phi: [density(case, traj, t, xb * math.sin(p)) * xb * math.cos(p)
+                     for p in phi.tolist()], -math.pi / 2.0, math.pi / 2.0)
+
+
+def relative_drift(masses):
+    """Largest |m(t) - m(t_0)| relative to m(t_0), as the mass_conservation record has it."""
+    return float(np.max(np.abs(masses - masses[0]))) / abs(masses[0])
 
 
 # ----------------------------------------------------------------------
@@ -241,7 +254,7 @@ def test_grid_preconditions(case_1a, case_2a):
 
 def test_mass_2a_pi_over_2(case_2a):
     case, traj, _ = case_2a
-    m = mass(case, traj, 0.0)
+    (m,) = mass(case, traj, [0.0])
     assert m == pytest.approx(math.pi / 2.0, rel=1e-6)
     assert m == pytest.approx(direct_mass(case, traj, 0.0), rel=1e-7)
 
@@ -250,44 +263,67 @@ def test_mass_2a_scaled():
     # alpha^2 pi / (2 sqrt(xi)) = 4 pi / 4 = pi for xi=4, alpha=2
     case = SolutionCase(sigma=1, alpha=2.0, emden=EmdenParams(xi=4.0, a0=1.0, a1=0.0))
     traj = integrate(case.emden, s_end=2.0)
-    assert mass(case, traj, 0.0) == pytest.approx(math.pi, rel=1e-6)
+    assert mass(case, traj, [0.0])[0] == pytest.approx(math.pi, rel=1e-6)
 
 
 def test_mass_1a_pi_over_2(case_1a):
     case, traj, _ = case_1a
-    m = mass(case, traj, 0.0)
+    (m,) = mass(case, traj, [0.0])
     assert m == pytest.approx(math.pi / 2.0, rel=1e-6)
     assert m == pytest.approx(direct_mass(case, traj, 0.0), rel=1e-7)
 
 
 def test_mass_divergent_on_full_line(case_1b, case_2b):
     for case, traj, _ in (case_1b, case_2b):
-        assert mass(case, traj, 0.0) == math.inf
+        assert mass(case, traj, [0.0, 0.1]).tolist() == [math.inf, math.inf]
 
 
 def test_mass_zero_amplitude():
     case = SolutionCase(sigma=1, alpha=0.0, emden=EmdenParams(xi=1.0, a0=1.0))
     traj = integrate(case.emden, s_end=1.0)
-    assert mass(case, traj, 0.0) == 0.0
+    assert mass(case, traj, [0.0, 0.3]).tolist() == [0.0, 0.0]
 
 
 def test_mass_evaluates_the_scale_factor_once(case_2a, monkeypatch):
     case, traj, _ = case_2a
-    t = 0.3
-    xb = support_radius(case, traj, t)
+    ts = [0.3, 0.0, 0.45]
     # The same rule over rho(t, x) point by point, one a(3t) per node.
-    per_point = gauss_kronrod21(
-        lambda phi: density(case, traj, t, xb * math.sin(phi)) * xb * math.cos(phi),
-        -math.pi / 2.0, math.pi / 2.0,
-    )
-    # The support radius and the sampler each read a(3t) once, at the one
-    # time, not once per node.
+    per_point = [per_node_mass(case, traj, t) for t in ts]
+    # The support radius and the sampler each read a(3t) once, at all the
+    # times together, not once per node or per time.
     calls = []
     real_eval_many = Trajectory.eval_many
     monkeypatch.setattr(Trajectory, "eval_many",
                         lambda self, s: calls.append(list(s)) or real_eval_many(self, s))
-    assert mass(case, traj, t) == per_point
-    assert calls == [[3.0 * t], [3.0 * t]]
+    assert mass(case, traj, ts).tolist() == per_point
+    assert calls == [[3.0 * t for t in ts]] * 2
+
+
+# (sigma, sign xi) of families 1a, 1b, 2a and 2b; sign a0 = sigma sign xi.
+FAMILY_SIGNS = [(-1, -1.0), (-1, 1.0), (1, 1.0), (1, -1.0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(FAMILY_SIGNS), xi_dec=st.floats(-3.0, 3.0),
+       a0_dec=st.floats(-3.0, 3.0), alpha=st.floats(0.1, 10.0), u=st.floats(-2.0, 2.0),
+       fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+def test_mass_of_many_times_is_each_time_alone(family, xi_dec, a0_dec, alpha, u, fracs):
+    # One lattice of all the times gives each time the bits of a call of its
+    # own, and those of the rule summed one node at a time.
+    sigma, xi_sign = family
+    xi, a0 = xi_sign * 10.0 ** xi_dec, sigma * xi_sign * 10.0 ** a0_dec
+    params = EmdenParams(xi=xi, a0=a0, a1=u * math.sqrt(abs(xi)) * abs(a0) ** (1.0 / 3.0))
+    case = SolutionCase(sigma=sigma, alpha=alpha, emden=params)
+    try:
+        traj, _ = analyze(params)
+    except IntegrationFailure:
+        return  # the theta ~ 0 separatrix (test_emden's stop-event case)
+    ts = [f * _t_max(traj) for f in fracs]
+    masses = mass(case, traj, ts)
+    assert masses.shape == (len(ts),)
+    for t, m in zip(ts, masses.tolist()):
+        assert mass(case, traj, [t])[0] == m
+        assert m == (per_node_mass(case, traj, t) if case.compact else math.inf)
 
 
 def test_mass_error_relative_and_zero_amplitude(case_2a):
@@ -306,11 +342,10 @@ def test_analytic_mass_divergent_on_full_line(case_2b):
 
 def test_mass_conservation_2a(case_2a):
     case, traj, _ = case_2a
-    rep = mass_conservation(case, traj, [0.0, 0.2, 0.5, 1.0])
-    assert not rep.divergent
-    assert rep.analytic_mass == pytest.approx(math.pi / 2.0, rel=1e-12)
-    assert rep.max_relative_drift <= 1e-8
-    for m in rep.masses:
+    masses = mass(case, traj, [0.0, 0.2, 0.5, 1.0])
+    assert analytic_mass(case) == pytest.approx(math.pi / 2.0, rel=1e-12)
+    assert relative_drift(masses) <= 1e-8
+    for m in masses:
         assert m == pytest.approx(math.pi / 2.0, rel=1e-6)
 
 
@@ -318,22 +353,7 @@ def test_mass_conservation_1a_near_collapse(case_1a):
     case, traj, report = case_1a
     S = report.s_collapse_quadrature
     times = [f * S / 3.0 for f in (0.0, 0.3, 0.6, 0.85)]
-    rep = mass_conservation(case, traj, times)
-    assert rep.max_relative_drift <= 1e-8
-
-
-def test_mass_conservation_divergent_report(case_2b):
-    case, traj, _ = case_2b
-    rep = mass_conservation(case, traj, [0.0, 0.1])
-    assert rep.divergent
-    assert rep.masses == []
-    assert rep.max_relative_drift is None
-
-
-def test_mass_conservation_needs_times(case_2a):
-    case, traj, _ = case_2a
-    with pytest.raises(ValueError):
-        mass_conservation(case, traj, [])
+    assert relative_drift(mass(case, traj, times)) <= 1e-8
 
 
 # ----------------------------------------------------------------------
@@ -430,10 +450,6 @@ def test_min_support_radius_finds_an_interior_minimum():
     assert r_min < 0.75 * ends
     a, _ = traj.eval_many(3.0 * ts)
     assert r_min == float(np.min(np.cbrt(a) * case.eta_boundary))
-
-
-# (sigma, sign xi) of families 1a, 1b, 2a and 2b; sign a0 = sigma sign xi.
-FAMILY_SIGNS = [(-1, -1.0), (-1, 1.0), (1, 1.0), (1, -1.0)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -552,3 +568,26 @@ def test_every_density_check_reads_the_one_sampler(family, rate_check, rate_tol,
     faulty = run_battery(case, traj, report, grid, tols)
     assert faulty["mass"]["pass"] is False
     assert faulty[rate_check]["pass"] is False
+
+
+@pytest.mark.parametrize("family", ["case_1a", "case_2a"])
+def test_a_time_dependent_density_fault_fails_mass_conservation(family, request,
+                                                                monkeypatch):
+    # rho (1 + 1e-3 t / t1) leaves the mass at t0 = 0 alone and moves the
+    # later masses of the one lattice by up to 1e-3, far past drift_tol.
+    case, traj, report = request.getfixturevalue(family)
+    grid = sampling_grid(case, traj, report, {})
+    assert grid.t0 == 0.0
+    assert run_battery(case, traj, report, grid)["mass_conservation"]["pass"] is True
+
+    sampler = verify.fields_on_grid
+
+    def drifting(case, traj, ts, xs, *args):
+        rho, u, eta = sampler(case, traj, ts, xs, *args)
+        return rho * (1.0 + 1e-3 * np.asarray(ts)[:, None] / grid.t1), u, eta
+
+    monkeypatch.setattr(verify, "fields_on_grid", drifting)
+    faulty = run_battery(case, traj, report, grid)
+    assert faulty["mass"]["pass"] is True
+    rec = faulty["mass_conservation"]
+    assert rec["pass"] is False and rec["max_relative_drift"] > 1e3 * rec["tolerance"]
