@@ -22,7 +22,6 @@ _EXPORTS = {
         "Classification",
         "CollapseSingularity",
         "EmdenParams",
-        "EmdenState",
         "IntegrationFailure",
         "InvalidEnergy",
         "Trajectory",

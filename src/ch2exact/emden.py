@@ -52,7 +52,6 @@ __all__ = [
     "Classification",
     "CollapseSingularity",
     "EmdenParams",
-    "EmdenState",
     "IntegrationFailure",
     "InvalidEnergy",
     "Trajectory",
@@ -85,9 +84,13 @@ class InvalidEnergy(ValueError):
 
 
 class IntegrationFailure(RuntimeError):
-    """Adaptive stepping broke down; carries the last accepted state."""
+    """Adaptive stepping broke down.
 
-    def __init__(self, message: str, last_state: "EmdenState | None" = None):
+    ``last_state`` is the last accepted node as an ``(s, a, a_dot)`` tuple
+    of floats, or None when there is none.
+    """
+
+    def __init__(self, message: str, last_state: tuple[float, float, float] | None = None):
         super().__init__(message)
         self.last_state = last_state
 
@@ -121,37 +124,20 @@ class EmdenParams:
     @property
     def theta(self) -> float:
         """Conserved orbit energy evaluated on the initial data."""
-        return _energy(self.xi, self.a0, self.a1)
+        return energy(self.xi, self.a0, self.a1)
 
 
-@dataclass(frozen=True)
-class EmdenState:
-    """Snapshot (s, a, a') of an orbit."""
-
-    s: float
-    a: float
-    a_dot: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.s, self.a, self.a_dot)):
-            raise ValueError("state components must be finite")
-
-
-def _energy(xi: float, a: float, a_dot: float) -> float:
+def energy(xi: float, a: float, a_dot: float) -> float:
+    """Orbit energy a'^2/2 - (xi/2)|a|^{2/3}; conserved along exact orbits."""
     # |a|^{2/3} via the squared cube root keeps the expression exactly even in a.
     return 0.5 * a_dot * a_dot - 0.5 * xi * float(np.cbrt(a)) ** 2
-
-
-def energy(params: EmdenParams, state: EmdenState) -> float:
-    """Orbit energy a'^2/2 - (xi/2)|a|^{2/3}; conserved along exact orbits."""
-    return _energy(params.xi, state.a, state.a_dot)
 
 
 def node_energies(traj: "Trajectory") -> np.ndarray:
     """energy() at every node of traj, as an array of the same doubles."""
     cbrt_a = np.cbrt(traj.a).tolist()
     xi = traj.params.xi
-    # float ** 2 is libm's pow, as in _energy; c * c can differ in the last bit.
+    # float ** 2 is libm's pow, as in energy; c * c can differ in the last bit.
     return np.array([0.5 * a_dot * a_dot - 0.5 * xi * c ** 2
                      for a_dot, c in zip(traj.a_dot.tolist(), cbrt_a)])
 
@@ -161,11 +147,10 @@ class Trajectory:
     """Numerical orbit with dense output.
 
     ``s``, ``a`` and ``a_dot`` are float arrays holding the accepted
-    integration nodes (``s`` strictly increasing) and the states there;
-    ``state(i)`` returns node i as an ``EmdenState``.  ``eval_many`` (and
-    ``eval``, which is ``eval_many`` of one point) snaps to stored nodes
-    when the query matches one exactly, so node values round-trip; between
-    nodes it uses the integrator's own dense-output interpolant.
+    integration nodes (``s`` strictly increasing) and the states there.
+    ``eval_many`` snaps to stored nodes when a query matches one exactly,
+    so node values round-trip; between nodes it uses the integrator's own
+    dense-output interpolant.
 
     ``nfev``, ``n_accepted`` and ``n_rejected`` count the integrator's
     right-hand-side evaluations, accepted steps and rejected steps.  They
@@ -183,15 +168,6 @@ class Trajectory:
     n_accepted: int
     n_rejected: int
 
-    def state(self, i: int) -> EmdenState:
-        """Node i (negative i counts from the end)."""
-        return EmdenState(float(self.s[i]), float(self.a[i]), float(self.a_dot[i]))
-
-    def eval(self, s: float) -> EmdenState:
-        """State at time s, 0 <= s <= s_max."""
-        (a,), (a_dot,) = self.eval_many([s])
-        return EmdenState(s, float(a), float(a_dot))
-
     def eval_many(self, s_values) -> tuple[np.ndarray, np.ndarray]:
         """(a, a') arrays at the times of the 1-D sequence s_values, each in [0, s_max].
 
@@ -199,6 +175,8 @@ class Trajectory:
         node times builds none.
         """
         s_arr = np.asarray(s_values, dtype=float)
+        if s_arr.ndim != 1:
+            raise ValueError(f"s_values must be a 1-D sequence of times, got shape {s_arr.shape}")
         if s_arr.size and not (s_arr.min() >= 0.0 and s_arr.max() <= self.s_max):  # NaN too
             raise ValueError(
                 f"requested s range [{s_arr.min()}, {s_arr.max()}] outside [0, {self.s_max}]"
@@ -297,7 +275,7 @@ def _trajectory(params: EmdenParams, res) -> Trajectory | Exception:
     if res.status == -1:
         last = None
         if res.t.size:
-            last = EmdenState(float(res.t[-1]), float(res.y[0, -1]), float(res.y[1, -1]))
+            last = (float(res.t[-1]), float(res.y[0, -1]), float(res.y[1, -1]))
         return IntegrationFailure(f"adaptive step failed: {res.message}", last)
     if not np.isfinite(res.y).all():
         return ValueError("state components must be finite")
@@ -341,7 +319,7 @@ def collapse_time_quadrature(params: EmdenParams) -> float:
     # Mirror a0 < 0 data onto the b = |a| half-line (odd symmetry of the ODE).
     b0 = abs(params.a0)
     b1 = params.a1 if params.a0 > 0 else -params.a1
-    theta = _energy(xi, b0, b1)
+    theta = energy(xi, b0, b1)
     if xi < 0 and theta <= 0.0:
         raise InvalidEnergy(
             f"collapse orbit must have positive energy, got theta = {theta}"
@@ -361,11 +339,16 @@ def detect_collapse(traj: Trajectory) -> float | None:
     """
     if not traj.collapsed:
         return None
-    last = traj.state(-1)
+    s, a, a_dot = _last_node(traj)
     xi = traj.params.xi
-    if xi < 0 and (theta := energy(traj.params, last)) <= 0.0:
+    if xi < 0 and (theta := energy(xi, a, a_dot)) <= 0.0:
         raise InvalidEnergy(f"halted orbit carries nonpositive energy {theta}")
-    return last.s + _fall_time(xi, abs(last.a), abs(last.a_dot))
+    return s + _fall_time(xi, abs(a), abs(a_dot))
+
+
+def _last_node(traj: Trajectory) -> tuple[float, float, float]:
+    """(s, a, a_dot) of the trajectory's last node, as floats."""
+    return float(traj.s[-1]), float(traj.a[-1]), float(traj.a_dot[-1])
 
 
 def _fall_time(xi: float, b: float, v: float) -> float:
@@ -383,7 +366,7 @@ def _fall_time(xi: float, b: float, v: float) -> float:
     theta = 0, reached only for xi > 0, the time is 1.5 b^{2/3} / sqrt(xi).
     """
     cb = float(np.cbrt(b))
-    theta = _energy(xi, b, v)
+    theta = energy(xi, b, v)
     if xi > 0 and theta <= 0.0:
         # A theta = 0 orbit ends with a roundoff-sized energy of either sign.
         return 1.5 * cb ** 2 / math.sqrt(xi)
@@ -519,14 +502,14 @@ def _results(params, plans, trajs) -> list:
                 if traj.collapsed:
                     raise IntegrationFailure(
                         f"global orbit reached the collapse stop event at s = {traj.s_max}",
-                        traj.state(-1))
+                        _last_node(traj))
                 out[k] = (traj, BlowupReport(**fields))
                 continue
             fields["s_collapse_numeric"] = detect_collapse(traj)
             if fields["s_collapse_numeric"] is None:
                 raise IntegrationFailure(
                     f"collapse orbit failed to reach the stop event by s = {traj.s_max}",
-                    traj.state(-1))
+                    _last_node(traj))
             # Measure the rate a little away from S: at the final state the
             # remaining time (S - s) is comparable to the integrator's time
             # error, which would contaminate the ratio.

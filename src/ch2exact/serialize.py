@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Indexed", "fmt_float", "fmt_floats", "to_json", "write_csv", "write_text"]
+__all__ = ["Indexed", "fmt_float", "to_json", "write_csv", "write_text"]
 
 
 def fmt_float(x: float) -> str:
@@ -189,12 +189,6 @@ def _cells(values) -> np.ndarray:
         return _text_cells(values)
     x = _finite(values)
     return _float_cells(x, np.empty((x.size, _CELL), dtype=np.uint8))
-
-
-def fmt_floats(values) -> list[str]:
-    """``[fmt_float(v) for v in values]`` for a whole array, flattened in C order."""
-    cells = _cells(np.asarray(values, dtype=float))
-    return [c.translate(None, b"\xff").decode("ascii") for c in map(bytes, cells)]
 
 
 # ----------------------------------------------------------------------

@@ -403,6 +403,9 @@ def mass(case: SolutionCase, traj: Trajectory, ts) -> np.ndarray:
     growth and divergent mass; math.inf is returned.
     """
     ts = np.asarray(ts, dtype=float)
+    # Checked here, not only in eval_many: the full-line branch never reads the orbit.
+    if ts.ndim != 1:
+        raise ValueError(f"ts must be a 1-D sequence of times, got shape {ts.shape}")
     if not case.compact:
         return np.full(len(ts), math.inf)
     a, _ = traj.eval_many(3.0 * ts)

@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq as scipy_brentq
 
-from ch2exact import EmdenParams, EmdenState, IntegrationFailure, SolutionCase, analyze, integrate
+from ch2exact import EmdenParams, IntegrationFailure, SolutionCase, analyze, integrate
 from ch2exact import _dop853
 from ch2exact._quadrature import gauss_kronrod21_array
 from ch2exact.emden import REL_STOP, analyze_many, integrate_many
@@ -591,7 +591,7 @@ def reference_integrate(params, s_end, tol):
     if res.status == -1 or not res.success:
         last = None
         if res.t.size:
-            last = EmdenState(float(res.t[-1]), float(res.y[0, -1]), float(res.y[1, -1]))
+            last = (float(res.t[-1]), float(res.y[0, -1]), float(res.y[1, -1]))
         raise IntegrationFailure(f"adaptive step failed: {res.message}", last)
     return res
 
@@ -615,8 +615,8 @@ def test_integrate_matches_scipy_reference(xi_sign, xi_dec, a0_sign, a0_dec, u, 
     a, a_dot = traj.eval_many(pts)
     assert np.array_equal(np.stack([a, a_dot]), ref.sol(pts))
     for s in pts[::7]:
-        state = traj.eval(float(s))
-        assert np.array_equal([state.a, state.a_dot], ref.sol(float(s)))
+        a, a_dot = traj.eval_many([float(s)])
+        assert np.array_equal([a[0], a_dot[0]], ref.sol(float(s)))
 
 
 def batch_brentq(funcs, xtol, maxiter):
@@ -714,7 +714,8 @@ def test_rule_matches_quad_on_mass_integrand(sigma, xi_dec, a0_dec, alpha, t_fra
     case = SolutionCase(sigma=sigma, alpha=alpha, emden=EmdenParams(xi, 10.0 ** a0_dec))
     traj = integrate(case.emden, 30.0)  # only the orbit is needed, not the report
     t = t_frac * traj.s_max / 3.0
-    cb = float(np.cbrt(traj.eval(3.0 * t).a))
+    (a,), _ = traj.eval_many([3.0 * t])
+    cb = float(np.cbrt(a))
     xb = cb * case.eta_boundary
 
     def integrand(phi):

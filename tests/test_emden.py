@@ -19,7 +19,6 @@ from ch2exact import (
     BlowupReport,
     Classification,
     EmdenParams,
-    EmdenState,
     IntegrationFailure,
     analyze,
     classify,
@@ -27,6 +26,7 @@ from ch2exact import (
     detect_collapse,
     energy,
     integrate,
+    node_energies,
 )
 from ch2exact.emden import _fall_time
 
@@ -73,7 +73,8 @@ def test_rhs_values(xi, a, expected):
     # its speed after h is h times that, up to h^3 (the jerk vanishes at rest).
     h = 1e-3
     traj = integrate(EmdenParams(xi=xi, a0=a, a1=0.0), s_end=1.0)
-    assert traj.eval(h).a_dot / h == pytest.approx(expected, rel=1e-5)
+    (a_dot,) = traj.eval_many([h])[1]
+    assert a_dot / h == pytest.approx(expected, rel=1e-5)
 
 
 @pytest.mark.parametrize(
@@ -82,15 +83,12 @@ def test_rhs_values(xi, a, expected):
 )
 def test_energy_values(xi, a, a_dot, expected):
     p = EmdenParams(xi=xi, a0=a, a1=a_dot)
-    assert energy(p, EmdenState(0.0, a, a_dot)) == pytest.approx(expected, abs=1e-15)
+    assert energy(xi, a, a_dot) == pytest.approx(expected, abs=1e-15)
     assert p.theta == pytest.approx(expected, abs=1e-15)
 
 
 def test_energy_even_in_a():
-    p = EmdenParams(xi=-3.0, a0=1.0)
-    s1 = EmdenState(0.0, 0.7, 0.3)
-    s2 = EmdenState(0.0, -0.7, 0.3)
-    assert energy(p, s1) == energy(p, s2)
+    assert energy(-3.0, 0.7, 0.3) == energy(-3.0, -0.7, 0.3)
 
 
 def test_params_validation():
@@ -138,15 +136,14 @@ def test_integrate_argument_validation():
 
 
 def test_integration_failure_carries_state():
-    err = IntegrationFailure("boom", EmdenState(1.0, 0.5, -0.1))
-    assert err.last_state.a == 0.5
+    err = IntegrationFailure("boom", (1.0, 0.5, -0.1))
+    assert err.last_state == (1.0, 0.5, -0.1)
 
 
 def test_interpolant_reproduces_nodes_exactly():
     traj = integrate(EmdenParams(xi=-3.0, a0=1.0, a1=0.5), s_end=2.0)
-    for node in map(traj.state, range(len(traj.s))):
-        got = traj.eval(node.s)
-        assert got.a == node.a and got.a_dot == node.a_dot
+    a, a_dot = traj.eval_many(traj.s)
+    assert np.array_equal(a, traj.a) and np.array_equal(a_dot, traj.a_dot)
 
 
 def test_interpolant_accuracy_between_nodes():
@@ -156,8 +153,7 @@ def test_interpolant_accuracy_between_nodes():
     ref = integrate(p, s_end=1.2, tol=1e-13)
     nodes = coarse.s.tolist()
     mids = [(lo + hi) / 2.0 for lo, hi in zip(nodes, nodes[1:]) if hi <= ref.s_max]
-    for s in mids[:-1]:
-        assert coarse.eval(s).a == pytest.approx(ref.eval(s).a, abs=1e-6)
+    assert coarse.eval_many(mids[:-1])[0] == pytest.approx(ref.eval_many(mids[:-1])[0], abs=1e-6)
 
 
 @settings(max_examples=40, deadline=None)
@@ -166,7 +162,7 @@ def test_interpolant_accuracy_between_nodes():
 def test_eval_many_node_rule(family, picks, all_trajectories):
     # A time on a node returns the node's stored state bit for bit and never
     # reaches the interpolant; a time between nodes returns the interpolant;
-    # eval of one point agrees with eval_many.
+    # each time alone gives the bits it gets in the batch.
     traj, _ = all_trajectories[family]
     last = len(traj.s) - 1
     s_values, on_node = [], []
@@ -189,16 +185,15 @@ def test_eval_many_node_rule(family, picks, all_trajectories):
         assert np.array_equal(a[~on_node], dense_a)
         assert np.array_equal(a_dot[~on_node], dense_a_dot)
     for s, a_k, a_dot_k in zip(s_values, a.tolist(), a_dot.tolist()):
-        state = traj.eval(s)
-        assert (state.s, state.a, state.a_dot) == (s, a_k, a_dot_k)
+        assert [x.tolist() for x in traj.eval_many([s])] == [[a_k], [a_dot_k]]
 
 
 def test_eval_range_checked():
     traj = integrate(EmdenParams(xi=1.0, a0=1.0), s_end=1.0)
     with pytest.raises(ValueError):
-        traj.eval(-0.5)
+        traj.eval_many([-0.5])
     with pytest.raises(ValueError):
-        traj.eval(traj.s_max * 1.01)
+        traj.eval_many([traj.s_max * 1.01])
     with pytest.raises(ValueError):
         traj.eval_many([0.0, traj.s_max + 1.0])
     with pytest.raises(ValueError, match="outside"):
@@ -278,9 +273,8 @@ def test_zero_energy_inward_orbit_collapses_at_1_5():
     traj, report = analyze(p)
     assert report.s_collapse_quadrature == 1.5
     assert report.s_collapse_numeric == pytest.approx(1.5, rel=1e-9)
-    last = traj.state(-1)
-    remainder = detect_collapse(traj) - last.s
-    assert remainder == pytest.approx(1.5 * abs(last.a) ** (2.0 / 3.0), rel=1e-6)
+    remainder = detect_collapse(traj) - traj.s[-1]
+    assert remainder == pytest.approx(1.5 * abs(traj.a[-1]) ** (2.0 / 3.0), rel=1e-6)
 
 
 def test_inward_time_series_and_closed_form_agree():
@@ -487,8 +481,25 @@ def test_energy_conserved_along_trajectory(xi_mag, xi_sign, a0_mag, a0_sign, a1)
     traj = integrate(p, s_end=2.0)
     e0 = p.theta
     bound = 10.0 * 1e-10 * (1.0 + abs(e0))
-    for state in map(traj.state, range(len(traj.s))):
-        assert abs(energy(p, state) - e0) <= bound
+    assert np.all(np.abs(node_energies(traj) - e0) <= bound)
+
+
+def _bits(values) -> list:
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
+
+@settings(max_examples=25, deadline=None)
+@given(xi_mag=st.floats(0.3, 4.0), xi_sign=signs, a0_mag=magnitudes, a0_sign=signs,
+       a1_mag=st.floats(0.0, 2.0), a1_sign=signs)
+def test_node_energies_is_energy_at_every_node(xi_mag, xi_sign, a0_mag, a0_sign, a1_mag,
+                                               a1_sign):
+    # The four families are the four signs of (xi, a0); the slope takes both signs.
+    p = EmdenParams(xi=xi_sign * xi_mag, a0=a0_sign * a0_mag, a1=a1_sign * a1_mag)
+    traj = integrate(p, s_end=2.0)
+    nodes = list(zip(traj.a.tolist(), traj.a_dot.tolist()))
+    expected = _bits([energy(p.xi, a, a_dot) for a, a_dot in nodes])
+    assert _bits(node_energies(traj)) == expected
+    assert _bits([energy(p.xi, -a, a_dot) for a, a_dot in nodes]) == expected
 
 
 @settings(max_examples=25, deadline=None)
@@ -507,10 +518,10 @@ def test_odd_symmetry(xi_mag, a0_mag, a1):
     t1 = integrate(p, s_end=2.0)
     t2 = integrate(EmdenParams(p.xi, -p.a0, -p.a1), s_end=2.0)
     s_hi = min(t1.s_max, t2.s_max)
-    for s in np.linspace(0.0, s_hi, 9):
-        u, v = t1.eval(s), t2.eval(s)
-        assert abs(u.a + v.a) <= 1e-12 * max(1.0, abs(u.a))
-        assert abs(u.a_dot + v.a_dot) <= 1e-12 * max(1.0, abs(u.a_dot))
+    s = np.linspace(0.0, s_hi, 9)
+    (u_a, u_a_dot), (v_a, v_a_dot) = t1.eval_many(s), t2.eval_many(s)
+    assert np.all(np.abs(u_a + v_a) <= 1e-12 * np.maximum(1.0, np.abs(u_a)))
+    assert np.all(np.abs(u_a_dot + v_a_dot) <= 1e-12 * np.maximum(1.0, np.abs(u_a_dot)))
 
 
 @settings(max_examples=20, deadline=None)

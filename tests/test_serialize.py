@@ -1,20 +1,22 @@
 """Deterministic float formatting and the column writer.
 
-The bulk formatter must give fmt_float's bytes for every double: the exact
-integer route inside its range, fmt_float itself outside it.
+write_csv's float cells must be fmt_float's bytes for every double: the
+exact integer route inside its range, fmt_float itself outside it.
 """
 
 import hashlib
 import math
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ch2exact.serialize as serialize
-from ch2exact.serialize import Indexed, fmt_float, fmt_floats, write_csv
+from ch2exact.serialize import Indexed, fmt_float, write_csv
 
 _EDGE_VALUES = (
     [0.0, -0.0, sys.float_info.max, -sys.float_info.max,
@@ -25,41 +27,54 @@ _EDGE_VALUES = (
 )
 
 
+def csv_cells(values) -> list[str]:
+    """The cells of a one-column write_csv file of the float array values."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "column.csv"
+        write_csv(path, ["v"], [np.asarray(values, dtype=float)])
+        return path.read_text(encoding="ascii").split("\n")[1:-1]
+
+
 def assert_matches_fmt_float(values):
     values = [float(v) for v in values]
-    assert fmt_floats(values) == [fmt_float(v) for v in values]
+    assert csv_cells(values) == [fmt_float(v) for v in values]
 
+
+# The fmt_floats tests read the bulk float cells back from a one-column
+# file: write_csv is the bulk formatter's one consumer.
 
 def test_fmt_floats_matches_fmt_float_on_edge_values():
-    assert fmt_floats(_EDGE_VALUES) == [fmt_float(x) for x in _EDGE_VALUES]
+    assert csv_cells(_EDGE_VALUES) == [fmt_float(x) for x in _EDGE_VALUES]
 
 
 def test_fmt_floats_writes_both_zeros_as_0():
-    assert fmt_floats([0.0, -0.0]) == ["0", "0"]
+    assert csv_cells([0.0, -0.0]) == ["0", "0"]
 
 
 def test_fmt_floats_flattens_in_c_order():
     grid = np.arange(6.0).reshape(2, 3) - 2.5
-    assert fmt_floats(grid) == [fmt_float(x) for x in grid.ravel().tolist()]
+    assert csv_cells(grid) == [fmt_float(x) for x in grid.ravel().tolist()]
 
 
 def test_fmt_floats_empty():
-    assert fmt_floats([]) == []
+    assert csv_cells([]) == []
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50))
 def test_fmt_floats_matches_fmt_float(values):
-    assert fmt_floats(values) == [fmt_float(x) for x in values]
+    assert csv_cells(values) == [fmt_float(x) for x in values]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-def test_fmt_floats_rejects_non_finite_like_fmt_float(bad):
+def test_fmt_floats_rejects_non_finite_like_fmt_float(bad, tmp_path):
     with pytest.raises(ValueError) as scalar:
         fmt_float(bad)
+    path = tmp_path / "column.csv"
     with pytest.raises(ValueError) as bulk:
-        fmt_floats([1.0, -0.0, bad, 2.0])
+        write_csv(path, ["v"], [np.array([1.0, -0.0, bad, 2.0])])
     assert str(bulk.value) == str(scalar.value)
+    assert not path.exists()
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +162,7 @@ def test_every_decade_from_subnormals_to_the_largest_double():
 
 
 def test_both_zeros():
-    assert fmt_floats([0.0, -0.0, 0.0]) == ["0", "0", "0"]
+    assert csv_cells([0.0, -0.0, 0.0]) == ["0", "0", "0"]
 
 
 @pytest.mark.parametrize("shift", [-1, 1])
@@ -165,7 +180,7 @@ def test_any_decade_estimate_within_one_gives_the_same_bytes(monkeypatch, shift)
 def test_fallback_formats_each_distinct_value_once(monkeypatch):
     calls = []
     monkeypatch.setattr(serialize, "fmt_float", lambda v: calls.append(v) or fmt_float(v))
-    assert fmt_floats([0.0, 1.5, -0.0, 0.0, 1e300, 1e300, 2.5]) == [
+    assert csv_cells([0.0, 1.5, -0.0, 0.0, 1e300, 1e300, 2.5]) == [
         "0", "1.5", "0", "0", "1.0000000000000001e+300", "1.0000000000000001e+300", "2.5"]
     bits = sorted(np.array(calls).view(np.uint64).tolist())
     assert bits == sorted(np.array([0.0, -0.0, 1e300]).view(np.uint64).tolist())

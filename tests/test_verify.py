@@ -52,12 +52,14 @@ from ch2exact.verify import (
 
 def support_radius(case, traj, t):
     """x_b(t) = a(3t)^{1/3} eta_b, from the trajectory directly."""
-    return float(np.cbrt(traj.eval(3.0 * t).a)) * case.eta_boundary
+    (a,), _ = traj.eval_many([3.0 * t])
+    return float(np.cbrt(a)) * case.eta_boundary
 
 
 def density(case, traj, t, x):
     """Reference rho(t, x) = f(x / a^{1/3}) / a^{1/3}, with a(3t) from the trajectory."""
-    cb = float(np.cbrt(traj.eval(3.0 * t).a))
+    (a,), _ = traj.eval_many([3.0 * t])
+    cb = float(np.cbrt(a))
     return profile(case, x / cb) / cb
 
 
@@ -297,6 +299,24 @@ def test_mass_evaluates_the_scale_factor_once(case_2a, monkeypatch):
                         lambda self, s: calls.append(list(s)) or real_eval_many(self, s))
     assert mass(case, traj, ts).tolist() == per_point
     assert calls == [[3.0 * t for t in ts]] * 2
+
+
+@pytest.mark.parametrize("family", ["case_1a", "case_2b"])
+@pytest.mark.parametrize("times", [0.123, np.array(0.0), [[0.1, 0.2]]],
+                         ids=["scalar", "0-d", "2-D"])
+def test_times_that_are_not_1d_are_rejected_by_name(family, times, request):
+    # A compact family and a full-line one: mass checks ts itself, because
+    # its full-line branch returns before it reads the orbit.
+    case, traj, _ = request.getfixturevalue(family)
+    ts = np.asarray(times)
+    with pytest.raises(ValueError, match="^s_values must be a 1-D sequence of times"):
+        traj.eval_many(3.0 * ts)
+    with pytest.raises(ValueError, match="^s_values must be a 1-D sequence of times"):
+        fields_on_grid(case, traj, ts, np.zeros(1))
+    with pytest.raises(ValueError, match="^s_values must be a 1-D sequence of times"):
+        min_support_radius(case, traj, times)
+    with pytest.raises(ValueError, match="^ts must be a 1-D sequence of times"):
+        mass(case, traj, times)
 
 
 # (sigma, sign xi) of families 1a, 1b, 2a and 2b; sign a0 = sigma sign xi.
