@@ -31,12 +31,14 @@ builds the results and their dense output.
 
 What differs from SciPy:
 
-- a step's interpolant is built when it is first evaluated, from its
-  stored stage matrix, instead of after every step; a query builds all
-  the interpolants it needs in one batch.  Event roots are found after
-  the loop, on every step where the event fired, by one array-valued
-  ``brentq``.  The same operations run on the same data, so the values
-  are the same;
+- a step's interpolant is built only when it is first evaluated, from
+  its stored stage matrix, instead of after every step; a query builds
+  all the interpolants it needs in one batch.  The event step is no
+  exception: event roots are found after the loop, on every step where
+  the event fired, by one array-valued ``brentq`` on interpolants built
+  for that search alone, and the dense output builds the event step's
+  own on first use.  The same operations run on the same data, so the
+  values are the same;
 - integration runs forward only, there is exactly one event, it is
   terminal and fires only on a fall through zero, and the solver has no
   ``max_step``, ``first_step``, ``t_eval``, ``vectorized`` or
@@ -133,31 +135,18 @@ def _select_initial_step(fun, t0, y0, t_bound, f0, rtol, atol, idx):
     return np.minimum(np.minimum(100 * h0, h1), interval_length)
 
 
-class _StageBuffer:
-    """Stage matrices K of k problems, reused from step to step.
-
-    ``stages`` holds, per stage s, the view it writes (``K[:, s]``), the
-    view it reads (each problem's ``K[:s].T``) and its coefficients.
-    """
-
-    def __init__(self, k, m):
-        self.K = np.empty((k, N_STAGES + 1, m))
-        K_T = self.K.transpose(0, 2, 1)  # each problem's K.T, as SciPy's K[:s].T
-        self.stages = [(self.K[:, s], K_T[:, :, :s], a) for s, a in STAGES]
-        self.K_T_B = K_T[:, :, :-1]
-        self.f_new = self.K[:, -1]
-
-
-def _rk_step(fun, t, y, f, h, idx, buf):
-    """One DOP853 step of every problem, its stages into buf; returns y_new."""
-    buf.K[:, 0] = f
+def _rk_step(fun, t, y, f, h, idx):
+    """One DOP853 step of every problem: (y_new, K), K the (k, N_STAGES + 1, m) stage matrices."""
+    K = np.empty((len(h), N_STAGES + 1, y.shape[1]))
+    K[:, 0] = f
+    K_T = K.transpose(0, 2, 1)  # each problem's K.T, as SciPy's K[:s].T
     h_col = h[:, None]
     t_stages = t[:, None] + C * h_col
-    for s, (K_s, K_sT, a) in enumerate(buf.stages, start=1):
-        fun(t_stages[:, s], y + np.matmul(K_sT, a) * h_col, idx, K_s)
-    y_new = y + h_col * np.matmul(buf.K_T_B, B)
-    fun(t + h, y_new, idx, buf.f_new)
-    return y_new
+    for s, a in STAGES:
+        fun(t_stages[:, s], y + np.matmul(K_T[:, :, :s], a) * h_col, idx, K[:, s])
+    y_new = y + h_col * np.matmul(K_T[:, :, :-1], B)
+    fun(t + h, y_new, idx, K[:, -1])
+    return y_new, K
 
 
 def _estimate_error_norm(K, h, scale):
@@ -224,17 +213,18 @@ class DenseSolution:
     where the last node is the event root).  Its stage matrix stays in the
     block the lockstep loop stored it in: ``blocks[block[i]][row[i]]``.  A
     query on a node uses the segment with the lower index, as SciPy's
-    ``OdeSolution`` does.  Segment interpolants are built on first use, all
-    that a query needs in one batch, and kept; each point is evaluated on
-    its own segment's interpolant with the arithmetic SciPy uses.
+    ``OdeSolution`` does.  Segment interpolants, the event step's
+    included, are built only on first use, all that a query needs in one
+    batch, and kept; each point is evaluated on its own segment's
+    interpolant with the arithmetic SciPy uses.
     """
 
-    def __init__(self, fun, k, ts, t_steps, y_steps, blocks, block, row, built=None):
+    def __init__(self, fun, k, ts, t_steps, y_steps, blocks, block, row):
         self.ts = ts
         self._fun, self._k = fun, k
         self._t, self._y = t_steps, y_steps
         self._blocks, self._block, self._row = blocks, block, row
-        self._F = built or {}  # segment index -> interpolation matrix
+        self._F = {}  # segment index -> interpolation matrix
         self.n_segments = len(block)
 
     def _find(self, t):
@@ -355,8 +345,9 @@ def brentq(f, xa, xb, xtol: float, rtol: float, maxiter: int = 100):
 def _locate_events(fun, event, t0, fired) -> dict:
     """The event root of every step in ``fired`` (see ``solve``), found as one batch.
 
-    Returns, per problem, (root, state at root, interpolant, whether the
-    root node is dropped), or the exception SciPy's brentq raises.
+    Returns, per problem, (root, state at root, whether the root node is
+    dropped), or the exception SciPy's brentq raises; the interpolants
+    built for the search are not kept.
     """
     k, t_old, y_old, t_new, y_new, K = map(np.concatenate, zip(*fired))
     h = t_new - t_old
@@ -372,7 +363,7 @@ def _locate_events(fun, event, t0, fired) -> dict:
     for s, y_s in zip(found, y_root):
         # SciPy does not append a root equal to the last node (the initial
         # node excepted).
-        located[int(k[s])] = (roots[s], y_s, F[s], t_old[s] != t0 and roots[s] == t_old[s])
+        located[int(k[s])] = (roots[s], y_s, t_old[s] != t0 and roots[s] == t_old[s])
     return located
 
 
@@ -455,7 +446,7 @@ def _solve_lockstep(fun, event, active):
     (batch index, t, y and stage matrices per iteration) that
     ``_locate_events`` and ``_assemble`` take.
     """
-    n, m = active.y.shape
+    n = len(active.idx)
     n_rejected = np.zeros(n, dtype=int)
     status = [None] * n
     # Per iteration, the steps on which the event fired: problems, t and y
@@ -464,7 +455,6 @@ def _solve_lockstep(fun, event, active):
     # Every accepted node in the order it was reached: the batch index, t,
     # y, and (after the initial nodes) the step's stage matrix.
     rec_idx, rec_t, rec_y, rec_K = [active.idx], [active.t], [active.y], []
-    buf = _StageBuffer(n, m)
 
     while active.idx.size:
         # RungeKutta._step_impl: a fresh step starts no smaller than
@@ -482,46 +472,36 @@ def _solve_lockstep(fun, event, active):
 
         t_new = np.minimum(active.t + active.h_abs, active.t_bound)
         h = t_new - active.t
-        if buf.K.shape[0] != len(h):
-            buf = _StageBuffer(len(h), m)
-        y_new = _rk_step(fun, active.t, active.y, active.f, h, active.idx, buf)
-        K = buf.K
+        y_new, K = _rk_step(fun, active.t, active.y, active.f, h, active.idx)
         scale = active.atol + np.maximum(np.abs(active.y), np.abs(y_new)) * active.rtol
         error_norm = _estimate_error_norm(K, h, scale)
         accepted = error_norm < 1
         active.h_abs = np.abs(h) * _step_factors(error_norm, active.rejected)
         active.rejected = ~accepted
+        n_rejected[active.idx[active.rejected]] += 1
 
         rows = np.flatnonzero(accepted)
-        # The accepted rows: a slice when all are, so that nothing is copied.
-        all_accepted = len(rows) == len(accepted)
-        acc = slice(None) if all_accepted else rows
-        if not all_accepted:
-            n_rejected[active.idx[active.rejected]] += 1
-        idx_a, t_a, y_a = active.idx[acc], t_new[acc], y_new[acc]
+        idx_a, t_a, y_a, K_a = active.idx[rows], t_new[rows], y_new[rows], K[rows]
         rec_idx.append(idx_a)
         rec_t.append(t_a)
         rec_y.append(y_a)
-        rec_K.append(K.copy() if all_accepted else K[rows])
-        done = t_a >= active.t_bound[acc]
+        rec_K.append(K_a)
+        done = t_a >= active.t_bound[rows]
 
         g_new = np.asarray(event(t_a, y_a, idx_a), dtype=float)
-        js = np.flatnonzero((active.g[acc] >= 0) & (g_new <= 0))
+        js = np.flatnonzero((active.g[rows] >= 0) & (g_new <= 0))
         if js.size:
             fired.append((idx_a[js], active.t[rows[js]], active.y[rows[js]], t_a[js],
-                          y_a[js], rec_K[-1][js]))
+                          y_a[js], K_a[js]))
             for k in idx_a[js].tolist():
                 status[k] = 1
             done[js] = True
 
-        if all_accepted:
-            active.t, active.y, active.f, active.g = t_a, y_a, buf.f_new.copy(), g_new
-        else:
-            active.t = np.where(accepted, t_new, active.t)
-            active.y = np.where(accepted[:, None], y_new, active.y)
-            active.f = np.where(accepted[:, None], buf.f_new, active.f)
-            active.g = active.g.copy()
-            active.g[acc] = g_new
+        active.t = np.where(accepted, t_new, active.t)
+        active.y = np.where(accepted[:, None], y_new, active.y)
+        active.f = np.where(accepted[:, None], K[:, -1], active.f)
+        active.g = active.g.copy()
+        active.g[rows] = g_new
         if done.any():
             for k in idx_a[done].tolist():
                 if status[k] is None:
@@ -632,23 +612,21 @@ def _assemble(fun, n, status, located, n_rejected, rec_idx, rec_t, rec_y, rec_K)
         steps = slice(step_end[k] - n_steps, step_end[k])
         block, row = block_of[steps], row_of[steps]
         extra_stages = 0
-        if hit is None:
-            sol = DenseSolution(fun, k, ts, ts, ys, rec_K, block, row)
-        else:
-            root, y_root, F, dropped = hit
+        nodes_t, nodes_y = ts, ys
+        if hit is not None:
+            root, y_root, dropped = hit
             extra_stages = N_STAGES_EXTRA
             if dropped:
                 ts, ys, block, row = ts[:-1], ys[:-1], block[:-1], row[:-1]
-                sol = DenseSolution(fun, k, ts, ts, ys, rec_K, block, row)
+                nodes_t, nodes_y = ts, ys
             else:
+                # The event step keeps its end for the interpolant; its node is the root.
                 nodes_t, nodes_y = ts.copy(), ys.copy()
                 nodes_t[-1], nodes_y[-1] = root, y_root
-                sol = DenseSolution(fun, k, nodes_t, ts, ys, rec_K, block, row, {n_steps - 1: F})
-                ts, ys = nodes_t, nodes_y
         results.append(OdeResult(
-            t=ts,
-            y=ys.T,
-            sol=sol,
+            t=nodes_t,
+            y=nodes_y.T,
+            sol=DenseSolution(fun, k, nodes_t, ts, ys, rec_K, block, row),
             status=status[k],
             message=TOO_SMALL_STEP if status[k] == -1 else None,
             nfev=2 + N_STAGES * int(n_accepted[k] + n_rejected[k]) + extra_stages,

@@ -40,6 +40,7 @@ and horizon turns that and a config's t_end into analyze's s_end.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,9 +106,18 @@ class Tolerances:
         for name in ("margin", "decay_t_max"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if isinstance(self.levels, bool) or not isinstance(self.levels, numbers.Integral):
+            raise ValueError(f"levels must be an int, got {self.levels}")
         # The order estimate compares the last two levels.
         if not self.levels >= 2:
             raise ValueError(f"levels must be >= 2, got {self.levels}")
+        # A NaN scale drops out of the dispersion spread's max and an
+        # infinite one makes its bound infinite; with none, there is no run.
+        if not (isinstance(self.alpha_d, tuple) and self.alpha_d
+                and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                        and math.isfinite(v) for v in self.alpha_d)):
+            raise ValueError(
+                f"alpha_d must be a non-empty tuple of finite reals, got {self.alpha_d}")
 
 
 # The sweep's first-integral check (energy_drift): |energy - theta| at every
@@ -216,6 +226,7 @@ def fields_on_grid(
     The one place the checks read the fields from.  Any lattice size is
     accepted; u_scale is a fault-injection hook.
     """
+    ts = np.asarray(ts, dtype=float)
     a, a_dot = traj.eval_many(3.0 * ts)
     if not a.all():
         raise CollapseSingularity(f"scale factor vanished at t = {ts[a == 0.0][0]}")

@@ -356,6 +356,25 @@ def test_event_root_error_stays_with_its_orbit():
             assert_same_result(res, one)
 
 
+def test_subset_and_full_commits_match_solve_ivp():
+    # A collapse orbit with 52 rejected steps and a growth orbit with one:
+    # their lockstep iterations commit one row of the two or both.
+    params = [EmdenParams(-1.0, 1.0), EmdenParams(1.0, 1.0, 0.3)]
+    s_end = np.array([3.0, 900.0])
+    f, event = batch_problem(params)
+    y0 = np.array([[p.a0, p.a1] for p in params])
+    rtol, atol = map(np.array, zip(*[tolerances(p, 1e-10) for p in params]))
+    batch = solve_rows(f, event, np.arange(2), s_end, y0, rtol, atol)
+    assert [res.n_rejected for res in batch] == [52, 1]
+    # The rows each iteration committed (one stage-matrix block per iteration).
+    assert {len(K) for K in batch[0].sol._blocks} >= {1, 2}
+    for k, res in enumerate(batch):
+        ref, err, _ = scipy_outcome(params[k], s_end[k], 1e-10)
+        assert err is None
+        assert_matches_scipy(res, ref)
+        assert_same_result(res, solve_rows(f, event, np.array([k]), s_end, y0, rtol, atol)[0])
+
+
 # ----------------------------------------------------------------------
 # the one-problem loop against the lockstep loop
 # ----------------------------------------------------------------------

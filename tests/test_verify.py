@@ -6,6 +6,7 @@ by the library.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -312,11 +313,21 @@ def test_times_that_are_not_1d_are_rejected_by_name(family, times, request):
     with pytest.raises(ValueError, match="^s_values must be a 1-D sequence of times"):
         traj.eval_many(3.0 * ts)
     with pytest.raises(ValueError, match="^s_values must be a 1-D sequence of times"):
-        fields_on_grid(case, traj, ts, np.zeros(1))
+        fields_on_grid(case, traj, times, np.zeros(1))
     with pytest.raises(ValueError, match="^s_values must be a 1-D sequence of times"):
         min_support_radius(case, traj, times)
     with pytest.raises(ValueError, match="^ts must be a 1-D sequence of times"):
         mass(case, traj, times)
+
+
+@pytest.mark.parametrize("family", ["case_1a", "case_2b"])
+def test_fields_on_grid_takes_a_list_of_times(family, request):
+    case, traj, _ = request.getfixturevalue(family)
+    xs = np.linspace(-0.5, 0.5, 7)
+    got = fields_on_grid(case, traj, [0.1, 0.2], xs)
+    want = fields_on_grid(case, traj, np.array([0.1, 0.2]), xs)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 # (sigma, sign xi) of families 1a, 1b, 2a and 2b; sign a0 = sigma sign xi.
@@ -515,9 +526,18 @@ def test_tolerances_defaults_and_levels():
     ("margin", -0.8, "> 0"),
     ("decay_t_max", 0.0, "> 0"),
     ("decay_t_max", -1.0, "> 0"),
+    # Inputs that break or empty a battery check: range() in the level
+    # ladder, no dispersion run, a NaN run that max() drops from the spread,
+    # an infinite spread bound.
+    ("levels", 2.5, "an int"),
+    ("levels", True, "an int"),
+    ("alpha_d", (), "a non-empty tuple of finite reals"),
+    ("alpha_d", (0.0, 1.0, math.nan), "a non-empty tuple of finite reals"),
+    ("alpha_d", (0.0, math.inf), "a non-empty tuple of finite reals"),
+    ("alpha_d", [0.0, 1.0], "a non-empty tuple of finite reals"),
 ])
 def test_tolerances_reject_out_of_range_values(name, value, rule):
-    with pytest.raises(ValueError, match=f"^{name} must be {rule}, got {value}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {rule}, got {value}')}$"):
         Tolerances(**{name: value})
     # A zero tolerance demands exact agreement, which is valid.
     if rule == ">= 0":
