@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ch2exact import Classification, EmdenParams, SolutionCase, analyze, blowup_rate, classify
+from ch2exact import (Classification, EmdenParams, SolutionCase, Tolerances, analyze,
+                      blowup_rate, classify)
 from ch2exact.serialize import write_csv
 
 
@@ -59,7 +60,8 @@ def main() -> int:
         write_csv(Path(args.out), ["s", "S_minus_s", "product"], [s_arr, S - s_arr, products])
         print(f"wrote {args.out}")
 
-    return 0 if tail_rel <= 0.01 else 1
+    # The battery's blowup_rate check takes the same bound.
+    return 0 if tail_rel <= Tolerances().rate_rtol else 1
 
 
 if __name__ == "__main__":

@@ -38,7 +38,6 @@ import numpy as np
 from .emden import (
     DEFAULT_TOL,
     Classification,
-    CollapseSingularity,
     EmdenParams,
     IntegrationFailure,
     InvalidEnergy,
@@ -64,6 +63,9 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
 EXIT_NUMERICAL_FAILURE = 2
 EXIT_VERIFICATION_FAILURE = 3
+# What exits EXIT_NUMERICAL_FAILURE: a step-size breakdown, an energy of the wrong sign,
+# or arithmetic (a singularity, or a closed form that overflows or divides by zero).
+_NUMERICAL_ERRORS = (IntegrationFailure, InvalidEnergy, ArithmeticError)
 
 
 class ConfigError(ValueError):
@@ -314,7 +316,7 @@ _SWEEP_HEADER = [
 
 
 # Per-case library errors, which a sweep records in the case's row.
-_ROW_ERRORS = (ValueError, ArithmeticError, IntegrationFailure)
+_ROW_ERRORS = (ValueError, *_NUMERICAL_ERRORS)
 
 
 def _sweep_row(case: SolutionCase, traj, report) -> list[str]:
@@ -429,7 +431,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (IntegrationFailure, CollapseSingularity, InvalidEnergy) as exc:
+    except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
     except ValueError as exc:  # ConfigError included

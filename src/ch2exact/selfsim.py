@@ -100,7 +100,8 @@ def profile(case: SolutionCase, eta):
     """
     xi, sg, al = case.emden.xi, case.sigma, case.alpha
     e = np.asarray(eta, dtype=float)
-    radicand = -(sg / xi) * e * e + (al / xi) ** 2
+    # The scalar term first: its OverflowError comes before numpy's warning.
+    radicand = (al / xi) ** 2 - (sg / xi) * e * e
     f = (xi / sg) * np.sqrt(np.maximum(radicand, 0.0))
     if np.isscalar(eta) or np.ndim(eta) == 0:
         return float(f)

@@ -4,7 +4,9 @@ Floats are rendered with 17 significant digits (round-trip exact for IEEE
 doubles); both zeros are written as "0" and non-finite values are rejected.
 ``fmt_float`` is the one definition of these rules.  CSV uses LF endings
 and UTF-8, and JSON is emitted by a small writer so the float format is
-identical everywhere.  Reruns on identical inputs are byte-identical.
+identical everywhere.  In JSON a non-empty dict, and a list that holds a
+dict or a list, put one entry per line two spaces deeper; every other list
+stays on one line.  Reruns on identical inputs are byte-identical.
 
 ``write_csv`` takes whole columns.  A float column is formatted by an
 exact integer route that gives ``fmt_float``'s bytes without a per-cell
@@ -195,7 +197,8 @@ def _cells(values) -> np.ndarray:
 # JSON
 # ----------------------------------------------------------------------
 
-def _json_value(obj) -> str:
+def _json(obj, pad: str) -> str:
+    """obj as JSON text whose inner lines start with pad."""
     if obj is None:
         return "null"
     if obj is True:
@@ -210,35 +213,26 @@ def _json_value(obj) -> str:
         out = obj.replace("\\", "\\\\").replace('"', '\\"')
         out = out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
         return f'"{out}"'
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_value(v) for v in obj) + "]"
+    inner = pad + "  "
     if isinstance(obj, dict):
-        items = []
-        for k, v in obj.items():
+        for k in obj:
             if not isinstance(k, str):
                 raise TypeError(f"JSON keys must be strings, got {k!r}")
-            items.append(f"{_json_value(k)}: {_json_value(v)}")
-        return "{" + ", ".join(items) + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _json_pretty(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(obj, dict) and obj:
-        inner = ",\n".join(
-            f'{pad}  {_json_value(k)}: {_json_pretty(v, indent + 1).lstrip()}'
-            for k, v in obj.items()
-        )
-        return f"{pad}{{\n{inner}\n{pad}}}"
-    if isinstance(obj, (list, tuple)) and obj and any(isinstance(v, (dict, list, tuple)) for v in obj):
-        inner = ",\n".join(f"{pad}  {_json_pretty(v, indent + 1).lstrip()}" for v in obj)
-        return f"{pad}[\n{inner}\n{pad}]"
-    return pad + _json_value(obj)
+        entries, ends = [f"{_json(k, inner)}: {_json(v, inner)}" for k, v in obj.items()], "{}"
+    elif isinstance(obj, (list, tuple)):
+        entries, ends = [_json(v, inner) for v in obj], "[]"
+        if not any(isinstance(v, (dict, list, tuple)) for v in obj):
+            return "[" + ", ".join(entries) + "]"
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if not entries:
+        return ends
+    return ends[0] + "\n" + inner + f",\n{inner}".join(entries) + "\n" + pad + ends[1]
 
 
 def to_json(obj) -> str:
     """Render a report tree (dict/list/scalars) as deterministic JSON text."""
-    return _json_pretty(obj) + "\n"
+    return _json(obj, "") + "\n"
 
 
 # ----------------------------------------------------------------------

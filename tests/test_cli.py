@@ -4,7 +4,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -697,6 +700,38 @@ def test_exit_code_2_on_numerical_failure(tmp_path, monkeypatch, capsys):
     rc = main(["emden", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+# Inputs whose closed forms divide by zero or overflow: the collapse time's
+# fall from the start (xi = -1e-300 and -1e300) and the profile's (alpha / xi)^2
+# (alpha = 1e200, and family 1b at xi = 1e-300).  emden reads the xi, a0 and a1 lines.
+_ALL = ("verify", "construct", "emden")
+_EXTREME = {
+    "xi_tiny": ("sigma = -1\nalpha = 1\nxi = -1e-300\na0 = 1\na1 = 0\n", _ALL),
+    "xi_huge": ("sigma = -1\nalpha = 1\nxi = -1e300\na0 = 1\na1 = 0\n", _ALL),
+    "alpha_huge": ("sigma = -1\nalpha = 1e200\nxi = -1\na0 = 1\na1 = 0\n", _ALL[:2]),
+    "1b_xi_tiny": ("sigma = -1\nalpha = 1\nxi = 1e-300\na0 = -1\na1 = 0\n", _ALL[:2]),
+}
+
+
+@pytest.mark.parametrize("name, command", [
+    (name, command) for name, (_, commands) in _EXTREME.items() for command in commands])
+def test_arithmetic_error_exits_2_without_a_traceback(tmp_path, name, command):
+    lines = _EXTREME[name][0].splitlines(keepends=True)
+    if command == "emden":
+        lines = [line for line in lines if line[:2] in ("xi", "a0", "a1")]
+    cfg = write_config(tmp_path, "".join(lines))
+    # A fresh interpreter: a traceback reaches stderr only when nothing catches the error.
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "ch2exact.cli", command, "--config", cfg,
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("numerical failure: ")
+    assert "Traceback" not in proc.stderr
 
 
 # ----------------------------------------------------------------------

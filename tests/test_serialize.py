@@ -1,10 +1,11 @@
-"""Deterministic float formatting and the column writer.
+"""Deterministic float formatting, the column writer and the JSON writer.
 
 write_csv's float cells must be fmt_float's bytes for every double: the
 exact integer route inside its range, fmt_float itself outside it.
 """
 
 import hashlib
+import json
 import math
 import sys
 import tempfile
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ch2exact.serialize as serialize
-from ch2exact.serialize import Indexed, fmt_float, write_csv
+from ch2exact.serialize import Indexed, fmt_float, to_json, write_csv
 
 _EDGE_VALUES = (
     [0.0, -0.0, sys.float_info.max, -sys.float_info.max,
@@ -277,3 +278,71 @@ def test_write_csv_matches_the_per_cell_text_in_small_blocks(tmp_path_factory, v
     expected = "f,i,s\n" + "".join(f"{fmt_float(a)},{fmt_float(values[i])},{t}\n"
                                    for a, i, t in rows)
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+# ----------------------------------------------------------------------
+# to_json
+# ----------------------------------------------------------------------
+
+def test_to_json_nested_dicts_one_entry_per_line():
+    assert to_json({"a": {"b": 1.5, "c": {}}, "d": []}) == (
+        '{\n  "a": {\n    "b": 1.5,\n    "c": {}\n  },\n  "d": []\n}\n')
+
+
+def test_to_json_list_of_lists_and_dict_in_a_list():
+    assert to_json([[1, 2], [], [3.0]]) == "[\n  [1, 2],\n  [],\n  [3]\n]\n"
+    assert to_json({"r": [{"x": 0.25}, {}]}) == (
+        '{\n  "r": [\n    {\n      "x": 0.25\n    },\n    {}\n  ]\n}\n')
+
+
+def test_to_json_a_list_of_scalars_stays_on_one_line():
+    assert to_json({"v": (1, -0.5, None)}) == '{\n  "v": [1, -0.5, null]\n}\n'
+
+
+@pytest.mark.parametrize("obj, text", [
+    ({}, "{}"), ([], "[]"), ((), "[]"),
+    (None, "null"), (True, "true"), (False, "false"),
+    (0, "0"), (-7, "-7"), (2 ** 70, str(2 ** 70)),
+    (-0.0, "0"), (0.1, "0.10000000000000001"),
+    ('say "hi"', r'"say \"hi\""'), ("a\\b", r'"a\\b"'), ("one\ntwo", r'"one\ntwo"'),
+    ("\r\t", r'"\r\t"'),
+])
+def test_to_json_scalars_and_empty_containers(obj, text):
+    assert to_json(obj) == text + "\n"
+
+
+@pytest.mark.parametrize("obj, key", [
+    ({1: 2.0}, "1"), ({"a": {2: 1.0}}, "2"), ([{"ok": 1}, {None: 1}], "None"),
+])
+def test_to_json_rejects_a_key_that_is_not_a_string(obj, key):
+    with pytest.raises(TypeError, match=f"^JSON keys must be strings, got {key}$"):
+        to_json(obj)
+
+
+def test_to_json_rejects_nan():
+    with pytest.raises(ValueError, match="non-finite"):
+        to_json({"a": [1.0, float("nan")]})
+
+
+@pytest.mark.parametrize("bad, name", [({1.0}, "set"), (np.int64(3), "int64")])
+def test_to_json_rejects_types_it_does_not_write(bad, name):
+    with pytest.raises(TypeError, match=f"^cannot serialize {name}$"):
+        to_json({"a": bad})
+
+
+# Report strings hold no control character but newline, CR and tab, the
+# writer's only escapes besides the quote and the backslash.
+_JSON_TEXT = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs")) | st.sampled_from('\n\r\t"\\'), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(
+    st.none() | st.booleans() | st.integers() | _FINITE | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=20))
+def test_to_json_parses_back_to_the_tree(tree):
+    # Every float is written with 17 digits, and -0.0 as 0, so a round trip
+    # gives the same values.
+    assert json.loads(to_json(tree)) == tree
