@@ -111,8 +111,11 @@ def _squares(x) -> np.ndarray:
     return np.array([v ** 2 for v in np.where(x > _SQRT_MAX, np.inf, x).tolist()])
 
 
-def _norms(x) -> np.ndarray:
-    """np.linalg.norm of each row of the (n, m) array x: sqrt of its dot product."""
+@np.errstate(over="ignore", invalid="ignore")
+def _norms(x, scale) -> np.ndarray:
+    """np.linalg.norm of each row of the (n, m) array x / scale: sqrt of its dot product.
+    An overflowing state gives inf or NaN quietly, and its step then fails at min_step."""
+    x = x / scale
     return np.sqrt(np.matmul(x[:, None, :], x[:, :, None]))[:, 0, 0]
 
 
@@ -121,14 +124,15 @@ def _select_initial_step(fun, t0, y0, t_bound, f0, rtol, atol, idx):
     interval_length = np.abs(t_bound - t0)
     scale = atol + np.abs(y0) * rtol
     root_m = y0.shape[1] ** 0.5  # SciPy's norm here is the RMS norm
-    d0 = _norms(y0 / scale) / root_m
-    d1 = _norms(f0 / scale) / root_m
+    d0 = _norms(y0, scale) / root_m
+    d1 = _norms(f0, scale) / root_m
     with np.errstate(divide="ignore", invalid="ignore"):
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
     h0 = np.minimum(h0, interval_length)
     f1 = np.empty_like(f0)
     fun(t0 + h0, y0 + h0[:, None] * f0, idx, f1)
-    d2 = _norms((f1 - f0) / scale) / root_m / h0
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _norms
+        d2 = _norms(f1 - f0, scale) / root_m / h0
     flat = (d1 <= 1e-15) & (d2 <= 1e-15)
     h1 = np.maximum(1e-6, h0 * 1e-3)
     h1[~flat] = [v ** (1 / (7 + 1)) for v in (0.01 / np.maximum(d1, d2)[~flat]).tolist()]
@@ -151,9 +155,8 @@ def _rk_step(fun, t, y, f, h, idx):
 
 def _estimate_error_norm(K, h, scale):
     K_T = K.transpose(0, 2, 1)
-    err5 = np.matmul(K_T, E5) / scale
-    err3 = np.matmul(K_T, E3) / scale
-    squares = _squares(np.concatenate([_norms(err5), _norms(err3)]))
+    squares = _squares(np.concatenate([_norms(np.matmul(K_T, E5), scale),
+                                       _norms(np.matmul(K_T, E3), scale)]))
     err5_norm_2, err3_norm_2 = squares[:len(h)], squares[len(h):]
     denom = err5_norm_2 + 0.01 * err3_norm_2
     # SciPy returns 0 when both norms are 0; a unit denominator gives that
@@ -457,10 +460,10 @@ def _solve_lockstep(fun, event, active):
     rec_idx, rec_t, rec_y, rec_K = [active.idx], [active.t], [active.y], []
 
     while active.idx.size:
-        # RungeKutta._step_impl: a fresh step starts no smaller than
-        # min_step; a rejected one that falls below it fails.
+        # RungeKutta._step_impl: a fresh step (a NaN one too) starts no smaller
+        # than min_step; a rejected one that falls below it fails.
         min_step = 10 * np.abs(np.nextafter(active.t, np.inf) - active.t)
-        small = active.h_abs < min_step
+        small = ~(active.h_abs >= min_step)
         if small.any():
             active.h_abs = np.where(small, min_step, active.h_abs)
             stuck = small & active.rejected
@@ -535,7 +538,7 @@ def _solve_one(fun, event, t, y, f, h_abs, t_bound, rtol, atol, g):
     ts, ys, Ks, fired = [t], [y], [], []
     while status is None:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
-        if h_abs < min_step:
+        if not h_abs >= min_step:  # a NaN step too
             h_abs = min_step
             if rejected:
                 status = -1
@@ -549,9 +552,10 @@ def _solve_one(fun, event, t, y, f, h_abs, t_bound, rtol, atol, g):
         fun(np.array([t + h]), y_new[None], idx, K[-1:])
 
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        err5, err3 = np.dot(K_T, E5) / scale, np.dot(K_T, E3) / scale
-        e5, e3 = (math.inf if v > _SQRT_MAX else v ** 2
-                  for v in (math.sqrt(err5 @ err5), math.sqrt(err3 @ err3)))
+        with np.errstate(over="ignore", invalid="ignore"):  # as in _norms
+            err5, err3 = np.dot(K_T, E5) / scale, np.dot(K_T, E3) / scale
+            e5, e3 = (math.inf if v > _SQRT_MAX else v ** 2
+                      for v in (math.sqrt(err5 @ err5), math.sqrt(err3 @ err3)))
         denom = e5 + 0.01 * e3
         # 0 when both norms are 0; 0 / 0 (NaN) where 0.01 e3 underflows.
         error_norm = abs(h) * e5 / math.sqrt(denom * m) if denom else (math.nan if e3 else 0.0)

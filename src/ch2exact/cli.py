@@ -48,10 +48,8 @@ from .emden import (
 from .selfsim import SolutionCase
 from .serialize import Indexed, fmt_float, to_json, write_csv, write_text
 from .verify import (
-    DEFAULT_POINTS,
     Tolerances,
     battery_t_needed,
-    check_lattice_cap,
     fields_on_grid,
     horizon,
     run_battery,
@@ -114,60 +112,63 @@ def _load_blocks(path: str) -> list[dict[str, str]]:
     return parse_config_blocks(text)
 
 
-def _check_keys(block: dict[str, str], allowed: set[str], context: str) -> None:
+_CASE_KEYS = ("sigma", "alpha", "xi", "a0", "a1")  # a1 alone is optional
+_GRID_KEYS = ("t0", "t1", "nt", "nx", "x1", "x0")
+_TOLERANCE_KEYS = tuple(f.name for f in fields(Tolerances))
+# Each command's (required keys, in the order they are reported missing; allowed keys).
+_KEYS = {
+    "emden": (("xi", "a0"), {"xi", "a0", "a1", "t_end", "tol"}),
+    "construct": (_CASE_KEYS[:4], {*_CASE_KEYS, "t_end", "tol", *_GRID_KEYS}),
+    "verify": (_CASE_KEYS[:4], {*_CASE_KEYS, "t_end", "tol", *_GRID_KEYS, *_TOLERANCE_KEYS}),
+    "sweep": (_CASE_KEYS[:4], {*_CASE_KEYS, "t_end", "tol"}),
+}
+# Each key's type where it is not float; a tuple is a comma-separated list of floats.
+_TYPES = {"nt": int, "nx": int, **{f.name: type(f.default) for f in fields(Tolerances)}}
+
+
+def _parse(block: dict[str, str], command: str, tol_flag: float | None) -> dict:
+    """The block's values by key, each parsed once; a1, t_end and tol have defaults,
+    and the given grid and Tolerances keys sit in the dicts "grid" and "tols".
+
+    The keys are checked first (unknown ones, then missing required ones),
+    then each value in block order: its type, finite, sigma +1 or -1 and a
+    given t_end > 0.  A --tol flag replaces the tol key unparsed.
+    """
+    required, allowed = _KEYS[command]
     unknown = sorted(set(block) - allowed)
     if unknown:
-        raise ConfigError(f"unknown config key(s) for {context}: {', '.join(unknown)}")
-
-
-def _get(block: dict[str, str], key: str, default=None, kind=float):
-    """block[key] as kind: float, int, or tuple (comma-separated floats), each finite."""
-    if key not in block:
-        if default is None:
+        raise ConfigError(f"unknown config key(s) for {command}: {', '.join(unknown)}")
+    for key in required:
+        if key not in block:
             raise ConfigError(f"config key {key!r} is required")
-        return default
-    try:
-        value = tuple(map(float, block[key].split(","))) if kind is tuple else kind(block[key])
-    except ValueError as exc:
-        noun = {int: "an integer", tuple: "a list of numbers"}.get(kind, "a number")
-        raise ConfigError(f"config key {key!r} is not {noun}: {block[key]!r}") from exc
-    if not all(map(math.isfinite, value if kind is tuple else (value,))):
-        raise ConfigError(f"config key {key!r} must be finite: {block[key]!r}")
-    return value
+    values = {"a1": 0.0, "t_end": 0.0, "tol": DEFAULT_TOL if tol_flag is None else tol_flag,
+              "grid": {}, "tols": {}}
+    for key, text in block.items():
+        if key == "tol" and tol_flag is not None:
+            continue
+        kind = _TYPES.get(key, float)
+        try:
+            value = tuple(map(float, text.split(","))) if kind is tuple else kind(text)
+        except ValueError as exc:
+            noun = {int: "an integer", tuple: "a list of numbers"}.get(kind, "a number")
+            raise ConfigError(f"config key {key!r} is not {noun}: {text!r}") from exc
+        if not all(map(math.isfinite, value if kind is tuple else (value,))):
+            raise ConfigError(f"config key {key!r} must be finite: {text!r}")
+        if key == "sigma" and value not in (-1.0, 1.0):
+            raise ConfigError(f"sigma must be +1 or -1, got {text}")
+        if key == "t_end" and not value > 0:
+            raise ConfigError(f"config key 't_end' must be > 0: {text!r}")
+        group = "grid" if key in _GRID_KEYS else "tols" if key in _TOLERANCE_KEYS else None
+        (values[group] if group else values)[key] = value
+    return values
 
 
-_CASE_KEYS = {"sigma", "xi", "alpha", "a0", "a1"}
-_GRID_KEYS = {"t0": float, "t1": float, "nt": int, "nx": int, "x1": float, "x0": float}
-_KEYS = {
-    "emden": {"xi", "a0", "a1", "t_end", "tol"},
-    "construct": _CASE_KEYS | {*_GRID_KEYS, "t_end", "tol"},
-    "verify": _CASE_KEYS | {*_GRID_KEYS, "t_end", "tol"} | {f.name for f in fields(Tolerances)},
-    "sweep": _CASE_KEYS | {"t_end", "tol"},
-}
-
-
-def _orbit(block: dict[str, str], command: str, tol_flag: float | None):
-    """(case, params, tol) of one block; case is None for ``emden``."""
-    _check_keys(block, _KEYS[command], command)
-    case_args = {}
-    if command != "emden":
-        sigma = _get(block, "sigma")
-        if sigma not in (-1.0, 1.0):
-            raise ConfigError(f"sigma must be +1 or -1, got {block['sigma']}")
-        case_args = {"sigma": int(sigma), "alpha": _get(block, "alpha")}
-    params = EmdenParams(xi=_get(block, "xi"), a0=_get(block, "a0"), a1=_get(block, "a1", 0.0))
-    case = SolutionCase(**case_args, emden=params) if case_args else None
-    tol = tol_flag if tol_flag is not None else _get(block, "tol", DEFAULT_TOL)
-    return case, params, tol
-
-
-def _load(args):
-    """(block, case, params, tol) of a single-case command's config, --grid applied."""
+def _load(args) -> dict:
+    """The parsed values of a single-case command's one-block config, --grid applied."""
     blocks = _load_blocks(args.config)
     if len(blocks) != 1:
-        raise ConfigError(
-            f"config {args.config} must contain exactly one block, found {len(blocks)}"
-        )
+        raise ConfigError(f"config {args.config} must contain exactly one block, "
+                          f"found {len(blocks)}")
     block = blocks[0]
     grid_flag = getattr(args, "grid", None)
     if grid_flag is not None:
@@ -175,20 +176,15 @@ def _load(args):
         if len(parts) != 2:
             raise ConfigError(f"--grid expects 'nx,nt', got {grid_flag!r}")
         block["nx"], block["nt"] = parts[0].strip(), parts[1].strip()
-    return (block, *_orbit(block, args.command, args.tol))
+    return _parse(block, args.command, args.tol)
 
 
-def _t_end(block: dict[str, str]) -> float:
-    """The block's t_end, 0 when it has none (horizon's default); a given t_end must be > 0."""
-    t_end = _get(block, "t_end", 0.0)
-    if "t_end" in block and not t_end > 0:
-        raise ConfigError(f"config key 't_end' must be > 0: {block['t_end']!r}")
-    return t_end
+def _params(values: dict) -> EmdenParams:
+    return EmdenParams(xi=values["xi"], a0=values["a0"], a1=values["a1"])
 
 
-def _grid_keys(block: dict[str, str]) -> dict:
-    """The block's grid keys, parsed in _GRID_KEYS order; sampling_grid derives the rest."""
-    return {key: _get(block, key, kind=kind) for key, kind in _GRID_KEYS.items() if key in block}
+def _case(values: dict) -> SolutionCase:
+    return SolutionCase(sigma=int(values["sigma"]), alpha=values["alpha"], emden=_params(values))
 
 
 def _write(write, path: Path, *content) -> None:
@@ -222,8 +218,9 @@ def _parse_corrupt(flag: str | None) -> float:
 # ----------------------------------------------------------------------
 
 def cmd_emden(args) -> int:
-    block, _, params, tol = _load(args)
-    traj, report = analyze(params, horizon(_t_end(block)), tol)
+    values = _load(args)
+    params, tol = _params(values), values["tol"]
+    traj, report = analyze(params, horizon(values["t_end"]), tol)
 
     out = Path(args.out)
     _write(write_csv, out / "emden.csv", ["s", "a", "a_dot", "energy"],
@@ -241,18 +238,13 @@ def cmd_emden(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    block, case, params, tol = _load(args)
-    t1 = _get(block, "t1", 0.0)
-    traj, report = analyze(params, horizon(_t_end(block), t1), tol)
-    if report.classification is Classification.COLLAPSE and "t1" in block:
-        s_collapse = report.s_collapse_quadrature
-        if 3.0 * t1 >= s_collapse:
-            raise ConfigError(
-                f"grid end 3*t1 = {3.0 * t1} crosses the collapse "
-                f"time s = {s_collapse}"
-            )
+    values = _load(args)
+    case = _case(values)
+    given = values["grid"]
+    traj, report = analyze(case.emden, horizon(values["t_end"], given.get("t1", 0.0)),
+                           values["tol"])
     # Plain sampling has no stencil: any SpaceTimeGrid the orbit covers will do.
-    grid = sampling_grid(case, traj, report, _grid_keys(block))
+    grid = sampling_grid(case, traj, report, given)
 
     ts, xs, nt, nx = grid.ts(), grid.xs(), grid.nt, grid.nx
     rho, u, eta = fields_on_grid(case, traj, ts, xs)
@@ -276,20 +268,13 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    block, case, params, tol = _load(args)
+    values = _load(args)
+    case = _case(values)
+    params, tol = case.emden, values["tol"]
     u_scale = _parse_corrupt(args.seed_corrupt)
-    if case.compact and case.alpha == 0:
-        raise ConfigError("alpha = 0 shrinks the compact profile's support to the one point "
-                          "x = 0, so no grid fits inside it")
-    # Each tolerance key parses as the type of its default, in field order.
-    tols = Tolerances(**{f.name: _get(block, f.name, f.default, type(f.default))
-                         for f in fields(Tolerances)})
-    given = _grid_keys(block)
-    # The ladder's size needs no orbit: an oversized one fails before any work.
-    check_lattice_cap(given.get("nt", DEFAULT_POINTS), given.get("nx", DEFAULT_POINTS),
-                      tols.levels)
-    t_needed = battery_t_needed(params, tols, given.get("t1"))
-    traj, report = analyze(params, horizon(_t_end(block), t_needed), tol)
+    tols, given = Tolerances(**values["tols"]), values["grid"]
+    t_needed = battery_t_needed(case, tols, given)  # its checks need no orbit: they run first
+    traj, report = analyze(params, horizon(values["t_end"], t_needed), tol)
     grid = sampling_grid(case, traj, report, given, tols.margin)
 
     reports = {"blowup": _blowup_record(report),
@@ -346,29 +331,23 @@ def cmd_sweep(args) -> int:
     cases, plans = [], []
     for block in blocks:
         try:
-            case, params, tol = _orbit(block, "sweep", args.tol)
-            plans.append((params, horizon(_t_end(block)), tol))
-            cases.append(case)
+            values = _parse(block, "sweep", args.tol)
+            cases.append(_case(values))
+            plans.append((cases[-1].emden, horizon(values["t_end"]), values["tol"]))
         except _ROW_ERRORS as exc:
             cases.append(exc)
     analyzed = iter(analyze_many(plans))
     rows = []
     for block, case in zip(blocks, cases):
+        result = case if isinstance(case, Exception) else next(analyzed)
         try:
-            if isinstance(case, Exception):
-                raise case
-            result = next(analyzed)
             if isinstance(result, Exception):
                 raise result
             rows.append(_sweep_row(case, *result))
         except _ROW_ERRORS as exc:  # library error: one row
-            rows.append([
-                "?",
-                block.get("sigma", ""), block.get("xi", ""), block.get("alpha", ""),
-                block.get("a0", ""), block.get("a1", ""),
-                f"error: {exc}".replace(",", ";").replace("\n", " "),
-                "", "", "", "", "false",
-            ])
+            rows.append(["?", *(block.get(key, "") for key in _SWEEP_HEADER[1:6]),
+                         f"error: {exc}".replace(",", ";").replace("\n", " "),
+                         "", "", "", "", "false"])
     out = Path(args.out)
     columns = list(zip(*rows)) or [()] * len(_SWEEP_HEADER)  # an empty sweep has no rows to transpose
     _write(write_csv, out / "sweep.csv", _SWEEP_HEADER, columns)

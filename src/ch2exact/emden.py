@@ -471,7 +471,9 @@ def analyze_many(orbits) -> list:
 
 
 def _plan(params: EmdenParams, s_end: float | None):
-    """(classification, quadrature S or None, integration horizon) of one orbit."""
+    """(classification, quadrature S or None, integration horizon) of one finite-energy orbit."""
+    if not math.isfinite(params.theta):
+        raise ArithmeticError(f"orbit energy theta = a1^2/2 - xi |a0|^(2/3)/2 = {params.theta}")
     cls = classify(params)
     if cls is Classification.COLLAPSE:
         s_quad = collapse_time_quadrature(params)

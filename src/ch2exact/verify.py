@@ -31,10 +31,11 @@ defined.
 
 Windows: sampling_grid fills in the grid keys a config leaves out (t1 =
 0.25 S/3 on collapse, else min(0.5, t_max); x1 a fraction of the support
-radius that _check_grid accepts, or |a0|^{1/3}), after checking that the
-orbit covers [t0, t1].  battery_t_needed runs a
-global orbit past the grid and the origin-decay window (_decay_window_end),
-and horizon turns that and a config's t_end into analyze's s_end.
+radius that _check_grid accepts, or |a0|^{1/3}), after checking that a
+given t1 ends before the collapse and that the orbit covers [t0, t1].
+battery_t_needed runs a global orbit past the grid and the origin-decay
+window (_decay_window_end), after the checks that need no orbit; horizon
+turns that and a config's t_end into analyze's s_end.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .emden import (
     BlowupReport,
     Classification,
     CollapseSingularity,
-    EmdenParams,
     Trajectory,
     classify,
     node_energies,
@@ -252,7 +252,9 @@ def min_support_radius(case: SolutionCase, traj: Trajectory, ts) -> float:
 
 
 def _check_window(traj: Trajectory, t0: float, t1: float) -> None:
-    """Raise GridError unless the trajectory covers the physical times [t0, t1]."""
+    """Raise GridError unless [t0, t1] is increasing and the trajectory covers it."""
+    if not t1 > t0:
+        raise GridError(f"need t1 > t0, got [{t0}, {t1}]")
     if t0 < 0.0:
         raise GridError(f"grid starts before t = 0 (t0 = {t0})")
     if 3.0 * t1 > traj.s_max:
@@ -291,9 +293,14 @@ def _check_grid(
 
 def sampling_grid(case: SolutionCase, traj: Trajectory, report: BlowupReport, given: dict,
                   margin: float = DEFAULT_SUPPORT_MARGIN) -> SpaceTimeGrid:
-    """The lattice of the grid keys in given, the missing ones derived from the orbit."""
+    """The lattice of the grid keys in given, the missing ones derived from the orbit;
+    a given t1 must come before the collapse, and the orbit must cover [t0, t1]."""
     if report.classification is Classification.COLLAPSE:
-        t1_default = 0.25 * report.s_collapse_quadrature / 3.0
+        s_collapse = report.s_collapse_quadrature
+        if "t1" in given and 3.0 * given["t1"] >= s_collapse:
+            raise GridError(f"grid end 3*t1 = {3.0 * given['t1']} crosses the collapse "
+                            f"time s = {s_collapse}")
+        t1_default = 0.25 * s_collapse / 3.0
     else:
         t1_default = min(_GLOBAL_T1, _t_max(traj))
     t0 = given.get("t0", 0.0)
@@ -322,13 +329,19 @@ def _decay_window_end(tols: Tolerances) -> float:
     return tols.decay_t_max
 
 
-def battery_t_needed(params: EmdenParams, tols: Tolerances, t1: float | None = None) -> float:
-    """Physical time a verify run integrates a global orbit to: the end of the
-    origin-decay window or 1.05 times the grid end t1 (sampling_grid's _GLOBAL_T1
-    when None), whichever is later; 0 for a collapse orbit, run to its collapse."""
-    if classify(params) is not Classification.GLOBAL:
+def battery_t_needed(case: SolutionCase, tols: Tolerances, given: dict) -> float:
+    """Physical time a verify run integrates a global orbit to: the end of the origin-decay
+    window or 1.05 times the given t1 (sampling_grid's _GLOBAL_T1 if none), whichever is
+    later; 0 for a collapse orbit, run to its collapse.  Needing no orbit, it first
+    rejects alpha = 0 on a compact family and a residual ladder over the lattice cap."""
+    if case.compact and case.alpha == 0:
+        raise GridError("alpha = 0 shrinks the compact profile's support to the one point "
+                        "x = 0, so no grid fits inside it")
+    check_lattice_cap(given.get("nt", DEFAULT_POINTS), given.get("nx", DEFAULT_POINTS),
+                      tols.levels)
+    if classify(case.emden) is not Classification.GLOBAL:
         return 0.0
-    return max(_decay_window_end(tols), 1.05 * (_GLOBAL_T1 if t1 is None else t1))
+    return max(_decay_window_end(tols), 1.05 * given.get("t1", _GLOBAL_T1))
 
 
 def horizon(t_end: float, t_needed: float = 0.0) -> float | None:
@@ -637,7 +650,8 @@ def _blowup_rate_record(case, traj, report, rtol: float) -> dict:
 
 def _origin_decay_record(case, traj, tols: Tolerances) -> dict:
     t_hi = min(_decay_window_end(tols), _t_max(traj))
-    t_samples = list(np.geomspace(max(t_hi / 100.0, 1e-3), t_hi, 12))
+    t_lo = max(t_hi / 100.0, 1e-3) if t_hi > 1e-3 else t_hi / 100.0  # below t_hi
+    t_samples = list(np.geomspace(t_lo, t_hi, 12))
     values = origin_decay(case, traj, t_samples)
     decreasing = all(b < a for a, b in zip(values, values[1:]))
     k = (4.0 * case.emden.xi / 9.0) ** 0.75

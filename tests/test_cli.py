@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import warnings
@@ -650,9 +651,9 @@ def test_sweep_energy_drift_bound_on_batch200():
     # Every clean orbit of batch200 passes the sweep's first-integral check,
     # and the fault a' (1 + 1e-5) trips it on every one.
     blocks = cli._load_blocks(str(DATA / GOLDEN_DATA["batch200"]))
-    orbits = [cli._orbit(block, "sweep", None) for block in blocks]
-    results = emden.analyze_many([(params, horizon(cli._t_end(block)), tol)
-                                  for block, (_, params, tol) in zip(blocks, orbits)])
+    parsed = [cli._parse(block, "sweep", None) for block in blocks]
+    results = emden.analyze_many([(cli._case(values).emden, horizon(values["t_end"]),
+                                   values["tol"]) for values in parsed])
     clean, faulted = [], []
     for traj, report in results:
         drift, bound = energy_drift(traj, report.theta)
@@ -1036,14 +1037,23 @@ def test_explicit_t1_beyond_orbit_still_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("command,cfg,message", [
     ("construct", CFG_1A + "t0 = -0.1\n", "grid starts before t = 0 (t0 = -0.1)"),
     ("verify", CFG_1A + "t0 = -0.1\n", "grid starts before t = 0 (t0 = -0.1)"),
+    # A given t1 past the collapse: sampling_grid words it alike for both commands.
+    ("construct", CFG_1A + "t1 = 5\n",
+     "grid end 3*t1 = 15.0 crosses the collapse time s = 2.356194490192345"),
     ("verify", CFG_1A + "t1 = 5\n",
-     "grid needs s up to 15.0 but the trajectory ends at 2.3561944900959215"),
+     "grid end 3*t1 = 15.0 crosses the collapse time s = 2.356194490192345"),
     ("construct", "sigma = 1\nxi = -3\nalpha = 1\na0 = -1\na1 = 0\nt0 = -0.1\n",
      "grid starts before t = 0 (t0 = -0.1)"),
     # 3 t1 lies between the end of the integration and the collapse time.
     ("construct", CFG_ULP + "t1 = 0.06256739722636141\n",
      "grid needs s up to 0.18770219167908425 but the trajectory ends at 0.18770219167908422"),
-], ids=["construct-1a-t0", "verify-1a-t0", "verify-1a-t1", "construct-2b-t0", "construct-ulp-t1"])
+    # A reversed window on a compact family: named before the support radius is sampled.
+    ("construct", "sigma = 1\nxi = 3\nalpha = 1\na0 = 1\na1 = 0\nt0 = 50\nt1 = 0.1\n",
+     "need t1 > t0, got [50.0, 0.1]"),
+    ("verify", "sigma = 1\nxi = 3\nalpha = 1\na0 = 1\na1 = 0\nt0 = 50\nt1 = 0.1\n",
+     "need t1 > t0, got [50.0, 0.1]"),
+], ids=["construct-1a-t0", "verify-1a-t0", "construct-1a-t1", "verify-1a-t1", "construct-2b-t0",
+        "construct-ulp-t1", "construct-2a-reversed", "verify-2a-reversed"])
 def test_window_outside_the_orbit_is_named(tmp_path, capsys, command, cfg, message):
     # sampling_grid checks the window before it samples the support radius
     # of a compact family on it, and construct of a full-line family checks
@@ -1052,6 +1062,42 @@ def test_window_outside_the_orbit_is_named(tmp_path, capsys, command, cfg, messa
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"invalid input: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+class _Hung(BaseException):
+    """Raised by the alarm of test_extreme_magnitudes_end_in_time; no handler catches it."""
+
+
+# |xi| from 1e150 to 1e300 at rest with a0 = 1 (sigma = sign xi: families 1a and 2a), and
+# slopes whose energy a1^2/2 overflows.  Each (xi, a1, exit code) ends in a verdict or in
+# one numerical-failure line; at |xi| >= 1e200 the state overflows and the step fails.
+EXTREME = [(xi, "0", None) for xi in (1e150, -1e150)] + [
+    (sign * 10.0 ** e, "0", 2) for e in (200, 250, 300) for sign in (1, -1)] + [
+    (1.0, a1, 2) for a1 in ("1e160", "-1e160", "1e300", "-1e300")]
+
+
+@pytest.mark.parametrize("command", ["emden", "construct", "verify"])
+@pytest.mark.parametrize("xi,a1,code", EXTREME, ids=[f"xi={xi:g},a1={a1}" for xi, a1, _ in EXTREME])
+def test_extreme_magnitudes_end_in_time(tmp_path, capsys, command, xi, a1, code):
+    case = "" if command == "emden" else f"sigma = {1 if xi > 0 else -1}\nalpha = 1\n"
+    cfg = write_config(tmp_path, case + f"xi = {xi!r}\na0 = 1\na1 = {a1}\n")
+
+    def hung(signum, frame):
+        raise _Hung(f"{command} still running after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    err = capsys.readouterr().err
+    assert rc in (0, 2, 3) and (code is None or rc == code), err
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert len(err.splitlines()) <= 1 and (rc != 2 or err.startswith("numerical failure: "))
 
 
 def test_readme_verify_table_matches_tolerances():

@@ -453,6 +453,22 @@ def test_origin_decay_rate():
     assert vals[-1] * math.sqrt(times[-1]) == pytest.approx(1.0 / math.sqrt(3.0), rel=0.05)
 
 
+@pytest.mark.parametrize("decay_t_max", [5e-4, 1e-3, 2e-3, 300.0])
+def test_origin_decay_times_increase(decay_t_max):
+    # The 12 sample times end at decay_t_max and span two decades below it,
+    # cut at 1e-3 where decay_t_max exceeds that: then they are unchanged.
+    case = SolutionCase(sigma=1, alpha=1.0, emden=EmdenParams(xi=1.0, a0=1.0, a1=0.5))
+    tols = Tolerances(decay_t_max=decay_t_max)
+    traj, _ = analyze(case.emden, horizon(0.0, battery_t_needed(case, tols, {})))
+    record = verify._origin_decay_record(case, traj, tols)
+    times = record["times"]
+    assert len(times) == 12 and times[-1] == pytest.approx(decay_t_max, rel=1e-15)
+    assert all(b > a for a, b in zip(times, times[1:]))
+    assert record["strictly_decreasing"] is True
+    if decay_t_max > 1e-3:
+        assert times == np.geomspace(max(decay_t_max / 100.0, 1e-3), decay_t_max, 12).tolist()
+
+
 def test_origin_decay_zero_amplitude(case_2a):
     _, traj, _ = case_2a
     case = SolutionCase(sigma=1, alpha=0.0, emden=EmdenParams(xi=1.0, a0=1.0, a1=0.0))
@@ -496,7 +512,7 @@ def test_default_verify_windows_pass_their_own_checks(family, xi_dec, a0_dec, al
     case = SolutionCase(sigma=sigma, alpha=10.0 ** alpha_dec, emden=params)
     tols = Tolerances()
     try:
-        traj, report = analyze(params, horizon(0.0, battery_t_needed(params, tols)))
+        traj, report = analyze(params, horizon(0.0, battery_t_needed(case, tols, {})))
     except IntegrationFailure:
         return  # the theta ~ 0 separatrix (test_emden's stop-event case)
     grid = sampling_grid(case, traj, report, {}, tols.margin)
