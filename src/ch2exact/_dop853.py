@@ -111,10 +111,8 @@ def _squares(x) -> np.ndarray:
     return np.array([v ** 2 for v in np.where(x > _SQRT_MAX, np.inf, x).tolist()])
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _norms(x, scale) -> np.ndarray:
-    """np.linalg.norm of each row of the (n, m) array x / scale: sqrt of its dot product.
-    An overflowing state gives inf or NaN quietly, and its step then fails at min_step."""
+    """np.linalg.norm of each row of the (n, m) array x / scale: sqrt of its dot product."""
     x = x / scale
     return np.sqrt(np.matmul(x[:, None, :], x[:, :, None]))[:, 0, 0]
 
@@ -126,13 +124,11 @@ def _select_initial_step(fun, t0, y0, t_bound, f0, rtol, atol, idx):
     root_m = y0.shape[1] ** 0.5  # SciPy's norm here is the RMS norm
     d0 = _norms(y0, scale) / root_m
     d1 = _norms(f0, scale) / root_m
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
     h0 = np.minimum(h0, interval_length)
     f1 = np.empty_like(f0)
     fun(t0 + h0, y0 + h0[:, None] * f0, idx, f1)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in _norms
-        d2 = _norms(f1 - f0, scale) / root_m / h0
+    d2 = _norms(f1 - f0, scale) / root_m / h0
     flat = (d1 <= 1e-15) & (d2 <= 1e-15)
     h1 = np.maximum(1e-6, h0 * 1e-3)
     h1[~flat] = [v ** (1 / (7 + 1)) for v in (0.01 / np.maximum(d1, d2)[~flat]).tolist()]
@@ -395,7 +391,9 @@ def solve(fun, t0: float, t_bound, y0, rtol, atol, event) -> list:
     the same way; a problem stops at the first step over which its event
     value falls from >= 0 to <= 0, at the root in that step (SciPy's
     terminal event of direction -1).  ``rtol`` below 100 eps is raised to
-    it with a ``UserWarning``, one per problem.
+    it with a ``UserWarning``, one per problem.  numpy's floating-point
+    warnings are off while it steps (``fun`` too): a state that overflows
+    turns inf or NaN quietly, and its step then fails at ``min_step``.
 
     Returns one entry per problem: its ``OdeResult``, or the exception
     SciPy's brentq raises while its event root is located.
@@ -422,24 +420,25 @@ def solve(fun, t0: float, t_bound, y0, rtol, atol, event) -> list:
         raise ValueError("`atol` must be positive.")
     atol = atol[:, None]
 
-    idx = np.arange(n)
-    t = np.full(n, t0)
-    f = np.empty_like(y0)
-    fun(t, y0, idx, f)
-    g = np.asarray(event(t, y0, idx), dtype=float)
-    h_abs = _select_initial_step(fun, t, y0, t_bound, f, rtol, atol, idx)
-    if n == 1:
-        status, n_rejected, fired, records = _solve_one(
-            fun, event, t0, y0, f, float(h_abs[0]), float(t_bound[0]),
-            float(rtol[0, 0]), float(atol[0, 0]), float(g[0]))
-    else:
-        status, n_rejected, fired, records = _solve_lockstep(
-            fun, event, _Active(idx=idx, t=t, y=y0, f=f, h_abs=h_abs,
-                                rejected=np.zeros(n, dtype=bool), t_bound=t_bound,
-                                rtol=rtol, atol=atol, g=g))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        idx = np.arange(n)
+        t = np.full(n, t0)
+        f = np.empty_like(y0)
+        fun(t, y0, idx, f)
+        g = np.asarray(event(t, y0, idx), dtype=float)
+        h_abs = _select_initial_step(fun, t, y0, t_bound, f, rtol, atol, idx)
+        if n == 1:
+            status, n_rejected, fired, records = _solve_one(
+                fun, event, t0, y0, f, float(h_abs[0]), float(t_bound[0]),
+                float(rtol[0, 0]), float(atol[0, 0]), float(g[0]))
+        else:
+            status, n_rejected, fired, records = _solve_lockstep(
+                fun, event, _Active(idx=idx, t=t, y=y0, f=f, h_abs=h_abs,
+                                    rejected=np.zeros(n, dtype=bool), t_bound=t_bound,
+                                    rtol=rtol, atol=atol, g=g))
 
-    located = _locate_events(fun, event, t0, fired) if fired else {}
-    return _assemble(fun, n, status, located, n_rejected, *records)
+        located = _locate_events(fun, event, t0, fired) if fired else {}
+        return _assemble(fun, n, status, located, n_rejected, *records)
 
 
 def _solve_lockstep(fun, event, active):
@@ -552,10 +551,9 @@ def _solve_one(fun, event, t, y, f, h_abs, t_bound, rtol, atol, g):
         fun(np.array([t + h]), y_new[None], idx, K[-1:])
 
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        with np.errstate(over="ignore", invalid="ignore"):  # as in _norms
-            err5, err3 = np.dot(K_T, E5) / scale, np.dot(K_T, E3) / scale
-            e5, e3 = (math.inf if v > _SQRT_MAX else v ** 2
-                      for v in (math.sqrt(err5 @ err5), math.sqrt(err3 @ err3)))
+        err5, err3 = np.dot(K_T, E5) / scale, np.dot(K_T, E3) / scale
+        e5, e3 = (math.inf if v > _SQRT_MAX else v ** 2
+                  for v in (math.sqrt(err5 @ err5), math.sqrt(err3 @ err3)))
         denom = e5 + 0.01 * e3
         # 0 when both norms are 0; 0 / 0 (NaN) where 0.01 e3 underflows.
         error_norm = abs(h) * e5 / math.sqrt(denom * m) if denom else (math.nan if e3 else 0.0)

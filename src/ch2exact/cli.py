@@ -14,7 +14,8 @@ byte-identical.  Times in configs and outputs are physical t; the scale
 factor's internal clock is s = 3t.
 
 Exit codes: 0 success, 1 invalid input, 2 numerical failure,
-3 verification failure.
+3 verification failure.  An error's class alone picks 1 or 2: an
+ArithmeticError is a numerical failure, any other ValueError invalid input.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ from .emden import (
     DEFAULT_TOL,
     Classification,
     EmdenParams,
-    IntegrationFailure,
-    InvalidEnergy,
     analyze,
     analyze_many,
     node_energies,
@@ -61,9 +60,6 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
 EXIT_NUMERICAL_FAILURE = 2
 EXIT_VERIFICATION_FAILURE = 3
-# What exits EXIT_NUMERICAL_FAILURE: a step-size breakdown, an energy of the wrong sign,
-# or arithmetic (a singularity, or a closed form that overflows or divides by zero).
-_NUMERICAL_ERRORS = (IntegrationFailure, InvalidEnergy, ArithmeticError)
 
 
 class ConfigError(ValueError):
@@ -126,13 +122,13 @@ _KEYS = {
 _TYPES = {"nt": int, "nx": int, **{f.name: type(f.default) for f in fields(Tolerances)}}
 
 
-def _parse(block: dict[str, str], command: str, tol_flag: float | None) -> dict:
+def _parse(block: dict[str, str], command: str) -> dict:
     """The block's values by key, each parsed once; a1, t_end and tol have defaults,
     and the given grid and Tolerances keys sit in the dicts "grid" and "tols".
 
     The keys are checked first (unknown ones, then missing required ones),
     then each value in block order: its type, finite, sigma +1 or -1 and a
-    given t_end > 0.  A --tol flag replaces the tol key unparsed.
+    given t_end > 0.
     """
     required, allowed = _KEYS[command]
     unknown = sorted(set(block) - allowed)
@@ -141,11 +137,8 @@ def _parse(block: dict[str, str], command: str, tol_flag: float | None) -> dict:
     for key in required:
         if key not in block:
             raise ConfigError(f"config key {key!r} is required")
-    values = {"a1": 0.0, "t_end": 0.0, "tol": DEFAULT_TOL if tol_flag is None else tol_flag,
-              "grid": {}, "tols": {}}
+    values = {"a1": 0.0, "t_end": 0.0, "tol": DEFAULT_TOL, "grid": {}, "tols": {}}
     for key, text in block.items():
-        if key == "tol" and tol_flag is not None:
-            continue
         kind = _TYPES.get(key, float)
         try:
             value = tuple(map(float, text.split(","))) if kind is tuple else kind(text)
@@ -176,7 +169,7 @@ def _load(args) -> dict:
         if len(parts) != 2:
             raise ConfigError(f"--grid expects 'nx,nt', got {grid_flag!r}")
         block["nx"], block["nt"] = parts[0].strip(), parts[1].strip()
-    return _parse(block, args.command, args.tol)
+    return _parse(block, args.command)
 
 
 def _params(values: dict) -> EmdenParams:
@@ -301,7 +294,7 @@ _SWEEP_HEADER = [
 
 
 # Per-case library errors, which a sweep records in the case's row.
-_ROW_ERRORS = (ValueError, *_NUMERICAL_ERRORS)
+_ROW_ERRORS = (ValueError, ArithmeticError)
 
 
 def _sweep_row(case: SolutionCase, traj, report) -> list[str]:
@@ -331,7 +324,7 @@ def cmd_sweep(args) -> int:
     cases, plans = [], []
     for block in blocks:
         try:
-            values = _parse(block, "sweep", args.tol)
+            values = _parse(block, "sweep")
             cases.append(_case(values))
             plans.append((cases[-1].emden, horizon(values["t_end"]), values["tol"]))
         except _ROW_ERRORS as exc:
@@ -379,8 +372,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--config", required=True, help="flat key=value config file")
     common.add_argument("--out", default=".", help="output directory (default: .)")
-    common.add_argument("--tol", type=float, default=None,
-                        help="integrator tolerance override")
 
     p = sub.add_parser("emden", parents=[common],
                        help="integrate one scale-factor orbit")
@@ -410,7 +401,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _NUMERICAL_ERRORS as exc:
+    except ArithmeticError as exc:  # first: serialize's NonFiniteValue is a ValueError too
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
     except ValueError as exc:  # ConfigError included

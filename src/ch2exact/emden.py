@@ -79,12 +79,12 @@ class CollapseSingularity(ArithmeticError):
     """The right-hand side was evaluated at the a = 0 singularity."""
 
 
-class InvalidEnergy(ValueError):
+class InvalidEnergy(ArithmeticError):
     """Orbit energy fails the sign condition required by the requested route."""
 
 
-class IntegrationFailure(RuntimeError):
-    """Adaptive stepping broke down.
+class IntegrationFailure(ArithmeticError):
+    """Adaptive stepping broke down, or the state overflowed.
 
     ``last_state`` is the last accepted node as an ``(s, a, a_dot)`` tuple
     of floats, or None when there is none.
@@ -272,13 +272,13 @@ def integrate_many(params, s_end, tol) -> list:
 
 def _trajectory(params: EmdenParams, res) -> Trajectory | Exception:
     """The Trajectory of one solver result, or the exception it amounts to."""
-    if res.status == -1:
+    failed = res.status == -1
+    if failed or not np.isfinite(res.y).all():
         last = None
         if res.t.size:
             last = (float(res.t[-1]), float(res.y[0, -1]), float(res.y[1, -1]))
-        return IntegrationFailure(f"adaptive step failed: {res.message}", last)
-    if not np.isfinite(res.y).all():
-        return ValueError("state components must be finite")
+        reason = f"adaptive step failed: {res.message}" if failed else "the state overflowed"
+        return IntegrationFailure(reason, last)
     return Trajectory(
         params=params,
         s=res.t,
@@ -476,8 +476,15 @@ def _plan(params: EmdenParams, s_end: float | None):
         raise ArithmeticError(f"orbit energy theta = a1^2/2 - xi |a0|^(2/3)/2 = {params.theta}")
     cls = classify(params)
     if cls is Classification.COLLAPSE:
-        s_quad = collapse_time_quadrature(params)
-        horizon = 1.25 * s_quad if s_end is None else max(s_end, 1.25 * s_quad)
+        try:
+            s_quad = collapse_time_quadrature(params)
+        except (OverflowError, ZeroDivisionError) as exc:  # |xi|^(3/2) leaves the doubles
+            raise ArithmeticError(
+                f"collapse time S: its closed form is out of range at xi = {params.xi}") from exc
+        reach = 1.25 * s_quad
+        if not 0.0 < reach < math.inf:  # S underflowed or overflowed (or is NaN)
+            raise ArithmeticError(f"collapse time S = {s_quad} is out of range")
+        horizon = reach if s_end is None else max(s_end, reach)
     else:
         s_quad = None
         horizon = _DEFAULT_GLOBAL_HORIZON if s_end is None else s_end

@@ -32,12 +32,16 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Indexed", "fmt_float", "to_json", "write_csv", "write_text"]
+__all__ = ["Indexed", "NonFiniteValue", "fmt_float", "to_json", "write_csv", "write_text"]
+
+
+class NonFiniteValue(ValueError, ArithmeticError):
+    """A NaN or an infinity reached a writer: bad data, and a numerical failure upstream."""
 
 
 def fmt_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
-        raise ValueError(f"non-finite value {x} must be handled by the caller")
+        raise NonFiniteValue(f"non-finite value {x} must be handled by the caller")
     if x == 0.0:
         return "0"
     return f"{x:.17g}"

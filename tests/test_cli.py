@@ -18,6 +18,7 @@ import pytest
 import ch2exact.cli as cli
 import ch2exact.emden as emden
 from ch2exact import EmdenParams, IntegrationFailure, analyze, profile
+from ch2exact._dop853 import TOO_SMALL_STEP
 from ch2exact.cli import ConfigError, main, parse_config_blocks
 from ch2exact.verify import Tolerances, _t_max, energy_drift, fields_on_grid, horizon
 
@@ -91,8 +92,9 @@ def test_sweep_block_with_inner_comment_is_one_row(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["verify"],                                      # no --config
     ["verify", "--config", "x.cfg", "--frobnicate"],  # unknown flag
-    ["verify", "--config", "x.cfg", "--tol", "abc"],  # malformed value
+    ["verify", "--config", "x.cfg", "--seed-corrupt"],  # flag without its value
     ["simulate", "--config", "x.cfg"],               # unknown subcommand
+    ["verify", "--config", "x.cfg", "--tol", "1e-8"],  # removed flag: tol is a config key
 ])
 def test_usage_errors_exit_1(argv, capsys):
     with pytest.raises(SystemExit) as info:
@@ -106,7 +108,8 @@ def test_help_exits_0(argv, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 0
-    assert "usage:" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "usage:" in out and "--tol" not in out
 
 
 # Every command's first output file, under an --out that is a regular file
@@ -651,7 +654,7 @@ def test_sweep_energy_drift_bound_on_batch200():
     # Every clean orbit of batch200 passes the sweep's first-integral check,
     # and the fault a' (1 + 1e-5) trips it on every one.
     blocks = cli._load_blocks(str(DATA / GOLDEN_DATA["batch200"]))
-    parsed = [cli._parse(block, "sweep", None) for block in blocks]
+    parsed = [cli._parse(block, "sweep") for block in blocks]
     results = emden.analyze_many([(cli._case(values).emden, horizon(values["t_end"]),
                                    values["tol"]) for values in parsed])
     clean, faulted = [], []
@@ -846,6 +849,21 @@ def test_sweep_failing_blocks_leave_valid_rows_alone(tmp_path):
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / str(k))]) == 0
         alone += (tmp_path / str(k) / "sweep.csv").read_text().splitlines()[1:]
     assert rows[:2] + rows[5:] == alone
+
+
+def test_sweep_overflowing_orbit_is_one_error_row(tmp_path):
+    # xi = 1e200 overflows its state in the lockstep loop, beside an orbit of
+    # order one: its error norm turns NaN without a numpy warning, its step
+    # fails, and only its row says so.
+    blocks = [f"sigma = 1\nxi = {xi}\nalpha = 1\na0 = 1\na1 = 0\n" for xi in ("1e200", "1")]
+    cfg = write_config(tmp_path, "\n".join(blocks))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = [row.split(",") for row in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+    assert [(row[0], row[6], row[11]) for row in rows] == [
+        ("?", "error: adaptive step failed: " + TOO_SMALL_STEP, "false"),
+        ("2a", "Global", "true")]
 
 
 def test_sweep_propagates_programming_errors(tmp_path, monkeypatch):
@@ -1065,7 +1083,35 @@ def test_window_outside_the_orbit_is_named(tmp_path, capsys, command, cfg, messa
 
 
 class _Hung(BaseException):
-    """Raised by the alarm of test_extreme_magnitudes_end_in_time; no handler catches it."""
+    """Raised by the alarm of _run_in_time; no handler catches it."""
+
+
+def _config(command, xi, a0, a1):
+    """command's config of the orbit (xi, a0, a1): verify and construct take
+    alpha = 1 and the admissible sigma, sign(xi a0)."""
+    case = "" if command == "emden" else f"sigma = {1 if (xi > 0) == (a0 > 0) else -1}\nalpha = 1\n"
+    return case + f"xi = {xi}\na0 = {a0}\na1 = {a1}\n"
+
+
+def _run_in_time(tmp_path, capsys, command, text, seconds=5.0):
+    """(exit code, stderr, RuntimeWarnings) of command on the config text, run in
+    process under an alarm that fails the test once seconds have passed."""
+    cfg = write_config(tmp_path, text)
+
+    def hung(signum, frame):
+        raise _Hung(f"{command} still running after {seconds} s on {text!r}")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return rc, capsys.readouterr().err, runtime
 
 
 # |xi| from 1e150 to 1e300 at rest with a0 = 1 (sigma = sign xi: families 1a and 2a), and
@@ -1079,25 +1125,49 @@ EXTREME = [(xi, "0", None) for xi in (1e150, -1e150)] + [
 @pytest.mark.parametrize("command", ["emden", "construct", "verify"])
 @pytest.mark.parametrize("xi,a1,code", EXTREME, ids=[f"xi={xi:g},a1={a1}" for xi, a1, _ in EXTREME])
 def test_extreme_magnitudes_end_in_time(tmp_path, capsys, command, xi, a1, code):
-    case = "" if command == "emden" else f"sigma = {1 if xi > 0 else -1}\nalpha = 1\n"
-    cfg = write_config(tmp_path, case + f"xi = {xi!r}\na0 = 1\na1 = {a1}\n")
-
-    def hung(signum, frame):
-        raise _Hung(f"{command} still running after 5 s")
-
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.setitimer(signal.ITIMER_REAL, 5.0)
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-    err = capsys.readouterr().err
+    rc, err, caught = _run_in_time(tmp_path, capsys, command, _config(command, xi, 1.0, a1))
     assert rc in (0, 2, 3) and (code is None or rc == code), err
-    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert [str(w.message) for w in caught] == []
     assert len(err.splitlines()) <= 1 and (rc != 2 or err.startswith("numerical failure: "))
+
+
+# A breakdown of the arithmetic, named: a collapse time S that underflows or
+# overflows, or whose closed form over- or underflows in |xi|^(3/2); a state that
+# overflows; a NaN or an infinity that reaches a writer.
+BREAKDOWNS = [
+    ("emden", -1.0, 1.0, -1e150, "collapse time S = 0.0 is out of range"),
+    ("verify", -1.0, 1.0, -1e150, "collapse time S = 0.0 is out of range"),
+    ("emden", -1e-150, -1.0, -1e150, "collapse time S = inf is out of range"),
+    ("emden", -1e250, 1.0, 0.0, "collapse time S: its closed form is out of range at xi = -1e+250"),
+    ("emden", 1e-300, 1.0, -1.0, "collapse time S: its closed form is out of range at xi = 1e-300"),
+    ("emden", -1.0, 1e-300, 1e150, "the state overflowed"),
+    ("emden", 1e300, 1.0, 1e150, "non-finite value nan "),
+    ("verify", 1e-150, 1e-150, 1.0, "non-finite value inf "),
+    ("construct", 1e-150, 1e-300, 1e10, "non-finite value -inf "),
+]
+_COARSE = [v for m in (1e-300, 1.0, 1e300) for v in (m, -m)]
+
+
+@pytest.mark.parametrize("command", ["emden", "construct", "verify"])
+def test_numerical_breakdowns_exit_2(tmp_path, capsys, command):
+    # The named breakdowns, then a coarse grid of xi, a0 and a1: every run ends
+    # in time with 0, 2 or 3, a failure is one line, and the solver and the
+    # scale-factor code raise no numpy warning.  The field sampler and the
+    # residual kernels may still warn at these magnitudes.
+    runs = [(xi, a0, a1, message) for c, xi, a0, a1, message in BREAKDOWNS if c == command]
+    runs += [(xi, a0, a1, None) for xi in _COARSE for a0 in _COARSE for a1 in (-1e150, 0.0, 1e150)]
+    wrong = []
+    for xi, a0, a1, message in runs:
+        rc, err, caught = _run_in_time(tmp_path, capsys, command, _config(command, xi, a0, a1))
+        ours = sorted({Path(w.filename).name for w in caught} & {"_dop853.py", "emden.py"})
+        if message is None and rc in (0, 3):
+            ok = err == ""
+        else:
+            ok = rc == 2 and err.startswith(f"numerical failure: {message or ''}") \
+                and err.count("\n") == 1
+        if not ok or ours:
+            wrong.append((xi, a0, a1, rc, err, ours))
+    assert wrong == []
 
 
 def test_readme_verify_table_matches_tolerances():

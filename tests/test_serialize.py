@@ -75,6 +75,8 @@ def test_fmt_floats_rejects_non_finite_like_fmt_float(bad, tmp_path):
     with pytest.raises(ValueError) as bulk:
         write_csv(path, ["v"], [np.array([1.0, -0.0, bad, 2.0])])
     assert str(bulk.value) == str(scalar.value)
+    # Also an ArithmeticError: the CLI reports it as a numerical failure (exit 2).
+    assert isinstance(bulk.value, ArithmeticError) and isinstance(scalar.value, ArithmeticError)
     assert not path.exists()
 
 
