@@ -122,7 +122,7 @@ def _round17(ax: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _finite(values) -> np.ndarray:
-    """values as a flat float array; fmt_float's ValueError on the first non-finite one."""
+    """values as a flat float array; fmt_float's NonFiniteValue on the first non-finite one."""
     x = np.asarray(values, dtype=float).ravel()
     bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
@@ -291,7 +291,7 @@ def write_csv(path: Path, header: list[str], columns) -> None:
     C order), a sequence of str (written as UTF-8), or an ``Indexed`` of
     either.  Float cells are formatted a block of rows at a time, but every
     float column is checked before the file is opened: a non-finite value
-    raises fmt_float's ValueError and leaves no file.
+    raises fmt_float's NonFiniteValue and leaves no file.
     """
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header names but {len(columns)} columns")
