@@ -31,14 +31,13 @@ builds the results and their dense output.
 
 What differs from SciPy:
 
-- a step's interpolant is built only when it is first evaluated, from
-  its stored stage matrix, instead of after every step; a query builds
-  all the interpolants it needs in one batch.  The event step is no
-  exception: event roots are found after the loop, on every step where
-  the event fired, by one array-valued ``brentq`` on interpolants built
-  for that search alone, and the dense output builds the event step's
-  own on first use.  The same operations run on the same data, so the
-  values are the same;
+- a step's interpolant is built from its stored stage matrix by each
+  query that reads it, instead of after every step, and is not kept; a
+  query builds all the interpolants it needs in one batch.  The event
+  step is no exception: event roots are found after the loop, on every
+  step where the event fired, by one array-valued ``brentq`` on
+  interpolants built for that search alone.  The same operations run on
+  the same data, so the values are the same;
 - integration runs forward only, there is exactly one event, it is
   terminal and fires only on a fall through zero, and the solver has no
   ``max_step``, ``first_step``, ``t_eval``, ``vectorized`` or
@@ -91,8 +90,8 @@ class OdeResult:
     the integration and -1 when the step size underflowed (``message``
     says so).  ``t`` and ``y`` are the accepted nodes; with status 1 the
     last one, ``t[-1]``, is the event root.  ``nfev`` counts
-    right-hand-side evaluations made by ``solve``; stages evaluated later,
-    when ``sol`` first interpolates a step, are not included.
+    right-hand-side evaluations made by ``solve``; the stages ``sol``
+    evaluates to interpolate a step are not included.
     """
 
     t: np.ndarray
@@ -212,10 +211,10 @@ class DenseSolution:
     where the last node is the event root).  Its stage matrix stays in the
     block the lockstep loop stored it in: ``blocks[block[i]][row[i]]``.  A
     query on a node uses the segment with the lower index, as SciPy's
-    ``OdeSolution`` does.  Segment interpolants, the event step's
-    included, are built only on first use, all that a query needs in one
-    batch, and kept; each point is evaluated on its own segment's
-    interpolant with the arithmetic SciPy uses.
+    ``OdeSolution`` does.  Each query builds the interpolants of the
+    segments it reads, the event step's included, in one batch, and keeps
+    none; each point is evaluated on its own segment's interpolant with
+    the arithmetic SciPy uses.
     """
 
     def __init__(self, fun, k, ts, t_steps, y_steps, blocks, block, row):
@@ -223,7 +222,6 @@ class DenseSolution:
         self._fun, self._k = fun, k
         self._t, self._y = t_steps, y_steps
         self._blocks, self._block, self._row = blocks, block, row
-        self._F = {}  # segment index -> interpolation matrix
         self.n_segments = len(block)
 
     def _find(self, t):
@@ -234,35 +232,28 @@ class DenseSolution:
         t = np.asarray(t)
         segments = self._find(t)
         built, where = np.unique(segments, return_inverse=True)
-        _build([(self, i) for i in built.tolist()])
-        F = np.array([self._F[i] for i in built.tolist()])[where.reshape(t.shape)]
+        F = _build([(self, i) for i in built.tolist()])[where.reshape(t.shape)]
         t_old = self._t[segments]
         return _dense_eval(t_old, self._t[segments + 1] - t_old, self._y[segments], F, t).T
 
 
 def _build(pieces):
-    """Build the interpolants of the (solution, segment) pairs that lack one, one batch per fun."""
-    by_fun = {}
-    for sol, i in pieces:
-        if i not in sol._F:
-            by_fun.setdefault(sol._fun, []).append((sol, i))
-    for fun, group in by_fun.items():
-        t_old, t_new, y_old, y_new, K, idx = map(np.array, zip(*[
-            (sol._t[i], sol._t[i + 1], sol._y[i], sol._y[i + 1],
-             sol._blocks[sol._block[i]][sol._row[i]], sol._k)
-            for sol, i in group]))
-        for (sol, i), F in zip(group, _dense_coefficients(fun, t_old, y_old, y_new,
-                                                          t_new - t_old, K, idx)):
-            sol._F[i] = F
+    """Interpolation matrices of the (solution, segment) pairs, solutions of one solve."""
+    fun = pieces[0][0]._fun
+    t_old, t_new, y_old, y_new, K, idx = map(np.array, zip(*[
+        (sol._t[i], sol._t[i + 1], sol._y[i], sol._y[i + 1],
+         sol._blocks[sol._block[i]][sol._row[i]], sol._k)
+        for sol, i in pieces]))
+    return _dense_coefficients(fun, t_old, y_old, y_new, t_new - t_old, K, idx)
 
 
 def dense_values(sols, t) -> np.ndarray:
-    """``sols[p](t[p])`` for every p, as an (n, m) array, evaluated as one batch."""
+    """``sols[p](t[p])`` for every p, solutions of one solve, as an (n, m) array,
+    evaluated as one batch."""
     pieces = [(sol, int(sol._find(t_p))) for sol, t_p in zip(sols, t)]
-    _build(pieces)
-    t_old, t_new, y_old, F = map(np.array, zip(*[
-        (sol._t[i], sol._t[i + 1], sol._y[i], sol._F[i]) for sol, i in pieces]))
-    return _dense_eval(t_old, t_new - t_old, y_old, F, np.asarray(t, dtype=float))
+    t_old, t_new, y_old = map(np.array, zip(*[
+        (sol._t[i], sol._t[i + 1], sol._y[i]) for sol, i in pieces]))
+    return _dense_eval(t_old, t_new - t_old, y_old, _build(pieces), np.asarray(t, dtype=float))
 
 
 def brentq(f, xa, xb, xtol: float, rtol: float, maxiter: int = 100):
@@ -383,8 +374,10 @@ class _Active:
 def solve(fun, t0: float, t_bound, y0, rtol, atol, event) -> list:
     """Integrate the batch y_k' = fun(t, y)_k from t0 forward to t_bound with DOP853.
 
-    ``y0`` is an (n, m) array, one row per problem; ``t_bound``, ``rtol``
-    and ``atol`` are scalars or length-n sequences.  ``fun(t, y, i, out)``
+    ``y0`` is a finite (n, m) array, one row per problem; ``t_bound``,
+    ``rtol`` and ``atol`` are scalars or length-n sequences, with every
+    ``t_bound > t0`` and ``atol >= 0``.  These are not checked: the one
+    caller, ``emden.integrate_many``, guarantees them.  ``fun(t, y, i, out)``
     gets the (k,) times, the (k, m) states and the (k,) batch indices of
     the problems it is asked about, and writes their derivatives into the
     (k, m) float array ``out``.  ``event(t, y, i)`` returns (k,) values in
@@ -400,25 +393,16 @@ def solve(fun, t0: float, t_bound, y0, rtol, atol, event) -> list:
     """
     t0 = float(t0)
     y0 = np.array(y0, dtype=float)
-    if y0.ndim != 2:
-        raise ValueError("`y0` must be 2-dimensional: one row per problem.")
-    n, m = y0.shape
+    n = len(y0)
     t_bound = np.broadcast_to(np.asarray(t_bound, dtype=float), (n,))
-    if not np.all(t_bound > t0):
-        raise ValueError("integration runs forward only: need t_bound > t0")
-    if not np.isfinite(y0).all():
-        raise ValueError("All components of the initial state `y0` must be finite.")
     rtol = np.broadcast_to(np.asarray(rtol, dtype=float), (n,))
-    atol = np.broadcast_to(np.asarray(atol, dtype=float), (n,))
     for rtol_k in rtol.tolist():
         if rtol_k < 100 * EPS:
             warnings.warn("At least one element of `rtol` is too small. "
                           f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.",
                           stacklevel=2)
     rtol = np.maximum(rtol, 100 * EPS)[:, None]
-    if np.any(atol < 0):
-        raise ValueError("`atol` must be positive.")
-    atol = atol[:, None]
+    atol = np.broadcast_to(np.asarray(atol, dtype=float), (n,))[:, None]
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         idx = np.arange(n)

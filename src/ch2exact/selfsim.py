@@ -100,8 +100,15 @@ def profile(case: SolutionCase, eta):
     """
     xi, sg, al = case.emden.xi, case.sigma, case.alpha
     e = np.asarray(eta, dtype=float)
-    # The scalar term first: its OverflowError comes before numpy's warning.
-    radicand = (al / xi) ** 2 - (sg / xi) * e * e
+    # The scalar term first, so that its overflow is named before numpy warns.
+    try:
+        amplitude = (al / xi) ** 2
+    except OverflowError:  # Python's float ** raises where numpy's returns inf
+        amplitude = math.inf
+    if amplitude == math.inf:
+        raise OverflowError(
+            f"profile amplitude (alpha / xi)^2 is out of range at alpha = {al}, xi = {xi}")
+    radicand = amplitude - (sg / xi) * e * e
     f = (xi / sg) * np.sqrt(np.maximum(radicand, 0.0))
     if np.isscalar(eta) or np.ndim(eta) == 0:
         return float(f)

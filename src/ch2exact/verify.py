@@ -30,12 +30,16 @@ family with the thresholds of Tolerances, the one place their defaults are
 defined.
 
 Windows: sampling_grid fills in the grid keys a config leaves out (t1 =
-0.25 S/3 on collapse, else min(0.5, t_max); x1 a fraction of the support
+0.25 S/3 on collapse, else min(0.5, mu, t_max); x1 a fraction of the support
 radius that _check_grid accepts, or |a0|^{1/3}), after checking that a
 given t1 ends before the collapse and that the orbit covers [t0, t1].
 battery_t_needed runs a global orbit past the grid and the origin-decay
 window (_decay_window_end), after the checks that need no orbit; horizon
-turns that and a config's t_end into analyze's s_end.
+turns that and a config's t_end into analyze's s_end.  mu = |a0|^{2/3} /
+sqrt|xi| is the orbit's own time unit (_time_unit): a(s) = |a0| A(s / mu)
+with A an orbit of |xi| = |a0| = 1, so windows in units of mu keep an
+orbit's verdict when a0 and a1 are rescaled.  The 0.5 cap on t1 and the
+decay window's floor at decay_t_max break that invariance below mu = 1.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ COLLAPSE_TIME_MARGIN = 0.9
 MAX_LATTICE_POINTS = 2 ** 22
 # Grid points per axis where a config gives no nt or nx.
 DEFAULT_POINTS = 81
-# Default grid end of global orbits, in physical time.
+# Default grid end of global orbits, in physical time, before the cap at mu.
 _GLOBAL_T1 = 0.5
 
 
@@ -302,7 +306,7 @@ def sampling_grid(case: SolutionCase, traj: Trajectory, report: BlowupReport, gi
                             f"time s = {s_collapse}")
         t1_default = 0.25 * s_collapse / 3.0
     else:
-        t1_default = min(_GLOBAL_T1, _t_max(traj))
+        t1_default = min(_GLOBAL_T1, _time_unit(case), _t_max(traj))
     t0 = given.get("t0", 0.0)
     t1 = given.get("t1", t1_default)
     nt = given.get("nt", DEFAULT_POINTS)
@@ -324,9 +328,20 @@ def sampling_grid(case: SolutionCase, traj: Trajectory, report: BlowupReport, gi
     return SpaceTimeGrid(t0, t1, nt, x0, x1, nx)
 
 
-def _decay_window_end(tols: Tolerances) -> float:
-    """Last physical time the origin_decay check samples, where the orbit reaches it."""
-    return tols.decay_t_max
+def _time_unit(case: SolutionCase) -> float:
+    """The orbit's time unit mu = |a0|^{2/3} / sqrt|xi|; an ArithmeticError unless it
+    is a positive finite double."""
+    p = case.emden
+    mu = float(np.cbrt(abs(p.a0))) ** 2 / math.sqrt(abs(p.xi))
+    if not 0.0 < mu < math.inf:
+        raise ArithmeticError(f"time unit mu = |a0|^(2/3) / sqrt|xi| = {mu} is out of range")
+    return mu
+
+
+def _decay_window_end(tols: Tolerances, case: SolutionCase) -> float:
+    """Last physical time the origin_decay check samples, where the orbit reaches it:
+    decay_t_max, in units of mu where mu > 1."""
+    return tols.decay_t_max * max(1.0, _time_unit(case))
 
 
 def battery_t_needed(case: SolutionCase, tols: Tolerances, given: dict) -> float:
@@ -341,7 +356,7 @@ def battery_t_needed(case: SolutionCase, tols: Tolerances, given: dict) -> float
                       tols.levels)
     if classify(case.emden) is not Classification.GLOBAL:
         return 0.0
-    return max(_decay_window_end(tols), 1.05 * given.get("t1", _GLOBAL_T1))
+    return max(_decay_window_end(tols, case), 1.05 * given.get("t1", _GLOBAL_T1))
 
 
 def horizon(t_end: float, t_needed: float = 0.0) -> float | None:
@@ -389,7 +404,9 @@ def _residual_report(case, sampled, which, alpha_d, band) -> dict:
     ``residuals`` holds each level's max norm.  The observed order is the
     log2 ratio of the last two (the exact fields give ~ 2) and must lie
     within band of 2; residuals at the roundoff floor count as exact, since
-    the order is meaningless there.
+    the order is meaningless there.  Both maxima of the ratio are taken on
+    the coarser level's interior nodes: the finer level's own interior
+    reaches O(h) closer to the edges, where the residual is largest.
     """
     h_values: list[float] = []
     maxes: list[float] = []
@@ -402,9 +419,14 @@ def _residual_report(case, sampled, which, alpha_d, band) -> dict:
         h_values.append(g.dx)
         maxes.append(float(np.max(np.abs(r))))
         l2s.append(float(np.sqrt(np.mean(r * r))))
+    # The last level's residual at the coarser level's interior nodes.  The
+    # momentum interior starts two nodes in from each x edge, so [2::2] would
+    # keep one coarse node outside it.
+    common = r[1::2, 1::2] if which == "mass" else r[1::2, 2:-1:2]
+    fine = float(np.max(np.abs(common)))
     order = None
-    if len(sampled) >= 2 and maxes[-1] > 0.0:
-        order = math.log2(maxes[-2] / maxes[-1])
+    if len(sampled) >= 2 and fine > 0.0:
+        order = math.log2(maxes[-2] / fine)
     ok = max(maxes) < 1e-12 or (order is not None and abs(order - 2.0) <= band)
     return {"eq": which, "interior_max_residual": maxes[0], "interior_l2_residual": l2s[0],
             "h_values": h_values, "residuals": maxes, "estimated_order": order, "pass": ok}
@@ -621,8 +643,14 @@ def _dispersion_record(case, sampled, tols: Tolerances) -> dict:
         disp_max.append(float(np.max(np.abs(r))))
     disp_diff = max(abs(v - disp_max[0]) for v in disp_max)
     eps = float(np.finfo(float).eps)
-    scale = (eps * max(ad * ad for ad in tols.alpha_d) * float(np.max(np.abs(u)))
-             / (g.dx ** 2 * min(g.dt, g.dx)))
+    cell = g.dx ** 2 * min(g.dt, g.dx)
+    scale = (eps * max(ad * ad for ad in tols.alpha_d) * float(np.max(np.abs(u))) / cell
+             if cell else math.inf)
+    # An infinite bound would pass any spread.
+    if not math.isfinite(scale):
+        raise ArithmeticError(
+            "dispersion roundoff scale eps max(alpha_d^2) max|u| / (dx^2 min(dt, dx)) "
+            f"is out of range at dx = {g.dx}, dt = {g.dt}")
     bound = tols.dispersion_tol * scale
     return {
         "alpha_d_values": list(tols.alpha_d), "grid": {"nt": g.nt, "nx": g.nx},
@@ -649,7 +677,7 @@ def _blowup_rate_record(case, traj, report, rtol: float) -> dict:
 
 
 def _origin_decay_record(case, traj, tols: Tolerances) -> dict:
-    t_hi = min(_decay_window_end(tols), _t_max(traj))
+    t_hi = min(_decay_window_end(tols, case), _t_max(traj))
     t_lo = max(t_hi / 100.0, 1e-3) if t_hi > 1e-3 else t_hi / 100.0  # below t_hi
     t_samples = list(np.geomspace(t_lo, t_hi, 12))
     values = origin_decay(case, traj, t_samples)

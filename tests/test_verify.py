@@ -195,6 +195,29 @@ def test_single_level_reports_no_order(case_2a):
     assert rep["interior_l2_residual"] <= rep["interior_max_residual"]
 
 
+@pytest.mark.parametrize("which", ["mass", "momentum"])
+def test_order_estimate_reads_the_coarse_interior_nodes(monkeypatch, which):
+    # A stand-in residual of 2 + x at each interior node, on a grid and its
+    # refinement.  The fine level's interior reaches closer to the x edge
+    # than the coarse one's; at the coarse interior nodes both levels peak
+    # at the same x, so the ratio is 1 and the order 0.
+    monkeypatch.setattr(verify, "mass_residual_field",
+                        lambda rho, u, dt, dx: 2.0 + rho[1:-1, 1:-1])
+    monkeypatch.setattr(verify, "momentum_residual_field",
+                        lambda rho, u, dt, dx, sigma, alpha_d: 2.0 + rho[1:-1, 2:-2])
+    case = SolutionCase(sigma=1, alpha=1.0, emden=EmdenParams(xi=1.0, a0=1.0, a1=0.0))
+    grid = SpaceTimeGrid(0.0, 1.0, 9, -1.0, 1.0, 9)
+    sampled = []
+    for g in (grid, grid.refined()):
+        x = np.broadcast_to(g.xs(), (g.nt, g.nx))
+        sampled.append((g, x, x))
+    rep = _residual_report(case, sampled, which, 0.0, Tolerances.order_band)
+    assert rep["estimated_order"] == 0.0
+    # Each level's residual is the maximum over its own interior.
+    edge = 1 if which == "mass" else 2  # interior nodes lost at each x edge
+    assert rep["residuals"] == [2.0 + 1.0 - edge * grid.dx, 2.0 + 1.0 - edge * grid.dx / 2.0]
+
+
 def test_dispersion_independence(case_2a):
     case, traj, report = case_2a
     grid = SpaceTimeGrid(0.0, 0.5, 17, -0.6, 0.6, 17)
@@ -518,7 +541,30 @@ def test_default_verify_windows_pass_their_own_checks(family, xi_dec, a0_dec, al
     grid = sampling_grid(case, traj, report, {}, tols.margin)
     _check_grid(case, traj, grid, tols.margin, report.s_collapse_quadrature)
     if report.classification is Classification.GLOBAL:
-        assert 3.0 * _decay_window_end(tols) <= traj.s_max
+        assert 3.0 * _decay_window_end(tols, case) <= traj.s_max
+
+
+@pytest.mark.parametrize("xi,a0,mu", [(100.0, 1.0, 0.1), (0.01, 1.0, 10.0), (1.0, 8.0, 4.0)])
+def test_global_windows_are_measured_in_mu(xi, a0, mu):
+    # mu = |a0|^(2/3) / sqrt|xi|: a global orbit's default t1 is
+    # min(0.5, mu, t_max), and its decay window decay_t_max max(1, mu).
+    case = SolutionCase(sigma=1, alpha=1.0, emden=EmdenParams(xi=xi, a0=a0, a1=0.0))
+    tols = Tolerances()
+    assert verify._time_unit(case) == pytest.approx(mu, rel=1e-15)
+    assert _decay_window_end(tols, case) == pytest.approx(300.0 * max(1.0, mu), rel=1e-15)
+    traj, report = analyze(case.emden, horizon(0.0, battery_t_needed(case, tols, {})))
+    assert sampling_grid(case, traj, report, {}).t1 == pytest.approx(min(0.5, mu), rel=1e-15)
+    assert verify._origin_decay_record(case, traj, tols)["times"][-1] == pytest.approx(
+        _decay_window_end(tols, case), rel=1e-15)
+
+
+@pytest.mark.parametrize("xi,a0,mu", [(1e-300, 1e300, "inf"), (1e300, 1e-300, "0.0")])
+def test_time_unit_out_of_range_is_named(xi, a0, mu):
+    # Named before anything is integrated, not an infinite or zero window.
+    case = SolutionCase(sigma=1, alpha=1.0, emden=EmdenParams(xi=xi, a0=a0, a1=0.0))
+    message = f"time unit mu = |a0|^(2/3) / sqrt|xi| = {mu} is out of range"
+    with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+        battery_t_needed(case, Tolerances(), {})
 
 
 def test_tolerances_defaults_and_levels():
