@@ -38,10 +38,12 @@ What differs from SciPy:
   step where the event fired, by one array-valued ``brentq`` on
   interpolants built for that search alone.  The same operations run on
   the same data, so the values are the same;
-- integration runs forward only, there is exactly one event, it is
-  terminal and fires only on a fall through zero, and the solver has no
-  ``max_step``, ``first_step``, ``t_eval``, ``vectorized`` or
-  complex-valued mode.
+- the right-hand side is autonomous, ``fun(y, i, out)``: it gets no time,
+  so the solver computes no stage times and uses no stage nodes ``C``;
+- every problem starts at t = 0 and runs forward only, there is exactly
+  one event, it is terminal and fires only on a fall through zero, and
+  the solver has no ``max_step``, ``first_step``, ``t_eval``,
+  ``vectorized`` or complex-valued mode.
 
 The method is due to Dormand and Prince; see E. Hairer, S. P. Norsett and
 G. Wanner, Solving Ordinary Differential Equations I, 2nd ed., Springer
@@ -71,13 +73,11 @@ _SQRT_MAX = math.sqrt(np.finfo(float).max)  # the largest double whose square is
 N_STAGES = coef.N_STAGES
 A = coef.A[:N_STAGES, :N_STAGES]
 B = coef.B
-C = coef.C[:N_STAGES]
 E3 = coef.E3
 E5 = coef.E5
 D = coef.D
 A_EXTRA = coef.A[N_STAGES + 1:]
-C_EXTRA = coef.C[N_STAGES + 1:]
-N_STAGES_EXTRA = len(C_EXTRA)  # stages evaluated only for dense output
+N_STAGES_EXTRA = len(A_EXTRA)  # stages evaluated only for dense output
 ERROR_EXPONENT = -1 / (7 + 1)  # error estimator order 7
 STAGES = [(s, A[s][:s]) for s in range(1, N_STAGES)]
 
@@ -116,35 +116,33 @@ def _norms(x, scale) -> np.ndarray:
     return np.sqrt(np.matmul(x[:, None, :], x[:, :, None]))[:, 0, 0]
 
 
-def _select_initial_step(fun, t0, y0, t_bound, f0, rtol, atol, idx):
-    """Hairer-Norsett-Wanner initial step (Sec. II.4), for order 7, per problem."""
-    interval_length = np.abs(t_bound - t0)
+def _select_initial_step(fun, y0, t_bound, f0, rtol, atol, idx):
+    """Hairer-Norsett-Wanner initial step (Sec. II.4), for order 7, per problem from t = 0."""
     scale = atol + np.abs(y0) * rtol
     root_m = y0.shape[1] ** 0.5  # SciPy's norm here is the RMS norm
     d0 = _norms(y0, scale) / root_m
     d1 = _norms(f0, scale) / root_m
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
-    h0 = np.minimum(h0, interval_length)
+    h0 = np.minimum(h0, t_bound)
     f1 = np.empty_like(f0)
-    fun(t0 + h0, y0 + h0[:, None] * f0, idx, f1)
+    fun(y0 + h0[:, None] * f0, idx, f1)
     d2 = _norms(f1 - f0, scale) / root_m / h0
     flat = (d1 <= 1e-15) & (d2 <= 1e-15)
     h1 = np.maximum(1e-6, h0 * 1e-3)
     h1[~flat] = [v ** (1 / (7 + 1)) for v in (0.01 / np.maximum(d1, d2)[~flat]).tolist()]
-    return np.minimum(np.minimum(100 * h0, h1), interval_length)
+    return np.minimum(np.minimum(100 * h0, h1), t_bound)
 
 
-def _rk_step(fun, t, y, f, h, idx):
+def _rk_step(fun, y, f, h, idx):
     """One DOP853 step of every problem: (y_new, K), K the (k, N_STAGES + 1, m) stage matrices."""
     K = np.empty((len(h), N_STAGES + 1, y.shape[1]))
     K[:, 0] = f
     K_T = K.transpose(0, 2, 1)  # each problem's K.T, as SciPy's K[:s].T
     h_col = h[:, None]
-    t_stages = t[:, None] + C * h_col
     for s, a in STAGES:
-        fun(t_stages[:, s], y + np.matmul(K_T[:, :, :s], a) * h_col, idx, K[:, s])
+        fun(y + np.matmul(K_T[:, :, :s], a) * h_col, idx, K[:, s])
     y_new = y + h_col * np.matmul(K_T[:, :, :-1], B)
-    fun(t + h, y_new, idx, K[:, -1])
+    fun(y_new, idx, K[:, -1])
     return y_new, K
 
 
@@ -172,14 +170,14 @@ def _step_factors(error_norm, rejected) -> np.ndarray:
     return np.where(error_norm < 1, np.minimum(cap, factor), np.fmax(MIN_FACTOR, factor))
 
 
-def _dense_coefficients(fun, t_old, y_old, y, h, K_steps, idx):
+def _dense_coefficients(fun, y_old, y, h, K_steps, idx):
     """SciPy's ``_dense_output_impl`` on k steps (stage matrices K_steps) of the problems idx."""
     K = np.empty((len(h), coef.N_STAGES_EXTENDED, y.shape[1]))
     K[:, :N_STAGES + 1] = K_steps
     K_T = K.transpose(0, 2, 1)
     h_col = h[:, None]
-    for s, (a, c) in enumerate(zip(A_EXTRA, C_EXTRA), start=N_STAGES + 1):
-        fun(t_old + c * h, y_old + np.matmul(K_T[:, :, :s], a[:s]) * h_col, idx, K[:, s])
+    for s, a in enumerate(A_EXTRA, start=N_STAGES + 1):
+        fun(y_old + np.matmul(K_T[:, :, :s], a[:s]) * h_col, idx, K[:, s])
     F = np.empty((len(h), coef.INTERPOLATOR_POWER, y.shape[1]))
     f_old = K[:, 0]
     f = K[:, N_STAGES]
@@ -244,7 +242,7 @@ def _build(pieces):
         (sol._t[i], sol._t[i + 1], sol._y[i], sol._y[i + 1],
          sol._blocks[sol._block[i]][sol._row[i]], sol._k)
         for sol, i in pieces]))
-    return _dense_coefficients(fun, t_old, y_old, y_new, t_new - t_old, K, idx)
+    return _dense_coefficients(fun, y_old, y_new, t_new - t_old, K, idx)
 
 
 def dense_values(sols, t) -> np.ndarray:
@@ -332,7 +330,7 @@ def brentq(f, xa, xb, xtol: float, rtol: float, maxiter: int = 100):
     return roots, errors
 
 
-def _locate_events(fun, event, t0, fired) -> dict:
+def _locate_events(fun, event, fired) -> dict:
     """The event root of every step in ``fired`` (see ``solve``), found as one batch.
 
     Returns, per problem, (root, state at root, whether the root node is
@@ -341,7 +339,7 @@ def _locate_events(fun, event, t0, fired) -> dict:
     """
     k, t_old, y_old, t_new, y_new, K = map(np.concatenate, zip(*fired))
     h = t_new - t_old
-    F = _dense_coefficients(fun, t_old, y_old, y_new, h, K, k)
+    F = _dense_coefficients(fun, y_old, y_new, h, K, k)
 
     def g(t, i):
         return event(t, _dense_eval(t_old[i], h[i], y_old[i], F[i], t), k[i])
@@ -352,8 +350,8 @@ def _locate_events(fun, event, t0, fired) -> dict:
     y_root = _dense_eval(t_old[found], h[found], y_old[found], F[found], roots[found])
     for s, y_s in zip(found, y_root):
         # SciPy does not append a root equal to the last node (the initial
-        # node excepted).
-        located[int(k[s])] = (roots[s], y_s, t_old[s] != t0 and roots[s] == t_old[s])
+        # node, t = 0, excepted).
+        located[int(k[s])] = (roots[s], y_s, t_old[s] != 0.0 and roots[s] == t_old[s])
     return located
 
 
@@ -371,27 +369,27 @@ class _Active:
             setattr(self, name, getattr(self, name)[rows])
 
 
-def solve(fun, t0: float, t_bound, y0, rtol, atol, event) -> list:
-    """Integrate the batch y_k' = fun(t, y)_k from t0 forward to t_bound with DOP853.
+def solve(fun, t_bound, y0, rtol, atol, event) -> list:
+    """Integrate the autonomous batch y_k' = fun(y)_k from t = 0 forward to t_bound with DOP853.
 
-    ``y0`` is a finite (n, m) array, one row per problem; ``t_bound``,
-    ``rtol`` and ``atol`` are scalars or length-n sequences, with every
-    ``t_bound > t0`` and ``atol >= 0``.  These are not checked: the one
-    caller, ``emden.integrate_many``, guarantees them.  ``fun(t, y, i, out)``
-    gets the (k,) times, the (k, m) states and the (k,) batch indices of
+    ``y0`` is a finite (n, m) array, the state of each problem at t = 0;
+    ``t_bound``, ``rtol`` and ``atol`` are scalars or length-n sequences,
+    with every ``t_bound`` positive and finite and ``atol >= 0``.  These are
+    not checked: the one caller, ``emden.integrate_many``, guarantees them.
+    ``fun(y, i, out)`` gets the (k, m) states and the (k,) batch indices of
     the problems it is asked about, and writes their derivatives into the
-    (k, m) float array ``out``.  ``event(t, y, i)`` returns (k,) values in
-    the same way; a problem stops at the first step over which its event
-    value falls from >= 0 to <= 0, at the root in that step (SciPy's
-    terminal event of direction -1).  ``rtol`` below 100 eps is raised to
-    it with a ``UserWarning``, one per problem.  numpy's floating-point
-    warnings are off while it steps (``fun`` too): a state that overflows
-    turns inf or NaN quietly, and its step then fails at ``min_step``.
+    (k, m) float array ``out``.  ``event(t, y, i)`` gets the (k,) times too
+    and returns (k,) values; a problem stops at the first step over which
+    its event value falls from >= 0 to <= 0, at the root in that step
+    (SciPy's terminal event of direction -1).  ``rtol`` below 100 eps is
+    raised to it with a ``UserWarning``, one per problem.  numpy's
+    floating-point warnings are off while it steps (``fun`` too): a state
+    that overflows turns inf or NaN quietly, and its step then fails at
+    ``min_step``.
 
     Returns one entry per problem: its ``OdeResult``, or the exception
     SciPy's brentq raises while its event root is located.
     """
-    t0 = float(t0)
     y0 = np.array(y0, dtype=float)
     n = len(y0)
     t_bound = np.broadcast_to(np.asarray(t_bound, dtype=float), (n,))
@@ -406,14 +404,14 @@ def solve(fun, t0: float, t_bound, y0, rtol, atol, event) -> list:
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         idx = np.arange(n)
-        t = np.full(n, t0)
+        t = np.zeros(n)
         f = np.empty_like(y0)
-        fun(t, y0, idx, f)
+        fun(y0, idx, f)
         g = np.asarray(event(t, y0, idx), dtype=float)
-        h_abs = _select_initial_step(fun, t, y0, t_bound, f, rtol, atol, idx)
+        h_abs = _select_initial_step(fun, y0, t_bound, f, rtol, atol, idx)
         if n == 1:
             status, n_rejected, fired, records = _solve_one(
-                fun, event, t0, y0, f, float(h_abs[0]), float(t_bound[0]),
+                fun, event, y0, f, float(h_abs[0]), float(t_bound[0]),
                 float(rtol[0, 0]), float(atol[0, 0]), float(g[0]))
         else:
             status, n_rejected, fired, records = _solve_lockstep(
@@ -421,7 +419,7 @@ def solve(fun, t0: float, t_bound, y0, rtol, atol, event) -> list:
                                     rejected=np.zeros(n, dtype=bool), t_bound=t_bound,
                                     rtol=rtol, atol=atol, g=g))
 
-        located = _locate_events(fun, event, t0, fired) if fired else {}
+        located = _locate_events(fun, event, fired) if fired else {}
         return _assemble(fun, n, status, located, n_rejected, *records)
 
 
@@ -458,7 +456,7 @@ def _solve_lockstep(fun, event, active):
 
         t_new = np.minimum(active.t + active.h_abs, active.t_bound)
         h = t_new - active.t
-        y_new, K = _rk_step(fun, active.t, active.y, active.f, h, active.idx)
+        y_new, K = _rk_step(fun, active.y, active.f, h, active.idx)
         scale = active.atol + np.maximum(np.abs(active.y), np.abs(y_new)) * active.rtol
         error_norm = _estimate_error_norm(K, h, scale)
         accepted = error_norm < 1
@@ -499,7 +497,7 @@ def _solve_lockstep(fun, event, active):
     return status, n_rejected, fired, (rec_idx, rec_t, rec_y, rec_K)
 
 
-def _solve_one(fun, event, t, y, f, h_abs, t_bound, rtol, atol, g):
+def _solve_one(fun, event, y, f, h_abs, t_bound, rtol, atol, g):
     """``solve``'s loop for one problem: the lockstep loop's steps on Python floats.
 
     t, the step size, the rejected flag, the error norm, the step factor,
@@ -517,7 +515,7 @@ def _solve_one(fun, event, t, y, f, h_abs, t_bound, rtol, atol, g):
     K[0] = f[0]  # K[0] holds f at the current node: a rejected step keeps it
     stages = [(K[s:s + 1], K[:s].T, a) for s, a in STAGES]
     K_T, K_T_B = K.T, K[:-1].T
-    rejected, n_rejected, status = False, 0, None
+    t, rejected, n_rejected, status = 0.0, False, 0, None
     ts, ys, Ks, fired = [t], [y], [], []
     while status is None:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
@@ -528,11 +526,10 @@ def _solve_one(fun, event, t, y, f, h_abs, t_bound, rtol, atol, g):
                 break
         t_new = min(t + h_abs, t_bound)
         h = t_new - t
-        t_stages = t + C * h
-        for s, (K_s, K_sT, a) in enumerate(stages, start=1):
-            fun(t_stages[s:s + 1], (y + np.dot(K_sT, a) * h)[None], idx, K_s)
+        for K_s, K_sT, a in stages:
+            fun((y + np.dot(K_sT, a) * h)[None], idx, K_s)
         y_new = y + h * np.dot(K_T_B, B)
-        fun(np.array([t + h]), y_new[None], idx, K[-1:])
+        fun(y_new[None], idx, K[-1:])
 
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
         err5, err3 = np.dot(K_T, E5) / scale, np.dot(K_T, E3) / scale

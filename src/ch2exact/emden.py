@@ -248,7 +248,7 @@ def integrate_many(params, s_end, tol) -> list:
     sgn = np.where(a0 > 0, 1.0, -1.0)
     stop_level = REL_STOP * np.abs(a0)
 
-    def f(s, y, i, dy):
+    def f(y, i, dy):
         if len(y) == 1:  # numpy scalars cost less than one-element arrays, with the same bits
             (a, a_dot), = y.tolist()
             dy[0] = a_dot, xi_list[i[0]] / (3.0 * np.cbrt(a))
@@ -263,7 +263,7 @@ def integrate_many(params, s_end, tol) -> list:
 
     rtol = [tol[k] for k in todo]
     atol = [tol_k * 1e-4 * max(abs(p.a0), abs(p.a1), 1.0) for p, tol_k in zip(batch, rtol)]
-    results = _dop853.solve(f, 0.0, [s_end[k] for k in todo], [[p.a0, p.a1] for p in batch],
+    results = _dop853.solve(f, [s_end[k] for k in todo], [[p.a0, p.a1] for p in batch],
                             rtol=rtol, atol=atol, event=hit_zero)
     for k, p, res in zip(todo, batch, results):
         out[k] = res if isinstance(res, Exception) else _trajectory(p, res)

@@ -228,16 +228,26 @@ def fields_on_grid(
     points xs: nx points shared by every time, or (len(ts), nx), a row per time.
 
     The one place the checks read the fields from.  Any lattice size is
-    accepted; u_scale is a fault-injection hook.
+    accepted; u_scale is a fault-injection hook.  A field that is not finite
+    somewhere is an ArithmeticError naming the first of rho, u and eta that
+    is, and the (t, x) where.
     """
     ts = np.asarray(ts, dtype=float)
     a, a_dot = traj.eval_many(3.0 * ts)
     if not a.all():
         raise CollapseSingularity(f"scale factor vanished at t = {ts[a == 0.0][0]}")
-    cb = np.cbrt(a)
-    eta = xs / cb[:, None]
-    rho = profile(case, eta) / cb[:, None]
-    u = u_scale * (a_dot / a)[:, None] * xs
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        cb = np.cbrt(a)
+        eta = xs / cb[:, None]
+        rho = profile(case, eta) / cb[:, None]
+        u = u_scale * (a_dot / a)[:, None] * xs
+    for name, field in (("rho", rho), ("u", u), ("eta", eta)):
+        bad = ~np.isfinite(field)
+        if bad.any():
+            i, j = np.argwhere(bad)[0].tolist()
+            x = np.broadcast_to(xs, field.shape)[i, j]
+            raise ArithmeticError(
+                f"field {name} = {field[i, j]} is out of range at t = {ts[i]}, x = {x}")
     return rho, u, eta
 
 
@@ -275,9 +285,15 @@ def _check_grid(
     s_collapse: float | None,
 ) -> None:
     """Raise GridError unless the residual stencils fit the grid and it stays in
-    the smooth region; s_collapse is the collapse time, None for a global orbit."""
+    the smooth region, and an ArithmeticError where the momentum stencil's
+    dx ** 2 overflows; s_collapse is the collapse time, None for a global orbit."""
     if grid.nt < 5 or grid.nx < 5:
         raise GridError(f"need nt >= 5 and nx >= 5, got nt={grid.nt}, nx={grid.nx}")
+    try:  # the kernel's own dx ** 2: Python's float ** raises OverflowError, unnamed
+        grid.dx ** 2
+    except OverflowError:
+        raise ArithmeticError(f"momentum stencil's dx^2 is out of range at dx = {grid.dx}") \
+            from None
     _check_window(traj, grid.t0, grid.t1)
     s_hi = 3.0 * grid.t1
     if s_collapse is not None and s_hi > COLLAPSE_TIME_MARGIN * s_collapse:
@@ -398,6 +414,14 @@ def _sampled_levels(case, traj, grid, levels, margin, u_scale, s_collapse) -> li
     return sampled
 
 
+def _check_finite(record: str, g: SpaceTimeGrid, **norms) -> None:
+    """Raise ArithmeticError naming the record and the lattice g unless every norm is finite."""
+    for name, value in norms.items():
+        if not math.isfinite(value):
+            raise ArithmeticError(
+                f"{record}: {name} = {value} is out of range on the {g.nt} x {g.nx} lattice")
+
+
 def _residual_report(case, sampled, which, alpha_d, band) -> dict:
     """Battery record of one equation's residual on the sampled levels.
 
@@ -419,6 +443,7 @@ def _residual_report(case, sampled, which, alpha_d, band) -> dict:
         h_values.append(g.dx)
         maxes.append(float(np.max(np.abs(r))))
         l2s.append(float(np.sqrt(np.mean(r * r))))
+        _check_finite(f"residual_{which}", g, max_residual=maxes[-1], l2_residual=l2s[-1])
     # The last level's residual at the coarser level's interior nodes.  The
     # momentum interior starts two nodes in from each x edge, so [2::2] would
     # keep one coarse node outside it.
@@ -579,19 +604,22 @@ def run_battery(
         return _sampled_levels(case, traj, g, levels, tols.margin, u_scale,
                                report.s_collapse_quadrature)
 
-    sampled = sample(grid, tols.levels)
-    reports = {
-        "residual_mass": _residual_report(case, sampled, "mass", 0.0, tols.order_band),
-        "residual_momentum": _residual_report(case, sampled, "momentum", tols.alpha_d[0],
-                                              tols.order_band),
-    }
+    # The kernels and norms run quietly: a norm that is not finite is named
+    # by its record instead.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sampled = sample(grid, tols.levels)
+        reports = {
+            "residual_mass": _residual_report(case, sampled, "mass", 0.0, tols.order_band),
+            "residual_momentum": _residual_report(case, sampled, "momentum", tols.alpha_d[0],
+                                                  tols.order_band),
+        }
 
-    # The dispersion comparison runs on a coarse copy of the grid: the
-    # alpha_d runs must share one grid, and coarse spacings keep the
-    # roundoff amplification of D_xx u (analytically zero) small.
-    grid_disp = SpaceTimeGrid(grid.t0, grid.t1, min(17, grid.nt),
-                              grid.x0, grid.x1, min(17, grid.nx))
-    reports["dispersion_independence"] = _dispersion_record(case, sample(grid_disp, 1), tols)
+        # The dispersion comparison runs on a coarse copy of the grid: the
+        # alpha_d runs must share one grid, and coarse spacings keep the
+        # roundoff amplification of D_xx u (analytically zero) small.
+        grid_disp = SpaceTimeGrid(grid.t0, grid.t1, min(17, grid.nt),
+                                  grid.x0, grid.x1, min(17, grid.nx))
+        reports["dispersion_independence"] = _dispersion_record(case, sample(grid_disp, 1), tols)
 
     reports.update(_mass_records(case, traj, grid, tols))
 
@@ -637,21 +665,23 @@ def _dispersion_record(case, sampled, tols: Tolerances) -> dict:
     times that scale, so it holds in every unit system.
     """
     (g, rho, u), = sampled
-    disp_max = []
-    for ad in tols.alpha_d:
-        r = momentum_residual_field(rho, u, g.dt, g.dx, case.sigma, ad)
-        disp_max.append(float(np.max(np.abs(r))))
-    disp_diff = max(abs(v - disp_max[0]) for v in disp_max)
     eps = float(np.finfo(float).eps)
     cell = g.dx ** 2 * min(g.dt, g.dx)
     scale = (eps * max(ad * ad for ad in tols.alpha_d) * float(np.max(np.abs(u))) / cell
              if cell else math.inf)
-    # An infinite bound would pass any spread.
+    # An infinite bound would pass any spread.  Checked first: where it is
+    # infinite, the residuals it bounds overflow too, and it names the cause.
     if not math.isfinite(scale):
         raise ArithmeticError(
             "dispersion roundoff scale eps max(alpha_d^2) max|u| / (dx^2 min(dt, dx)) "
             f"is out of range at dx = {g.dx}, dt = {g.dt}")
     bound = tols.dispersion_tol * scale
+    disp_max = []
+    for ad in tols.alpha_d:
+        r = momentum_residual_field(rho, u, g.dt, g.dx, case.sigma, ad)
+        disp_max.append(float(np.max(np.abs(r))))
+        _check_finite(f"dispersion_independence at alpha_d = {ad}", g, max_residual=disp_max[-1])
+    disp_diff = max(abs(v - disp_max[0]) for v in disp_max)
     return {
         "alpha_d_values": list(tols.alpha_d), "grid": {"nt": g.nt, "nx": g.nx},
         "interior_max_residuals": disp_max, "max_abs_difference": disp_diff,

@@ -312,6 +312,16 @@ def test_verify_noncompact_skips_mass(tmp_path):
     assert "note" in doc["reports"]["mass"]
 
 
+def test_verify_zero_amplitude_takes_the_zero_decay_branch(tmp_path):
+    # Family 1b with alpha = 0: rho(t, 0) = 0, so origin_decay expects a tail
+    # of 0 and its error is the tail itself.
+    cfg = write_config(tmp_path, "sigma = -1\nxi = 1\nalpha = 0\na0 = -1\na1 = 0\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    decay = json.loads((tmp_path / "verify.json").read_text())["reports"]["origin_decay"]
+    assert decay["expected"] == 0 and decay["scaled_tail"] == 0
+    assert decay["relative_error"] == 0 and decay["pass"] is True
+
+
 def test_verify_corrupted_velocity_fails(tmp_path):
     cfg = write_config(tmp_path, verify_cfg_2a())
     rc = main([
@@ -1171,8 +1181,9 @@ def test_extreme_magnitudes_end_in_time(tmp_path, capsys, command, xi, a1, code)
 # A breakdown of the arithmetic, named: a collapse time S that underflows or
 # overflows, or whose closed form over- or underflows in |xi|^(3/2); a state that
 # overflows; a NaN or an infinity that reaches a writer; a profile amplitude
-# (alpha / xi)^2 that overflows, a dispersion roundoff scale whose
-# dx^2 min(dt, dx) underflows, and an orbit time unit mu out of range.
+# (alpha / xi)^2 that overflows, a sampled field or a residual norm that is not
+# finite, a momentum stencil whose dx^2 overflows, a dispersion roundoff scale
+# whose dx^2 min(dt, dx) underflows, and an orbit time unit mu out of range.
 BREAKDOWNS = [
     ("emden", -1.0, 1.0, -1e150, "collapse time S = 0.0 is out of range"),
     ("verify", -1.0, 1.0, -1e150, "collapse time S = 0.0 is out of range"),
@@ -1181,8 +1192,9 @@ BREAKDOWNS = [
     ("emden", 1e-300, 1.0, -1.0, "collapse time S: its closed form is out of range at xi = 1e-300"),
     ("emden", -1.0, 1e-300, 1e150, "the state overflowed"),
     ("emden", 1e300, 1.0, 1e150, "non-finite value nan "),
-    ("verify", 1e-150, 1e-150, 1.0, "non-finite value inf "),
-    ("construct", 1e-150, 1e-300, 1e10, "non-finite value -inf "),
+    ("verify", 1e-150, 1e-150, 1.0,
+     "residual_momentum: l2_residual = inf is out of range on the 81 x 81 lattice\n"),
+    ("construct", 1e-150, 1e-300, 1e10, "field u = -inf is out of range at t = 0.0, x = "),
     ("verify", 1e-300, 1e-300, 0.0,
      "profile amplitude (alpha / xi)^2 is out of range at alpha = 1.0, xi = 1e-300\n"),
     ("construct", 1e-300, 1e-300, 0.0,
@@ -1190,22 +1202,24 @@ BREAKDOWNS = [
     ("verify", 1e300, 1.0, 1e150, "dispersion roundoff scale eps max(alpha_d^2) max|u| / "
      "(dx^2 min(dt, dx)) is out of range at dx = "),
     ("verify", 1e-300, 1e300, 0.0, "time unit mu = |a0|^(2/3) / sqrt|xi| = inf is out of range\n"),
-]
+] + [("verify", 1e-150, 1e300, a1, "momentum stencil's dx^2 is out of range at dx = ")
+     for a1 in (-1e10, -1.0, 0.0, 1.0, 1e10)]
 _COARSE = [v for m in (1e-300, 1.0, 1e300) for v in (m, -m)]
 
 
 @pytest.mark.parametrize("command", ["emden", "construct", "verify"])
 def test_numerical_breakdowns_exit_2(tmp_path, capsys, command):
     # The named breakdowns, then a coarse grid of xi, a0 and a1: every run ends
-    # in time with 0, 2 or 3, a failure is one line, and the solver and the
-    # scale-factor code raise no numpy warning.  The field sampler and the
-    # residual kernels may still warn at these magnitudes.
+    # in time with 0, 2 or 3, a failure is one line, and no numpy warning
+    # comes from the solver, the scale-factor code, the field sampler or the
+    # residual kernels.
     runs = [(xi, a0, a1, message) for c, xi, a0, a1, message in BREAKDOWNS if c == command]
     runs += [(xi, a0, a1, None) for xi in _COARSE for a0 in _COARSE for a1 in (-1e150, 0.0, 1e150)]
     wrong = []
     for xi, a0, a1, message in runs:
         rc, err, caught = _run_in_time(tmp_path, capsys, command, _config(command, xi, a0, a1))
-        ours = sorted({Path(w.filename).name for w in caught} & {"_dop853.py", "emden.py"})
+        ours = sorted({Path(w.filename).name for w in caught}
+                      & {"_dop853.py", "emden.py", "verify.py", "selfsim.py"})
         if message is None and rc in (0, 3):
             ok = err == ""
         else:

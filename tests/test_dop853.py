@@ -66,7 +66,7 @@ def batch_problem(params):
     sgn = np.array([1.0 if p.a0 > 0 else -1.0 for p in params])
     stop_level = np.array([REL_STOP * abs(p.a0) for p in params])
 
-    def f(s, y, i, out):
+    def f(y, i, out):
         out[:] = np.stack((y[:, 1], xi[i] / (3.0 * np.cbrt(y[:, 0]))), axis=1)
 
     return f, lambda s, y, i: sgn[i] * y[:, 0] - stop_level[i]
@@ -148,7 +148,7 @@ def test_solver_matches_solve_ivp(xi_sign, xi_dec, a0_sign, a0_dec, u, tol, s_en
 
     ref, ref_err, ref_warn = scipy_outcome(params, s_end, tol)
     res, err, warn = outcome(lambda: _dop853.solve(
-        f, 0.0, s_end, [[params.a0, params.a1]], rtol=rtol, atol=atol, event=event)[0])
+        f, s_end, [[params.a0, params.a1]], rtol=rtol, atol=atol, event=event)[0])
 
     assert err == ref_err
     assert warn == ref_warn
@@ -171,7 +171,7 @@ def test_batch_matches_solve_ivp_per_orbit(draws):
     rtol, atol = zip(*map(tolerances, params, tol))
 
     results, err, warn = outcome(lambda: _dop853.solve(
-        f, 0.0, s_end, [[p.a0, p.a1] for p in params], rtol=rtol, atol=atol, event=event))
+        f, s_end, [[p.a0, p.a1] for p in params], rtol=rtol, atol=atol, event=event))
     assert err is None
     refs = [scipy_outcome(*args) for args in zip(params, s_end, tol)]
     # One clamp warning per orbit, in batch order, as scipy warns each alone.
@@ -190,10 +190,10 @@ def test_step_size_underflow_matches_solve_ivp():
 
     ref = solve_ivp(f, (0.0, 2.0), [1.0], method="DOP853", rtol=1e-8, atol=1e-12,
                     dense_output=True)
-    def f_batch(t, y, i, out):
+    def f_batch(y, i, out):
         out[:] = y * y
 
-    res = _dop853.solve(f_batch, 0.0, 2.0, [[1.0]], rtol=1e-8, atol=1e-12, event=never)[0]
+    res = _dop853.solve(f_batch, 2.0, [[1.0]], rtol=1e-8, atol=1e-12, event=never)[0]
     assert ref.status == res.status == -1
     assert res.message == ref.message == _dop853.TOO_SMALL_STEP
     assert np.array_equal(res.t, ref.t)
@@ -207,10 +207,10 @@ def test_step_size_underflow_in_a_batch():
     c = np.array([0.1, 1.0, -1.0])
 
     def solve(rows):
-        def f(t, y, i, out):
+        def f(y, i, out):
             out[:] = c[rows[i], None] * y * y
 
-        return _dop853.solve(f, 0.0, 2.0, [[1.0]] * len(rows), rtol=1e-8, atol=1e-12,
+        return _dop853.solve(f, 2.0, [[1.0]] * len(rows), rtol=1e-8, atol=1e-12,
                              event=never)
 
     batch = solve(np.arange(3))
@@ -234,10 +234,10 @@ def test_step_size_underflow_in_a_batch():
 
 def solve_rows(f_batch, event_batch, rows, t_bound, y0, rtol, atol):
     """_dop853.solve on the problems ``rows`` of a batch defined by f_batch and event_batch."""
-    def f(t, y, i, out):
-        f_batch(t, y, rows[i], out)
+    def f(y, i, out):
+        f_batch(y, rows[i], out)
 
-    return _dop853.solve(f, 0.0, np.broadcast_to(t_bound, len(y0))[rows], y0[rows],
+    return _dop853.solve(f, np.broadcast_to(t_bound, len(y0))[rows], y0[rows],
                          rtol=np.broadcast_to(rtol, len(y0))[rows],
                          atol=np.broadcast_to(atol, len(y0))[rows],
                          event=lambda t, y, i: event_batch(t, y, rows[i]))
@@ -289,7 +289,7 @@ def test_events_firing_together_match_solve_ivp(monkeypatch):
     stop = np.array([1e-10, 1e-10, 1e-10, 5e-11, 5e-11, 0.5])
     linear = xi == 0.0
 
-    def f_batch(t, y, i, out):
+    def f_batch(y, i, out):
         with np.errstate(divide="ignore", invalid="ignore"):
             accel = xi[i] / (3.0 * np.cbrt(y[:, 0]))
         out[:] = np.where(linear[i, None], [-1.0, 1.0], np.stack((y[:, 1], accel), axis=1))
@@ -303,9 +303,9 @@ def test_events_firing_together_match_solve_ivp(monkeypatch):
     located = []  # per solve call: the orbits of the steps fired on each iteration
     real_locate = _dop853._locate_events
 
-    def spy_locate(fun, event, t0, fired):
+    def spy_locate(fun, event, fired):
         located.append([entry[0].tolist() for entry in fired])
-        return real_locate(fun, event, t0, fired)
+        return real_locate(fun, event, fired)
 
     monkeypatch.setattr(_dop853, "_locate_events", spy_locate)
     batch, alone, refs = solve_alone_and_in_batch(f_batch, stop_event, f_one, 6,
@@ -332,7 +332,7 @@ def test_event_root_error_stays_with_its_orbit():
     stop = 1e-10 * np.abs(y0[:, 0])
     clock = np.arange(5) == 2
 
-    def f_batch(t, y, i, out):
+    def f_batch(y, i, out):
         out[:] = np.stack((y[:, 1], xi[i] / (3.0 * np.cbrt(y[:, 0]))), axis=1)
 
     def f_one(k, t, y):
@@ -379,25 +379,25 @@ def test_subset_and_full_commits_match_solve_ivp():
 # the one-problem loop against the lockstep loop
 # ----------------------------------------------------------------------
 
-def _underflow(t, y, i, out):  # row 0: y' = y^2 blows up at t = 1; row 1: y' = -y^2
+def _underflow(y, i, out):  # row 0: y' = y^2 blows up at t = 1; row 1: y' = -y^2
     out[:] = np.where(i == 0, 1.0, -1.0)[:, None] * y * y
 
 
-def _decay(t, y, i, out):
+def _decay(y, i, out):
     out[:] = -y
 
 
-def _linear(t, y, i, out):  # y = 1 - t on every row
+def _linear(y, i, out):  # y = 1 - t on every row
     out[:] = -1.0
 
 
-def _still(t, y, i, out):  # row 0: y' = 0, every error term exactly 0; row 1: y' = -y
+def _still(y, i, out):  # row 0: y' = 0, every error term exactly 0; row 1: y' = -y
     out[:] = np.where(i == 0, 0.0, -1.0)[:, None] * y
 
 
 def _node_of_decay(k):
     """Node k of y' = -y from 1 to t = 5 (rtol 1e-10, atol 1e-14), solved alone."""
-    return float(_dop853.solve(_decay, 0.0, 5.0, [[1.0]], rtol=1e-10, atol=1e-14,
+    return float(_dop853.solve(_decay, 5.0, [[1.0]], rtol=1e-10, atol=1e-14,
                                event=never)[0].t[k])
 
 
@@ -441,7 +441,7 @@ def test_edge_cases_take_both_loops_alike(case):
 
     def f_one(t, y):
         out = np.empty((1, len(y)))
-        f(np.array([t]), y[None], np.array([0]), out)
+        f(y[None], np.array([0]), out)
         return out[0]
 
     ref, ref_err, ref_warn = outcome(lambda: solve_ivp(
@@ -505,11 +505,11 @@ def test_one_row_takes_the_one_problem_loop(monkeypatch):
             return real(*args)
         monkeypatch.setattr(_dop853, name, spy)
 
-    def f(t, y, i, out):
+    def f(y, i, out):
         out[:] = -y
 
     for n in (1, 2, 3, 1):
-        _dop853.solve(f, 0.0, 1.0, np.ones((n, 1)), rtol=1e-8, atol=1e-12, event=never)
+        _dop853.solve(f, 1.0, np.ones((n, 1)), rtol=1e-8, atol=1e-12, event=never)
     assert loops == ["_solve_one", "_solve_lockstep", "_solve_lockstep", "_solve_one"]
     loops.clear()
     integrate(EmdenParams(-1.0, 1.0), 10.0)
