@@ -20,14 +20,7 @@ of stage matrices calls the BLAS kernel ``np.dot`` calls on each,
 exception: numpy's array ``**`` may round differently from libm's
 ``pow``, which SciPy's scalar ``**`` calls, so each power is taken on
 Python floats in one list comprehension and every branch around it is
-done with numpy masks.
-
-A batch of one row takes a one-problem loop instead, with its scalars as
-Python floats and only SciPy's per-problem stage arithmetic in numpy, so
-that one orbit does not pay for array operations on one-element arrays.
-Both loops write the same records (nodes, stage matrices and the steps on
-which the event fired), from which one code path finds event roots and
-builds the results and their dense output.
+done with numpy masks.  A batch of one steps through the same loop.
 
 What differs from SciPy:
 
@@ -409,22 +402,17 @@ def solve(fun, t_bound, y0, rtol, atol, event) -> list:
         fun(y0, idx, f)
         g = np.asarray(event(t, y0, idx), dtype=float)
         h_abs = _select_initial_step(fun, y0, t_bound, f, rtol, atol, idx)
-        if n == 1:
-            status, n_rejected, fired, records = _solve_one(
-                fun, event, y0, f, float(h_abs[0]), float(t_bound[0]),
-                float(rtol[0, 0]), float(atol[0, 0]), float(g[0]))
-        else:
-            status, n_rejected, fired, records = _solve_lockstep(
-                fun, event, _Active(idx=idx, t=t, y=y0, f=f, h_abs=h_abs,
-                                    rejected=np.zeros(n, dtype=bool), t_bound=t_bound,
-                                    rtol=rtol, atol=atol, g=g))
+        status, n_rejected, fired, records = _solve_lockstep(
+            fun, event, _Active(idx=idx, t=t, y=y0, f=f, h_abs=h_abs,
+                                rejected=np.zeros(n, dtype=bool), t_bound=t_bound,
+                                rtol=rtol, atol=atol, g=g))
 
         located = _locate_events(fun, event, fired) if fired else {}
         return _assemble(fun, n, status, located, n_rejected, *records)
 
 
 def _solve_lockstep(fun, event, active):
-    """``solve``'s loop for two or more problems: one step of each running problem per iteration.
+    """``solve``'s loop: one step of each running problem per iteration.
 
     Returns the statuses, rejection counts, fired steps and node records
     (batch index, t, y and stage matrices per iteration) that
@@ -495,75 +483,6 @@ def _solve_lockstep(fun, event, active):
             active.keep(~finished)
 
     return status, n_rejected, fired, (rec_idx, rec_t, rec_y, rec_K)
-
-
-def _solve_one(fun, event, y, f, h_abs, t_bound, rtol, atol, g):
-    """``solve``'s loop for one problem: the lockstep loop's steps on Python floats.
-
-    t, the step size, the rejected flag, the error norm, the step factor,
-    ``min_step`` and the event value are floats, with the lockstep loop's
-    operations (libm ``**`` included); only the stage arithmetic runs in
-    numpy, as SciPy runs it on one problem (``np.dot(K[:s].T, a)``,
-    ``sqrt(x @ x)``), which gives the bits of the lockstep ``np.matmul``.
-    ``y`` and ``f`` are (1, m).  Returns the lockstep loop's records, every
-    accepted step in one block.
-    """
-    idx = np.zeros(1, dtype=int)
-    m = y.shape[1]
-    y = y[0]
-    K = np.empty((N_STAGES + 1, m))
-    K[0] = f[0]  # K[0] holds f at the current node: a rejected step keeps it
-    stages = [(K[s:s + 1], K[:s].T, a) for s, a in STAGES]
-    K_T, K_T_B = K.T, K[:-1].T
-    t, rejected, n_rejected, status = 0.0, False, 0, None
-    ts, ys, Ks, fired = [t], [y], [], []
-    while status is None:
-        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
-        if not h_abs >= min_step:  # a NaN step too
-            h_abs = min_step
-            if rejected:
-                status = -1
-                break
-        t_new = min(t + h_abs, t_bound)
-        h = t_new - t
-        for K_s, K_sT, a in stages:
-            fun((y + np.dot(K_sT, a) * h)[None], idx, K_s)
-        y_new = y + h * np.dot(K_T_B, B)
-        fun(y_new[None], idx, K[-1:])
-
-        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        err5, err3 = np.dot(K_T, E5) / scale, np.dot(K_T, E3) / scale
-        e5, e3 = (math.inf if v > _SQRT_MAX else v ** 2
-                  for v in (math.sqrt(err5 @ err5), math.sqrt(err3 @ err3)))
-        denom = e5 + 0.01 * e3
-        # 0 when both norms are 0; 0 / 0 (NaN) where 0.01 e3 underflows.
-        error_norm = abs(h) * e5 / math.sqrt(denom * m) if denom else (math.nan if e3 else 0.0)
-        factor = math.inf if error_norm == 0 else SAFETY * error_norm ** ERROR_EXPONENT
-        if error_norm < 1:
-            factor = min(1.0 if rejected else MAX_FACTOR, factor)
-        else:
-            factor = max(MIN_FACTOR, factor)  # MIN_FACTOR for a NaN error norm
-        h_abs = abs(h) * factor
-        rejected = not error_norm < 1
-        if rejected:
-            n_rejected += 1
-            continue
-
-        ts.append(t_new)
-        ys.append(y_new)
-        Ks.append(K.copy())
-        if t_new >= t_bound:
-            status = 0
-        t_a, y_a = np.array([t_new]), y_new[None]
-        g_new = float(event(t_a, y_a, idx)[0])
-        if g >= 0 and g_new <= 0:
-            fired.append((idx, np.array([t]), y[None], t_a, y_a, Ks[-1][None]))
-            status = 1
-        t, y, g = t_new, y_new, g_new
-        K[0] = K[-1]
-    return [status], np.array([n_rejected]), fired, (
-        [np.zeros(len(ts), dtype=int)], [np.array(ts)], [np.array(ys)],
-        [np.array(Ks).reshape(-1, N_STAGES + 1, m)])
 
 
 def _assemble(fun, n, status, located, n_rejected, rec_idx, rec_t, rec_y, rec_K) -> list:

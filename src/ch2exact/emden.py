@@ -28,10 +28,10 @@ event, from |a| = REL_STOP |a0| down to zero.
 
 The ODE is integrated with an in-tree port of SciPy's DOP853 (``_dop853``),
 which reproduces SciPy 1.17's ``solve_ivp`` bit for bit on these problems
-without importing SciPy.  The solver steps a batch of orbits in lockstep:
-``integrate_many`` and ``analyze_many`` take one, ``integrate`` and
-``analyze`` a batch of one, and every orbit gets the doubles it would get
-alone.
+without importing SciPy.  The solver steps a batch of orbits in lockstep,
+through one loop whatever the batch size: ``integrate_many`` and
+``analyze_many`` take a batch, ``integrate`` and ``analyze`` a batch of
+one, and every orbit gets the doubles it would get alone.
 """
 
 from __future__ import annotations
@@ -242,19 +242,14 @@ def integrate_many(params, s_end, tol) -> list:
         return out
 
     batch = [params[k] for k in todo]
-    xi_list = [p.xi for p in batch]
-    xi = np.array(xi_list)
+    xi = np.array([p.xi for p in batch])
     a0 = np.array([p.a0 for p in batch])
     sgn = np.where(a0 > 0, 1.0, -1.0)
     stop_level = REL_STOP * np.abs(a0)
 
     def f(y, i, dy):
-        if len(y) == 1:  # numpy scalars cost less than one-element arrays, with the same bits
-            (a, a_dot), = y.tolist()
-            dy[0] = a_dot, xi_list[i[0]] / (3.0 * np.cbrt(a))
-        else:
-            dy[:, 0] = y[:, 1]
-            np.divide(xi[i], 3.0 * np.cbrt(y[:, 0]), out=dy[:, 1])
+        dy[:, 0] = y[:, 1]
+        np.divide(xi[i], 3.0 * np.cbrt(y[:, 0]), out=dy[:, 1])
 
     # Signed event: sgn*a decreases through the stop level exactly when |a|
     # does, and the signed form is monotone through the crossing.

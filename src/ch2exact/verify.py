@@ -129,6 +129,10 @@ class Tolerances:
 # battery does not run it, so it is not a Tolerances field (each field is a
 # verify config key).
 ENERGY_DRIFT_TOL = 1e-8
+# A residual ladder at most RESIDUAL_FLOOR eps times the finest level's
+# roundoff scale counts as exact (_residual_report).  The factor is the
+# default dispersion_tol's; it is not a verify config key either.
+RESIDUAL_FLOOR = 100.0
 
 
 class GridError(ValueError):
@@ -428,9 +432,13 @@ def _residual_report(case, sampled, which, alpha_d, band) -> dict:
     ``residuals`` holds each level's max norm.  The observed order is the
     log2 ratio of the last two (the exact fields give ~ 2) and must lie
     within band of 2; residuals at the roundoff floor count as exact, since
-    the order is meaningless there.  Both maxima of the ratio are taken on
-    the coarser level's interior nodes: the finer level's own interior
-    reaches O(h) closer to the edges, where the residual is largest.
+    the order is meaningless there.  The floor is RESIDUAL_FLOOR eps times
+    the size of the equation's terms on the finest level, eps max|rho|
+    (1/dt + 2 max|u|/dx) for mass and eps (max|u|/dt + 3 max|u|^2/dx +
+    max|rho|^2/dx) for momentum, so a residual is judged in the fields' own
+    units.  Both maxima of the ratio are taken on the coarser level's
+    interior nodes: the finer level's own interior reaches O(h) closer to
+    the edges, where the residual is largest.
     """
     h_values: list[float] = []
     maxes: list[float] = []
@@ -452,7 +460,15 @@ def _residual_report(case, sampled, which, alpha_d, band) -> dict:
     order = None
     if len(sampled) >= 2 and fine > 0.0:
         order = math.log2(maxes[-2] / fine)
-    ok = max(maxes) < 1e-12 or (order is not None and abs(order - 2.0) <= band)
+    rho_max, u_max = float(np.max(np.abs(rho))), float(np.max(np.abs(u)))
+    if which == "mass":
+        scale = rho_max * (1.0 / g.dt + 2.0 * u_max / g.dx)
+    else:
+        # Each quotient by dx first, as the kernels take them.
+        scale = u_max / g.dt + 3.0 * u_max * (u_max / g.dx) + rho_max * (rho_max / g.dx)
+    floor = RESIDUAL_FLOOR * float(np.finfo(float).eps) * scale
+    _check_finite(f"residual_{which}", g, roundoff_floor=floor)  # inf would pass any residual
+    ok = max(maxes) <= floor or (order is not None and abs(order - 2.0) <= band)
     return {"eq": which, "interior_max_residual": maxes[0], "interior_l2_residual": l2s[0],
             "h_values": h_values, "residuals": maxes, "estimated_order": order, "pass": ok}
 

@@ -7,9 +7,10 @@ drawn over many decades of ``|xi|`` and ``|a0|``, every slope and every
 tolerance, the port must return the same doubles as
 ``scipy.integrate.solve_ivp(method="DOP853")``: nodes, states, status,
 event times, dense output and warnings.  The port steps a batch of orbits
-in lockstep, and every orbit of a batch must get what solve_ivp gives it
-alone.  The rule must equal ``scipy.integrate.quad`` on the package's two
-integrands, which ``quad`` settles with one 21-point evaluation.
+in lockstep, and every orbit must get what solve_ivp gives it alone, the
+same doubles in a batch of one as in a larger batch.  The rule must equal
+``scipy.integrate.quad`` on the package's two integrands, which ``quad``
+settles with one 21-point evaluation.
 """
 
 import math
@@ -376,7 +377,7 @@ def test_subset_and_full_commits_match_solve_ivp():
 
 
 # ----------------------------------------------------------------------
-# the one-problem loop against the lockstep loop
+# a row in a batch of one against the same row in a larger batch
 # ----------------------------------------------------------------------
 
 def _underflow(y, i, out):  # row 0: y' = y^2 blows up at t = 1; row 1: y' = -y^2
@@ -428,7 +429,7 @@ EDGE_CASES = {
 
 
 @pytest.mark.parametrize("case", EDGE_CASES)
-def test_edge_cases_take_both_loops_alike(case):
+def test_edge_cases_alone_equal_them_in_a_batch(case):
     f, event, t_bound, y0, rtol, atol = EDGE_CASES[case]()
     t_bound, y0, rtol = np.array(t_bound), np.array(y0), np.array(rtol)
     (one,), err, warn_one = outcome(lambda: solve_rows(f, event, np.array([0]), t_bound, y0,
@@ -478,9 +479,9 @@ wide_orbits = st.tuples(signs, decades, signs, decades, theta_slopes, tols, hori
 @settings(max_examples=40, deadline=None)
 @given(draws=st.lists(wide_orbits, min_size=2, max_size=6))
 def test_one_orbit_alone_equals_it_in_a_lockstep_batch(draws):
-    # Alone, an orbit goes through the one-problem loop; in the batch,
-    # through the lockstep loop.  Both must give the same doubles, counters,
-    # status, message, event roots and dense output, or the same exception.
+    # An orbit in a batch of one and in the larger batch must get the same
+    # doubles, counters, status, message, event roots and dense output, or
+    # the same exception.
     params = [orbit(*d[:5]) for d in draws]
     f, event = batch_problem(params)
     rtol, atol = map(np.array, zip(*[tolerances(p, d[5]) for p, d in zip(params, draws)]))
@@ -495,27 +496,6 @@ def test_one_orbit_alone_equals_it_in_a_lockstep_batch(draws):
     assert warn == [w for _, _, one_warn in alone for w in one_warn]
     for res, (one, _, _) in zip(batch, alone):
         assert_same_outcome(res, one[0])
-
-
-def test_one_row_takes_the_one_problem_loop(monkeypatch):
-    loops = []
-    for name in ("_solve_one", "_solve_lockstep"):
-        def spy(*args, real=getattr(_dop853, name), name=name):
-            loops.append(name)
-            return real(*args)
-        monkeypatch.setattr(_dop853, name, spy)
-
-    def f(y, i, out):
-        out[:] = -y
-
-    for n in (1, 2, 3, 1):
-        _dop853.solve(f, 1.0, np.ones((n, 1)), rtol=1e-8, atol=1e-12, event=never)
-    assert loops == ["_solve_one", "_solve_lockstep", "_solve_lockstep", "_solve_one"]
-    loops.clear()
-    integrate(EmdenParams(-1.0, 1.0), 10.0)
-    integrate_many([EmdenParams(-1.0, 1.0)] * 2, [10.0] * 2, [1e-10] * 2)
-    analyze_many([(EmdenParams(1.0, 1.0), 5.0, 1e-10)])
-    assert loops == ["_solve_one", "_solve_lockstep", "_solve_one"]
 
 
 def test_step_factors_match_the_scalar_rule():

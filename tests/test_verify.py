@@ -255,6 +255,23 @@ def test_corrupted_velocity_breaks_convergence(case_2a):
     assert bad["residuals"][-1] > 10.0 * clean["residuals"][-1]
 
 
+@pytest.mark.parametrize("family", ["case_2a", "case_2b"])
+def test_residual_floor_is_relative_to_roundoff(family, request):
+    # With alpha scaled by 1e-12, the compact family's window and fields
+    # shrink with alpha, and the 1% velocity fault leaves residuals of about
+    # 3e-15, which an absolute 1e-12 floor passed.  The floor follows the
+    # fields' own size, so the fault fails both equations on either family
+    # and the clean twin passes them.
+    case, traj, report = request.getfixturevalue(family)
+    small = SolutionCase(sigma=case.sigma, alpha=1e-12 * case.alpha, emden=case.emden)
+    grid = sampling_grid(small, traj, report, {})
+    clean = run_battery(small, traj, report, grid)
+    bad = run_battery(small, traj, report, grid, u_scale=1.01)
+    for which in ("residual_mass", "residual_momentum"):
+        assert clean[which]["pass"] is True
+        assert bad[which]["pass"] is False
+
+
 def test_grid_preconditions(case_1a, case_2a):
     case, traj, report = case_1a
     S = report.s_collapse_quadrature
