@@ -24,13 +24,14 @@ done with numpy masks.  A batch of one steps through the same loop.
 
 What differs from SciPy:
 
-- a step's interpolant is built from its stored stage matrix by each
-  query that reads it, instead of after every step, and is not kept; a
-  query builds all the interpolants it needs in one batch.  The event
-  step is no exception: event roots are found after the loop, on every
-  step where the event fired, by one array-valued ``brentq`` on
-  interpolants built for that search alone.  The same operations run on
-  the same data, so the values are the same;
+- the loop keeps only the accepted nodes.  A step's stages depend only
+  on its first node and its length, so each step a query or the event
+  search reads is rebuilt from its two nodes: all 16 stages of the
+  extended tableau from the first node, then its interpolant, which is
+  not kept.  A query rebuilds all the steps it needs in one batch.  Event
+  roots are found after the loop, on each stopped problem's last step,
+  by one array-valued ``brentq``.  The same operations run on the same
+  doubles, so the values are the same;
 - the right-hand side is autonomous, ``fun(y, i, out)``: it gets no time,
   so the solver computes no stage times and uses no stage nodes ``C``;
 - every problem starts at t = 0 and runs forward only, there is exactly
@@ -64,15 +65,14 @@ TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 _SQRT_MAX = math.sqrt(np.finfo(float).max)  # the largest double whose square is finite
 
 N_STAGES = coef.N_STAGES
-A = coef.A[:N_STAGES, :N_STAGES]
 B = coef.B
 E3 = coef.E3
 E5 = coef.E5
 D = coef.D
-A_EXTRA = coef.A[N_STAGES + 1:]
-N_STAGES_EXTRA = len(A_EXTRA)  # stages evaluated only for dense output
+N_STAGES_EXTRA = coef.N_STAGES_EXTENDED - N_STAGES - 1  # stages evaluated only for dense output
 ERROR_EXPONENT = -1 / (7 + 1)  # error estimator order 7
-STAGES = [(s, A[s][:s]) for s in range(1, N_STAGES)]
+# Stages s >= 1 of the extended tableau and their A[s, :s]: a step takes the first 11.
+STAGES = [(s, coef.A[s, :s]) for s in range(1, coef.N_STAGES_EXTENDED)]
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,9 @@ class OdeResult:
     ``status`` is 0 when ``t_bound`` was reached, 1 when the event stopped
     the integration and -1 when the step size underflowed (``message``
     says so).  ``t`` and ``y`` are the accepted nodes; with status 1 the
-    last one, ``t[-1]``, is the event root.  ``nfev`` counts
-    right-hand-side evaluations made by ``solve``; the stages ``sol``
-    evaluates to interpolate a step are not included.
+    last one, ``t[-1]``, is the event root.  ``nfev`` counts the
+    right-hand-side evaluations ``solve_ivp`` makes.  ``sol`` evaluates
+    16 stages on each step it reads, and none of them is counted.
     """
 
     t: np.ndarray
@@ -132,7 +132,7 @@ def _rk_step(fun, y, f, h, idx):
     K[:, 0] = f
     K_T = K.transpose(0, 2, 1)  # each problem's K.T, as SciPy's K[:s].T
     h_col = h[:, None]
-    for s, a in STAGES:
+    for s, a in STAGES[:N_STAGES - 1]:
         fun(y + np.matmul(K_T[:, :, :s], a) * h_col, idx, K[:, s])
     y_new = y + h_col * np.matmul(K_T[:, :, :-1], B)
     fun(y_new, idx, K[:, -1])
@@ -163,14 +163,16 @@ def _step_factors(error_norm, rejected) -> np.ndarray:
     return np.where(error_norm < 1, np.minimum(cap, factor), np.fmax(MIN_FACTOR, factor))
 
 
-def _dense_coefficients(fun, y_old, y, h, K_steps, idx):
-    """SciPy's ``_dense_output_impl`` on k steps (stage matrices K_steps) of the problems idx."""
+def _dense_coefficients(fun, y_old, y, h, idx):
+    """SciPy's ``_dense_output_impl`` on k steps (y_old to y, of length h) of the problems
+    idx, their stages rebuilt from y_old: B is A[N_STAGES, :N_STAGES], and each stage
+    matrix has ``_rk_step``'s strides, so ``np.matmul`` rounds alike."""
     K = np.empty((len(h), coef.N_STAGES_EXTENDED, y.shape[1]))
-    K[:, :N_STAGES + 1] = K_steps
+    fun(y_old, idx, K[:, 0])
     K_T = K.transpose(0, 2, 1)
     h_col = h[:, None]
-    for s, a in enumerate(A_EXTRA, start=N_STAGES + 1):
-        fun(y_old + np.matmul(K_T[:, :, :s], a[:s]) * h_col, idx, K[:, s])
+    for s, a in STAGES:
+        fun(y_old + np.matmul(K_T[:, :, :s], a) * h_col, idx, K[:, s])
     F = np.empty((len(h), coef.INTERPOLATOR_POWER, y.shape[1]))
     f_old = K[:, 0]
     f = K[:, N_STAGES]
@@ -197,23 +199,21 @@ def _dense_eval(t_old, h, y_old, F, t):
 class DenseSolution:
     """Piecewise interpolant over the accepted steps of problem k.
 
-    ``ts`` are the nodes; step i runs from ``t_steps[i]`` to
-    ``t_steps[i + 1]`` (the two differ only at the end of an event step,
-    where the last node is the event root).  Its stage matrix stays in the
-    block the lockstep loop stored it in: ``blocks[block[i]][row[i]]``.  A
-    query on a node uses the segment with the lower index, as SciPy's
-    ``OdeSolution`` does.  Each query builds the interpolants of the
-    segments it reads, the event step's included, in one batch, and keeps
-    none; each point is evaluated on its own segment's interpolant with
-    the arithmetic SciPy uses.
+    ``ts`` are the nodes; step i runs from node ``(t_steps[i], y_steps[i])``
+    to node ``i + 1`` (the two lists differ from the nodes only at the end
+    of an event step, where the last node is the event root).  A query on
+    a node uses the segment with the lower index, as SciPy's
+    ``OdeSolution`` does.  Each query rebuilds the stages and interpolants
+    of the segments it reads, the event step's included, from their nodes
+    in one batch, and keeps none; each point is evaluated on its own
+    segment's interpolant with the arithmetic SciPy uses.
     """
 
-    def __init__(self, fun, k, ts, t_steps, y_steps, blocks, block, row):
+    def __init__(self, fun, k, ts, t_steps, y_steps):
         self.ts = ts
         self._fun, self._k = fun, k
         self._t, self._y = t_steps, y_steps
-        self._blocks, self._block, self._row = blocks, block, row
-        self.n_segments = len(block)
+        self.n_segments = len(t_steps) - 1
 
     def _find(self, t):
         segments = np.searchsorted(self.ts, t, side="left") - 1
@@ -231,11 +231,9 @@ class DenseSolution:
 def _build(pieces):
     """Interpolation matrices of the (solution, segment) pairs, solutions of one solve."""
     fun = pieces[0][0]._fun
-    t_old, t_new, y_old, y_new, K, idx = map(np.array, zip(*[
-        (sol._t[i], sol._t[i + 1], sol._y[i], sol._y[i + 1],
-         sol._blocks[sol._block[i]][sol._row[i]], sol._k)
-        for sol, i in pieces]))
-    return _dense_coefficients(fun, y_old, y_new, t_new - t_old, K, idx)
+    t_old, t_new, y_old, y_new, idx = map(np.array, zip(*[
+        (sol._t[i], sol._t[i + 1], sol._y[i], sol._y[i + 1], sol._k) for sol, i in pieces]))
+    return _dense_coefficients(fun, y_old, y_new, t_new - t_old, idx)
 
 
 def dense_values(sols, t) -> np.ndarray:
@@ -323,16 +321,16 @@ def brentq(f, xa, xb, xtol: float, rtol: float, maxiter: int = 100):
     return roots, errors
 
 
-def _locate_events(fun, event, fired) -> dict:
-    """The event root of every step in ``fired`` (see ``solve``), found as one batch.
+def _locate_events(fun, event, k, t_old, y_old, t_new, y_new) -> dict:
+    """The event roots of the problems k on their steps from (t_old, y_old) to
+    (t_new, y_new), found as one batch.
 
     Returns, per problem, (root, state at root, whether the root node is
     dropped), or the exception SciPy's brentq raises; the interpolants
-    built for the search are not kept.
+    rebuilt for the search are not kept.
     """
-    k, t_old, y_old, t_new, y_new, K = map(np.concatenate, zip(*fired))
     h = t_new - t_old
-    F = _dense_coefficients(fun, y_old, y_new, h, K, k)
+    F = _dense_coefficients(fun, y_old, y_new, h, k)
 
     def g(t, i):
         return event(t, _dense_eval(t_old[i], h[i], y_old[i], F[i], t), k[i])
@@ -371,10 +369,12 @@ def solve(fun, t_bound, y0, rtol, atol, event) -> list:
     not checked: the one caller, ``emden.integrate_many``, guarantees them.
     ``fun(y, i, out)`` gets the (k, m) states and the (k,) batch indices of
     the problems it is asked about, and writes their derivatives into the
-    (k, m) float array ``out``.  ``event(t, y, i)`` gets the (k,) times too
-    and returns (k,) values; a problem stops at the first step over which
-    its event value falls from >= 0 to <= 0, at the root in that step
-    (SciPy's terminal event of direction -1).  ``rtol`` below 100 eps is
+    (k, m) float array ``out``.  It must be a pure function of each row,
+    whatever rows come with it: dense output evaluates a step's stages
+    again, in other batches.  ``event(t, y, i)`` gets the (k,) times too and
+    returns (k,) values; a problem stops at the first step over which its
+    event value falls from >= 0 to <= 0, at the root in that step (SciPy's
+    terminal event of direction -1).  ``rtol`` below 100 eps is
     raised to it with a ``UserWarning``, one per problem.  numpy's
     floating-point warnings are off while it steps (``fun`` too): a state
     that overflows turns inf or NaN quietly, and its step then fails at
@@ -402,31 +402,23 @@ def solve(fun, t_bound, y0, rtol, atol, event) -> list:
         fun(y0, idx, f)
         g = np.asarray(event(t, y0, idx), dtype=float)
         h_abs = _select_initial_step(fun, y0, t_bound, f, rtol, atol, idx)
-        status, n_rejected, fired, records = _solve_lockstep(
+        status, n_rejected, records = _solve_lockstep(
             fun, event, _Active(idx=idx, t=t, y=y0, f=f, h_abs=h_abs,
                                 rejected=np.zeros(n, dtype=bool), t_bound=t_bound,
                                 rtol=rtol, atol=atol, g=g))
-
-        located = _locate_events(fun, event, fired) if fired else {}
-        return _assemble(fun, n, status, located, n_rejected, *records)
+        return _assemble(fun, event, n, status, n_rejected, *records)
 
 
 def _solve_lockstep(fun, event, active):
     """``solve``'s loop: one step of each running problem per iteration.
 
-    Returns the statuses, rejection counts, fired steps and node records
-    (batch index, t, y and stage matrices per iteration) that
-    ``_locate_events`` and ``_assemble`` take.
+    Returns the statuses, rejection counts and the batch index, t and y of
+    the nodes accepted on each iteration, which ``_assemble`` takes.
     """
     n = len(active.idx)
     n_rejected = np.zeros(n, dtype=int)
     status = [None] * n
-    # Per iteration, the steps on which the event fired: problems, t and y
-    # at both ends, and stage matrices.
-    fired = []
-    # Every accepted node in the order it was reached: the batch index, t,
-    # y, and (after the initial nodes) the step's stage matrix.
-    rec_idx, rec_t, rec_y, rec_K = [active.idx], [active.t], [active.y], []
+    rec_idx, rec_t, rec_y = [active.idx], [active.t], [active.y]
 
     while active.idx.size:
         # RungeKutta._step_impl: a fresh step (a NaN one too) starts no smaller
@@ -453,21 +445,15 @@ def _solve_lockstep(fun, event, active):
         n_rejected[active.idx[active.rejected]] += 1
 
         rows = np.flatnonzero(accepted)
-        idx_a, t_a, y_a, K_a = active.idx[rows], t_new[rows], y_new[rows], K[rows]
+        idx_a, t_a, y_a = active.idx[rows], t_new[rows], y_new[rows]
         rec_idx.append(idx_a)
         rec_t.append(t_a)
         rec_y.append(y_a)
-        rec_K.append(K_a)
-        done = t_a >= active.t_bound[rows]
-
         g_new = np.asarray(event(t_a, y_a, idx_a), dtype=float)
-        js = np.flatnonzero((active.g[rows] >= 0) & (g_new <= 0))
-        if js.size:
-            fired.append((idx_a[js], active.t[rows[js]], active.y[rows[js]], t_a[js],
-                          y_a[js], K_a[js]))
-            for k in idx_a[js].tolist():
-                status[k] = 1
-            done[js] = True
+        stops = (active.g[rows] >= 0) & (g_new <= 0)
+        for k in idx_a[stops].tolist():
+            status[k] = 1
+        done = stops | (t_a >= active.t_bound[rows])
 
         active.t = np.where(accepted, t_new, active.t)
         active.y = np.where(accepted[:, None], y_new, active.y)
@@ -482,25 +468,23 @@ def _solve_lockstep(fun, event, active):
             finished[rows[done]] = True
             active.keep(~finished)
 
-    return status, n_rejected, fired, (rec_idx, rec_t, rec_y, rec_K)
+    return status, n_rejected, (rec_idx, rec_t, rec_y)
 
 
-def _assemble(fun, n, status, located, n_rejected, rec_idx, rec_t, rec_y, rec_K) -> list:
-    """Each problem's OdeResult (or exception) from the lockstep records."""
+def _assemble(fun, event, n, status, n_rejected, rec_idx, rec_t, rec_y) -> list:
+    """Each problem's OdeResult (or exception) from the lockstep's node records."""
     node_idx = np.concatenate(rec_idx)
     n_accepted = np.bincount(node_idx, minlength=n) - 1
     # A stable sort by problem keeps each problem's nodes in time order.
     order = np.argsort(node_idx, kind="stable")
     t_all = np.concatenate(rec_t)[order]
     y_all = np.concatenate(rec_y)[order]
-    node_end = np.cumsum(n_accepted + 1).tolist()
-    # The stage matrices stay in their blocks (copying them would double
-    # the solver's largest store); each step gets its block and row.
-    sizes = [len(block) for block in rec_K]
-    step_order = np.argsort(node_idx[n:], kind="stable")
-    block_of = np.repeat(np.arange(len(sizes)), sizes)[step_order]
-    row_of = (np.arange(len(step_order)) - np.repeat(np.cumsum(sizes) - sizes, sizes))[step_order]
-    step_end = np.cumsum(n_accepted).tolist()
+    node_end = np.cumsum(n_accepted + 1)
+    # A problem stops on its last accepted step, so its root lies between its last two nodes.
+    stopped = np.flatnonzero(np.array(status) == 1)
+    last = node_end[stopped] - 1
+    located = _locate_events(fun, event, stopped, t_all[last - 1], y_all[last - 1],
+                             t_all[last], y_all[last]) if stopped.size else {}
 
     results = []
     for k in range(n):
@@ -509,17 +493,15 @@ def _assemble(fun, n, status, located, n_rejected, rec_idx, rec_t, rec_y, rec_K)
             results.append(hit)
             continue
         n_steps = int(n_accepted[k])
-        ts = t_all[node_end[k] - n_steps - 1:node_end[k]]
-        ys = y_all[node_end[k] - n_steps - 1:node_end[k]]
-        steps = slice(step_end[k] - n_steps, step_end[k])
-        block, row = block_of[steps], row_of[steps]
+        nodes = slice(node_end[k] - n_steps - 1, node_end[k])
+        ts, ys = t_all[nodes], y_all[nodes]
         extra_stages = 0
         nodes_t, nodes_y = ts, ys
         if hit is not None:
             root, y_root, dropped = hit
             extra_stages = N_STAGES_EXTRA
             if dropped:
-                ts, ys, block, row = ts[:-1], ys[:-1], block[:-1], row[:-1]
+                ts, ys = ts[:-1], ys[:-1]
                 nodes_t, nodes_y = ts, ys
             else:
                 # The event step keeps its end for the interpolant; its node is the root.
@@ -528,7 +510,7 @@ def _assemble(fun, n, status, located, n_rejected, rec_idx, rec_t, rec_y, rec_K)
         results.append(OdeResult(
             t=nodes_t,
             y=nodes_y.T,
-            sol=DenseSolution(fun, k, nodes_t, ts, ys, rec_K, block, row),
+            sol=DenseSolution(fun, k, nodes_t, ts, ys),
             status=status[k],
             message=TOO_SMALL_STEP if status[k] == -1 else None,
             nfev=2 + N_STAGES * int(n_accepted[k] + n_rejected[k]) + extra_stages,

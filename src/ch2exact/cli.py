@@ -29,9 +29,9 @@ from pathlib import Path
 
 # Before the first numpy import: numpy's OpenBLAS starts one worker thread
 # per core unless told otherwise, and a command never uses them, since its
-# only BLAS calls are DOP853 stage products on 13 x 2 stage matrices, far
-# below the sizes OpenBLAS threads.  A value the user set wins, and code
-# that imports the library without the CLI keeps its threads.
+# only BLAS calls are DOP853 stage products on at most 16 x 2 stage
+# matrices, far below the sizes OpenBLAS threads.  A value the user set
+# wins, and code that imports the library without the CLI keeps its threads.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np

@@ -318,7 +318,8 @@ def _check_grid(
 def sampling_grid(case: SolutionCase, traj: Trajectory, report: BlowupReport, given: dict,
                   margin: float = DEFAULT_SUPPORT_MARGIN) -> SpaceTimeGrid:
     """The lattice of the grid keys in given, the missing ones derived from the orbit;
-    a given t1 must come before the collapse, and the orbit must cover [t0, t1]."""
+    a given t1 must come before the collapse, the lattice may hold at most
+    MAX_LATTICE_POINTS points, and the orbit must cover [t0, t1]."""
     if report.classification is Classification.COLLAPSE:
         s_collapse = report.s_collapse_quadrature
         if "t1" in given and 3.0 * given["t1"] >= s_collapse:
@@ -331,6 +332,7 @@ def sampling_grid(case: SolutionCase, traj: Trajectory, report: BlowupReport, gi
     t1 = given.get("t1", t1_default)
     nt = given.get("nt", DEFAULT_POINTS)
     nx = given.get("nx", DEFAULT_POINTS)
+    check_lattice_cap(nt, nx, 1)
     _check_window(traj, t0, t1)
     if case.compact:
         if case.alpha == 0 and "x1" not in given:
@@ -398,10 +400,9 @@ def check_lattice_cap(nt: int, nx: int, levels: int) -> None:
     # Each refinement halves both spacings: n points per axis become 2 n - 1.
     nt_fine, nx_fine = ((n - 1) * 2 ** (levels - 1) + 1 for n in (nt, nx))
     if min(nt, nx) >= 2 and nt_fine * nx_fine > MAX_LATTICE_POINTS:
-        raise GridError(
-            f"levels = {levels} refines the {nt} x {nx} grid to {nt_fine} x {nx_fine} "
-            f"points, more than {MAX_LATTICE_POINTS}"
-        )
+        size = (f"levels = {levels} refines the {nt} x {nx} grid to {nt_fine} x {nx_fine} points"
+                if levels > 1 else f"the {nt} x {nx} grid has {nt * nx} points")
+        raise GridError(f"{size}, more than {MAX_LATTICE_POINTS}")
 
 
 def _sampled_levels(case, traj, grid, levels, margin, u_scale, s_collapse) -> list:

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: configs, outputs, determinism, exit codes."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -9,6 +10,7 @@ import re
 import signal
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -236,14 +238,21 @@ def test_construct_rejects_grid_crossing_collapse(tmp_path, capsys):
     assert "collapse" in capsys.readouterr().err
 
 
+_HUGE_LATTICE = "the 2 x 1000000000000 grid has 2000000000000 points, more than 4194304"
+
+
 @pytest.mark.parametrize("extra,flags,message", [
     ("", ["--grid", "81,1"], "need nt >= 2 and nx >= 2, got nt=1, nx=81"),
     ("", ["--grid", "1,81"], "need nt >= 2 and nx >= 2, got nt=81, nx=1"),
     ("t0 = 0.2\nt1 = 0.2\n", [], "need t1 > t0, got [0.2, 0.2]"),
     ("x0 = 0.5\nx1 = -0.5\n", [], "need x1 > x0, got [0.5, -0.5]"),
+    # a lattice past the cap is rejected before any of it is allocated
+    ("", ["--grid", "1000000000000,2"], _HUGE_LATTICE),
+    ("nx = 1000000000000\nnt = 2\n", [], _HUGE_LATTICE),
 ])
 def test_construct_rejects_a_degenerate_lattice(tmp_path, capsys, extra, flags, message):
-    # construct samples on a SpaceTimeGrid, which checks every lattice.
+    # construct samples on a SpaceTimeGrid, which checks every lattice, and
+    # sampling_grid caps its size at MAX_LATTICE_POINTS.
     cfg = write_config(tmp_path, CFG_2A + extra)
     assert main(["construct", "--config", cfg, "--out", str(tmp_path / "out"), *flags]) == 1
     assert capsys.readouterr().err == f"invalid input: {message}\n"
@@ -677,6 +686,28 @@ def test_sweep_energy_drift_bound_on_batch200():
     assert len(clean) == 200
     assert max(clean) < 0.1
     assert min(faulted) > 1.0
+
+
+def test_a_kept_trajectory_does_not_pin_its_batch():
+    # The solver keeps each batch's nodes and no per-step stage matrices, so
+    # one trajectory of batch200 kept alone holds about 0.2 MB: the batch's
+    # nodes.
+    blocks = cli._load_blocks(str(DATA / GOLDEN_DATA["batch200"]))
+    parsed = [cli._parse(block, "sweep") for block in blocks]
+    orbits = [(cli._case(values).emden, horizon(values["t_end"]), values["tol"])
+              for values in parsed]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        results = emden.analyze_many(orbits)
+        kept, _ = results[0]
+        del results
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(kept, emden.Trajectory) and kept.n_accepted > 0
+    assert retained < 1_000_000
 
 
 # A turning-point orbit (inward slope, theta < 0): its support radius is

@@ -301,21 +301,21 @@ def test_events_firing_together_match_solve_ivp(monkeypatch):
     def stop_event(t, y, i):
         return sgn[i] * y[..., 0] - stop[i]
 
-    located = []  # per solve call: the orbits of the steps fired on each iteration
+    located = []  # per solve call: the orbits searched and the ends of their last steps
     real_locate = _dop853._locate_events
 
-    def spy_locate(fun, event, fired):
-        located.append([entry[0].tolist() for entry in fired])
-        return real_locate(fun, event, fired)
+    def spy_locate(fun, event, k, t_old, y_old, t_new, y_new):
+        located.append((k.tolist(), t_new.tolist()))
+        return real_locate(fun, event, k, t_old, y_old, t_new, y_new)
 
     monkeypatch.setattr(_dop853, "_locate_events", spy_locate)
     batch, alone, refs = solve_alone_and_in_batch(f_batch, stop_event, f_one, 6,
                                                   np.full(6, 5.0), y0)
-    # The batch's one root search took every orbit's fired step, three or
-    # more of them fired on one iteration.
-    per_iteration = located[0]
-    assert sorted(sum(per_iteration, [])) == list(range(6))
-    assert max(map(len, per_iteration)) >= 3
+    # The batch's one root search took every orbit's last step; orbits 0-2
+    # stopped on one iteration, as their last steps end at the same t.
+    orbits, step_ends = located[0]
+    assert orbits == list(range(6))
+    assert step_ends[0] == step_ends[1] == step_ends[2]
     for res, one, (ref, err, _) in zip(batch, alone, refs):
         assert err is None and res.status == 1
         assert_matches_scipy(res, ref)
@@ -357,9 +357,19 @@ def test_event_root_error_stays_with_its_orbit():
             assert_same_result(res, one)
 
 
-def test_subset_and_full_commits_match_solve_ivp():
+def test_subset_and_full_commits_match_solve_ivp(monkeypatch):
     # A collapse orbit with 52 rejected steps and a growth orbit with one:
     # their lockstep iterations commit one row of the two or both.
+    commits = []  # per two-orbit iteration: which rows it accepted
+    real_error_norm = _dop853._estimate_error_norm
+
+    def spy_error_norm(K, h, scale):
+        error_norm = real_error_norm(K, h, scale)
+        if len(h) == 2:
+            commits.append(tuple((error_norm < 1).tolist()))
+        return error_norm
+
+    monkeypatch.setattr(_dop853, "_estimate_error_norm", spy_error_norm)
     params = [EmdenParams(-1.0, 1.0), EmdenParams(1.0, 1.0, 0.3)]
     s_end = np.array([3.0, 900.0])
     f, event = batch_problem(params)
@@ -367,8 +377,7 @@ def test_subset_and_full_commits_match_solve_ivp():
     rtol, atol = map(np.array, zip(*[tolerances(p, 1e-10) for p in params]))
     batch = solve_rows(f, event, np.arange(2), s_end, y0, rtol, atol)
     assert [res.n_rejected for res in batch] == [52, 1]
-    # The rows each iteration committed (one stage-matrix block per iteration).
-    assert {len(K) for K in batch[0].sol._blocks} >= {1, 2}
+    assert {(True, True), (False, True)} <= set(commits)
     for k, res in enumerate(batch):
         ref, err, _ = scipy_outcome(params[k], s_end[k], 1e-10)
         assert err is None

@@ -291,6 +291,17 @@ def test_grid_preconditions(case_1a, case_2a):
         run_battery(case2, short, report2, SpaceTimeGrid(0.0, 1.0, 9, -0.3, 0.3, 9))
 
 
+def test_sampling_grid_caps_the_lattice(case_2a, case_2b):
+    # construct samples sampling_grid's lattice unrefined: up to
+    # MAX_LATTICE_POINTS points (2048 x 2048) it is a grid, past them an error.
+    for case, traj, report in (case_2a, case_2b):
+        grid = sampling_grid(case, traj, report, {"nt": 2048, "nx": 2048})
+        assert (grid.nt, grid.nx) == (2048, 2048)
+        with pytest.raises(GridError, match="^the 2049 x 2048 grid has 4196352 points, "
+                                            "more than 4194304$"):
+            sampling_grid(case, traj, report, {"nt": 2049, "nx": 2048})
+
+
 # ----------------------------------------------------------------------
 # mass
 # ----------------------------------------------------------------------
