@@ -45,11 +45,9 @@ _EXPORTS = {
         "GridError",
         "SpaceTimeGrid",
         "Tolerances",
-        "blowup_rate",
         "mass",
         "mass_residual_field",
         "momentum_residual_field",
-        "origin_decay",
         "run_battery",
     ),
 }

@@ -57,6 +57,8 @@ import numpy as np
 from . import _dop853_coefficients as coef
 
 EPS = np.finfo(float).eps
+# solve raises any smaller rtol to this, with a UserWarning, as SciPy's DOP853 does.
+RTOL_FLOOR = 100 * EPS
 
 SAFETY = 0.9  # Multiply steps computed from asymptotic behaviour of errors by this.
 MIN_FACTOR = 0.2  # Minimum allowed decrease in a step size.
@@ -374,8 +376,8 @@ def solve(fun, t_bound, y0, rtol, atol, event) -> list:
     again, in other batches.  ``event(t, y, i)`` gets the (k,) times too and
     returns (k,) values; a problem stops at the first step over which its
     event value falls from >= 0 to <= 0, at the root in that step (SciPy's
-    terminal event of direction -1).  ``rtol`` below 100 eps is
-    raised to it with a ``UserWarning``, one per problem.  numpy's
+    terminal event of direction -1).  ``rtol`` below RTOL_FLOOR (100 eps)
+    is raised to it with a ``UserWarning``, one per problem.  numpy's
     floating-point warnings are off while it steps (``fun`` too): a state
     that overflows turns inf or NaN quietly, and its step then fails at
     ``min_step``.
@@ -388,11 +390,11 @@ def solve(fun, t_bound, y0, rtol, atol, event) -> list:
     t_bound = np.broadcast_to(np.asarray(t_bound, dtype=float), (n,))
     rtol = np.broadcast_to(np.asarray(rtol, dtype=float), (n,))
     for rtol_k in rtol.tolist():
-        if rtol_k < 100 * EPS:
+        if rtol_k < RTOL_FLOOR:
             warnings.warn("At least one element of `rtol` is too small. "
-                          f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.",
+                          f"Setting `rtol = np.maximum(rtol, {RTOL_FLOOR})`.",
                           stacklevel=2)
-    rtol = np.maximum(rtol, 100 * EPS)[:, None]
+    rtol = np.maximum(rtol, RTOL_FLOOR)[:, None]
     atol = np.broadcast_to(np.asarray(atol, dtype=float), (n,))[:, None]
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -494,7 +496,8 @@ def _assemble(fun, event, n, status, n_rejected, rec_idx, rec_t, rec_y) -> list:
             continue
         n_steps = int(n_accepted[k])
         nodes = slice(node_end[k] - n_steps - 1, node_end[k])
-        ts, ys = t_all[nodes], y_all[nodes]
+        # Copies: a view would keep the whole batch's nodes alive with this problem.
+        ts, ys = t_all[nodes].copy(), y_all[nodes].copy()
         extra_stages = 0
         nodes_t, nodes_y = ts, ys
         if hit is not None:

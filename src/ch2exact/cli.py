@@ -36,6 +36,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
+from ._dop853 import RTOL_FLOOR
 from .emden import (
     DEFAULT_TOL,
     Classification,
@@ -127,8 +128,8 @@ def _parse(block: dict[str, str], command: str) -> dict:
     and the given grid and Tolerances keys sit in the dicts "grid" and "tols".
 
     The keys are checked first (unknown ones, then missing required ones),
-    then each value in block order: its type, finite, sigma +1 or -1 and a
-    given t_end > 0.
+    then each value in block order: its type, finite, sigma +1 or -1, a
+    given t_end > 0 with 3 t_end finite and a given tol >= RTOL_FLOOR.
     """
     required, allowed = _KEYS[command]
     unknown = sorted(set(block) - allowed)
@@ -151,6 +152,12 @@ def _parse(block: dict[str, str], command: str) -> dict:
             raise ConfigError(f"sigma must be +1 or -1, got {text}")
         if key == "t_end" and not value > 0:
             raise ConfigError(f"config key 't_end' must be > 0: {text!r}")
+        if key == "t_end" and not 3.0 * value < math.inf:
+            raise ConfigError(f"config key 't_end' is out of range, its s = 3 t_end overflows: "
+                              f"{text!r}")
+        if key == "tol" and not value >= RTOL_FLOOR:
+            raise ConfigError(f"config key 'tol' must be >= {RTOL_FLOOR}, the solver's floor "
+                              f"100 eps: {text!r}")
         group = "grid" if key in _GRID_KEYS else "tols" if key in _TOLERANCE_KEYS else None
         (values[group] if group else values)[key] = value
     return values

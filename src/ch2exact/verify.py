@@ -21,13 +21,14 @@ at the boundary, and the linear-velocity momentum balance holds only
 where the profile equation is active), and well before the collapse time
 for collapsing families.
 
-Every check reads the fields through one sampler, fields_on_grid: the
-residual lattices, the 21 mass quadrature nodes at the five times of
-[t0, t1] that the mass (at t0, the first) and mass_conservation records
-share, and the blowup and decay times at x = 0, each in one call.  A fault
-injected there reaches them all.  run_battery runs every check on one
-family with the thresholds of Tolerances, the one place their defaults are
-defined.
+Every check reads the fields through one sampler, fields_on_grid, called
+where the check is judged: run_battery's sample for the residual lattices,
+mass for the 21 quadrature nodes at the five times of [t0, t1] that the
+mass (at t0, the first) and mass_conservation records share, and the
+blowup_rate and origin_decay records for rho(t, 0) at their own times,
+each in one call.  A fault injected there reaches them all.  run_battery
+runs every check on one family with the thresholds of Tolerances, the one
+place their defaults are defined.
 
 Windows: sampling_grid fills in the grid keys a config leaves out (t1 =
 0.25 S/3 on collapse, else min(0.5, mu, t_max); x1 a fraction of the support
@@ -64,9 +65,9 @@ from .selfsim import SolutionCase, profile
 __all__ = [
     "DEFAULT_POINTS", "DEFAULT_SUPPORT_MARGIN", "COLLAPSE_TIME_MARGIN", "ENERGY_DRIFT_TOL",
     "MAX_LATTICE_POINTS", "GridError", "SpaceTimeGrid", "Tolerances", "analytic_mass",
-    "battery_t_needed", "blowup_rate", "check_lattice_cap", "energy_drift", "fields_on_grid",
-    "horizon", "mass", "mass_error", "mass_residual_field", "min_support_radius",
-    "momentum_residual_field", "origin_decay", "run_battery", "sampling_grid", "sweep_checks",
+    "battery_t_needed", "check_lattice_cap", "energy_drift", "fields_on_grid", "horizon",
+    "mass", "mass_error", "mass_residual_field", "min_support_radius", "momentum_residual_field",
+    "run_battery", "sampling_grid", "sweep_checks",
 ]
 
 # Residual grids may use at most this fraction of the support radius.
@@ -362,8 +363,14 @@ def _time_unit(case: SolutionCase) -> float:
 
 def _decay_window_end(tols: Tolerances, case: SolutionCase) -> float:
     """Last physical time the origin_decay check samples, where the orbit reaches it:
-    decay_t_max, in units of mu where mu > 1."""
-    return tols.decay_t_max * max(1.0, _time_unit(case))
+    decay_t_max, in units of mu where mu > 1; an ArithmeticError where its s = 3t
+    overflows."""
+    mu = _time_unit(case)
+    t = tols.decay_t_max * max(1.0, mu)
+    if not 3.0 * t < math.inf:
+        raise ArithmeticError(f"origin-decay window end s = 3 decay_t_max max(1, mu) is out of "
+                              f"range at decay_t_max = {tols.decay_t_max}, mu = {mu}")
+    return t
 
 
 def battery_t_needed(case: SolutionCase, tols: Tolerances, given: dict) -> float:
@@ -382,8 +389,12 @@ def battery_t_needed(case: SolutionCase, tols: Tolerances, given: dict) -> float
 
 
 def horizon(t_end: float, t_needed: float = 0.0) -> float | None:
-    """analyze's s_end: 3 max(t_end, t_needed), or None (its default) when that is 0."""
+    """analyze's s_end: 3 max(t_end, t_needed), or None (its default) when that is 0;
+    an ArithmeticError where it overflows."""
     t = max(t_end, t_needed)
+    if not 3.0 * t < math.inf:
+        raise ArithmeticError(f"integration horizon s = 3 max(t_end, t_needed) is out of range "
+                              f"at t_end = {t_end}, t_needed = {t_needed}")
     return 3.0 * t if t > 0 else None
 
 
@@ -403,20 +414,6 @@ def check_lattice_cap(nt: int, nx: int, levels: int) -> None:
         size = (f"levels = {levels} refines the {nt} x {nx} grid to {nt_fine} x {nx_fine} points"
                 if levels > 1 else f"the {nt} x {nx} grid has {nt * nx} points")
         raise GridError(f"{size}, more than {MAX_LATTICE_POINTS}")
-
-
-def _sampled_levels(case, traj, grid, levels, margin, u_scale, s_collapse) -> list:
-    """Check the ladder's size and the grid once, then (lattice, rho, u) on it
-    and each of its refinements."""
-    check_lattice_cap(grid.nt, grid.nx, levels)
-    _check_grid(case, traj, grid, margin, s_collapse)
-    sampled = []
-    g = grid
-    for _ in range(levels):
-        rho, u, _ = fields_on_grid(case, traj, g.ts(), g.xs(), u_scale)
-        sampled.append((g, rho, u))
-        g = g.refined()
-    return sampled
 
 
 def _check_finite(record: str, g: SpaceTimeGrid, **norms) -> None:
@@ -558,44 +555,6 @@ def sweep_checks(case: SolutionCase, traj: Trajectory, report: BlowupReport) -> 
 
 
 # ----------------------------------------------------------------------
-# blowup rate and decay
-# ----------------------------------------------------------------------
-
-def blowup_rate(
-    case: SolutionCase,
-    traj: Trajectory,
-    report: BlowupReport,
-    s_samples,
-) -> list[tuple[float, float]]:
-    """Samples of rho(s, 0) (S - s)^{1/3} approaching the collapse time.
-
-    The product tends to alpha / (2 theta)^{1/6}: the origin density blows
-    up exactly like (S - s)^{-1/3}.
-    """
-    if report.classification is not Classification.COLLAPSE:
-        raise ValueError("blowup rate is defined only for collapse orbits")
-    if case.alpha <= 0.0:
-        raise ValueError("blowup rate needs alpha > 0 (zero profile otherwise)")
-    S = report.s_collapse_quadrature
-    s_list = [float(s) for s in s_samples]
-    for s in s_list:
-        if not (0.0 <= s <= traj.s_max):
-            raise ValueError(f"sample s = {s} outside the trajectory [0, {traj.s_max}]")
-        if s >= S:
-            raise ValueError(f"sample s = {s} is not before the collapse time {S}")
-    rho, _, _ = fields_on_grid(case, traj, np.array(s_list) / 3.0, np.zeros(1))
-    return [(s, rho0 * (S - s) ** (1.0 / 3.0)) for s, rho0 in zip(s_list, rho[:, 0].tolist())]
-
-
-def origin_decay(case: SolutionCase, traj: Trajectory, t_list) -> list[float]:
-    """rho(t, 0) samples for global orbits; decays to zero like t^{-1/2}."""
-    if classify(case.emden) is Classification.COLLAPSE:
-        raise ValueError("origin decay is defined only for global orbits")
-    rho, _, _ = fields_on_grid(case, traj, np.array(t_list, dtype=float), np.zeros(1))
-    return rho[:, 0].tolist()
-
-
-# ----------------------------------------------------------------------
 # the battery
 # ----------------------------------------------------------------------
 
@@ -614,12 +573,28 @@ def run_battery(
     (collapse orbits with alpha > 0) or origin_decay (global orbits).  Each
     record carries its own "pass", except the skipped mass records of
     full-line families.  u_scale scales the velocity (fault injection).
+    The residual and dispersion records read the lattices sample takes here;
+    the others sample for themselves.  An alpha_d whose square overflows is
+    an ArithmeticError first.
     """
-    # Each lattice is checked and sampled once; both equations, and all
-    # alpha_d runs, read the same samples.
+    # The momentum kernel's Python float ** would raise an unnamed
+    # OverflowError; ad * ad turns inf instead.
+    if not math.isfinite(max(ad * ad for ad in tols.alpha_d)):
+        raise ArithmeticError(f"dispersion scale alpha_d^2 is out of range at alpha_d = "
+                              f"{max(tols.alpha_d, key=abs)}")
+
+    # Each lattice's ladder size and grid are checked once, then it and each
+    # of its refinements are sampled once; both equations, and all alpha_d
+    # runs, read the same samples.
     def sample(g, levels):
-        return _sampled_levels(case, traj, g, levels, tols.margin, u_scale,
-                               report.s_collapse_quadrature)
+        check_lattice_cap(g.nt, g.nx, levels)
+        _check_grid(case, traj, g, tols.margin, report.s_collapse_quadrature)
+        sampled = []
+        for _ in range(levels):
+            rho, u, _ = fields_on_grid(case, traj, g.ts(), g.xs(), u_scale)
+            sampled.append((g, rho, u))
+            g = g.refined()
+        return sampled
 
     # The kernels and norms run quietly: a norm that is not finite is named
     # by its record instead.
@@ -693,6 +668,9 @@ def _dispersion_record(case, sampled, tols: Tolerances) -> dict:
             "dispersion roundoff scale eps max(alpha_d^2) max|u| / (dx^2 min(dt, dx)) "
             f"is out of range at dx = {g.dx}, dt = {g.dt}")
     bound = tols.dispersion_tol * scale
+    if not math.isfinite(bound):
+        raise ArithmeticError(f"dispersion bound dispersion_tol * scale = {tols.dispersion_tol} "
+                              f"* {scale} is out of range")
     disp_max = []
     for ad in tols.alpha_d:
         r = momentum_residual_field(rho, u, g.dt, g.dx, case.sigma, ad)
@@ -707,27 +685,33 @@ def _dispersion_record(case, sampled, tols: Tolerances) -> dict:
 
 
 def _blowup_rate_record(case, traj, report, rtol: float) -> dict:
+    """rho(s, 0) (S - s)^{1/3} at S - s = 1e-2 .. 1e-6 S, from one fields_on_grid call;
+    it tends to alpha / (2 theta)^{1/6}: rho(s, 0) blows up like (S - s)^{-1/3}."""
     if report.theta == 0.0:
         # Only xi > 0 orbits collapse with zero energy.
         return {"skipped": True,
                 "note": "theta = 0: rho(s, 0) grows like (S - s)^{-1/2}, not (S - s)^{-1/3}"}
     S = report.s_collapse_quadrature
-    samples = blowup_rate(case, traj, report, S - np.geomspace(1e-2, 1e-6, 17) * S)
-    products = [p for _, p in samples]
+    s = (S - np.geomspace(1e-2, 1e-6, 17) * S).tolist()
+    rho, _, _ = fields_on_grid(case, traj, np.array(s) / 3.0, np.zeros(1))
+    products = [rho0 * (S - s_k) ** (1.0 / 3.0) for s_k, rho0 in zip(s, rho[:, 0].tolist())]
     expected = case.alpha / (2.0 * report.theta) ** (1.0 / 6.0)
     limit = products[-1]
     rel = abs(limit - expected) / expected
     floor_ratio = min(products) / limit
-    return {"samples": [[s, p] for s, p in samples], "limit_estimate": limit,
+    return {"samples": [[s_k, p] for s_k, p in zip(s, products)], "limit_estimate": limit,
             "expected": expected, "relative_error": rel, "min_over_limit": floor_ratio,
             "tolerance": rtol, "pass": rel <= rtol and floor_ratio >= 1e-2}
 
 
 def _origin_decay_record(case, traj, tols: Tolerances) -> dict:
+    """rho(t, 0) at 12 times up to the decay window's end, from one fields_on_grid
+    call; on a global orbit it decays like t^{-1/2}."""
     t_hi = min(_decay_window_end(tols, case), _t_max(traj))
     t_lo = max(t_hi / 100.0, 1e-3) if t_hi > 1e-3 else t_hi / 100.0  # below t_hi
     t_samples = list(np.geomspace(t_lo, t_hi, 12))
-    values = origin_decay(case, traj, t_samples)
+    rho, _, _ = fields_on_grid(case, traj, np.array(t_samples), np.zeros(1))
+    values = rho[:, 0].tolist()
     decreasing = all(b < a for a, b in zip(values, values[1:]))
     k = (4.0 * case.emden.xi / 9.0) ** 0.75
     expected = case.alpha / (math.sqrt(3.0) * k ** (1.0 / 3.0))

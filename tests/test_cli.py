@@ -20,7 +20,7 @@ import pytest
 import ch2exact.cli as cli
 import ch2exact.emden as emden
 from ch2exact import EmdenParams, IntegrationFailure, analyze, profile
-from ch2exact._dop853 import TOO_SMALL_STEP
+from ch2exact._dop853 import RTOL_FLOOR, TOO_SMALL_STEP
 from ch2exact.cli import ConfigError, main, parse_config_blocks
 from ch2exact.verify import Tolerances, _t_max, energy_drift, fields_on_grid, horizon
 
@@ -589,6 +589,56 @@ def test_sweep_t_end_must_be_positive_in_its_row(tmp_path):
     assert rows[1].startswith("2a,") and rows[1].endswith(",true")
 
 
+# A t_end whose clock s = 3 t_end overflows is named at parsing, not as
+# analyze's s_end = inf.
+@pytest.mark.parametrize("command", ["emden", "construct", "verify"])
+def test_t_end_whose_clock_overflows_is_named(tmp_path, capsys, command):
+    base = "xi = 1\na0 = 1\na1 = 0\n" if command == "emden" else CFG_2A
+    cfg = write_config(tmp_path, base + "t_end = 7e307\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "invalid input: config key 't_end' is out of range, its s = 3 t_end overflows: "
+        "'7e307'\n")
+    assert not (tmp_path / "out").exists()
+
+
+# A tol below the solver's floor is named at parsing: the solver would raise
+# it to the floor with a UserWarning on stderr.
+@pytest.mark.parametrize("value", ["1e-15", "1e-300", "0", "-1"])
+def test_tol_below_the_solver_floor_is_named(tmp_path, capsys, value):
+    cfg = write_config(tmp_path, CFG_2A + f"tol = {value}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "invalid input: config key 'tol' must be >= 2.220446049250313e-14, the solver's "
+        f"floor 100 eps: '{value}'\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_tol_at_the_solver_floor_runs_without_a_warning(tmp_path):
+    cfg = write_config(tmp_path, f"xi = 1\na0 = 1\na1 = 0\ntol = {float(RTOL_FLOOR)!r}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["emden", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+# The dispersion scales' overflows are named: alpha_d^2 before anything is
+# sampled (the momentum kernel's float ** raised an unnamed OverflowError),
+# and a bound dispersion_tol * scale that would pass any spread.
+@pytest.mark.parametrize("extra,message", [
+    ("alpha_d = 1e160\n", "dispersion scale alpha_d^2 is out of range at alpha_d = 1e+160\n"),
+    ("alpha_d = 0,1e150\ndispersion_tol = 1e308\n",
+     "dispersion bound dispersion_tol * scale = 1e+308 * "),
+], ids=["alpha_d", "dispersion_tol"])
+def test_dispersion_overflow_is_named(tmp_path, capsys, extra, message):
+    cfg = write_config(tmp_path, CFG_2A + extra)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_default_grid_respects_margin(tmp_path):
     # x1 defaults to min(0.6, 0.75 margin) of the support radius (1.0 here),
     # so margin = 0.5 gives the grid an explicit x1 = 0.375 gives.
@@ -689,9 +739,9 @@ def test_sweep_energy_drift_bound_on_batch200():
 
 
 def test_a_kept_trajectory_does_not_pin_its_batch():
-    # The solver keeps each batch's nodes and no per-step stage matrices, so
-    # one trajectory of batch200 kept alone holds about 0.2 MB: the batch's
-    # nodes.
+    # Each problem's nodes are copied out of the batch's arrays, so one
+    # trajectory of batch200 kept alone holds its own nodes and little else
+    # (about 12 kB), not the whole batch's nodes (about 0.2 MB).
     blocks = cli._load_blocks(str(DATA / GOLDEN_DATA["batch200"]))
     parsed = [cli._parse(block, "sweep") for block in blocks]
     orbits = [(cli._case(values).emden, horizon(values["t_end"]), values["tol"])
@@ -707,7 +757,7 @@ def test_a_kept_trajectory_does_not_pin_its_batch():
     finally:
         tracemalloc.stop()
     assert isinstance(kept, emden.Trajectory) and kept.n_accepted > 0
-    assert retained < 1_000_000
+    assert retained < 64_000
 
 
 # A turning-point orbit (inward slope, theta < 0): its support radius is
@@ -880,7 +930,8 @@ def test_sweep_failing_blocks_leave_valid_rows_alone(tmp_path):
     assert len(rows) == 7
     assert [row.split(",")[6] for row in rows[2:5]] == [
         "error: coupling constant fails xi != 0",
-        "error: tol must be positive; got -1.0",
+        "error: config key 'tol' must be >= 2.220446049250313e-14; the solver's floor 100 eps: "
+        "'-1'",
         "error: collapse-time routes disagree by 4.423e-06 of S (> 1e-06)",
     ]
     assert all(row.startswith("?,") and row.endswith(",false") for row in rows[2:5])
@@ -1214,7 +1265,8 @@ def test_extreme_magnitudes_end_in_time(tmp_path, capsys, command, xi, a1, code)
 # overflows; a NaN or an infinity that reaches a writer; a profile amplitude
 # (alpha / xi)^2 that overflows, a sampled field or a residual norm that is not
 # finite, a momentum stencil whose dx^2 overflows, a dispersion roundoff scale
-# whose dx^2 min(dt, dx) underflows, and an orbit time unit mu out of range.
+# whose dx^2 min(dt, dx) underflows, an orbit time unit mu out of range, and an
+# origin-decay window 300 mu whose clock s overflows.
 BREAKDOWNS = [
     ("emden", -1.0, 1.0, -1e150, "collapse time S = 0.0 is out of range"),
     ("verify", -1.0, 1.0, -1e150, "collapse time S = 0.0 is out of range"),
@@ -1233,6 +1285,8 @@ BREAKDOWNS = [
     ("verify", 1e300, 1.0, 1e150, "dispersion roundoff scale eps max(alpha_d^2) max|u| / "
      "(dx^2 min(dt, dx)) is out of range at dx = "),
     ("verify", 1e-300, 1e300, 0.0, "time unit mu = |a0|^(2/3) / sqrt|xi| = inf is out of range\n"),
+    ("verify", 1e-212, 1e300, 0.0, "origin-decay window end s = 3 decay_t_max max(1, mu) is out "
+     "of range at decay_t_max = 300.0, mu = 1e+306\n"),
 ] + [("verify", 1e-150, 1e300, a1, "momentum stencil's dx^2 is out of range at dx = ")
      for a1 in (-1e10, -1.0, 0.0, 1.0, 1e10)]
 _COARSE = [v for m in (1e-300, 1.0, 1e300) for v in (m, -m)]

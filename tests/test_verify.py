@@ -22,12 +22,10 @@ from ch2exact import (
     SpaceTimeGrid,
     Tolerances,
     analyze,
-    blowup_rate,
     integrate,
     mass,
     mass_residual_field,
     momentum_residual_field,
-    origin_decay,
     profile,
     run_battery,
 )
@@ -39,7 +37,6 @@ from ch2exact.verify import (
     _decay_window_end,
     _dispersion_record,
     _residual_report,
-    _sampled_levels,
     _t_max,
     analytic_mass,
     battery_t_needed,
@@ -188,8 +185,8 @@ def test_residuals_converge_noncompact(case_2b):
 def test_single_level_reports_no_order(case_2a):
     case, traj, _ = case_2a
     grid = SpaceTimeGrid(0.0, 0.5, 11, -0.5, 0.5, 11)
-    sampled = _sampled_levels(case, traj, grid, 1, Tolerances.margin, 1.0, None)
-    rep = _residual_report(case, sampled, "mass", 0.0, Tolerances.order_band)
+    rho, u, _ = fields_on_grid(case, traj, grid.ts(), grid.xs())
+    rep = _residual_report(case, [(grid, rho, u)], "mass", 0.0, Tolerances.order_band)
     assert rep["estimated_order"] is None
     assert rep["interior_max_residual"] >= 0.0
     assert rep["interior_l2_residual"] <= rep["interior_max_residual"]
@@ -451,10 +448,23 @@ def rate_case(alpha=1.0):
     return case, traj, report
 
 
+def rate_samples(case, traj, report):
+    """The blowup_rate record's [s, rho(s, 0) (S - s)^{1/3}] pairs over S - s = 1e-2 .. 1e-6 S."""
+    return verify._blowup_rate_record(case, traj, report, Tolerances.rate_rtol)["samples"]
+
+
+def product_at_1e5(report, samples):
+    """The record's product at S - s = 1e-5 S, the 13th of its 17 points."""
+    S = report.s_collapse_quadrature
+    s, prod = samples[12]
+    assert (S - s) / S == pytest.approx(1e-5, rel=1e-9)
+    return prod
+
+
 def test_blowup_rate_limit():
     case, traj, report = rate_case()
-    S = report.s_collapse_quadrature
-    samples = blowup_rate(case, traj, report, S * (1.0 - np.geomspace(1e-2, 1e-6, 9)))
+    samples = rate_samples(case, traj, report)
+    assert len(samples) == 17
     # last-decade products: within 1% of the limit and never below half of it
     for _, prod in samples:
         assert prod == pytest.approx(RATE_LIMIT, rel=1e-2)
@@ -464,42 +474,32 @@ def test_blowup_rate_limit():
 def test_blowup_rate_mirrored_family(case_2b):
     # same xi and theta reached through the a0 < 0 branch
     case, traj, report = case_2b
-    S = report.s_collapse_quadrature
-    samples = blowup_rate(case, traj, report, [S * (1.0 - 1e-5)])
-    assert samples[0][1] == pytest.approx(RATE_LIMIT, rel=1e-2)
+    prod = product_at_1e5(report, rate_samples(case, traj, report))
+    assert prod == pytest.approx(RATE_LIMIT, rel=1e-2)
 
 
 def test_blowup_rate_linear_in_alpha():
     case, traj, report = rate_case(alpha=2.0)
-    S = report.s_collapse_quadrature
-    (_, prod), = blowup_rate(case, traj, report, [S * (1.0 - 1e-5)])
+    prod = product_at_1e5(report, rate_samples(case, traj, report))
     assert prod == pytest.approx(2.0 * RATE_LIMIT, rel=1e-2)
-
-
-def test_blowup_rate_preconditions(case_2a):
-    case, traj, report = case_2a
-    with pytest.raises(ValueError, match="collapse"):
-        blowup_rate(case, traj, report, [0.1])
-    c2, t2, r2 = rate_case()
-    # S itself always lies just past the halted trajectory, so either range
-    # guard may fire; both name the offending sample.
-    with pytest.raises(ValueError, match="sample s ="):
-        blowup_rate(c2, t2, r2, [r2.s_collapse_quadrature])
-    c3 = SolutionCase(sigma=-1, alpha=0.0, emden=EmdenParams(xi=-3.0, a0=1.0, a1=0.0))
-    with pytest.raises(ValueError, match="alpha"):
-        blowup_rate(c3, t2, r2, [0.1])
 
 
 # ----------------------------------------------------------------------
 # origin decay
 # ----------------------------------------------------------------------
 
+def origin_density(case, traj, times):
+    """rho(t, 0) at the physical times, read as the origin_decay record reads it."""
+    rho, _, _ = fields_on_grid(case, traj, np.asarray(times, dtype=float), np.zeros(1))
+    return rho[:, 0].tolist()
+
+
 def test_origin_decay_rate():
     # xi = 9/4 makes k = 1; rho(t,0) sqrt(t) -> alpha / sqrt(3)
     case = SolutionCase(sigma=1, alpha=1.0, emden=EmdenParams(xi=2.25, a0=1.0, a1=0.0))
     traj = integrate(case.emden, s_end=1000.0)
     times = np.geomspace(1.0, 300.0, 8)
-    vals = origin_decay(case, traj, times)
+    vals = origin_density(case, traj, times)
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert vals[-1] * math.sqrt(times[-1]) == pytest.approx(1.0 / math.sqrt(3.0), rel=0.05)
 
@@ -523,14 +523,8 @@ def test_origin_decay_times_increase(decay_t_max):
 def test_origin_decay_zero_amplitude(case_2a):
     _, traj, _ = case_2a
     case = SolutionCase(sigma=1, alpha=0.0, emden=EmdenParams(xi=1.0, a0=1.0, a1=0.0))
-    vals = origin_decay(case, traj, [0.5, 1.0, 2.0])
+    vals = origin_density(case, traj, [0.5, 1.0, 2.0])
     assert vals == [0.0, 0.0, 0.0]
-
-
-def test_origin_decay_rejects_collapse(case_1a):
-    case, traj, _ = case_1a
-    with pytest.raises(ValueError, match="global"):
-        origin_decay(case, traj, [0.1])
 
 
 # ----------------------------------------------------------------------
@@ -593,6 +587,13 @@ def test_time_unit_out_of_range_is_named(xi, a0, mu):
     message = f"time unit mu = |a0|^(2/3) / sqrt|xi| = {mu} is out of range"
     with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
         battery_t_needed(case, Tolerances(), {})
+
+
+@pytest.mark.parametrize("t_end,t_needed", [(7e307, 0.0), (0.0, 7e307), (1.0, math.inf)])
+def test_horizon_never_returns_inf(t_end, t_needed):
+    with pytest.raises(ArithmeticError, match="^integration horizon s = 3 max"):
+        horizon(t_end, t_needed)
+    assert horizon(1.0, 2.0) == 6.0 and horizon(0.0) is None
 
 
 def test_tolerances_defaults_and_levels():
