@@ -24,14 +24,14 @@ done with numpy masks.  A batch of one steps through the same loop.
 
 What differs from SciPy:
 
-- the loop keeps only the accepted nodes.  A step's stages depend only
-  on its first node and its length, so each step a query or the event
-  search reads is rebuilt from its two nodes: all 16 stages of the
-  extended tableau from the first node, then its interpolant, which is
-  not kept.  A query rebuilds all the steps it needs in one batch.  Event
-  roots are found after the loop, on each stopped problem's last step,
-  by one array-valued ``brentq``.  The same operations run on the same
-  doubles, so the values are the same;
+- the solver returns data, not an interpolant: each problem's nodes and
+  step ends, as arrays.  A step's stages depend only on its first node
+  and its length, so ``dense_values`` rebuilds any steps, of any
+  problems, in one batch from their two ends: all 16 stages of the
+  extended tableau from the first, then the interpolant, which is not
+  kept.  Event roots are found after the loop, on each stopped problem's
+  last step, by one array-valued ``brentq``.  The same operations run on
+  the same doubles, so the values are the same;
 - the right-hand side is autonomous, ``fun(y, i, out)``: it gets no time,
   so the solver computes no stage times and uses no stage nodes ``C``;
 - every problem starts at t = 0 and runs forward only, there is exactly
@@ -83,15 +83,20 @@ class OdeResult:
 
     ``status`` is 0 when ``t_bound`` was reached, 1 when the event stopped
     the integration and -1 when the step size underflowed (``message``
-    says so).  ``t`` and ``y`` are the accepted nodes; with status 1 the
-    last one, ``t[-1]``, is the event root.  ``nfev`` counts the
-    right-hand-side evaluations ``solve_ivp`` makes.  ``sol`` evaluates
-    16 stages on each step it reads, and none of them is counted.
+    says so).  ``t`` and ``y`` are the accepted nodes, ``y`` of shape
+    (m, nodes); with status 1 the last one, ``t[-1]``, is the event root.
+    Step i runs from ``(t_steps[i], y_steps[i])`` to ``(t_steps[i + 1],
+    y_steps[i + 1])``, ``y_steps`` of shape (nodes, m): these are the
+    nodes, except the event step's end, which the root replaces as the
+    last node.  ``nfev`` counts the right-hand-side evaluations
+    ``solve_ivp`` makes; the 16 stages ``dense_values`` evaluates on each
+    step it reads are not counted.
     """
 
     t: np.ndarray
     y: np.ndarray
-    sol: "DenseSolution"
+    t_steps: np.ndarray
+    y_steps: np.ndarray
     status: int
     message: str | None
     nfev: int
@@ -187,10 +192,8 @@ def _dense_coefficients(fun, y_old, y, h, idx):
 
 
 def _dense_eval(t_old, h, y_old, F, t):
-    """Values at t of the step interpolants (t_old, h, y_old, F), one step per time."""
-    x = (t - t_old) / h
-    if np.ndim(x):
-        x = x[:, None]
+    """Values at the (k,) times t of the k step interpolants (t_old, h, y_old, F)."""
+    x = ((t - t_old) / h)[:, None]
     y = np.zeros_like(y_old)
     for i, f in enumerate(F.swapaxes(0, -2)[::-1]):  # F's rows, last first
         y += f
@@ -198,53 +201,15 @@ def _dense_eval(t_old, h, y_old, F, t):
     return y + y_old
 
 
-class DenseSolution:
-    """Piecewise interpolant over the accepted steps of problem k.
-
-    ``ts`` are the nodes; step i runs from node ``(t_steps[i], y_steps[i])``
-    to node ``i + 1`` (the two lists differ from the nodes only at the end
-    of an event step, where the last node is the event root).  A query on
-    a node uses the segment with the lower index, as SciPy's
-    ``OdeSolution`` does.  Each query rebuilds the stages and interpolants
-    of the segments it reads, the event step's included, from their nodes
-    in one batch, and keeps none; each point is evaluated on its own
-    segment's interpolant with the arithmetic SciPy uses.
-    """
-
-    def __init__(self, fun, k, ts, t_steps, y_steps):
-        self.ts = ts
-        self._fun, self._k = fun, k
-        self._t, self._y = t_steps, y_steps
-        self.n_segments = len(t_steps) - 1
-
-    def _find(self, t):
-        segments = np.searchsorted(self.ts, t, side="left") - 1
-        return np.minimum(np.maximum(segments, 0), self.n_segments - 1)
-
-    def __call__(self, t):
-        t = np.asarray(t)
-        segments = self._find(t)
-        built, where = np.unique(segments, return_inverse=True)
-        F = _build([(self, i) for i in built.tolist()])[where.reshape(t.shape)]
-        t_old = self._t[segments]
-        return _dense_eval(t_old, self._t[segments + 1] - t_old, self._y[segments], F, t).T
-
-
-def _build(pieces):
-    """Interpolation matrices of the (solution, segment) pairs, solutions of one solve."""
-    fun = pieces[0][0]._fun
-    t_old, t_new, y_old, y_new, idx = map(np.array, zip(*[
-        (sol._t[i], sol._t[i + 1], sol._y[i], sol._y[i + 1], sol._k) for sol, i in pieces]))
-    return _dense_coefficients(fun, y_old, y_new, t_new - t_old, idx)
-
-
-def dense_values(sols, t) -> np.ndarray:
-    """``sols[p](t[p])`` for every p, solutions of one solve, as an (n, m) array,
-    evaluated as one batch."""
-    pieces = [(sol, int(sol._find(t_p))) for sol, t_p in zip(sols, t)]
-    t_old, t_new, y_old = map(np.array, zip(*[
-        (sol._t[i], sol._t[i + 1], sol._y[i]) for sol, i in pieces]))
-    return _dense_eval(t_old, t_new - t_old, y_old, _build(pieces), np.asarray(t, dtype=float))
+def dense_values(fun, idx, t_old, y_old, t_new, y_new, step, t) -> np.ndarray:
+    """The (k, m) values at the (k,) times t, t[q] read on the step step[q], as SciPy's
+    ``OdeSolution`` evaluates it.  Step j, of the problem idx[j], runs from
+    (t_old[j], y_old[j]) to (t_new[j], y_new[j]); each step's stages are rebuilt
+    once from y_old[j], all steps in one batch, then its interpolant.  ``fun`` is
+    ``solve``'s right-hand side."""
+    h = t_new - t_old
+    F = _dense_coefficients(fun, y_old, y_new, h, idx)
+    return _dense_eval(t_old[step], h[step], y_old[step], F[step], t)
 
 
 def brentq(f, xa, xb, xtol: float, rtol: float, maxiter: int = 100):
@@ -372,7 +337,7 @@ def solve(fun, t_bound, y0, rtol, atol, event) -> list:
     ``fun(y, i, out)`` gets the (k, m) states and the (k,) batch indices of
     the problems it is asked about, and writes their derivatives into the
     (k, m) float array ``out``.  It must be a pure function of each row,
-    whatever rows come with it: dense output evaluates a step's stages
+    whatever rows come with it: ``dense_values`` evaluates a step's stages
     again, in other batches.  ``event(t, y, i)`` gets the (k,) times too and
     returns (k,) values; a problem stops at the first step over which its
     event value falls from >= 0 to <= 0, at the root in that step (SciPy's
@@ -382,8 +347,9 @@ def solve(fun, t_bound, y0, rtol, atol, event) -> list:
     that overflows turns inf or NaN quietly, and its step then fails at
     ``min_step``.
 
-    Returns one entry per problem: its ``OdeResult``, or the exception
-    SciPy's brentq raises while its event root is located.
+    Returns one entry per problem: its ``OdeResult`` of node and step
+    arrays, or the exception SciPy's brentq raises while its event root is
+    located.
     """
     y0 = np.array(y0, dtype=float)
     n = len(y0)
@@ -513,7 +479,8 @@ def _assemble(fun, event, n, status, n_rejected, rec_idx, rec_t, rec_y) -> list:
         results.append(OdeResult(
             t=nodes_t,
             y=nodes_y.T,
-            sol=DenseSolution(fun, k, nodes_t, ts, ys),
+            t_steps=ts,
+            y_steps=ys,
             status=status[k],
             message=TOO_SMALL_STEP if status[k] == -1 else None,
             nfev=2 + N_STAGES * int(n_accepted[k] + n_rejected[k]) + extra_stages,

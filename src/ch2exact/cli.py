@@ -129,7 +129,7 @@ def _parse(block: dict[str, str], command: str) -> dict:
 
     The keys are checked first (unknown ones, then missing required ones),
     then each value in block order: its type, finite, sigma +1 or -1, a
-    given t_end > 0 with 3 t_end finite and a given tol >= RTOL_FLOOR.
+    given t_end > 0, 3 t_end and 3 t1 finite and a given tol >= RTOL_FLOOR.
     """
     required, allowed = _KEYS[command]
     unknown = sorted(set(block) - allowed)
@@ -152,8 +152,8 @@ def _parse(block: dict[str, str], command: str) -> dict:
             raise ConfigError(f"sigma must be +1 or -1, got {text}")
         if key == "t_end" and not value > 0:
             raise ConfigError(f"config key 't_end' must be > 0: {text!r}")
-        if key == "t_end" and not 3.0 * value < math.inf:
-            raise ConfigError(f"config key 't_end' is out of range, its s = 3 t_end overflows: "
+        if key in ("t_end", "t1") and not 3.0 * value < math.inf:
+            raise ConfigError(f"config key {key!r} is out of range, its s = 3 {key} overflows: "
                               f"{text!r}")
         if key == "tol" and not value >= RTOL_FLOOR:
             raise ConfigError(f"config key 'tol' must be >= {RTOL_FLOOR}, the solver's floor "

@@ -144,13 +144,15 @@ def node_energies(traj: "Trajectory") -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Numerical orbit with dense output.
+    """Numerical orbit with dense output, as plain arrays: it pickles.
 
     ``s``, ``a`` and ``a_dot`` are float arrays holding the accepted
     integration nodes (``s`` strictly increasing) and the states there.
-    ``eval_many`` snaps to stored nodes when a query matches one exactly,
-    so node values round-trip; between nodes it uses the integrator's own
-    dense-output interpolant.
+    ``s_steps`` and ``y_steps`` (rows (a, a')) are the integrator's step
+    ends: the nodes, but for the stop event's step, whose root is the last
+    node.  ``eval_many`` and ``analyze``'s rate probe share one reader: a
+    node time returns the stored node, so node values round-trip, and
+    between nodes it rebuilds the integrator's dense-output interpolant.
 
     ``nfev``, ``n_accepted`` and ``n_rejected`` count the integrator's
     right-hand-side evaluations, accepted steps and rejected steps.  They
@@ -163,7 +165,8 @@ class Trajectory:
     a_dot: np.ndarray
     s_max: float
     collapsed: bool
-    _dense: object = field(repr=False)
+    s_steps: np.ndarray = field(repr=False)
+    y_steps: np.ndarray = field(repr=False)
     nfev: int
     n_accepted: int
     n_rejected: int
@@ -181,16 +184,46 @@ class Trajectory:
             raise ValueError(
                 f"requested s range [{s_arr.min()}, {s_arr.max()}] outside [0, {self.s_max}]"
             )
-        i, between = self._node_index(s_arr)
-        a, a_dot = self.a[i], self.a_dot[i]
-        if between.any():
-            a[between], a_dot[between] = self._dense(s_arr[between])
-        return a, a_dot
+        return _states_at([self], [s_arr])[0]
 
-    def _node_index(self, s):
-        """(i, between) for times s: s[k] is node i[k] unless between[k]."""
-        i = np.minimum(self.s.searchsorted(s), len(self.s) - 1)
-        return i, self.s[i] != s
+
+def _states_at(trajs, times) -> list:
+    """(a, a') arrays of each trajs[p] at the 1-D times times[p], each in [0, s_max].
+
+    A time on a node returns the stored node.  Every other time, whatever
+    trajectory it comes from, is read in one ``_dop853.dense_values`` call,
+    which rebuilds each step read once, from its ends and its orbit's xi.
+    """
+    out, ends = [], []
+    offset = 0  # of each trajectory's step ends in the batch's
+    for traj, s in zip(trajs, times):
+        s = np.asarray(s, dtype=float)
+        i = np.minimum(traj.s.searchsorted(s), len(traj.s) - 1)
+        between = np.flatnonzero(traj.s[i] != s)
+        out.append((traj.a[i], traj.a_dot[i], s, between))
+        ends.append(offset + i[between])  # each of these times lies inside step i - 1
+        offset += len(traj.s_steps)
+    counts = [between.size for *_, between in out]
+    if sum(counts):
+        built, step = np.unique(np.concatenate(ends), return_inverse=True)
+        s_steps = np.concatenate([traj.s_steps for traj in trajs])
+        y_steps = np.concatenate([traj.y_steps for traj in trajs])
+        xi = np.repeat([traj.params.xi for traj in trajs], [len(traj.s_steps) for traj in trajs])
+        y = _dop853.dense_values(_rhs(xi), built, s_steps[built - 1], y_steps[built - 1],
+                                 s_steps[built], y_steps[built], step,
+                                 np.concatenate([s[between] for _, _, s, between in out]))
+        for (a, a_dot, _, between), y_p in zip(out, np.split(y, np.cumsum(counts)[:-1])):
+            a[between], a_dot[between] = y_p.T
+    return [(a, a_dot) for a, a_dot, _, _ in out]
+
+
+def _rhs(xi):
+    """The solver's right-hand side (a', xi[i] / (3 cbrt a)) of batch index i."""
+    def f(y, i, dy):
+        dy[:, 0] = y[:, 1]
+        np.divide(xi[i], 3.0 * np.cbrt(y[:, 0]), out=dy[:, 1])
+
+    return f
 
 
 def integrate(params: EmdenParams, s_end: float, tol: float = DEFAULT_TOL) -> Trajectory:
@@ -247,10 +280,6 @@ def integrate_many(params, s_end, tol) -> list:
     sgn = np.where(a0 > 0, 1.0, -1.0)
     stop_level = REL_STOP * np.abs(a0)
 
-    def f(y, i, dy):
-        dy[:, 0] = y[:, 1]
-        np.divide(xi[i], 3.0 * np.cbrt(y[:, 0]), out=dy[:, 1])
-
     # Signed event: sgn*a decreases through the stop level exactly when |a|
     # does, and the signed form is monotone through the crossing.
     def hit_zero(s, y, i):
@@ -258,7 +287,7 @@ def integrate_many(params, s_end, tol) -> list:
 
     rtol = [tol[k] for k in todo]
     atol = [tol_k * 1e-4 * max(abs(p.a0), abs(p.a1), 1.0) for p, tol_k in zip(batch, rtol)]
-    results = _dop853.solve(f, [s_end[k] for k in todo], [[p.a0, p.a1] for p in batch],
+    results = _dop853.solve(_rhs(xi), [s_end[k] for k in todo], [[p.a0, p.a1] for p in batch],
                             rtol=rtol, atol=atol, event=hit_zero)
     for k, p, res in zip(todo, batch, results):
         out[k] = res if isinstance(res, Exception) else _trajectory(p, res)
@@ -281,7 +310,8 @@ def _trajectory(params: EmdenParams, res) -> Trajectory | Exception:
         a_dot=res.y[1],
         s_max=float(res.t[-1]),
         collapsed=res.status == 1,
-        _dense=res.sol,
+        s_steps=res.t_steps,
+        y_steps=res.y_steps,
         nfev=res.nfev,
         n_accepted=res.n_accepted,
         n_rejected=res.n_rejected,
@@ -520,24 +550,11 @@ def _results(params, plans, trajs) -> list:
             probes.append((k, fields, min(s_quad * (1.0 - 1e-4), traj.s_max)))
         except Exception as exc:
             out[k] = exc
-    a_probe = _scale_factors_at([trajs[k] for k, _, _ in probes], [s for _, _, s in probes])
-    for (k, fields, s_probe), a in zip(probes, a_probe):
+    states = _states_at([trajs[k] for k, _, _ in probes], [[s] for _, _, s in probes])
+    for (k, fields, s_probe), (a, _) in zip(probes, states):
         try:
-            rate = ((fields["s_collapse_quadrature"] - s_probe) / abs(a)) ** (1.0 / 3.0)
+            rate = ((fields["s_collapse_quadrature"] - s_probe) / abs(float(a[0]))) ** (1.0 / 3.0)
             out[k] = (trajs[k], BlowupReport(**fields, rate_limit_estimate=rate))
         except Exception as exc:
             out[k] = exc
-    return out
-
-
-def _scale_factors_at(trajs, s) -> list:
-    """a of each trajs[p] at s[p], in [0, s_max], as its ``eval_many`` gives it;
-    the times between nodes are interpolated in one batch."""
-    nodes = [traj._node_index(s_p) for traj, s_p in zip(trajs, s)]
-    out = [float(traj.a[i]) for traj, (i, _) in zip(trajs, nodes)]
-    dense = [p for p, (_, between) in enumerate(nodes) if between]
-    if dense:
-        values = _dop853.dense_values([trajs[p]._dense for p in dense], [s[p] for p in dense])
-        for p, a in zip(dense, values[:, 0].tolist()):
-            out[p] = a
     return out

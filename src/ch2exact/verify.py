@@ -364,12 +364,15 @@ def _time_unit(case: SolutionCase) -> float:
 def _decay_window_end(tols: Tolerances, case: SolutionCase) -> float:
     """Last physical time the origin_decay check samples, where the orbit reaches it:
     decay_t_max, in units of mu where mu > 1; an ArithmeticError where its s = 3t
-    overflows."""
+    overflows, and a ValueError where the window start, a hundredth of it, underflows."""
     mu = _time_unit(case)
     t = tols.decay_t_max * max(1.0, mu)
     if not 3.0 * t < math.inf:
         raise ArithmeticError(f"origin-decay window end s = 3 decay_t_max max(1, mu) is out of "
                               f"range at decay_t_max = {tols.decay_t_max}, mu = {mu}")
+    if not t / 100.0 > 0.0:
+        raise ValueError(f"origin-decay window start t = decay_t_max max(1, mu) / 100 "
+                         f"underflows to 0 at decay_t_max = {tols.decay_t_max}, mu = {mu}")
     return t
 
 
@@ -385,7 +388,11 @@ def battery_t_needed(case: SolutionCase, tols: Tolerances, given: dict) -> float
                       tols.levels)
     if classify(case.emden) is not Classification.GLOBAL:
         return 0.0
-    return max(_decay_window_end(tols, case), 1.05 * given.get("t1", _GLOBAL_T1))
+    t1 = given.get("t1", _GLOBAL_T1)
+    if not 3.0 * (1.05 * t1) < math.inf:
+        raise GridError(f"t1 = {t1} is out of range: a global orbit runs to s = 3 (1.05 t1), "
+                        "which overflows")
+    return max(_decay_window_end(tols, case), 1.05 * t1)
 
 
 def horizon(t_end: float, t_needed: float = 0.0) -> float | None:
@@ -408,9 +415,15 @@ def check_lattice_cap(nt: int, nx: int, levels: int) -> None:
     fewer than 2 points per axis is SpaceTimeGrid's error."""
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
-    # Each refinement halves both spacings: n points per axis become 2 n - 1.
+    if min(nt, nx) < 2:
+        return
+    # Each refinement halves both spacings: n points per axis become 2 n - 1.  11 take
+    # 2 x 2 points past the cap; past 64 the huge sizes are not even built.
+    if levels - 1 > 64:
+        raise GridError(f"levels = {levels} refines any grid of at least 2 x 2 points to "
+                        f"more than {MAX_LATTICE_POINTS} points")
     nt_fine, nx_fine = ((n - 1) * 2 ** (levels - 1) + 1 for n in (nt, nx))
-    if min(nt, nx) >= 2 and nt_fine * nx_fine > MAX_LATTICE_POINTS:
+    if nt_fine * nx_fine > MAX_LATTICE_POINTS:
         size = (f"levels = {levels} refines the {nt} x {nx} grid to {nt_fine} x {nx_fine} points"
                 if levels > 1 else f"the {nt} x {nx} grid has {nt * nx} points")
         raise GridError(f"{size}, more than {MAX_LATTICE_POINTS}")

@@ -431,6 +431,18 @@ def test_verify_too_many_levels_is_rejected_before_sampling(tmp_path, capsys, mo
     assert fields == [] and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("levels", [66, 2000, 100000000])
+def test_huge_levels_is_one_short_line(tmp_path, capsys, levels):
+    # Past 64 refinements the refined sizes are not built: no huge integer,
+    # whose text Python refuses to write past 4300 digits, and no long line.
+    cfg = write_config(tmp_path, CFG_2A + f"levels = {levels}\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"invalid input: levels = {levels} refines any grid of at least 2 x 2 points to "
+        "more than 4194304 points\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_oversized_lattice_is_rejected_before_the_orbit(tmp_path, capsys, monkeypatch):
     # The cap reads only nt, nx and levels: a 2,000,000 x 9 grid at the
     # family config's levels = 3 exits before the orbit is integrated or the
@@ -599,6 +611,37 @@ def test_t_end_whose_clock_overflows_is_named(tmp_path, capsys, command):
     assert capsys.readouterr().err == (
         "invalid input: config key 't_end' is out of range, its s = 3 t_end overflows: "
         "'7e307'\n")
+    assert not (tmp_path / "out").exists()
+
+
+# A given t1 whose clock overflows is named as t1, not as the integration horizon.
+@pytest.mark.parametrize("command,t1,message", [
+    ("construct", "7e307", "config key 't1' is out of range, its s = 3 t1 overflows: '7e307'"),
+    ("verify", "7e307", "config key 't1' is out of range, its s = 3 t1 overflows: '7e307'"),
+    # 3 t1 is finite; the 1.05 t1 a global orbit is integrated to is not.
+    ("verify", "5.8e307", "t1 = 5.8e+307 is out of range: a global orbit runs to "
+     "s = 3 (1.05 t1), which overflows"),
+])
+def test_t1_whose_clock_overflows_is_named(tmp_path, capsys, command, t1, message):
+    cfg = write_config(tmp_path, CFG_2A + f"t1 = {t1}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"invalid input: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# A decay window whose start, a hundredth of its end, underflows to 0 is
+# named, not numpy's geomspace error.
+@pytest.mark.parametrize("family", ["1b", "2a"])
+@pytest.mark.parametrize("decay_t_max", ["1e-322", "5e-324"])
+def test_decay_window_start_underflow_is_named(tmp_path, capsys, family, decay_t_max):
+    text = (FAMILY_CONFIGS / f"{family}.cfg").read_text()
+    cfg = write_config(tmp_path, text + f"decay_t_max = {decay_t_max}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "invalid input: origin-decay window start t = decay_t_max max(1, mu) / 100 underflows "
+        f"to 0 at decay_t_max = {float(decay_t_max)}, mu = 1.0\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -119,8 +119,26 @@ def scipy_outcome(params, s_end, tol):
         dense_output=True, events=scipy_event(event)))
 
 
-def assert_matches_scipy(res, ref):
-    """One orbit's OdeResult equals solve_ivp's on everything both report."""
+def dense_output(f, k, res, t):
+    """Problem k's dense output at the times t, read as scipy's OdeSolution reads it.
+
+    A time takes the step ``searchsorted(..., "left") - 1`` of the step
+    ends, clamped to the steps, so a node time takes the lower step.  That
+    step's value comes from ``_dop853.dense_values`` with the right-hand
+    side f the problem was solved with.  Returns (m,) for a scalar t, else
+    (m, len(t)), as ``OdeSolution`` does.
+    """
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    ends, states = res.t_steps, res.y_steps
+    i = np.clip(np.searchsorted(ends, t_arr, side="left") - 1, 0, len(ends) - 2)
+    y = _dop853.dense_values(f, np.full(t_arr.size, k), ends[i], states[i], ends[i + 1],
+                             states[i + 1], np.arange(t_arr.size), t_arr).T
+    return y[:, 0] if np.ndim(t) == 0 else y
+
+
+def assert_matches_scipy(res, ref, f, k=0):
+    """One orbit's OdeResult equals solve_ivp's on everything both report; f and k are
+    the right-hand side and batch index it was solved with."""
     assert res.status == ref.status
     if ref.status == -1:
         assert res.message == ref.message
@@ -133,10 +151,10 @@ def assert_matches_scipy(res, ref):
     assert ref.nfev == res.nfev + 3 * (res.n_accepted - (res.status == 1))
 
     pts = probe_points(ref.t)
-    assert np.array_equal(res.sol(pts), ref.sol(pts))
-    assert np.array_equal(res.sol(pts[::-1]), ref.sol(pts[::-1]))
+    assert np.array_equal(dense_output(f, k, res, pts), ref.sol(pts))
+    assert np.array_equal(dense_output(f, k, res, pts[::-1]), ref.sol(pts[::-1]))
     for s in pts[::5]:
-        assert np.array_equal(res.sol(float(s)), ref.sol(float(s)))
+        assert np.array_equal(dense_output(f, k, res, float(s)), ref.sol(float(s)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -156,7 +174,7 @@ def test_solver_matches_solve_ivp(xi_sign, xi_dec, a0_sign, a0_dec, u, tol, s_en
     if tol < 100 * EPS:
         assert any("`rtol` is too small" in w for w in warn)
     if ref is not None:
-        assert_matches_scipy(res, ref)
+        assert_matches_scipy(res, ref, f)
 
 
 orbits = st.tuples(signs, decades, signs, decades, slopes, tols, horizons)
@@ -177,11 +195,11 @@ def test_batch_matches_solve_ivp_per_orbit(draws):
     refs = [scipy_outcome(*args) for args in zip(params, s_end, tol)]
     # One clamp warning per orbit, in batch order, as scipy warns each alone.
     assert warn == [w for _, _, ref_warn in refs for w in ref_warn]
-    for res, (ref, ref_err, _) in zip(results, refs):
+    for k, (res, (ref, ref_err, _)) in enumerate(zip(results, refs)):
         if ref is None:
             assert f"{type(res).__name__}: {res}" == ref_err
         else:
-            assert_matches_scipy(res, ref)
+            assert_matches_scipy(res, ref, f, k)
 
 
 def test_step_size_underflow_matches_solve_ivp():
@@ -207,12 +225,11 @@ def test_step_size_underflow_in_a_batch():
     # would alone, and all three match scipy.
     c = np.array([0.1, 1.0, -1.0])
 
-    def solve(rows):
-        def f(y, i, out):
-            out[:] = c[rows[i], None] * y * y
+    def f(y, i, out):
+        out[:] = c[i, None] * y * y
 
-        return _dop853.solve(f, 2.0, [[1.0]] * len(rows), rtol=1e-8, atol=1e-12,
-                             event=never)
+    def solve(rows):
+        return solve_rows(f, never, rows, 2.0, np.ones((3, 1)), 1e-8, 1e-12)
 
     batch = solve(np.arange(3))
     assert [res.status for res in batch] == [0, -1, 0]
@@ -229,8 +246,8 @@ def test_step_size_underflow_in_a_batch():
             (alone.nfev, alone.n_accepted, alone.n_rejected)
         if res.status == 0:
             pts = probe_points(ref.t)
-            assert np.array_equal(res.sol(pts), ref.sol(pts))
-            assert np.array_equal(res.sol(pts), alone.sol(pts))
+            assert np.array_equal(dense_output(f, k, res, pts), ref.sol(pts))
+            assert np.array_equal(dense_output(f, k, alone, pts), ref.sol(pts))
 
 
 def solve_rows(f_batch, event_batch, rows, t_bound, y0, rtol, atol):
@@ -262,22 +279,23 @@ def solve_alone_and_in_batch(f_batch, event_batch, f_one, n, t_bound, y0,
     return batch, alone, refs
 
 
-def assert_same_result(res, alone):
-    """Two OdeResults of one orbit carry the same doubles."""
+def assert_same_result(res, alone, f, k):
+    """Two OdeResults of one orbit carry the same doubles; f and k are its right-hand
+    side and index in a batch that solve_rows takes rows of."""
     assert (res.status, res.message, res.nfev, res.n_accepted, res.n_rejected) == \
         (alone.status, alone.message, alone.nfev, alone.n_accepted, alone.n_rejected)
     assert np.array_equal(res.t, alone.t) and np.array_equal(res.y, alone.y)
     if len(res.t) > 1:
         pts = probe_points(res.t)
-        assert np.array_equal(res.sol(pts), alone.sol(pts))
+        assert np.array_equal(dense_output(f, k, res, pts), dense_output(f, k, alone, pts))
 
 
-def assert_same_outcome(res, alone):
+def assert_same_outcome(res, alone, f, k):
     """The same OdeResult doubles, or the same exception, from two solves of one orbit."""
     if isinstance(res, Exception) or isinstance(alone, Exception):
         assert f"{type(res).__name__}: {res}" == f"{type(alone).__name__}: {alone}"
     else:
-        assert_same_result(res, alone)
+        assert_same_result(res, alone, f, k)
 
 
 def test_events_firing_together_match_solve_ivp(monkeypatch):
@@ -316,10 +334,10 @@ def test_events_firing_together_match_solve_ivp(monkeypatch):
     orbits, step_ends = located[0]
     assert orbits == list(range(6))
     assert step_ends[0] == step_ends[1] == step_ends[2]
-    for res, one, (ref, err, _) in zip(batch, alone, refs):
+    for k, (res, one, (ref, err, _)) in enumerate(zip(batch, alone, refs)):
         assert err is None and res.status == 1
-        assert_matches_scipy(res, ref)
-        assert_same_result(res, one)
+        assert_matches_scipy(res, ref, f_batch, k)
+        assert_same_result(res, one, f_batch, k)
 
 
 def test_event_root_error_stays_with_its_orbit():
@@ -353,8 +371,8 @@ def test_event_root_error_stays_with_its_orbit():
             assert err.startswith("ValueError: The function value at x=0.7")
             assert f"ValueError: {res}" == f"ValueError: {one}" == err
         else:
-            assert_matches_scipy(res, ref)
-            assert_same_result(res, one)
+            assert_matches_scipy(res, ref, f_batch, k)
+            assert_same_result(res, one, f_batch, k)
 
 
 def test_subset_and_full_commits_match_solve_ivp(monkeypatch):
@@ -381,8 +399,9 @@ def test_subset_and_full_commits_match_solve_ivp(monkeypatch):
     for k, res in enumerate(batch):
         ref, err, _ = scipy_outcome(params[k], s_end[k], 1e-10)
         assert err is None
-        assert_matches_scipy(res, ref)
-        assert_same_result(res, solve_rows(f, event, np.array([k]), s_end, y0, rtol, atol)[0])
+        assert_matches_scipy(res, ref, f, k)
+        assert_same_result(res, solve_rows(f, event, np.array([k]), s_end, y0, rtol, atol)[0],
+                           f, k)
 
 
 # ----------------------------------------------------------------------
@@ -446,7 +465,7 @@ def test_edge_cases_alone_equal_them_in_a_batch(case):
     batch, err_batch, warn_batch = outcome(lambda: solve_rows(f, event, np.arange(2), t_bound,
                                                               y0, rtol, atol))
     assert err is None and err_batch is None
-    assert_same_result(batch[0], one)
+    assert_same_result(batch[0], one, f, 0)
     assert warn_one == warn_batch
 
     def f_one(t, y):
@@ -459,7 +478,7 @@ def test_edge_cases_alone_equal_them_in_a_batch(case):
         dense_output=True,
         events=scipy_event(lambda t, y: event(np.array([t]), y[None], np.array([0]))[0])))
     assert ref_err is None and warn_one == ref_warn
-    assert_matches_scipy(one, ref)
+    assert_matches_scipy(one, ref, f)
 
     if case == "underflow":
         assert one.status == -1 and one.message == _dop853.TOO_SMALL_STEP
@@ -503,8 +522,8 @@ def test_one_orbit_alone_equals_it_in_a_lockstep_batch(draws):
              for k in range(len(draws))]
     assert err is None and all(one_err is None for _, one_err, _ in alone)
     assert warn == [w for _, _, one_warn in alone for w in one_warn]
-    for res, (one, _, _) in zip(batch, alone):
-        assert_same_outcome(res, one[0])
+    for k, (res, (one, _, _)) in enumerate(zip(batch, alone)):
+        assert_same_outcome(res, one[0], f, k)
 
 
 def test_step_factors_match_the_scalar_rule():

@@ -6,9 +6,9 @@ with no substitution -- a route fully independent of both the event
 detector and the closed form used by the library.
 """
 
-import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -28,6 +28,7 @@ from ch2exact import (
     integrate,
     node_energies,
 )
+from ch2exact import _dop853, emden
 from ch2exact.emden import _fall_time
 
 # Frozen expected values.
@@ -172,20 +173,52 @@ def test_eval_many_node_rule(family, picks, all_trajectories):
         s_values.append(float(s))
         on_node.append(bool(np.isin(s, traj.s)))
     s_arr, on_node = np.array(s_values), np.array(on_node)
-    seen = []
-    counted = dataclasses.replace(traj, _dense=lambda s: seen.append(s) or traj._dense(s))
-    a, a_dot = counted.eval_many(s_arr)
+    seen = []  # (times, values) of each call to the interpolant
+    real_dense_values = _dop853.dense_values
+
+    def counted(*args):
+        values = real_dense_values(*args)
+        seen.append((args[-1].tolist(), values))
+        return values
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_dop853, "dense_values", counted)
+        a, a_dot = traj.eval_many(s_arr)
     idx = traj.s.searchsorted(s_arr[on_node])
     assert np.array_equal(a[on_node], traj.a[idx])
     assert np.array_equal(a_dot[on_node], traj.a_dot[idx])
     between = s_arr[~on_node]
-    assert [x.tolist() for x in seen] == ([between.tolist()] if between.size else [])
+    assert [times for times, _ in seen] == ([between.tolist()] if between.size else [])
     if between.size:
-        dense_a, dense_a_dot = traj._dense(between)
-        assert np.array_equal(a[~on_node], dense_a)
-        assert np.array_equal(a_dot[~on_node], dense_a_dot)
+        assert np.array_equal(np.stack([a[~on_node], a_dot[~on_node]], axis=1), seen[0][1])
     for s, a_k, a_dot_k in zip(s_values, a.tolist(), a_dot.tolist()):
         assert [x.tolist() for x in traj.eval_many([s])] == [[a_k], [a_dot_k]]
+
+
+def test_trajectory_pickles_and_reads_the_same_bits(all_trajectories):
+    # A trajectory is plain arrays: it survives a pickle round trip, and
+    # its nodes and dense output keep their bits.
+    for traj, _ in all_trajectories.values():
+        copy = pickle.loads(pickle.dumps(traj))
+        pts = np.concatenate([traj.s, np.linspace(0.0, traj.s_max, 23)])
+        assert np.array_equal(np.stack([copy.s, copy.a, copy.a_dot]),
+                              np.stack([traj.s, traj.a, traj.a_dot]))
+        assert (copy.params, copy.s_max, copy.collapsed) == \
+            (traj.params, traj.s_max, traj.collapsed)
+        assert np.array_equal(np.stack(copy.eval_many(pts)), np.stack(traj.eval_many(pts)))
+
+
+def test_one_read_spans_separate_analyze_calls():
+    # One _states_at call over trajectories of separate analyze calls (two
+    # collapse orbits and a global one) gives each trajectory's own
+    # eval_many bits, node times and times between nodes alike.
+    trajs = [analyze(EmdenParams(-1.0, 1.0))[0], analyze(EmdenParams(-3.0, -2.0, 0.5))[0],
+             analyze(EmdenParams(1.0, 1.0, 0.3), s_end=5.0)[0]]
+    times = [np.concatenate([traj.s[::3], np.linspace(0.0, traj.s_max, 7 + p)])
+             for p, traj in enumerate(trajs)]
+    for traj, s, (a, a_dot) in zip(trajs, times, emden._states_at(trajs, times)):
+        want_a, want_a_dot = traj.eval_many(s)
+        assert np.array_equal(a, want_a) and np.array_equal(a_dot, want_a_dot)
 
 
 def test_eval_range_checked():
