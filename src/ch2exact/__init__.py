@@ -31,7 +31,6 @@ _EXPORTS = {
         "collapse_time_quadrature",
         "detect_collapse",
         "energy",
-        "integrate",
         "integrate_many",
         "node_energies",
     ),

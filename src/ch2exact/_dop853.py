@@ -24,14 +24,21 @@ done with numpy masks.  A batch of one steps through the same loop.
 
 What differs from SciPy:
 
+- one stage recurrence, ``_stages``, fills every stage matrix: the 13
+  of a step, the last of them the derivative at its end, and the 16 of
+  the extended tableau that dense output needs.  SciPy's separate update
+  ``y + h K.T B`` is the input of stage 12, as B is A[12, :12], so a
+  step's end comes out of the same loop;
 - the solver returns data, not an interpolant: each problem's nodes and
   step ends, as arrays.  A step's stages depend only on its first node
   and its length, so ``dense_values`` rebuilds any steps, of any
-  problems, in one batch from their two ends: all 16 stages of the
-  extended tableau from the first, then the interpolant, which is not
-  kept.  Event roots are found after the loop, on each stopped problem's
-  last step, by one array-valued ``brentq``.  The same operations run on
-  the same doubles, so the values are the same;
+  problems, in one batch from their two ends: all 16 stages from the
+  first, then the interpolant, which is not kept.  One evaluator,
+  ``_dense_eval``, reads time q on step ``step[q]`` row by row from the
+  steps' arrays, without a per-time copy of the interpolant; the event
+  search uses it too.  Event roots are found after the loop, on each
+  stopped problem's last step, by one array-valued ``brentq``.  The same
+  operations run on the same doubles, so the values are the same;
 - the right-hand side is autonomous, ``fun(y, i, out)``: it gets no time,
   so the solver computes no stage times and uses no stage nodes ``C``;
 - every problem starts at t = 0 and runs forward only, there is exactly
@@ -67,13 +74,12 @@ TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 _SQRT_MAX = math.sqrt(np.finfo(float).max)  # the largest double whose square is finite
 
 N_STAGES = coef.N_STAGES
-B = coef.B
 E3 = coef.E3
 E5 = coef.E5
 D = coef.D
 N_STAGES_EXTRA = coef.N_STAGES_EXTENDED - N_STAGES - 1  # stages evaluated only for dense output
 ERROR_EXPONENT = -1 / (7 + 1)  # error estimator order 7
-# Stages s >= 1 of the extended tableau and their A[s, :s]: a step takes the first 11.
+# Stages s >= 1 of the extended tableau and their A[s, :s]: a step takes the first 12.
 STAGES = [(s, coef.A[s, :s]) for s in range(1, coef.N_STAGES_EXTENDED)]
 
 
@@ -133,17 +139,23 @@ def _select_initial_step(fun, y0, t_bound, f0, rtol, atol, idx):
     return np.minimum(np.minimum(100 * h0, h1), t_bound)
 
 
+def _stages(fun, y, h, idx, K):
+    """Fill stages 1 to n - 1 of the (k, n, m) stage matrices K of k steps from y, of
+    length h, whose stage 0 is set: stage s is fun(y + h K[:s].T A[s, :s]).  Returns
+    the last stage's input, for n = N_STAGES + 1 the step's end: B is A[N_STAGES, :N_STAGES]."""
+    K_T = K.transpose(0, 2, 1)  # each problem's K.T, as SciPy's K[:s].T
+    h_col = h[:, None]
+    for s, a in STAGES[:K.shape[1] - 1]:
+        y_s = y + np.matmul(K_T[:, :, :s], a) * h_col
+        fun(y_s, idx, K[:, s])
+    return y_s
+
+
 def _rk_step(fun, y, f, h, idx):
     """One DOP853 step of every problem: (y_new, K), K the (k, N_STAGES + 1, m) stage matrices."""
     K = np.empty((len(h), N_STAGES + 1, y.shape[1]))
     K[:, 0] = f
-    K_T = K.transpose(0, 2, 1)  # each problem's K.T, as SciPy's K[:s].T
-    h_col = h[:, None]
-    for s, a in STAGES[:N_STAGES - 1]:
-        fun(y + np.matmul(K_T[:, :, :s], a) * h_col, idx, K[:, s])
-    y_new = y + h_col * np.matmul(K_T[:, :, :-1], B)
-    fun(y_new, idx, K[:, -1])
-    return y_new, K
+    return _stages(fun, y, h, idx, K), K
 
 
 def _estimate_error_norm(K, h, scale):
@@ -172,15 +184,13 @@ def _step_factors(error_norm, rejected) -> np.ndarray:
 
 def _dense_coefficients(fun, y_old, y, h, idx):
     """SciPy's ``_dense_output_impl`` on k steps (y_old to y, of length h) of the problems
-    idx, their stages rebuilt from y_old: B is A[N_STAGES, :N_STAGES], and each stage
-    matrix has ``_rk_step``'s strides, so ``np.matmul`` rounds alike."""
+    idx, their stages rebuilt from y_old by ``_stages``, as ``_rk_step`` builds them:
+    each stage matrix has its strides, so ``np.matmul`` rounds alike."""
     K = np.empty((len(h), coef.N_STAGES_EXTENDED, y.shape[1]))
     fun(y_old, idx, K[:, 0])
-    K_T = K.transpose(0, 2, 1)
-    h_col = h[:, None]
-    for s, a in STAGES:
-        fun(y_old + np.matmul(K_T[:, :, :s], a) * h_col, idx, K[:, s])
+    _stages(fun, y_old, h, idx, K)
     F = np.empty((len(h), coef.INTERPOLATOR_POWER, y.shape[1]))
+    h_col = h[:, None]
     f_old = K[:, 0]
     f = K[:, N_STAGES]
     delta_y = y - y_old
@@ -191,14 +201,15 @@ def _dense_coefficients(fun, y_old, y, h, idx):
     return F
 
 
-def _dense_eval(t_old, h, y_old, F, t):
-    """Values at the (k,) times t of the k step interpolants (t_old, h, y_old, F)."""
-    x = ((t - t_old) / h)[:, None]
-    y = np.zeros_like(y_old)
-    for i, f in enumerate(F.swapaxes(0, -2)[::-1]):  # F's rows, last first
-        y += f
+def _dense_eval(t_old, h, y_old, F, step, t):
+    """Values at the (k,) times t, t[q] read on the step step[q] of the step
+    interpolants (t_old, h, y_old, F); each row of F is read per time, not copied whole."""
+    x = ((t - t_old[step]) / h[step])[:, None]
+    y = np.zeros((len(t), F.shape[2]))
+    for i, row in enumerate(reversed(range(F.shape[1]))):  # F's rows, last first
+        y += F[step, row]
         y *= x if i % 2 == 0 else 1 - x
-    return y + y_old
+    return y + y_old[step]
 
 
 def dense_values(fun, idx, t_old, y_old, t_new, y_new, step, t) -> np.ndarray:
@@ -208,8 +219,7 @@ def dense_values(fun, idx, t_old, y_old, t_new, y_new, step, t) -> np.ndarray:
     once from y_old[j], all steps in one batch, then its interpolant.  ``fun`` is
     ``solve``'s right-hand side."""
     h = t_new - t_old
-    F = _dense_coefficients(fun, y_old, y_new, h, idx)
-    return _dense_eval(t_old[step], h[step], y_old[step], F[step], t)
+    return _dense_eval(t_old, h, y_old, _dense_coefficients(fun, y_old, y_new, h, idx), step, t)
 
 
 def brentq(f, xa, xb, xtol: float, rtol: float, maxiter: int = 100):
@@ -300,12 +310,12 @@ def _locate_events(fun, event, k, t_old, y_old, t_new, y_new) -> dict:
     F = _dense_coefficients(fun, y_old, y_new, h, k)
 
     def g(t, i):
-        return event(t, _dense_eval(t_old[i], h[i], y_old[i], F[i], t), k[i])
+        return event(t, _dense_eval(t_old, h, y_old, F, i, t), k[i])
 
     roots, errors = brentq(g, t_old, t_new, xtol=4 * EPS, rtol=4 * EPS)
     located = {int(k[s]): error for s, error in errors.items()}
     found = [s for s in range(len(k)) if s not in errors]
-    y_root = _dense_eval(t_old[found], h[found], y_old[found], F[found], roots[found])
+    y_root = _dense_eval(t_old, h, y_old, F, found, roots[found])
     for s, y_s in zip(found, y_root):
         # SciPy does not append a root equal to the last node (the initial
         # node, t = 0, excepted).

@@ -30,8 +30,8 @@ The ODE is integrated with an in-tree port of SciPy's DOP853 (``_dop853``),
 which reproduces SciPy 1.17's ``solve_ivp`` bit for bit on these problems
 without importing SciPy.  The solver steps a batch of orbits in lockstep,
 through one loop whatever the batch size: ``integrate_many`` and
-``analyze_many`` take a batch, ``integrate`` and ``analyze`` a batch of
-one, and every orbit gets the doubles it would get alone.
+``analyze_many`` take a batch, ``analyze`` is ``analyze_many`` of one
+orbit, and every orbit gets the doubles it would get alone.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ __all__ = [
     "collapse_time_quadrature",
     "detect_collapse",
     "energy",
-    "integrate",
     "integrate_many",
     "node_energies",
 ]
@@ -226,41 +225,23 @@ def _rhs(xi):
     return f
 
 
-def integrate(params: EmdenParams, s_end: float, tol: float = DEFAULT_TOL) -> Trajectory:
-    """Integrate the scale-factor equation on [0, s_end].
-
-    Uses an adaptive explicit Runge-Kutta scheme (DOP853) with embedded
-    error estimate and dense output.  The one stop event halts integration
-    early when |a| falls to REL_STOP * |a0| (approach to the a = 0
-    singularity); the trajectory then ends at the event root and is
-    marked ``collapsed``.
-
-    Parameters
-    ----------
-    params : EmdenParams
-    s_end : float
-        Integration horizon, > 0.
-    tol : float
-        Local error tolerance (relative; the absolute floor is scaled
-        from the initial data).
-
-    Returns
-    -------
-    Trajectory
-    """
-    traj = integrate_many([params], [s_end], [tol])[0]
-    if isinstance(traj, Exception):
-        raise traj
-    return traj
-
-
 def integrate_many(params, s_end, tol) -> list:
-    """``integrate`` on every orbit of a batch, stepped in lockstep.
+    """Integrate the scale-factor equation of every orbit of a batch on [0, s_end].
 
-    The arguments are equal-length sequences, one entry per orbit, with
-    the meaning they have in ``integrate``.  Returns one entry per orbit:
-    its ``Trajectory``, bit for bit the one ``integrate`` gives it alone,
-    or the exception ``integrate`` would raise for it.
+    The arguments are equal-length sequences, one entry per orbit: its
+    ``EmdenParams``, its horizon s_end (> 0 and finite) and its local error
+    tolerance tol (relative; the absolute floor is scaled from the initial
+    data; ``DEFAULT_TOL`` is the usual choice).  The orbits are stepped in
+    lockstep by an adaptive explicit Runge-Kutta scheme (DOP853) with
+    embedded error estimate and dense output.  The one stop event halts an
+    orbit early when |a| falls to REL_STOP * |a0| (approach to the a = 0
+    singularity); its trajectory then ends at the event root and is marked
+    ``collapsed``.
+
+    Returns one entry per orbit: its ``Trajectory``, bit for bit the one a
+    batch of that orbit alone gives, or the exception that ends it (a
+    ``ValueError`` for a bad horizon or tolerance, an ``IntegrationFailure``
+    when stepping breaks down or the state overflows).
     """
     out = [None] * len(params)
     todo = []
@@ -290,19 +271,23 @@ def integrate_many(params, s_end, tol) -> list:
     results = _dop853.solve(_rhs(xi), [s_end[k] for k in todo], [[p.a0, p.a1] for p in batch],
                             rtol=rtol, atol=atol, event=hit_zero)
     for k, p, res in zip(todo, batch, results):
-        out[k] = res if isinstance(res, Exception) else _trajectory(p, res)
+        out[k] = res if isinstance(res, Exception) else _trajectory(p, s_end[k], res)
     return out
 
 
-def _trajectory(params: EmdenParams, res) -> Trajectory | Exception:
-    """The Trajectory of one solver result, or the exception it amounts to."""
+def _trajectory(params: EmdenParams, s_end: float, res) -> Trajectory | Exception:
+    """The Trajectory of one solver result on [0, s_end], or the exception it amounts to."""
     failed = res.status == -1
-    if failed or not np.isfinite(res.y).all():
+    finite = np.isfinite(res.y).all(axis=0)
+    if failed or not finite.all():
         last = None
         if res.t.size:
             last = (float(res.t[-1]), float(res.y[0, -1]), float(res.y[1, -1]))
-        reason = f"adaptive step failed: {res.message}" if failed else "the state overflowed"
-        return IntegrationFailure(reason, last)
+        if failed:
+            return IntegrationFailure(f"adaptive step failed: {res.message}", last)
+        s_finite = float(res.t[np.argmin(finite) - 1])  # the initial node is finite
+        return IntegrationFailure(f"the state overflowed past its last finite node at "
+                                  f"s = {s_finite} before the horizon s_end = {s_end}", last)
     return Trajectory(
         params=params,
         s=res.t,

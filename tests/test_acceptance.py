@@ -13,6 +13,7 @@ import pytest
 from scipy.integrate import quad
 
 from ch2exact import (
+    DEFAULT_TOL,
     EmdenParams,
     SolutionCase,
     SpaceTimeGrid,
@@ -20,7 +21,7 @@ from ch2exact import (
     analyze,
     collapse_time_quadrature,
     detect_collapse,
-    integrate,
+    integrate_many,
     mass,
     node_energies,
     run_battery,
@@ -47,7 +48,7 @@ def test_criterion_01_mass_exactness(case_2a):
     err1 = abs(m1 - math.pi / 2.0) / (math.pi / 2.0)
 
     case2 = SolutionCase(sigma=1, alpha=2.0, emden=EmdenParams(xi=4.0, a0=1.0, a1=0.0))
-    traj2 = integrate(case2.emden, s_end=1.0)
+    traj2 = integrate_many([case2.emden], [1.0], [DEFAULT_TOL])[0]
     (m2,) = mass(case2, traj2, [0.0])
     err2 = abs(m2 - math.pi) / math.pi
 
@@ -64,7 +65,7 @@ def test_criterion_02_orbit_integral_self_test():
         params = EmdenParams(xi=-1.0, a0=(2.0 * theta) ** 1.5, a1=0.0)
         exact = 6.0 * theta * math.pi / 4.0
         s_closed = collapse_time_quadrature(params)
-        s_num = detect_collapse(integrate(params, s_end=1.25 * exact))
+        s_num = detect_collapse(integrate_many([params], [1.25 * exact], [DEFAULT_TOL])[0])
         exact_errs.append(abs(s_closed - exact) / exact)
         ode_gaps.append(abs(s_num - s_closed) / s_closed)
     ok = max(exact_errs) <= 1e-13 and max(ode_gaps) <= 1e-9
@@ -76,7 +77,7 @@ def test_criterion_03_collapse_time():
     """Both collapse-time routes hit sqrt(3)pi/4 and an independent oracle."""
     params = EmdenParams(xi=-3.0, a0=1.0, a1=0.0)
     s_quad = collapse_time_quadrature(params)
-    s_num = detect_collapse(integrate(params, s_end=2.0))
+    s_num = detect_collapse(integrate_many([params], [2.0], [DEFAULT_TOL])[0])
     oracle, _ = quad(lambda a: 1.0 / math.sqrt(3.0 - 3.0 * a ** (2.0 / 3.0)),
                      0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=200)
     ok = (
@@ -118,7 +119,7 @@ def test_criterion_04_dichotomy():
         a1 = b1 if a0 > 0 else -b1
         # Integrated over the whole horizon s = 1e4: no collapse on the
         # way, and |a| has grown 1000-fold by the end.
-        traj = integrate(EmdenParams(xi=xi, a0=a0, a1=a1), s_end=1e4)
+        traj = integrate_many([EmdenParams(xi=xi, a0=a0, a1=a1)], [1e4], [DEFAULT_TOL])[0]
         if not traj.collapsed and traj.s_max == 1e4 and abs(traj.a[-1]) >= 1e3 * abs(a0):
             growth_ok += 1
 
@@ -135,7 +136,7 @@ def test_criterion_05_first_integral(case_1a, case_1b, case_2a, case_2b):
         xi = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.25, 4.0))
         a0 = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 3.0))
         a1 = float(rng.uniform(-2.0, 2.0))
-        trajectories.append(integrate(EmdenParams(xi=xi, a0=a0, a1=a1), s_end=3.0))
+        trajectories += integrate_many([EmdenParams(xi=xi, a0=a0, a1=a1)], [3.0], [DEFAULT_TOL])
 
     worst = 0.0
     for traj in trajectories:
@@ -223,7 +224,7 @@ def test_criterion_08_blowup_rate(case_2b):
 
 def test_criterion_09_growth_asymptote():
     """a(s)/s^{3/2} within 1% of 1.0 at s = 1e4 for xi = 9/4."""
-    traj = integrate(EmdenParams(xi=2.25, a0=1.0, a1=0.0), s_end=1e4)
+    traj = integrate_many([EmdenParams(xi=2.25, a0=1.0, a1=0.0)], [1e4], [DEFAULT_TOL])[0]
     k = traj.a[-1] / traj.s[-1] ** 1.5
     ok = abs(k - 1.0) <= 0.01
     _report(9, "growth asymptote k = (4 xi / 9)^{3/4}", ok, f"k = {k:.6f}")
@@ -234,8 +235,9 @@ def test_criterion_10_negative_branch_symmetry():
     worst = 0.0
     for params in (EmdenParams(xi=-3.0, a0=1.0, a1=0.5),
                    EmdenParams(xi=1.0, a0=1.0, a1=-0.3)):
-        t1 = integrate(params, s_end=2.0)
-        t2 = integrate(EmdenParams(params.xi, -params.a0, -params.a1), s_end=2.0)
+        t1 = integrate_many([params], [2.0], [DEFAULT_TOL])[0]
+        mirror = EmdenParams(params.xi, -params.a0, -params.a1)
+        t2 = integrate_many([mirror], [2.0], [DEFAULT_TOL])[0]
         ss = np.linspace(0.0, 0.95 * min(t1.s_max, t2.s_max), 41)
         a1_, ad1 = t1.eval_many(ss)
         a2_, ad2 = t2.eval_many(ss)

@@ -629,6 +629,18 @@ def test_t1_whose_clock_overflows_is_named(tmp_path, capsys, command, t1, messag
     assert not (tmp_path / "out").exists()
 
 
+# A 2a orbit integrated to t1 = 1e300 overflows long before its horizon;
+# the failure names the last finite node's s and the horizon s_end = 3 t1
+# (verify's global orbits run to 1.05 t1).
+@pytest.mark.parametrize("command,s_end", [("construct", "3e+300"), ("verify", "3.15e+300")])
+def test_overflowing_orbit_names_where(tmp_path, capsys, command, s_end):
+    cfg = write_config(tmp_path, CFG_2A + "t1 = 1e300\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: the state overflowed past its last finite node at "
+        f"s = 6.923964119457754e+204 before the horizon s_end = {s_end}\n")
+
+
 # A decay window whose start, a hundredth of its end, underflows to 0 is
 # named, not numpy's geomspace error.
 @pytest.mark.parametrize("family", ["1b", "2a"])

@@ -26,10 +26,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq as scipy_brentq
 
-from ch2exact import EmdenParams, IntegrationFailure, SolutionCase, analyze, integrate
+from ch2exact import EmdenParams, IntegrationFailure, SolutionCase, analyze
 from ch2exact import _dop853
 from ch2exact._quadrature import gauss_kronrod21_array
-from ch2exact.emden import REL_STOP, analyze_many, integrate_many
+from ch2exact.emden import DEFAULT_TOL, REL_STOP, analyze_many, integrate_many
 from ch2exact.selfsim import profile
 from ch2exact.verify import mass
 
@@ -50,7 +50,7 @@ def orbit(xi_sign, xi_dec, a0_sign, a0_dec, u):
 
 
 def problem(params):
-    """Right-hand side and stop event, as emden.integrate built them for scipy."""
+    """Right-hand side and stop event, as emden.integrate_many built them for scipy."""
     xi, a0 = params.xi, params.a0
     sgn = 1.0 if a0 > 0 else -1.0
     stop_level = REL_STOP * abs(a0)
@@ -79,7 +79,7 @@ def never(t, y, i):
 
 
 def tolerances(params, tol):
-    """(rtol, atol) as emden.integrate derives them."""
+    """(rtol, atol) as emden.integrate_many derives them."""
     return tol, tol * 1e-4 * max(abs(params.a0), abs(params.a1), 1.0)
 
 
@@ -574,16 +574,16 @@ def assert_same_trajectory(traj, ref):
     assert np.array_equal(np.stack(traj.eval_many(pts)), np.stack(ref.eval_many(pts)))
 
 
-def test_integrate_many_matches_integrate():
+def test_integrate_many_matches_each_orbit_alone():
     params = [EmdenParams(1.0, 1.0), EmdenParams(2.0, -1.0, 0.5), EmdenParams(-1.0, 1.0),
               EmdenParams(1.0, 1.0)]
     s_end, tol = [1e4, 10.0, 5.0, 0.0], [1e-10, 1e-8, 1e-15, 1e-10]
     batch, _, warn = outcome(lambda: integrate_many(params, s_end, tol))
     assert len(warn) == 1 and "`rtol` is too small" in warn[0]  # the 1e-15 orbit's
-    for args, got in zip(zip(params, s_end, tol), batch):
-        want, err, _ = outcome(lambda: integrate(*args))
-        if want is None:
-            assert f"{type(got).__name__}: {got}" == err
+    for p, s, t, got in zip(params, s_end, tol, batch):
+        (want,), _, _ = outcome(lambda: integrate_many([p], [s], [t]))
+        if isinstance(want, Exception):
+            assert f"{type(got).__name__}: {got}" == f"{type(want).__name__}: {want}"
         else:
             assert_same_trajectory(got, want)
 
@@ -609,7 +609,7 @@ def test_analyze_many_matches_analyze():
 
 
 def reference_integrate(params, s_end, tol):
-    """emden.integrate as it was written on top of scipy's solve_ivp."""
+    """emden.integrate_many on one orbit, as it was written on top of scipy's solve_ivp."""
     f, event = problem(params)
     scale = max(abs(params.a0), abs(params.a1), 1.0)
     res = solve_ivp(f, (0.0, float(s_end)), [params.a0, params.a1], method="DOP853",
@@ -629,7 +629,8 @@ def reference_integrate(params, s_end, tol):
 def test_integrate_matches_scipy_reference(xi_sign, xi_dec, a0_sign, a0_dec, u, tol, s_end):
     params = orbit(xi_sign, xi_dec, a0_sign, a0_dec, u)
     ref, ref_err, ref_warn = outcome(lambda: reference_integrate(params, s_end, tol))
-    traj, err, warn = outcome(lambda: integrate(params, s_end, tol=tol))
+    (traj,), _, warn = outcome(lambda: integrate_many([params], [s_end], [tol]))
+    err = f"{type(traj).__name__}: {traj}" if isinstance(traj, Exception) else None
 
     assert err == ref_err
     assert warn == ref_warn
@@ -739,7 +740,7 @@ def test_rule_matches_quad_on_mass_integrand(sigma, xi_dec, a0_dec, alpha, t_fra
     # Compact families: 1a (sigma=-1, xi<0, a0>0) and 2a (sigma=+1, xi>0, a0>0).
     xi = (-1.0 if sigma < 0 else 1.0) * 10.0 ** xi_dec
     case = SolutionCase(sigma=sigma, alpha=alpha, emden=EmdenParams(xi, 10.0 ** a0_dec))
-    traj = integrate(case.emden, 30.0)  # only the orbit is needed, not the report
+    traj = integrate_many([case.emden], [30.0], [DEFAULT_TOL])[0]  # the orbit, not the report
     t = t_frac * traj.s_max / 3.0
     (a,), _ = traj.eval_many([3.0 * t])
     cb = float(np.cbrt(a))
@@ -767,7 +768,7 @@ def test_rule_matches_quad_on_mass_integrand(sigma, xi_dec, a0_dec, alpha, t_fra
     (EmdenParams(-3.0, 1.0, 2.0), 10.0),    # outward slope, turning point, collapse
 ])
 def test_counters_are_consistent_and_repeatable(params, s_end):
-    runs = [integrate(params, s_end) for _ in range(2)]
+    runs = [integrate_many([params], [s_end], [DEFAULT_TOL])[0] for _ in range(2)]
     counts = [(t.nfev, t.n_accepted, t.n_rejected) for t in runs]
     assert counts[0] == counts[1]
     traj = runs[0]

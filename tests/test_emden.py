@@ -9,6 +9,7 @@ detector and the closed form used by the library.
 import itertools
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from ch2exact import (
+    DEFAULT_TOL,
     BlowupReport,
     Classification,
     EmdenParams,
@@ -25,7 +27,7 @@ from ch2exact import (
     collapse_time_quadrature,
     detect_collapse,
     energy,
-    integrate,
+    integrate_many,
     node_energies,
 )
 from ch2exact import _dop853, emden
@@ -73,7 +75,7 @@ def test_rhs_values(xi, a, expected):
     # The integrated orbit starts at rest with acceleration xi / (3 a^{1/3}):
     # its speed after h is h times that, up to h^3 (the jerk vanishes at rest).
     h = 1e-3
-    traj = integrate(EmdenParams(xi=xi, a0=a, a1=0.0), s_end=1.0)
+    traj = integrate_many([EmdenParams(xi=xi, a0=a, a1=0.0)], [1.0], [DEFAULT_TOL])[0]
     (a_dot,) = traj.eval_many([h])[1]
     assert a_dot / h == pytest.approx(expected, rel=1e-5)
 
@@ -110,19 +112,19 @@ def test_params_reject_bool(field):
 
 
 # ----------------------------------------------------------------------
-# integrate
+# integrate_many
 # ----------------------------------------------------------------------
 
 def test_growth_monotone():
     # xi > 0, a1 = 0: acceleration is positive, so a increases for s > 0.
-    traj = integrate(EmdenParams(xi=1.0, a0=1.0, a1=0.0), s_end=5.0)
+    traj = integrate_many([EmdenParams(xi=1.0, a0=1.0, a1=0.0)], [5.0], [DEFAULT_TOL])[0]
     a_vals = traj.a.tolist()
     assert all(b > a for a, b in zip(a_vals, a_vals[1:]))
     assert not traj.collapsed
 
 
 def test_collapse_halts_near_exact_time():
-    traj = integrate(EmdenParams(xi=-3.0, a0=1.0, a1=0.0), s_end=2.0)
+    traj = integrate_many([EmdenParams(xi=-3.0, a0=1.0, a1=0.0)], [2.0], [DEFAULT_TOL])[0]
     assert traj.collapsed
     assert abs(traj.a[-1]) <= 1e-10 * 1.0 + 1e-12
     assert traj.s_max == pytest.approx(SQRT3_PI_OVER_4, abs=1e-6)
@@ -130,10 +132,8 @@ def test_collapse_halts_near_exact_time():
 
 def test_integrate_argument_validation():
     p = EmdenParams(xi=1.0, a0=1.0)
-    with pytest.raises(ValueError):
-        integrate(p, s_end=0.0)
-    with pytest.raises(ValueError):
-        integrate(p, s_end=1.0, tol=-1e-10)
+    horizon, tol = integrate_many([p, p], [0.0, 1.0], [DEFAULT_TOL, -1e-10])
+    assert isinstance(horizon, ValueError) and isinstance(tol, ValueError)
 
 
 def test_integration_failure_carries_state():
@@ -142,7 +142,7 @@ def test_integration_failure_carries_state():
 
 
 def test_interpolant_reproduces_nodes_exactly():
-    traj = integrate(EmdenParams(xi=-3.0, a0=1.0, a1=0.5), s_end=2.0)
+    traj = integrate_many([EmdenParams(xi=-3.0, a0=1.0, a1=0.5)], [2.0], [DEFAULT_TOL])[0]
     a, a_dot = traj.eval_many(traj.s)
     assert np.array_equal(a, traj.a) and np.array_equal(a_dot, traj.a_dot)
 
@@ -150,8 +150,8 @@ def test_interpolant_reproduces_nodes_exactly():
 def test_interpolant_accuracy_between_nodes():
     # Coarse-tolerance dense output vs a tight reference run at midpoints.
     p = EmdenParams(xi=-3.0, a0=1.0, a1=0.0)
-    coarse = integrate(p, s_end=1.2, tol=1e-8)
-    ref = integrate(p, s_end=1.2, tol=1e-13)
+    coarse = integrate_many([p], [1.2], [1e-8])[0]
+    ref = integrate_many([p], [1.2], [1e-13])[0]
     nodes = coarse.s.tolist()
     mids = [(lo + hi) / 2.0 for lo, hi in zip(nodes, nodes[1:]) if hi <= ref.s_max]
     assert coarse.eval_many(mids[:-1])[0] == pytest.approx(ref.eval_many(mids[:-1])[0], abs=1e-6)
@@ -221,8 +221,23 @@ def test_one_read_spans_separate_analyze_calls():
         assert np.array_equal(a, want_a) and np.array_equal(a_dot, want_a_dot)
 
 
+def test_eval_many_reads_each_interpolant_in_place():
+    # A time between nodes reads its step's interpolant rows where they lie:
+    # no copy of the 7 x 2 coefficients per time.  Such a copy alone takes
+    # 56 MB on 500,000 times, and the read peaked at 120 MB with it.
+    traj = integrate_many([EmdenParams(1.0, 1.0, 0.0)], [1.0], [DEFAULT_TOL])[0]
+    s = np.linspace(0.0, traj.s_max, 500_000)
+    tracemalloc.start()
+    try:
+        traj.eval_many(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 70e6
+
+
 def test_eval_range_checked():
-    traj = integrate(EmdenParams(xi=1.0, a0=1.0), s_end=1.0)
+    traj = integrate_many([EmdenParams(xi=1.0, a0=1.0)], [1.0], [DEFAULT_TOL])[0]
     with pytest.raises(ValueError):
         traj.eval_many([-0.5])
     with pytest.raises(ValueError):
@@ -361,7 +376,7 @@ def test_analyze_label_matches_the_trajectory(xi_sign, xi_dec, a0_sign, a0_dec, 
 
 def test_detect_collapse_matches_quadrature():
     p = EmdenParams(xi=-3.0, a0=1.0, a1=0.0)
-    traj = integrate(p, s_end=2.0)
+    traj = integrate_many([p], [2.0], [DEFAULT_TOL])[0]
     s_num = detect_collapse(traj)
     assert s_num is not None
     assert abs(s_num - SQRT3_PI_OVER_4) <= 1e-6
@@ -369,24 +384,24 @@ def test_detect_collapse_matches_quadrature():
 
 def test_detect_collapse_split_orbit():
     p = EmdenParams(xi=-3.0, a0=1.0, a1=1.0)
-    traj = integrate(p, s_end=5.0)
+    traj = integrate_many([p], [5.0], [DEFAULT_TOL])[0]
     s_num = detect_collapse(traj)
     assert abs(s_num - collapse_time_quadrature(p)) <= 1e-6
 
 
 def test_detect_collapse_none_for_global():
-    traj = integrate(EmdenParams(xi=1.0, a0=1.0, a1=0.0), s_end=5.0)
+    traj = integrate_many([EmdenParams(xi=1.0, a0=1.0, a1=0.0)], [5.0], [DEFAULT_TOL])[0]
     assert detect_collapse(traj) is None
 
 
 def test_growth_asymptote_unit_constant():
     # a / s^{3/2} -> k = (4 xi / 9)^{3/4} = 1 at xi = 9/4.
-    traj = integrate(EmdenParams(xi=2.25, a0=1.0, a1=0.0), s_end=1e3)
+    traj = integrate_many([EmdenParams(xi=2.25, a0=1.0, a1=0.0)], [1e3], [DEFAULT_TOL])[0]
     assert traj.a[-1] / traj.s[-1] ** 1.5 == pytest.approx(1.0, rel=1e-2)
 
 
 def test_growth_asymptote_sign_follows_a0():
-    traj = integrate(EmdenParams(xi=2.25, a0=-1.0, a1=0.0), s_end=1e3)
+    traj = integrate_many([EmdenParams(xi=2.25, a0=-1.0, a1=0.0)], [1e3], [DEFAULT_TOL])[0]
     assert traj.a[-1] / traj.s[-1] ** 1.5 == pytest.approx(-1.0, rel=1e-2)
 
 
@@ -511,7 +526,7 @@ slopes = st.floats(-2.0, 2.0)
 @given(xi_mag=st.floats(0.3, 4.0), xi_sign=signs, a0_mag=magnitudes, a0_sign=signs, a1=slopes)
 def test_energy_conserved_along_trajectory(xi_mag, xi_sign, a0_mag, a0_sign, a1):
     p = EmdenParams(xi=xi_sign * xi_mag, a0=a0_sign * a0_mag, a1=a1)
-    traj = integrate(p, s_end=2.0)
+    traj = integrate_many([p], [2.0], [DEFAULT_TOL])[0]
     e0 = p.theta
     bound = 10.0 * 1e-10 * (1.0 + abs(e0))
     assert np.all(np.abs(node_energies(traj) - e0) <= bound)
@@ -528,7 +543,7 @@ def test_node_energies_is_energy_at_every_node(xi_mag, xi_sign, a0_mag, a0_sign,
                                                a1_sign):
     # The four families are the four signs of (xi, a0); the slope takes both signs.
     p = EmdenParams(xi=xi_sign * xi_mag, a0=a0_sign * a0_mag, a1=a1_sign * a1_mag)
-    traj = integrate(p, s_end=2.0)
+    traj = integrate_many([p], [2.0], [DEFAULT_TOL])[0]
     nodes = list(zip(traj.a.tolist(), traj.a_dot.tolist()))
     expected = _bits([energy(p.xi, a, a_dot) for a, a_dot in nodes])
     assert _bits(node_energies(traj)) == expected
@@ -540,7 +555,7 @@ def test_node_energies_is_energy_at_every_node(xi_mag, xi_sign, a0_mag, a0_sign,
 def test_sign_of_a_never_flips(xi_mag, xi_sign, a0_mag, a0_sign, a1):
     """Integration halts at the stop level before any zero crossing."""
     p = EmdenParams(xi=xi_sign * xi_mag, a0=a0_sign * a0_mag, a1=a1)
-    traj = integrate(p, s_end=3.0)
+    traj = integrate_many([p], [3.0], [DEFAULT_TOL])[0]
     assert np.all(traj.a * p.a0 > 0.0)
 
 
@@ -548,8 +563,8 @@ def test_sign_of_a_never_flips(xi_mag, xi_sign, a0_mag, a0_sign, a1):
 @given(xi_mag=st.floats(0.3, 4.0), a0_mag=magnitudes, a1=slopes)
 def test_odd_symmetry(xi_mag, a0_mag, a1):
     p = EmdenParams(xi=-xi_mag, a0=a0_mag, a1=a1)
-    t1 = integrate(p, s_end=2.0)
-    t2 = integrate(EmdenParams(p.xi, -p.a0, -p.a1), s_end=2.0)
+    t1 = integrate_many([p], [2.0], [DEFAULT_TOL])[0]
+    t2 = integrate_many([EmdenParams(p.xi, -p.a0, -p.a1)], [2.0], [DEFAULT_TOL])[0]
     s_hi = min(t1.s_max, t2.s_max)
     s = np.linspace(0.0, s_hi, 9)
     (u_a, u_a_dot), (v_a, v_a_dot) = t1.eval_many(s), t2.eval_many(s)
@@ -579,7 +594,7 @@ def test_dichotomy_global_branch(xi_mag, a0_mag, a0_sign, a1_out):
     # xi > 0 with outward (or zero) slope: |a| grows without bound.
     b1 = a1_out if a0_sign > 0 else -a1_out
     p = EmdenParams(xi=xi_mag, a0=a0_sign * a0_mag, a1=b1)
-    traj = integrate(p, s_end=1e4)
+    traj = integrate_many([p], [1e4], [DEFAULT_TOL])[0]
     assert not traj.collapsed and traj.s_max == 1e4
     assert abs(traj.a[-1]) >= 1e3 * abs(p.a0)
 
@@ -591,7 +606,7 @@ def test_quadrature_ode_agreement_grid(xi, a0, a1):
     """Both collapse-time routes agree to 1e-6 across a parameter grid."""
     p = EmdenParams(xi=xi, a0=a0, a1=a1)
     s_quad = collapse_time_quadrature(p)
-    traj = integrate(p, s_end=1.25 * s_quad)
+    traj = integrate_many([p], [1.25 * s_quad], [DEFAULT_TOL])[0]
     s_num = detect_collapse(traj)
     assert abs(s_num - s_quad) <= 1e-6
     # The plain-variable oracle carries ~1e-8 error of its own at the

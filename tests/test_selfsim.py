@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ch2exact import (
+    DEFAULT_TOL,
     EmdenParams,
     SolutionCase,
-    integrate,
+    integrate_many,
     profile,
 )
 from ch2exact.verify import fields_on_grid, min_support_radius
@@ -155,7 +156,7 @@ def test_profile_derivative_blows_up_near_boundary():
 
 @pytest.fixture(scope="module")
 def traj_2a():
-    return integrate(EmdenParams(xi=1.0, a0=1.0, a1=0.0), s_end=10.0)
+    return integrate_many([EmdenParams(xi=1.0, a0=1.0, a1=0.0)], [10.0], [DEFAULT_TOL])[0]
 
 
 def density(case, traj, t, x):

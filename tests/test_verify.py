@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from ch2exact import (
+    DEFAULT_TOL,
     Classification,
     EmdenParams,
     GridError,
@@ -22,7 +23,7 @@ from ch2exact import (
     SpaceTimeGrid,
     Tolerances,
     analyze,
-    integrate,
+    integrate_many,
     mass,
     mass_residual_field,
     momentum_residual_field,
@@ -142,7 +143,7 @@ def test_momentum_kernel_picks_up_time_derivative():
 def test_mass_kernel_zero_for_zero_density_case():
     # alpha = 0 compact family: rho vanishes identically, residual is exact 0.
     case = SolutionCase(sigma=1, alpha=0.0, emden=EmdenParams(xi=1.0, a0=1.0, a1=0.0))
-    traj = integrate(case.emden, s_end=3.0)
+    traj = integrate_many([case.emden], [3.0], [DEFAULT_TOL])[0]
     grid = SpaceTimeGrid(0.0, 0.5, 9, -0.5, 0.5, 9)
     rho, u, _ = fields_on_grid(case, traj, grid.ts(), grid.xs())
     assert np.all(rho == 0.0)
@@ -283,7 +284,7 @@ def test_grid_preconditions(case_1a, case_2a):
     with pytest.raises(GridError, match="support"):
         run_battery(case2, traj2, report2, SpaceTimeGrid(0.0, 0.5, 9, -0.95, 0.95, 9))
     # past the integrated horizon
-    short = integrate(case2.emden, s_end=0.5)
+    short = integrate_many([case2.emden], [0.5], [DEFAULT_TOL])[0]
     with pytest.raises(GridError, match="trajectory ends"):
         run_battery(case2, short, report2, SpaceTimeGrid(0.0, 1.0, 9, -0.3, 0.3, 9))
 
@@ -313,7 +314,7 @@ def test_mass_2a_pi_over_2(case_2a):
 def test_mass_2a_scaled():
     # alpha^2 pi / (2 sqrt(xi)) = 4 pi / 4 = pi for xi=4, alpha=2
     case = SolutionCase(sigma=1, alpha=2.0, emden=EmdenParams(xi=4.0, a0=1.0, a1=0.0))
-    traj = integrate(case.emden, s_end=2.0)
+    traj = integrate_many([case.emden], [2.0], [DEFAULT_TOL])[0]
     assert mass(case, traj, [0.0])[0] == pytest.approx(math.pi, rel=1e-6)
 
 
@@ -331,7 +332,7 @@ def test_mass_divergent_on_full_line(case_1b, case_2b):
 
 def test_mass_zero_amplitude():
     case = SolutionCase(sigma=1, alpha=0.0, emden=EmdenParams(xi=1.0, a0=1.0))
-    traj = integrate(case.emden, s_end=1.0)
+    traj = integrate_many([case.emden], [1.0], [DEFAULT_TOL])[0]
     assert mass(case, traj, [0.0, 0.3]).tolist() == [0.0, 0.0]
 
 
@@ -497,7 +498,7 @@ def origin_density(case, traj, times):
 def test_origin_decay_rate():
     # xi = 9/4 makes k = 1; rho(t,0) sqrt(t) -> alpha / sqrt(3)
     case = SolutionCase(sigma=1, alpha=1.0, emden=EmdenParams(xi=2.25, a0=1.0, a1=0.0))
-    traj = integrate(case.emden, s_end=1000.0)
+    traj = integrate_many([case.emden], [1000.0], [DEFAULT_TOL])[0]
     times = np.geomspace(1.0, 300.0, 8)
     vals = origin_density(case, traj, times)
     assert all(b < a for a, b in zip(vals, vals[1:]))
@@ -535,7 +536,7 @@ def test_min_support_radius_finds_an_interior_minimum():
     # Inward slope with theta < 0: a(s) turns around inside [0, 1.5].
     case = SolutionCase(sigma=1, alpha=0.1693826188803053, emden=EmdenParams(
         xi=10.714819842391346, a0=2.5803653358177017, a1=-4.479915811840134))
-    traj = integrate(case.emden, s_end=2.0)
+    traj = integrate_many([case.emden], [2.0], [DEFAULT_TOL])[0]
     ts = np.linspace(0.0, 0.5, 81)
     r_min = min_support_radius(case, traj, ts)
     ends = min_support_radius(case, traj, ts[[0, -1]])
