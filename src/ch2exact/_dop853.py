@@ -29,11 +29,11 @@ What differs from SciPy:
   the extended tableau that dense output needs.  SciPy's separate update
   ``y + h K.T B`` is the input of stage 12, as B is A[12, :12], so a
   step's end comes out of the same loop;
-- the solver returns data, not an interpolant: each problem's nodes and
-  step ends, as arrays.  A step's stages depend only on its first node
-  and its length, so ``dense_values`` rebuilds any steps, of any
-  problems, in one batch from their two ends: all 16 stages from the
-  first, then the interpolant, which is not kept.  One evaluator,
+- the solver returns data, not an interpolant: each problem's nodes, as
+  arrays, and where its last step ends.  A step's stages, its end among
+  them, depend only on its first node and its length, so ``dense_values``
+  rebuilds any steps, of any problems, in one batch from those two: all
+  16 stages, then the interpolant, which is not kept.  One evaluator,
   ``_dense_eval``, reads time q on step ``step[q]`` row by row from the
   steps' arrays, without a per-time copy of the interpolant; the event
   search uses it too.  Event roots are found after the loop, on each
@@ -91,18 +91,16 @@ class OdeResult:
     the integration and -1 when the step size underflowed (``message``
     says so).  ``t`` and ``y`` are the accepted nodes, ``y`` of shape
     (m, nodes); with status 1 the last one, ``t[-1]``, is the event root.
-    Step i runs from ``(t_steps[i], y_steps[i])`` to ``(t_steps[i + 1],
-    y_steps[i + 1])``, ``y_steps`` of shape (nodes, m): these are the
-    nodes, except the event step's end, which the root replaces as the
-    last node.  ``nfev`` counts the right-hand-side evaluations
+    Step i runs from node i to node i + 1, except the last step, which ends
+    at ``t_step_end``: past the root when the event cut that step short,
+    else ``t[-1]``.  ``nfev`` counts the right-hand-side evaluations
     ``solve_ivp`` makes; the 16 stages ``dense_values`` evaluates on each
     step it reads are not counted.
     """
 
     t: np.ndarray
     y: np.ndarray
-    t_steps: np.ndarray
-    y_steps: np.ndarray
+    t_step_end: float
     status: int
     message: str | None
     nfev: int
@@ -140,15 +138,17 @@ def _select_initial_step(fun, y0, t_bound, f0, rtol, atol, idx):
 
 
 def _stages(fun, y, h, idx, K):
-    """Fill stages 1 to n - 1 of the (k, n, m) stage matrices K of k steps from y, of
-    length h, whose stage 0 is set: stage s is fun(y + h K[:s].T A[s, :s]).  Returns
-    the last stage's input, for n = N_STAGES + 1 the step's end: B is A[N_STAGES, :N_STAGES]."""
+    """Fill stages 1 to n - 1 (n > N_STAGES) of the (k, n, m) stage matrices K of k steps
+    from y, of length h, whose stage 0 is set: stage s is fun(y + h K[:s].T A[s, :s]).
+    Returns the input of stage N_STAGES, the steps' ends: B is A[N_STAGES, :N_STAGES]."""
     K_T = K.transpose(0, 2, 1)  # each problem's K.T, as SciPy's K[:s].T
     h_col = h[:, None]
     for s, a in STAGES[:K.shape[1] - 1]:
         y_s = y + np.matmul(K_T[:, :, :s], a) * h_col
+        if s == N_STAGES:
+            y_new = y_s
         fun(y_s, idx, K[:, s])
-    return y_s
+    return y_new
 
 
 def _rk_step(fun, y, f, h, idx):
@@ -182,14 +182,14 @@ def _step_factors(error_norm, rejected) -> np.ndarray:
     return np.where(error_norm < 1, np.minimum(cap, factor), np.fmax(MIN_FACTOR, factor))
 
 
-def _dense_coefficients(fun, y_old, y, h, idx):
-    """SciPy's ``_dense_output_impl`` on k steps (y_old to y, of length h) of the problems
-    idx, their stages rebuilt from y_old by ``_stages``, as ``_rk_step`` builds them:
-    each stage matrix has its strides, so ``np.matmul`` rounds alike."""
-    K = np.empty((len(h), coef.N_STAGES_EXTENDED, y.shape[1]))
+def _dense_coefficients(fun, y_old, h, idx):
+    """SciPy's ``_dense_output_impl`` on k steps from y_old, of length h, of the problems
+    idx, their stages and ends rebuilt from y_old by ``_stages``, as ``_rk_step`` builds
+    them: each stage matrix has its strides, so ``np.matmul`` rounds alike."""
+    K = np.empty((len(h), coef.N_STAGES_EXTENDED, y_old.shape[1]))
     fun(y_old, idx, K[:, 0])
-    _stages(fun, y_old, h, idx, K)
-    F = np.empty((len(h), coef.INTERPOLATOR_POWER, y.shape[1]))
+    y = _stages(fun, y_old, h, idx, K)
+    F = np.empty((len(h), coef.INTERPOLATOR_POWER, y_old.shape[1]))
     h_col = h[:, None]
     f_old = K[:, 0]
     f = K[:, N_STAGES]
@@ -212,14 +212,14 @@ def _dense_eval(t_old, h, y_old, F, step, t):
     return y + y_old[step]
 
 
-def dense_values(fun, idx, t_old, y_old, t_new, y_new, step, t) -> np.ndarray:
+def dense_values(fun, idx, t_old, y_old, t_new, step, t) -> np.ndarray:
     """The (k, m) values at the (k,) times t, t[q] read on the step step[q], as SciPy's
     ``OdeSolution`` evaluates it.  Step j, of the problem idx[j], runs from
-    (t_old[j], y_old[j]) to (t_new[j], y_new[j]); each step's stages are rebuilt
-    once from y_old[j], all steps in one batch, then its interpolant.  ``fun`` is
+    (t_old[j], y_old[j]) to t_new[j]; each step's stages and end are rebuilt once
+    from y_old[j], all steps in one batch, then its interpolant.  ``fun`` is
     ``solve``'s right-hand side."""
     h = t_new - t_old
-    return _dense_eval(t_old, h, y_old, _dense_coefficients(fun, y_old, y_new, h, idx), step, t)
+    return _dense_eval(t_old, h, y_old, _dense_coefficients(fun, y_old, h, idx), step, t)
 
 
 def brentq(f, xa, xb, xtol: float, rtol: float, maxiter: int = 100):
@@ -298,16 +298,16 @@ def brentq(f, xa, xb, xtol: float, rtol: float, maxiter: int = 100):
     return roots, errors
 
 
-def _locate_events(fun, event, k, t_old, y_old, t_new, y_new) -> dict:
+def _locate_events(fun, event, k, t_old, y_old, t_new) -> dict:
     """The event roots of the problems k on their steps from (t_old, y_old) to
-    (t_new, y_new), found as one batch.
+    t_new, found as one batch.
 
     Returns, per problem, (root, state at root, whether the root node is
     dropped), or the exception SciPy's brentq raises; the interpolants
     rebuilt for the search are not kept.
     """
     h = t_new - t_old
-    F = _dense_coefficients(fun, y_old, y_new, h, k)
+    F = _dense_coefficients(fun, y_old, h, k)
 
     def g(t, i):
         return event(t, _dense_eval(t_old, h, y_old, F, i, t), k[i])
@@ -462,7 +462,7 @@ def _assemble(fun, event, n, status, n_rejected, rec_idx, rec_t, rec_y) -> list:
     stopped = np.flatnonzero(np.array(status) == 1)
     last = node_end[stopped] - 1
     located = _locate_events(fun, event, stopped, t_all[last - 1], y_all[last - 1],
-                             t_all[last], y_all[last]) if stopped.size else {}
+                             t_all[last]) if stopped.size else {}
 
     results = []
     for k in range(n):
@@ -471,29 +471,22 @@ def _assemble(fun, event, n, status, n_rejected, rec_idx, rec_t, rec_y) -> list:
             results.append(hit)
             continue
         n_steps = int(n_accepted[k])
-        nodes = slice(node_end[k] - n_steps - 1, node_end[k])
+        # A root on the last node drops that node and the step past it, as SciPy does.
+        dropped = hit is not None and bool(hit[2])
+        nodes = slice(node_end[k] - n_steps - 1, node_end[k] - dropped)
         # Copies: a view would keep the whole batch's nodes alive with this problem.
         ts, ys = t_all[nodes].copy(), y_all[nodes].copy()
-        extra_stages = 0
-        nodes_t, nodes_y = ts, ys
-        if hit is not None:
-            root, y_root, dropped = hit
-            extra_stages = N_STAGES_EXTRA
-            if dropped:
-                ts, ys = ts[:-1], ys[:-1]
-                nodes_t, nodes_y = ts, ys
-            else:
-                # The event step keeps its end for the interpolant; its node is the root.
-                nodes_t, nodes_y = ts.copy(), ys.copy()
-                nodes_t[-1], nodes_y[-1] = root, y_root
+        t_step_end = float(ts[-1])
+        if hit is not None and not dropped:
+            ts[-1], ys[-1] = hit[:2]  # the event step ends past its node, the root
         results.append(OdeResult(
-            t=nodes_t,
-            y=nodes_y.T,
-            t_steps=ts,
-            y_steps=ys,
+            t=ts,
+            y=ys.T,
+            t_step_end=t_step_end,
             status=status[k],
             message=TOO_SMALL_STEP if status[k] == -1 else None,
-            nfev=2 + N_STAGES * int(n_accepted[k] + n_rejected[k]) + extra_stages,
+            nfev=2 + N_STAGES * int(n_accepted[k] + n_rejected[k])
+            + (N_STAGES_EXTRA if hit is not None else 0),
             n_accepted=n_steps,
             n_rejected=int(n_rejected[k]),
         ))

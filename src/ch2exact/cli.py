@@ -304,6 +304,11 @@ _SWEEP_HEADER = [
 _ROW_ERRORS = (ValueError, ArithmeticError)
 
 
+def _cell(text: str) -> str:
+    """Free text as one CSV cell: each comma becomes a semicolon, each newline a space."""
+    return text.replace(",", ";").replace("\n", " ")
+
+
 def _sweep_row(case: SolutionCase, traj, report) -> list[str]:
     params = case.emden
     m_val, ok = sweep_checks(case, traj, report)
@@ -345,9 +350,8 @@ def cmd_sweep(args) -> int:
                 raise result
             rows.append(_sweep_row(case, *result))
         except _ROW_ERRORS as exc:  # library error: one row
-            rows.append(["?", *(block.get(key, "") for key in _SWEEP_HEADER[1:6]),
-                         f"error: {exc}".replace(",", ";").replace("\n", " "),
-                         "", "", "", "", "false"])
+            rows.append(["?", *(_cell(block.get(key, "")) for key in _SWEEP_HEADER[1:6]),
+                         _cell(f"error: {exc}"), "", "", "", "", "false"])
     out = Path(args.out)
     columns = list(zip(*rows)) or [()] * len(_SWEEP_HEADER)  # an empty sweep has no rows to transpose
     _write(write_csv, out / "sweep.csv", _SWEEP_HEADER, columns)

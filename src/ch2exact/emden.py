@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,8 +85,9 @@ class InvalidEnergy(ArithmeticError):
 class IntegrationFailure(ArithmeticError):
     """Adaptive stepping broke down, or the state overflowed.
 
-    ``last_state`` is the last accepted node as an ``(s, a, a_dot)`` tuple
-    of floats, or None when there is none.
+    ``last_state`` is the last accepted node whose state is finite, the
+    one an overflow message names, as an ``(s, a, a_dot)`` tuple of
+    floats, or None when there is none.
     """
 
     def __init__(self, message: str, last_state: tuple[float, float, float] | None = None):
@@ -146,12 +147,15 @@ class Trajectory:
     """Numerical orbit with dense output, as plain arrays: it pickles.
 
     ``s``, ``a`` and ``a_dot`` are float arrays holding the accepted
-    integration nodes (``s`` strictly increasing) and the states there.
-    ``s_steps`` and ``y_steps`` (rows (a, a')) are the integrator's step
-    ends: the nodes, but for the stop event's step, whose root is the last
-    node.  ``eval_many`` and ``analyze``'s rate probe share one reader: a
-    node time returns the stored node, so node values round-trip, and
-    between nodes it rebuilds the integrator's dense-output interpolant.
+    integration nodes (``s`` strictly increasing) and the states there,
+    the orbit's one copy of them.  The integrator's step i runs from node
+    i to node i + 1, except the last step, which ends at ``s_step_end``:
+    past the last node when the stop event cut that step short at its
+    root, else at ``s_max``, the last node.  ``eval_many`` and
+    ``analyze``'s rate probe share one reader: a node time returns the
+    stored node, so node values round-trip, and between nodes it rebuilds
+    the integrator's dense-output interpolant from the step's first node
+    and its length.
 
     ``nfev``, ``n_accepted`` and ``n_rejected`` count the integrator's
     right-hand-side evaluations, accepted steps and rejected steps.  They
@@ -162,13 +166,16 @@ class Trajectory:
     s: np.ndarray
     a: np.ndarray
     a_dot: np.ndarray
-    s_max: float
+    s_step_end: float
     collapsed: bool
-    s_steps: np.ndarray = field(repr=False)
-    y_steps: np.ndarray = field(repr=False)
     nfev: int
     n_accepted: int
     n_rejected: int
+
+    @property
+    def s_max(self) -> float:
+        """The last node's time: the horizon, or the stop event's root."""
+        return float(self.s[-1])
 
     def eval_many(self, s_values) -> tuple[np.ndarray, np.ndarray]:
         """(a, a') arrays at the times of the 1-D sequence s_values, each in [0, s_max].
@@ -191,25 +198,27 @@ def _states_at(trajs, times) -> list:
 
     A time on a node returns the stored node.  Every other time, whatever
     trajectory it comes from, is read in one ``_dop853.dense_values`` call,
-    which rebuilds each step read once, from its ends and its orbit's xi.
+    which rebuilds each step read once, from its first node, its length
+    and its orbit's xi.
     """
-    out, ends = [], []
-    offset = 0  # of each trajectory's step ends in the batch's
+    out, starts = [], []
+    offset = 0  # of each trajectory's steps in the batch's
     for traj, s in zip(trajs, times):
         s = np.asarray(s, dtype=float)
         i = np.minimum(traj.s.searchsorted(s), len(traj.s) - 1)
         between = np.flatnonzero(traj.s[i] != s)
         out.append((traj.a[i], traj.a_dot[i], s, between))
-        ends.append(offset + i[between])  # each of these times lies inside step i - 1
-        offset += len(traj.s_steps)
+        starts.append(offset + i[between] - 1)  # each of these times lies inside step i - 1
+        offset += len(traj.s) - 1
     counts = [between.size for *_, between in out]
     if sum(counts):
-        built, step = np.unique(np.concatenate(ends), return_inverse=True)
-        s_steps = np.concatenate([traj.s_steps for traj in trajs])
-        y_steps = np.concatenate([traj.y_steps for traj in trajs])
-        xi = np.repeat([traj.params.xi for traj in trajs], [len(traj.s_steps) for traj in trajs])
-        y = _dop853.dense_values(_rhs(xi), built, s_steps[built - 1], y_steps[built - 1],
-                                 s_steps[built], y_steps[built], step,
+        built, step = np.unique(np.concatenate(starts), return_inverse=True)
+        # Step j runs from node j to node j + 1; a trajectory's last step ends at s_step_end.
+        s_old, a_old, a_dot_old, s_new, xi = (np.concatenate(v)[built] for v in zip(*(
+            (t.s[:-1], t.a[:-1], t.a_dot[:-1], np.append(t.s[1:-1], t.s_step_end),
+             np.full(len(t.s) - 1, t.params.xi)) for t in trajs)))
+        y = _dop853.dense_values(_rhs(xi), np.arange(len(built)), s_old,
+                                 np.stack((a_old, a_dot_old), axis=1), s_new, step,
                                  np.concatenate([s[between] for _, _, s, between in out]))
         for (a, a_dot, _, between), y_p in zip(out, np.split(y, np.cumsum(counts)[:-1])):
             a[between], a_dot[between] = y_p.T
@@ -277,26 +286,23 @@ def integrate_many(params, s_end, tol) -> list:
 
 def _trajectory(params: EmdenParams, s_end: float, res) -> Trajectory | Exception:
     """The Trajectory of one solver result on [0, s_end], or the exception it amounts to."""
-    failed = res.status == -1
     finite = np.isfinite(res.y).all(axis=0)
-    if failed or not finite.all():
-        last = None
-        if res.t.size:
-            last = (float(res.t[-1]), float(res.y[0, -1]), float(res.y[1, -1]))
-        if failed:
+    if res.status == -1 or not finite.all():
+        # The last finite node: the last node, or the one before the first that is not
+        # finite (the initial node is finite).
+        j = np.argmin(finite) - 1
+        last = (float(res.t[j]), float(res.y[0, j]), float(res.y[1, j]))
+        if res.status == -1:
             return IntegrationFailure(f"adaptive step failed: {res.message}", last)
-        s_finite = float(res.t[np.argmin(finite) - 1])  # the initial node is finite
         return IntegrationFailure(f"the state overflowed past its last finite node at "
-                                  f"s = {s_finite} before the horizon s_end = {s_end}", last)
+                                  f"s = {last[0]} before the horizon s_end = {s_end}", last)
     return Trajectory(
         params=params,
         s=res.t,
         a=res.y[0],
         a_dot=res.y[1],
-        s_max=float(res.t[-1]),
+        s_step_end=res.t_step_end,
         collapsed=res.status == 1,
-        s_steps=res.t_steps,
-        y_steps=res.y_steps,
         nfev=res.nfev,
         n_accepted=res.n_accepted,
         n_rejected=res.n_rejected,

@@ -966,6 +966,18 @@ def test_sweep_error_row_keeps_config_text_as_utf8(tmp_path):
     )
 
 
+def test_sweep_error_row_echoes_commas_as_one_cell(tmp_path):
+    # A value holding a comma is echoed as one cell, as the error text is:
+    # every row keeps the header's 12 fields.
+    bad = "sigma = 1\nxi = 1,5\nalpha = 1\na0 = 1,0\na1 = 0\n"
+    cfg = write_config(tmp_path, "\n".join([CFG_2A + "t_end = 1\n", bad, CFG_2A + "t_end = 1\n"]))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    lines = (tmp_path / "s" / "sweep.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 4
+    assert [len(line.split(",")) for line in lines] == [12] * 4
+    assert lines[2].startswith("?,1,1;5,1,1;0,0,error: ")
+
+
 # Blocks that fail at each stage of a sweep: parsing, integration and the
 # report (at tol = 1e-3 the two collapse-time routes differ by 4.4e-6 of S,
 # more than S_AGREEMENT_TOL).

@@ -123,16 +123,17 @@ def dense_output(f, k, res, t):
     """Problem k's dense output at the times t, read as scipy's OdeSolution reads it.
 
     A time takes the step ``searchsorted(..., "left") - 1`` of the step
-    ends, clamped to the steps, so a node time takes the lower step.  That
+    ends, clamped to the steps, so a node time takes the lower step.  Step
+    i runs from node i to node i + 1, the last step to ``t_step_end``.  That
     step's value comes from ``_dop853.dense_values`` with the right-hand
     side f the problem was solved with.  Returns (m,) for a scalar t, else
     (m, len(t)), as ``OdeSolution`` does.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    ends, states = res.t_steps, res.y_steps
+    ends = np.append(res.t[:-1], res.t_step_end)
     i = np.clip(np.searchsorted(ends, t_arr, side="left") - 1, 0, len(ends) - 2)
-    y = _dop853.dense_values(f, np.full(t_arr.size, k), ends[i], states[i], ends[i + 1],
-                             states[i + 1], np.arange(t_arr.size), t_arr).T
+    y = _dop853.dense_values(f, np.full(t_arr.size, k), ends[i], res.y.T[i], ends[i + 1],
+                             np.arange(t_arr.size), t_arr).T
     return y[:, 0] if np.ndim(t) == 0 else y
 
 
@@ -200,6 +201,50 @@ def test_batch_matches_solve_ivp_per_orbit(draws):
             assert f"{type(res).__name__}: {res}" == ref_err
         else:
             assert_matches_scipy(res, ref, f, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(draws=st.lists(orbits, min_size=1, max_size=12))
+def test_rebuilt_step_ends_equal_the_steps_own(draws):
+    # An OdeResult keeps no step ends: dense output derives each step's end
+    # from its first node and its length, as the input of stage 12 of the
+    # rebuilt stages.  On every step it must be the end the step produced,
+    # bit for bit, the event step's too, whose node is the root.
+    params = [orbit(*d[:5]) for d in draws]
+    f, event = batch_problem(params)
+    rtol, atol = zip(*map(tolerances, params, [d[5] for d in draws]))
+    records, rebuilt = [], []
+    real_lockstep, real_stages = _dop853._solve_lockstep, _dop853._stages
+
+    def spy_lockstep(fun, event, active):  # keeps every accepted node, event step ends too
+        status, n_rejected, nodes = real_lockstep(fun, event, active)
+        records.append([np.concatenate(v) for v in nodes])
+        return status, n_rejected, nodes
+
+    def spy_stages(fun, y, h, idx, K):
+        y_end = real_stages(fun, y, h, idx, K)
+        rebuilt.append(y_end)
+        return y_end
+
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # rtol clamps
+        patch.setattr(_dop853, "_solve_lockstep", spy_lockstep)
+        results = _dop853.solve(f, [d[6] for d in draws], [[p.a0, p.a1] for p in params],
+                                rtol=rtol, atol=atol, event=event)
+    (node_idx, t_all, y_all), = records
+    for k, res in enumerate(results):
+        if isinstance(res, Exception):
+            continue
+        t_k, y_k = t_all[node_idx == k], y_all[node_idx == k]  # in step order
+        n_steps = len(res.t) - 1
+        assert np.array_equal(res.t[:-1], t_k[:n_steps])
+        assert res.t_step_end == t_k[n_steps]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_dop853, "_stages", spy_stages)
+            _dop853.dense_values(f, np.full(n_steps, k), res.t[:-1], res.y.T[:-1],
+                                 np.append(res.t[1:-1], res.t_step_end), np.arange(n_steps),
+                                 res.t[:-1])
+        assert np.array_equal(rebuilt.pop(), y_k[1:n_steps + 1])
 
 
 def test_step_size_underflow_matches_solve_ivp():
@@ -322,9 +367,9 @@ def test_events_firing_together_match_solve_ivp(monkeypatch):
     located = []  # per solve call: the orbits searched and the ends of their last steps
     real_locate = _dop853._locate_events
 
-    def spy_locate(fun, event, k, t_old, y_old, t_new, y_new):
+    def spy_locate(fun, event, k, t_old, y_old, t_new):
         located.append((k.tolist(), t_new.tolist()))
-        return real_locate(fun, event, k, t_old, y_old, t_new, y_new)
+        return real_locate(fun, event, k, t_old, y_old, t_new)
 
     monkeypatch.setattr(_dop853, "_locate_events", spy_locate)
     batch, alone, refs = solve_alone_and_in_batch(f_batch, stop_event, f_one, 6,

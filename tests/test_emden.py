@@ -141,6 +141,19 @@ def test_integration_failure_carries_state():
     assert err.last_state == (1.0, 0.5, -0.1)
 
 
+@pytest.mark.parametrize("params,s_end", [
+    (EmdenParams(1.0, 1.0, 0.0), 3e300),
+    (EmdenParams(-1.0, 1e-300, 1e150), 5.89e300),
+])
+def test_overflow_failure_keeps_the_last_finite_state(params, s_end):
+    # Once a is inf its error term reads 0 and steps are accepted up to the
+    # horizon: last_state is the last finite node, the one the message names.
+    (err,) = integrate_many([params], [s_end], [DEFAULT_TOL])
+    assert isinstance(err, IntegrationFailure)
+    assert all(math.isfinite(v) for v in err.last_state)
+    assert f"last finite node at s = {err.last_state[0]} before" in str(err)
+
+
 def test_interpolant_reproduces_nodes_exactly():
     traj = integrate_many([EmdenParams(xi=-3.0, a0=1.0, a1=0.5)], [2.0], [DEFAULT_TOL])[0]
     a, a_dot = traj.eval_many(traj.s)
