@@ -305,13 +305,17 @@ _ROW_ERRORS = (ValueError, ArithmeticError)
 
 
 def _cell(text: str) -> str:
-    """Free text as one CSV cell: each comma becomes a semicolon, each newline a space."""
-    return text.replace(",", ";").replace("\n", " ")
+    """Free text as one CSV cell: each comma becomes a semicolon, each double
+    quote a single quote and each newline a space."""
+    return text.replace(",", ";").replace('"', "'").replace("\n", " ")
 
 
-def _sweep_row(case: SolutionCase, traj, report) -> list[str]:
+def _sweep_row(case: SolutionCase, report, check) -> list[str]:
+    """The row of an orbit, from its sweep_checks entry (raised if an exception)."""
+    if isinstance(check, Exception):
+        raise check
+    m_val, ok = check
     params = case.emden
-    m_val, ok = sweep_checks(case, traj, report)
     collapse = report.classification is Classification.COLLAPSE
     return [
         case.case_id,
@@ -331,7 +335,8 @@ def _sweep_row(case: SolutionCase, traj, report) -> list[str]:
 
 
 def cmd_sweep(args) -> int:
-    """Parse every block, integrate all valid orbits as one batch, then build the rows."""
+    """Parse every block, integrate all valid orbits as one batch, check them as
+    one batch, then build the rows."""
     blocks = _load_blocks(args.config)
     cases, plans = [], []
     for block in blocks:
@@ -342,13 +347,16 @@ def cmd_sweep(args) -> int:
         except _ROW_ERRORS as exc:
             cases.append(exc)
     analyzed = iter(analyze_many(plans))
+    results = [case if isinstance(case, Exception) else next(analyzed) for case in cases]
+    done = [(case, *result) for case, result in zip(cases, results)
+            if not isinstance(result, Exception)]
+    checks = iter(sweep_checks(*zip(*done)) if done else ())  # zip(*[]) gives no columns
     rows = []
-    for block, case in zip(blocks, cases):
-        result = case if isinstance(case, Exception) else next(analyzed)
+    for block, case, result in zip(blocks, cases, results):
         try:
             if isinstance(result, Exception):
                 raise result
-            rows.append(_sweep_row(case, *result))
+            rows.append(_sweep_row(case, result[1], next(checks)))
         except _ROW_ERRORS as exc:  # library error: one row
             rows.append(["?", *(_cell(block.get(key, "")) for key in _SWEEP_HEADER[1:6]),
                          _cell(f"error: {exc}"), "", "", "", "", "false"])

@@ -133,13 +133,18 @@ def energy(xi: float, a: float, a_dot: float) -> float:
     return 0.5 * a_dot * a_dot - 0.5 * xi * float(np.cbrt(a)) ** 2
 
 
-def node_energies(traj: "Trajectory") -> np.ndarray:
-    """energy() at every node of traj, as an array of the same doubles."""
-    cbrt_a = np.cbrt(traj.a).tolist()
-    xi = traj.params.xi
+def node_energies(*trajs: "Trajectory") -> np.ndarray:
+    """energy() at every node of the trajectories, one after another, as an
+    array of the same doubles."""
+    a = np.concatenate([traj.a for traj in trajs])
+    a_dot = np.concatenate([traj.a_dot for traj in trajs])
+    xi = np.repeat([traj.params.xi for traj in trajs], [len(traj.a) for traj in trajs])
     # float ** 2 is libm's pow, as in energy; c * c can differ in the last bit.
-    return np.array([0.5 * a_dot * a_dot - 0.5 * xi * c ** 2
-                     for a_dot, c in zip(traj.a_dot.tolist(), cbrt_a)])
+    cbrt_sq = np.array([c ** 2 for c in np.cbrt(a).tolist()])
+    # The products and the difference round as energy's float operations do,
+    # which overflow without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * a_dot * a_dot - 0.5 * xi * cbrt_sq
 
 
 @dataclass(frozen=True, eq=False)

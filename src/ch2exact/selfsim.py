@@ -31,6 +31,7 @@ from .emden import EmdenParams
 __all__ = [
     "SolutionCase",
     "profile",
+    "profiles",
 ]
 
 # (sigma, sign xi, sign a0) -> family label
@@ -96,20 +97,42 @@ def profile(case: SolutionCase, eta):
     """Self-similar profile f(eta); accepts scalars or arrays.
 
     Compact families return 0 outside the support; the profile is continuous
-    there but not differentiable (square-root vanishing).
+    there but not differentiable (square-root vanishing).  A batch of one of
+    ``profiles``.
     """
-    xi, sg, al = case.emden.xi, case.sigma, case.alpha
     e = np.asarray(eta, dtype=float)
-    # The scalar term first, so that its overflow is named before numpy warns.
-    try:
-        amplitude = (al / xi) ** 2
-    except OverflowError:  # Python's float ** raises where numpy's returns inf
-        amplitude = math.inf
-    if amplitude == math.inf:
-        raise OverflowError(
-            f"profile amplitude (alpha / xi)^2 is out of range at alpha = {al}, xi = {xi}")
-    radicand = amplitude - (sg / xi) * e * e
-    f = (xi / sg) * np.sqrt(np.maximum(radicand, 0.0))
-    if np.isscalar(eta) or np.ndim(eta) == 0:
+    (f,), (error,) = profiles([case], e[None])
+    if error is not None:
+        raise error
+    if np.ndim(eta) == 0:
         return float(f)
     return f
+
+
+def profiles(cases, eta) -> tuple[np.ndarray, list]:
+    """(f, errors): f[p] is the profile of cases[p] at eta[p], eta's leading
+    axis running over the cases, each the bits of ``profile`` alone.
+
+    errors[p] is the OverflowError naming an amplitude (alpha / xi)^2 out of
+    range, and row p of f is then NaN; else it is None.
+    """
+    coefficients, errors = [], []
+    for case in cases:
+        xi, sg, al = case.emden.xi, case.sigma, case.alpha
+        # Python floats, so that the amplitude's overflow is named before numpy warns.
+        try:
+            amplitude = (al / xi) ** 2
+        except OverflowError:  # Python's float ** raises where numpy's returns inf
+            amplitude = math.inf
+        if amplitude == math.inf:
+            errors.append(OverflowError(
+                f"profile amplitude (alpha / xi)^2 is out of range at alpha = {al}, xi = {xi}"))
+            coefficients.append((math.nan, math.nan, math.nan))  # NaN raises no warning
+        else:
+            errors.append(None)
+            coefficients.append((amplitude, sg / xi, xi / sg))
+    # Three columns, each broadcast over eta's axes after the first.
+    amplitude, slope, scale = np.array(coefficients, dtype=float).T.reshape(
+        (3, len(cases)) + (1,) * (eta.ndim - 1))
+    radicand = amplitude - slope * eta * eta
+    return scale * np.sqrt(np.maximum(radicand, 0.0)), errors

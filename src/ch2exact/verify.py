@@ -30,6 +30,12 @@ each in one call.  A fault injected there reaches them all.  run_battery
 runs every check on one family with the thresholds of Tolerances, the one
 place their defaults are defined.
 
+The sweep's two checks run once per batch of orbits (sweep_checks): the
+first-integral drift in one pass over every orbit's nodes, and the mass
+at t = 0 on one (orbits x 21) lattice of the compact orbits, read by
+_fields, the field rule and finiteness check that fields_on_grid applies
+to one orbit.  Each orbit gets the bits it gets alone, and its own error.
+
 Windows: sampling_grid fills in the grid keys a config leaves out (t1 =
 0.25 S/3 on collapse, else min(0.5, mu, t_max); x1 a fraction of the support
 radius that _check_grid accepts, or |a0|^{1/3}), after checking that a
@@ -57,10 +63,11 @@ from .emden import (
     Classification,
     CollapseSingularity,
     Trajectory,
+    _states_at,
     classify,
     node_energies,
 )
-from .selfsim import SolutionCase, profile
+from .selfsim import SolutionCase, profiles
 
 __all__ = [
     "DEFAULT_POINTS", "DEFAULT_SUPPORT_MARGIN", "COLLAPSE_TIME_MARGIN", "ENERGY_DRIFT_TOL",
@@ -125,10 +132,10 @@ class Tolerances:
                 f"alpha_d must be a non-empty tuple of finite reals, got {self.alpha_d}")
 
 
-# The sweep's first-integral check (energy_drift): |energy - theta| at every
-# node stays within ENERGY_DRIFT_TOL of the orbit's energy scale.  The
-# battery does not run it, so it is not a Tolerances field (each field is a
-# verify config key).
+# The sweep's first-integral check (energy_drift, run over a whole batch by
+# sweep_checks): |energy - theta| at every node stays within
+# ENERGY_DRIFT_TOL of the orbit's energy scale.  The battery does not run
+# it, so it is not a Tolerances field (each field is a verify config key).
 ENERGY_DRIFT_TOL = 1e-8
 # A residual ladder at most RESIDUAL_FLOOR eps times the finest level's
 # roundoff scale counts as exact (_residual_report).  The factor is the
@@ -232,28 +239,47 @@ def fields_on_grid(
     """Exact (rho, u, eta), each (len(ts), nx), at the physical times ts and the
     points xs: nx points shared by every time, or (len(ts), nx), a row per time.
 
-    The one place the checks read the fields from.  Any lattice size is
-    accepted; u_scale is a fault-injection hook.  A field that is not finite
-    somewhere is an ArithmeticError naming the first of rho, u and eta that
-    is, and the (t, x) where.
+    The one place the battery's checks read the fields from: a batch of
+    one of _fields, which the sweep's batched mass reads directly.  Any
+    lattice size is accepted; u_scale is a fault-injection hook.  A field
+    that is not finite somewhere is an ArithmeticError naming the first of
+    rho, u and eta that is, and the (t, x) where.
     """
     ts = np.asarray(ts, dtype=float)
     a, a_dot = traj.eval_many(3.0 * ts)
-    if not a.all():
-        raise CollapseSingularity(f"scale factor vanished at t = {ts[a == 0.0][0]}")
+    rho, u, eta, (error,) = _fields([case], ts, a[None], a_dot[None], xs, u_scale)
+    if error is not None:
+        raise error
+    return rho[0], u[0], eta[0]
+
+
+def _fields(cases, ts, a, a_dot, xs, u_scale=1.0) -> tuple:
+    """(rho, u, eta, errors) of n orbits at the physical times ts, from a(3t) and
+    a'(3t) of orbit p in row p of a and a_dot, each (n, len(ts)), at the points
+    xs, broadcast to (n, len(ts), nx).
+
+    Each field is (n, len(ts), nx), row p the bits of orbit p alone.
+    errors[p] is orbit p's CollapseSingularity (a vanished scale factor),
+    profile amplitude OverflowError or non-finite field, in that order of
+    precedence; else None.  No numpy warning escapes.
+    """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        cb = np.cbrt(a)
-        eta = xs / cb[:, None]
-        rho = profile(case, eta) / cb[:, None]
-        u = u_scale * (a_dot / a)[:, None] * xs
+        cb = np.cbrt(a)[..., None]
+        eta = xs / cb
+        f, errors = profiles(cases, eta)
+        rho = f / cb
+        u = u_scale * (a_dot / a)[..., None] * xs
+    for p in np.flatnonzero(~a.all(axis=1)).tolist():
+        errors[p] = CollapseSingularity(f"scale factor vanished at t = {ts[a[p] == 0.0][0]}")
     for name, field in (("rho", rho), ("u", u), ("eta", eta)):
         bad = ~np.isfinite(field)
-        if bad.any():
-            i, j = np.argwhere(bad)[0].tolist()
-            x = np.broadcast_to(xs, field.shape)[i, j]
-            raise ArithmeticError(
-                f"field {name} = {field[i, j]} is out of range at t = {ts[i]}, x = {x}")
-    return rho, u, eta
+        for p in np.flatnonzero(bad.any(axis=(1, 2))).tolist():
+            if errors[p] is None:
+                i, j = np.argwhere(bad[p])[0].tolist()
+                x = np.broadcast_to(xs, field.shape)[p, i, j]
+                errors[p] = ArithmeticError(
+                    f"field {name} = {field[p, i, j]} is out of range at t = {ts[i]}, x = {x}")
+    return rho, u, eta, errors
 
 
 def _t_max(traj: Trajectory) -> float:
@@ -495,10 +521,11 @@ def mass(case: SolutionCase, traj: Trajectory, ts) -> np.ndarray:
     Compact families integrate over the support with the substitution
     x = x_b(t) sin(phi), which absorbs the square-root vanishing of rho at
     the boundary into a smooth integrand proportional to cos^2(phi),
-    integrated to roundoff by one 21-point Gauss-Kronrod rule.  The fields
-    are read once, on the (len(ts), 21) lattice; each mass has the bits of
-    a call for its time alone.  Families on the full line have rho ~ |x|
-    growth and divergent mass; math.inf is returned.
+    integrated to roundoff by one 21-point Gauss-Kronrod rule (_masses).
+    The fields are read once, by fields_on_grid on the (len(ts), 21)
+    lattice; each mass has the bits of a call for its time alone.  Families
+    on the full line have rho ~ |x| growth and divergent mass; math.inf is
+    returned.
     """
     ts = np.asarray(ts, dtype=float)
     # Checked here, not only in eval_many: the full-line branch never reads the orbit.
@@ -507,15 +534,27 @@ def mass(case: SolutionCase, traj: Trajectory, ts) -> np.ndarray:
     if not case.compact:
         return np.full(len(ts), math.inf)
     a, _ = traj.eval_many(3.0 * ts)
-    xb = (np.cbrt(a) * case.eta_boundary)[:, None]
+    return _masses([case], a[None], lambda xs: fields_on_grid(case, traj, ts, xs[0])[0][None])[0]
+
+
+def _masses(cases, a, rho_at) -> np.ndarray:
+    """Masses, (n, nt), of n compact orbits whose scale factors at nt times are
+    the rows of a, with rho_at(xs) the densities on a lattice xs of shape
+    (n, nt, 21), orbit p's points in row p.
+
+    The lattice is x_b sin(phi) on the rule's nodes phi, whose sin and cos
+    are libm's, taken once.  Row p has the bits of orbit p alone.  No numpy
+    warning escapes.
+    """
+    eta_b = np.array([case.eta_boundary for case in cases])[:, None]
 
     def integrand(phi: np.ndarray) -> np.ndarray:
-        # sin and cos per node are libm's; the rest is the same arithmetic on arrays.
         sin, cos = np.array([(math.sin(p), math.cos(p)) for p in phi.tolist()]).T
-        rho, _, _ = fields_on_grid(case, traj, ts, xb * sin)
-        return (rho * xb * cos).T
+        return (rho_at(xb * sin) * xb * cos).T
 
-    return gauss_kronrod21_array(integrand, -math.pi / 2.0, math.pi / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xb = (np.cbrt(a) * eta_b)[..., None]
+        return gauss_kronrod21_array(integrand, -math.pi / 2.0, math.pi / 2.0)
 
 
 def analytic_mass(case: SolutionCase) -> float:
@@ -549,22 +588,70 @@ def energy_drift(traj: Trajectory, theta: float) -> tuple[float, float]:
     The bound is ENERGY_DRIFT_TOL times the orbit's energy scale: the
     largest a'^2/2 or |xi| |a|^{2/3}/2 over the nodes, the size of the two
     terms whose difference is the energy.  A bound in units of theta would
-    not do: theta is small wherever those terms nearly cancel.
+    not do: theta is small wherever those terms nearly cancel.  A batch of
+    one of _energy_drifts.
     """
-    kinetic = 0.5 * traj.a_dot * traj.a_dot
-    potential = 0.5 * abs(traj.params.xi) * np.cbrt(traj.a) ** 2
-    scale = max(float(kinetic.max()), float(potential.max()))
-    drift = float(np.max(np.abs(node_energies(traj) - theta)))
-    return drift, ENERGY_DRIFT_TOL * scale
+    drift, bound = _energy_drifts([traj], [theta])
+    return float(drift[0]), float(bound[0])
 
 
-def sweep_checks(case: SolutionCase, traj: Trajectory, report: BlowupReport) -> tuple[float, bool]:
-    """(mass at t = 0, pass) of a sweep row: the first integral within its bound
-    and, on a compact family, the mass within the default mass_rtol."""
-    drift, drift_bound = energy_drift(traj, report.theta)
-    m_val = mass(case, traj, [0.0])[0]
-    return m_val, drift <= drift_bound and (
-        not case.compact or mass_error(case, m_val, Tolerances.mass_rtol)[2])
+def _energy_drifts(trajs, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """(drift, bound) arrays, energy_drift of trajs[p] against thetas[p] in entry
+    p, from one pass over the nodes of every trajectory.
+
+    Each orbit's maxima are np.maximum.reduceat's over its own nodes, so
+    entry p has the bits of trajs[p] alone.  No numpy warning escapes.
+    """
+    lengths = [len(traj.a) for traj in trajs]
+    starts = np.cumsum([0, *lengths[:-1]])
+    a = np.concatenate([traj.a for traj in trajs])
+    a_dot = np.concatenate([traj.a_dot for traj in trajs])
+    xi = np.repeat([traj.params.xi for traj in trajs], lengths)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kinetic = np.maximum.reduceat(0.5 * a_dot * a_dot, starts)
+        potential = np.maximum.reduceat(0.5 * np.abs(xi) * np.cbrt(a) ** 2, starts)
+        energies = node_energies(*trajs)
+        drift = np.maximum.reduceat(np.abs(energies - np.repeat(thetas, lengths)), starts)
+    # Python's max(kinetic, potential): the first unless the second is larger.
+    return drift, ENERGY_DRIFT_TOL * np.where(potential > kinetic, potential, kinetic)
+
+
+def sweep_checks(cases, trajs, reports) -> list:
+    """(mass at t = 0, pass) of each orbit of a sweep, or the ArithmeticError
+    that ends its checks.
+
+    An orbit passes when its first integral stays within its bound
+    (energy_drift) and, on a compact family, its mass within the default
+    mass_rtol.  Each check runs once over the batch (_energy_drifts over
+    every orbit's nodes, _masses over the compact orbits' t = 0 lattice),
+    and each entry has the bits of its orbit alone: the masses are
+    mass(case, traj, [0.0])[0], math.inf on the full line.
+    """
+    drift, bound = _energy_drifts(trajs, [report.theta for report in reports])
+    masses = np.full(len(cases), math.inf)
+    results = [None] * len(cases)  # each orbit's exception, then its (mass, pass)
+    compact = [p for p, case in enumerate(cases) if case.compact]
+    if compact:
+        ts = np.zeros(1)
+        a, a_dot = (np.stack(v) for v in zip(*_states_at([trajs[p] for p in compact],
+                                                         [3.0 * ts] * len(compact))))
+        compact_cases = [cases[p] for p in compact]
+
+        def rho_at(xs):
+            rho, _, _, errors = _fields(compact_cases, ts, a, a_dot, xs)
+            for p, error in zip(compact, errors):
+                results[p] = error
+            return rho
+
+        masses[compact] = _masses(compact_cases, a, rho_at)[:, 0]
+    for p, (case, m_val) in enumerate(zip(cases, masses)):
+        if results[p] is None:
+            try:  # analytic_mass's alpha ** 2 may overflow
+                results[p] = (m_val, bool(drift[p] <= bound[p] and (
+                    not case.compact or mass_error(case, m_val, Tolerances.mass_rtol)[2])))
+            except ArithmeticError as exc:
+                results[p] = exc
+    return results
 
 
 # ----------------------------------------------------------------------

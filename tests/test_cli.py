@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: configs, outputs, determinism, exit codes."""
 
+import csv
 import dataclasses
 import gc
 import hashlib
@@ -976,6 +977,59 @@ def test_sweep_error_row_echoes_commas_as_one_cell(tmp_path):
     assert len(lines) == 4
     assert [len(line.split(",")) for line in lines] == [12] * 4
     assert lines[2].startswith("?,1,1;5,1,1;0,0,error: ")
+
+
+def test_sweep_error_row_echoes_quotes_as_one_cell(tmp_path):
+    # A value that starts with a double quote would open a quoted CSV field
+    # that swallows the commas after it: echoed with a single quote instead,
+    # every row reads back as the header's 12 fields in a standard reader.
+    bad = 'sigma = 1\nxi = "1\nalpha = 1\na0 = 1\na1 = 0\n'
+    cfg = write_config(tmp_path, "\n".join([CFG_2A, bad, CFG_2A]))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    with open(tmp_path / "s" / "sweep.csv", newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    assert [len(row) for row in rows] == [12] * 4
+    assert rows[2][:7] == ["?", "1", "'1", "1", "1", "0",
+                           "error: config key 'xi' is not a number: ''1'"]
+    assert rows[1] == rows[3]
+
+
+# Failures of the sweep's checks themselves, one orbit each: a profile
+# amplitude (alpha / xi)^2 that overflows, a field u that is not finite
+# (a' / a overflows at a0 = 1e-300), and an analytic mass alpha^2 pi /
+# (2 sqrt xi) that overflows after the quadrature's own overflow.
+SWEEP_CHECK_FAILURES = [
+    ("sigma = 1\nxi = 1e-200\nalpha = 1e200\na0 = 1\na1 = 0\n",
+     "error: profile amplitude (alpha / xi)^2 is out of range at alpha = 1e+200; xi = 1e-200"),
+    ("sigma = 1\nxi = 1\nalpha = 1\na0 = 1e-300\na1 = 1e100\nt_end = 1e-200\n",
+     "error: field u = nan is out of range at t = 0.0; x = 0.0"),
+    ("sigma = 1\nxi = 1e100\nalpha = 1e200\na0 = 1\na1 = 0\n",
+     "error: (34; 'Numerical result out of range')"),
+]
+
+
+def test_sweep_check_failures_are_each_their_own_row(tmp_path):
+    # The batched checks fail one orbit at a time: each failing orbit gets its
+    # own error row, the valid rows between them are those of their blocks
+    # alone, and no numpy warning escapes.
+    blocks = [CFG_2A, CFG_1A] + [block for block, _ in SWEEP_CHECK_FAILURES] + [SWEEP_FOUR]
+    cfg = write_config(tmp_path, "\n".join(blocks))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "all")]) == 0
+    with open(tmp_path / "all" / "sweep.csv", newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))[1:]
+    assert len(rows) == 9 and all(len(row) == 12 for row in rows)
+    assert [(row[0], row[6], row[11]) for row in rows[2:5]] == [
+        ("?", text, "false") for _, text in SWEEP_CHECK_FAILURES]
+    valid = (tmp_path / "all" / "sweep.csv").read_text().splitlines()[1:]
+    valid = valid[:2] + valid[5:]
+    alone = []
+    for k, block in enumerate([CFG_2A, CFG_1A, SWEEP_FOUR]):
+        cfg = write_config(tmp_path, block, name=f"{k}.cfg")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / str(k))]) == 0
+        alone += (tmp_path / str(k) / "sweep.csv").read_text().splitlines()[1:]
+    assert valid == alone
 
 
 # Blocks that fail at each stage of a sweep: parsing, integration and the

@@ -23,6 +23,7 @@ from ch2exact import (
     SpaceTimeGrid,
     Tolerances,
     analyze,
+    analyze_many,
     integrate_many,
     mass,
     mass_residual_field,
@@ -32,8 +33,9 @@ from ch2exact import (
 )
 import ch2exact.verify as verify
 from ch2exact._quadrature import gauss_kronrod21_array
-from ch2exact.emden import Trajectory
+from ch2exact.emden import Trajectory, node_energies
 from ch2exact.verify import (
+    ENERGY_DRIFT_TOL,
     _check_grid,
     _decay_window_end,
     _dispersion_record,
@@ -41,6 +43,7 @@ from ch2exact.verify import (
     _t_max,
     analytic_mass,
     battery_t_needed,
+    energy_drift,
     fields_on_grid,
     horizon,
     mass_error,
@@ -404,6 +407,81 @@ def test_mass_of_many_times_is_each_time_alone(family, xi_dec, a0_dec, alpha, u,
     for t, m in zip(ts, masses.tolist()):
         assert mass(case, traj, [t])[0] == m
         assert m == (per_node_mass(case, traj, t) if case.compact else math.inf)
+
+
+def energy_drift_alone(traj, theta):
+    """energy_drift's rule on one orbit, with whole-array maxima (an oracle)."""
+    kinetic = 0.5 * traj.a_dot * traj.a_dot
+    potential = 0.5 * abs(traj.params.xi) * np.cbrt(traj.a) ** 2
+    scale = max(float(kinetic.max()), float(potential.max()))
+    drift = float(np.max(np.abs(node_energies(traj) - theta)))
+    return drift, ENERGY_DRIFT_TOL * scale
+
+
+def sweep_check_alone(case, traj, report):
+    """One orbit's sweep check from the one-orbit calls: (mass at t = 0, pass), or
+    the exception the mass raises."""
+    drift, bound = energy_drift(traj, report.theta)
+    assert (drift, bound) == energy_drift_alone(traj, report.theta)
+    try:
+        m = mass(case, traj, [0.0])[0]
+    except ArithmeticError as exc:
+        return exc
+    if case.compact:
+        assert m == per_node_mass(case, traj, 0.0)
+    return m, drift <= bound and (not case.compact or mass_error(case, m, Tolerances.mass_rtol)[2])
+
+
+def same_check(got, want) -> bool:
+    """Equal exceptions (class and text), or equal (mass, pass) to the bit."""
+    if isinstance(want, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    return (not isinstance(got, Exception) and np.float64(got[0]).tobytes()
+            == np.float64(want[0]).tobytes() and got[1] is bool(want[1]))
+
+
+sweep_orbits = st.tuples(st.sampled_from(FAMILY_SIGNS), st.floats(-3.0, 3.0),
+                         st.floats(-3.0, 3.0), st.floats(0.1, 10.0), st.floats(-2.0, 2.0))
+# A profile amplitude (alpha / xi)^2 that overflows, on an orbit that integrates.
+OVERFLOWING = SolutionCase(sigma=1, alpha=1e200, emden=EmdenParams(xi=1e-200, a0=1.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(draws=st.lists(sweep_orbits, min_size=1, max_size=8), data=st.data())
+def test_sweep_checks_of_a_batch_are_each_orbit_alone(draws, data):
+    # Per orbit and bit for bit, the batch's (mass, pass) is the one-orbit
+    # mass and energy_drift's verdict, wherever the orbit sits in the batch
+    # and whatever orbits share it; an overflowing orbit gets its own
+    # exception and leaves the others alone.
+    cases = []
+    for (sigma, xi_sign), xi_dec, a0_dec, alpha, u in draws:
+        xi, a0 = xi_sign * 10.0 ** xi_dec, sigma * xi_sign * 10.0 ** a0_dec
+        params = EmdenParams(xi=xi, a0=a0, a1=u * math.sqrt(abs(xi)) * abs(a0) ** (1.0 / 3.0))
+        cases.append(SolutionCase(sigma=sigma, alpha=alpha, emden=params))
+    cases.insert(data.draw(st.integers(0, len(cases)), label="overflow at"), OVERFLOWING)
+    analyzed = analyze_many([(case.emden, horizon(0.0), DEFAULT_TOL) for case in cases])
+    # The theta ~ 0 separatrix can fail to integrate (test_emden's stop-event case).
+    orbits = [(case, *result) for case, result in zip(cases, analyzed)
+              if not isinstance(result, Exception)]
+    alone = [sweep_check_alone(*orbit) for orbit in orbits]
+    assert any(isinstance(want, OverflowError) for want in alone)
+
+    def check(picks):
+        got = verify.sweep_checks(*zip(*[orbits[k] for k in picks]))
+        assert len(got) == len(picks)
+        assert all(same_check(g, alone[k]) for g, k in zip(got, picks))
+
+    n = len(orbits)
+    check(range(n))
+    check(data.draw(st.permutations(range(n)), label="shuffled"))
+    start = data.draw(st.integers(0, n - 1), label="slice start")
+    check(range(start, data.draw(st.integers(start + 1, n), label="slice end")))
+    for compact in (True, False):
+        picks = [k for k in range(n) if orbits[k][0].compact is compact]
+        if picks:
+            check(picks)
+    for k in range(n):
+        check([k])
 
 
 def test_mass_error_relative_and_zero_amplitude(case_2a):
